@@ -1,11 +1,11 @@
 GO ?= go
 
-.PHONY: help check build vet lint vet-json fmt-check test race bench bench-smoke bench-profile alloc-gate fuzz-smoke clockcheck chaos chaos-smoke crash-sweep serve-smoke scrub-smoke shard-smoke examples
+.PHONY: help check build vet lint vet-json fmt-check test golden race bench bench-smoke bench-profile alloc-gate fuzz-smoke clockcheck chaos chaos-smoke crash-sweep serve-smoke scrub-smoke shard-smoke examples
 
 help: ## list targets (static analysis lives in lint = icash-vet)
 	@awk -F':.*## ' '/^[a-z-]+:.*## /{printf "%-12s %s\n", $$1, $$2}' Makefile
 
-check: fmt-check vet lint build race clockcheck bench-smoke alloc-gate crash-sweep serve-smoke scrub-smoke shard-smoke ## everything CI's check job runs
+check: fmt-check vet lint build golden race clockcheck bench-smoke alloc-gate crash-sweep serve-smoke scrub-smoke shard-smoke ## everything CI's check job runs
 
 build: ## go build ./...
 	$(GO) build ./...
@@ -24,6 +24,9 @@ fmt-check: ## fail on gofmt drift
 
 test: ## go test ./...
 	$(GO) test ./...
+
+golden: ## rendered sweep/figure/soak reports vs testdata/golden (regenerate: go test -run TestGolden -update .)
+	$(GO) test -count=1 -run 'TestGolden' .
 
 race: ## go test -race ./...
 	$(GO) test -race ./...
