@@ -36,8 +36,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"icash/internal/fault/chaos"
 	"icash/internal/harness"
@@ -54,32 +52,18 @@ type chaosSeedResult struct {
 	err error
 }
 
-// fanSeeds runs f(0..n-1) across the harness worker pool and returns
-// the results in index order — the same submission-order reassembly
-// the experiment runner uses, so every report is byte-identical at any
-// -parallel count.
-func fanSeeds(n int, f func(i int) chaosSeedResult) []chaosSeedResult {
+// soakSeeds runs one chaos soak per seed index across the harness
+// worker pool and returns the outcomes in index order, so every report
+// is byte-identical at any -parallel count.
+func soakSeeds(n int, cfg func(i int) chaos.Config) []chaosSeedResult {
 	outs := make([]chaosSeedResult, n)
-	workers := harness.Parallelism()
-	if workers > n {
-		workers = n
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				outs[i] = f(i)
-			}
-		}()
-	}
-	wg.Wait()
+	// A failing seed is an outcome to report, kept in outs; the fan
+	// itself never errors.
+	_ = harness.ForEachPoint(n, func(i int) error {
+		res, err := chaos.Run(cfg(i))
+		outs[i] = chaosSeedResult{res: res, err: err}
+		return nil
+	})
 	return outs
 }
 
@@ -102,10 +86,8 @@ func runChaos(base uint64, n, ops, qd int) error {
 		qd = 8
 	}
 	fmt.Printf("chaos soak: %d seeds from %d, %d ops/seed, QD=%d\n", n, base, ops, qd)
-	outs := fanSeeds(n, func(i int) chaosSeedResult {
-		cfg := chaos.Config{Seed: base + uint64(i), Ops: ops, QueueDepth: qd}
-		res, err := chaos.Run(cfg)
-		return chaosSeedResult{res: res, err: err}
+	outs := soakSeeds(n, func(i int) chaos.Config {
+		return chaos.Config{Seed: base + uint64(i), Ops: ops, QueueDepth: qd}
 	})
 	for i, out := range outs {
 		if out.err != nil {
@@ -152,14 +134,12 @@ func runScrubOverhead(base uint64, n, ops, qd int) error {
 	fmt.Printf("%-6s %9s %10s %9s %9s %9s %8s %8s %7s\n",
 		"scrub", "ops", "ops/sec", "read p50", "read p99", "write p99", "slotchk", "homechk", "passes")
 	for _, arm := range arms {
-		outs := fanSeeds(n, func(i int) chaosSeedResult {
-			cfg := chaos.Config{
+		outs := soakSeeds(n, func(i int) chaos.Config {
+			return chaos.Config{
 				Seed: base + uint64(i), Ops: ops, QueueDepth: qd,
 				NoFailStop: true, NoFailSlow: true,
 				ScrubInterval: arm.interval,
 			}
-			res, err := chaos.Run(cfg)
-			return chaosSeedResult{res: res, err: err}
 		})
 		var (
 			readAll, writeAll              metrics.Histogram
@@ -205,19 +185,17 @@ func runBitrot(base uint64, n, ops, qd int) error {
 		qd = 8
 	}
 	fmt.Printf("bit-rot soak: %d seeds from %d, %d ops/seed, QD=%d, scrubber on\n", n, base, ops, qd)
-	outs := fanSeeds(n, func(i int) chaosSeedResult {
+	outs := soakSeeds(n, func(i int) chaos.Config {
 		// Pure silent-corruption arm: fail-stop and fail-slow injection
 		// off, so every wrong byte, detection, and repair in the report
 		// traces back to a lying device — the combined-mode soak lives
 		// under -chaos.
-		cfg := chaos.Config{
+		return chaos.Config{
 			Seed: base + uint64(i), Ops: ops, QueueDepth: qd,
 			NoFailStop: true, NoFailSlow: true,
 			SilentFaults:  true,
 			ScrubInterval: 5 * sim.Millisecond,
 		}
-		res, err := chaos.Run(cfg)
-		return chaosSeedResult{res: res, err: err}
 	})
 	var (
 		detectAll                           metrics.Histogram
@@ -269,7 +247,7 @@ func realMain() int {
 		wsweep  = flag.Bool("wsweep", false, "print the I-CASH random-write queue-depth scaling table (group-commit batching) and exit")
 		serve   = flag.Bool("serve", false, "print the served-vs-inproc window scaling table (block-service front-end) and exit")
 
-		shards     = flag.Int("shards", 1, "partition I-CASH into this many LBA-range shards, each its own SSD+HDD pair (1 = classic single controller)")
+		shards     = flag.Int("shards", 1, "partition I-CASH into this many LBA-range shards, each its own SSD+HDD pair (1 = one shard)")
 		shardsweep = flag.Bool("shardsweep", false, "print the I-CASH shard-count scaling table (random read + write at QD>=8) and exit")
 		sweepOps   = flag.Int("ops", 0, "sweeps: cap measured operations per point (0 = sweep default)")
 
@@ -287,7 +265,6 @@ func realMain() int {
 	)
 	flag.Parse()
 	harness.SetParallelism(*parallel)
-	harness.SetShards(*shards)
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -346,7 +323,7 @@ func realMain() int {
 	}
 
 	if *qdsweep || *wsweep || *serve || *shardsweep {
-		opts := workload.Options{Seed: *seed, MaxOps: *sweepOps}
+		opts := workload.Options{Seed: *seed, MaxOps: *sweepOps, Shards: *shards}
 		scaleSet := false
 		flag.Visit(func(f *flag.Flag) {
 			if f.Name == "scale" {
@@ -390,7 +367,7 @@ func realMain() int {
 	}
 
 	ids := strings.Split(*run, ",")
-	opts := workload.Options{Scale: *scale, Seed: *seed, QueueDepth: *qd, StreamPerVM: *vms}
+	opts := workload.Options{Scale: *scale, Seed: *seed, QueueDepth: *qd, StreamPerVM: *vms, Shards: *shards}
 	report, err := harness.RunExperiments(ids, opts)
 	fmt.Print(report)
 	if err != nil {

@@ -24,7 +24,6 @@ import (
 
 	"icash/internal/harness"
 	"icash/internal/server"
-	"icash/internal/sim"
 	"icash/internal/workload"
 )
 
@@ -44,14 +43,13 @@ func realMain() int {
 		shards = flag.Int("shards", 1, "partition the array into N LBA-range shards; sessions on different shards serve in parallel")
 	)
 	flag.Parse()
-	harness.SetShards(*shards)
 
 	p, ok := workload.ByName(*bench)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "icash-serve: unknown benchmark %q\n", *bench)
 		return 2
 	}
-	opts := workload.Options{Scale: *scale, Seed: *seed, MaxOps: *ops, StreamPerVM: *vms, QueueDepth: *window}
+	opts := workload.Options{Scale: *scale, Seed: *seed, MaxOps: *ops, StreamPerVM: *vms, QueueDepth: *window, Shards: *shards}
 
 	if *listen != "" {
 		if err := serveListen(*listen, p, opts, *window); err != nil {
@@ -72,22 +70,6 @@ func realMain() int {
 	return 0
 }
 
-// sysBackend exposes a harness System as a server.Backend.
-type sysBackend struct {
-	sys *harness.System
-}
-
-func (b sysBackend) ReadBlock(lba int64, buf []byte) (sim.Duration, error) {
-	return b.sys.Dev.ReadBlock(lba, buf)
-}
-
-func (b sysBackend) WriteBlock(lba int64, buf []byte) (sim.Duration, error) {
-	return b.sys.Dev.WriteBlock(lba, buf)
-}
-
-func (b sysBackend) Flush() error  { return b.sys.Flush() }
-func (b sysBackend) Blocks() int64 { return b.sys.Dev.Blocks() }
-
 // serveListen builds and populates the array, then serves the framed
 // protocol to real TCP clients until interrupted. Connections register
 // with a server.Registry so shutdown can drain: when the listener dies,
@@ -106,15 +88,11 @@ func serveListen(addr string, p workload.Profile, opts workload.Options, window 
 	}
 	// Per-shard backends under the router: sessions whose partitions
 	// land on different shards serve concurrently, each shard still
-	// single-threaded behind its lockmap address. An unsharded build is
-	// the degenerate one-shard case — one address, the old funnel.
+	// single-threaded behind its lockmap address. One shard is one
+	// address — every session funnels through it.
 	var routed []server.Backend
-	if sc := sys.Sharded; sc != nil {
-		for i := 0; i < sc.NumShards(); i++ {
-			routed = append(routed, sc.Shard(i))
-		}
-	} else {
-		routed = []server.Backend{sysBackend{sys: sys}}
+	for _, sh := range sys.Sharded.Shards() {
+		routed = append(routed, sh)
 	}
 	backend, err := server.NewShardRouter(routed)
 	if err != nil {

@@ -215,16 +215,6 @@ func (s *ShardedController) SetScrub(cfg ScrubConfig) {
 	}
 }
 
-// SetCorruptionHook installs fn on every shard, prefixing the device
-// name with the shard's station namespace ("s2.ssd") so a chaos oracle
-// can attribute a detection to the one faulted shard.
-func (s *ShardedController) SetCorruptionHook(fn func(dev string, devLBA int64)) {
-	for i, sh := range s.shards {
-		prefix := fmt.Sprintf("s%d.", i)
-		sh.SetCorruptionHook(func(dev string, devLBA int64) { fn(prefix+dev, devLBA) })
-	}
-}
-
 // CheckInvariants runs every shard's invariant sweep, reporting the
 // first violation by shard index.
 func (s *ShardedController) CheckInvariants() error {

@@ -17,7 +17,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"strings"
 
 	"icash/internal/blockdev"
 	"icash/internal/core"
@@ -75,12 +74,12 @@ type Config struct {
 	ScrubInterval sim.Duration
 
 	// Shards partitions the array into N LBA-range shards (0 or 1 =
-	// the classic single-controller build). Every fault — fail-slow
-	// windows, probabilistic fail-stop rates, silent corruption — lands
-	// on shard 0 only, under its "s0." station namespace: the soak then
-	// checks both that the faulted shard's loss stays accounted and
-	// that the blast radius stops at the shard boundary (the other
-	// shards' invariants must hold with zero fault traffic).
+	// one shard). Every fault — fail-slow windows, probabilistic
+	// fail-stop rates, silent corruption — lands on shard 0 only, under
+	// its station namespace: the soak then checks both that the faulted
+	// shard's loss stays accounted and that the blast radius stops at
+	// the shard boundary (the other shards' invariants must hold with
+	// zero fault traffic).
 	Shards int
 }
 
@@ -323,12 +322,7 @@ func Run(cfg Config) (*Result, error) {
 	// Arm the background scrubber for the measured phase (SetScrub
 	// re-anchors the schedule at the next request).
 	if cfg.ScrubInterval > 0 {
-		scrub := core.ScrubConfig{Interval: cfg.ScrubInterval}
-		if sys.Sharded != nil {
-			sys.Sharded.SetScrub(scrub)
-		} else {
-			sys.ICASH.SetScrub(scrub)
-		}
+		sys.Sharded.SetScrub(core.ScrubConfig{Interval: cfg.ScrubInterval})
 	}
 
 	// Arm the probabilistic fail-stop rates for the measured phase.
@@ -352,19 +346,12 @@ func Run(cfg Config) (*Result, error) {
 		} else {
 			plan.Windows = genPlan(cfg.Seed, start, horizon)
 		}
-		if cfg.Shards > 1 {
-			// Sharded station names live under per-shard namespaces
-			// ("s0.ssd.ch0"); scope every window to the faulted shard so
-			// the schedule keeps matching — and only that shard slows.
-			for i := range plan.Windows {
-				if plan.Windows[i].Station == "" {
-					// "every station" scopes to "every station of the
-					// faulted shard" ("s0" dotted-prefix-matches them all).
-					plan.Windows[i].Station = "s0"
-				} else {
-					plan.Windows[i].Station = "s0." + plan.Windows[i].Station
-				}
-			}
+		// Scope every window to the faulted shard's station namespace, so
+		// the schedule keeps matching — and only that shard slows ("every
+		// station" becomes "every station of shard 0").
+		for i := range plan.Windows {
+			w := &plan.Windows[i]
+			w.Station = harness.ShardStation(0, sys.Sharded.NumShards(), w.Station)
 		}
 		if err := plan.Validate(); err != nil {
 			return nil, fmt.Errorf("chaos: plan: %w", err)
@@ -396,7 +383,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	// Measured phase: closed-loop QueueDepth tokens on the event
-	// engine, mirroring the harness's concurrent runner, with every
+	// engine, mirroring the harness's run loop, with every
 	// read checked against the oracle at execution time (the stack
 	// runs in deterministic event order, so "current version" is
 	// well-defined even with overlapping requests).
@@ -406,15 +393,10 @@ func Run(cfg Config) (*Result, error) {
 	// pops the matching device's outstanding-injection record; the gap
 	// between injection and detection is the silent corruption's
 	// host-visible exposure window.
-	corruptionHook := func(dev string, devLBA int64) {
-		// Sharded controllers report under their station namespace
-		// ("s0.ssd"); only shard 0 carries fault wrappers, so strip the
-		// prefix and attribute as usual. A detection on any other shard
-		// matches no outstanding injection and records nothing — which
-		// is itself the blast-radius claim.
-		if i := strings.Index(dev, "."); i > 0 && dev[0] == 's' {
-			dev = dev[i+1:]
-		}
+	// Only shard 0 carries fault wrappers, so only its detections can
+	// match an injection; the other shards record nothing — which is
+	// itself the blast-radius claim.
+	sys.Sharded.Shard(0).SetCorruptionHook(func(dev string, devLBA int64) {
 		var t sim.Time
 		var ok bool
 		switch dev {
@@ -432,12 +414,7 @@ func Run(cfg Config) (*Result, error) {
 		if ok {
 			res.DetectLat.Record(clock.Now().Sub(t))
 		}
-	}
-	if sys.Sharded != nil {
-		sys.Sharded.SetCorruptionHook(corruptionHook)
-	} else {
-		sys.ICASH.SetCorruptionHook(corruptionHook)
-	}
+	})
 
 	rng := sim.NewRand(cfg.Seed ^ 0x5eed_0fca_0c4a_0001)
 	sch := event.NewScheduler(clock)
@@ -534,13 +511,8 @@ func Run(cfg Config) (*Result, error) {
 	res.Elapsed = clock.Now().Sub(start)
 
 	// Collect accounting.
-	if sys.Sharded != nil {
-		res.Stats = sys.Sharded.Stats()
-		res.Quarantined = sys.Sharded.SSDQuarantined()
-	} else {
-		res.Stats = sys.ICASH.Stats
-		res.Quarantined = sys.ICASH.SSDQuarantined()
-	}
+	res.Stats = sys.Sharded.Stats()
+	res.Quarantined = sys.Sharded.SSDQuarantined()
 	res.SSDFault = sys.SSDFault.Stats
 	res.HDDFault = sys.HDDFault.Stats
 	if sys.Detector != nil {
@@ -557,24 +529,15 @@ func Run(cfg Config) (*Result, error) {
 		res.Stats.DroppedLogRecs
 	res.SilentUncaught = int64(sys.SSDFault.SilentOutstanding() + sys.HDDFault.SilentOutstanding())
 
-	// Verdicts: structural invariants, then the silent-loss bound. On a
-	// sharded build every shard is checked — the unfaulted shards'
-	// invariants holding is the blast-radius half of the claim.
-	if sys.Sharded != nil {
-		if err := sys.Sharded.CheckInvariants(); err != nil {
-			return res, fmt.Errorf("chaos: seed %d: controller invariants: %w", cfg.Seed, err)
-		}
-		for i, sdev := range sys.SSDs {
-			if err := sdev.CheckInvariants(); err != nil {
-				return res, fmt.Errorf("chaos: seed %d: shard %d ssd invariants: %w", cfg.Seed, i, err)
-			}
-		}
-	} else {
-		if err := sys.ICASH.CheckInvariants(); err != nil {
-			return res, fmt.Errorf("chaos: seed %d: controller invariants: %w", cfg.Seed, err)
-		}
-		if err := sys.SSD.CheckInvariants(); err != nil {
-			return res, fmt.Errorf("chaos: seed %d: ssd invariants: %w", cfg.Seed, err)
+	// Verdicts: structural invariants, then the silent-loss bound. Every
+	// shard is checked — the unfaulted shards' invariants holding is the
+	// blast-radius half of the claim.
+	if err := sys.Sharded.CheckInvariants(); err != nil {
+		return res, fmt.Errorf("chaos: seed %d: controller invariants: %w", cfg.Seed, err)
+	}
+	for i, sdev := range sys.SSDs {
+		if err := sdev.CheckInvariants(); err != nil {
+			return res, fmt.Errorf("chaos: seed %d: shard %d ssd invariants: %w", cfg.Seed, i, err)
 		}
 	}
 	if res.WrongLBAs > res.AccountedLoss {

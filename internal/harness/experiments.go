@@ -400,9 +400,6 @@ func RunExperiments(ids []string, opts workload.Options) (string, error) {
 				continue
 			}
 			br.Results[g.kind] = points[gi].res
-			if points[gi].icash != nil {
-				br.SysICASH = points[gi].icash
-			}
 			if points[gi].sharded != nil {
 				br.SysSharded = points[gi].sharded
 			}

@@ -9,6 +9,7 @@ import (
 	"icash/internal/metrics"
 	"icash/internal/power"
 	"icash/internal/sim"
+	"icash/internal/sim/event"
 	"icash/internal/workload"
 )
 
@@ -45,14 +46,14 @@ type Result struct {
 
 	// QueueDepth and Streams describe the issue mode that produced the
 	// result: outstanding requests per stream and number of interleaved
-	// per-VM streams (1 each on the classic serial path).
+	// per-VM streams.
 	QueueDepth int
 	Streams    int
 	// QueueWait is the per-block device queueing delay distribution
-	// (zero on the serial path: one request never queues).
+	// (empty at QD=1 on one stream: one request never queues).
 	QueueWait metrics.LatencyRecorder
 	// Stations is the per-station utilization/queue accounting from the
-	// concurrency engine; nil on the serial path.
+	// concurrency engine; nil at QD=1 on one stream.
 	Stations []metrics.StationStats
 
 	// SSD wear metrics (Table 6 and §5.3).
@@ -83,59 +84,44 @@ type Result struct {
 }
 
 // Populate writes the whole data set through the system, mirroring the
-// benchmarks\' own setup phases (database load, VM image creation,
+// benchmarks' own setup phases (database load, VM image creation,
 // §4.4): by the time measurement starts the storage system has seen the
 // data, I-CASH has selected references, and caches hold their steady
 // working sets. Populate time and device activity are not measured.
+//
+// The load is cut into independent units — one per I-CASH shard, one
+// for a baseline system — fanned across ForEachPoint workers, and the
+// result is byte-identical at every worker count:
+//
+//   - units share no mutable state (a shard has its own devices,
+//     controller and CPU accountant), so each worker's writes are a
+//     closed system;
+//   - the clock is never advanced inside the fan (nothing in the write
+//     path reads it, and the scrubber — the controller's only clock
+//     reader — cannot fire at a frozen instant); the load's simulated
+//     duration (10 µs per block) is applied once after the join;
+//   - workers running side by side each use a fresh generator clone:
+//     Fill is deterministic per (profile, options, lba) but memoizes
+//     family bases, so clones keep the oracle race-free, and each
+//     unit's devices get the clone's fill. A lone unit loads through
+//     gen itself, which leaves gen's memo warm for the run.
 func Populate(sys *System, gen *workload.Generator) error {
-	if sys.Sharded != nil && sys.Sharded.NumShards() > 1 {
-		return populateSharded(sys, gen)
-	}
-	buf := blockdev.GetBlock()
-	defer blockdev.PutBlock(buf)
 	n := gen.DataBlocks()
 	if n > sys.Dev.Blocks() {
 		n = sys.Dev.Blocks()
 	}
-	for lba := int64(0); lba < n; lba++ {
-		gen.Fill(lba, buf)
-		if _, err := sys.Dev.WriteBlock(lba, buf); err != nil {
-			return fmt.Errorf("harness: %s populate lba %d: %w", sys.Name(), lba, err)
-		}
-		sys.Clock.Advance(10 * sim.Microsecond)
-	}
-	if err := sys.Flush(); err != nil {
-		return err
-	}
-	sys.ResetStats()
-	return nil
-}
-
-// populateSharded loads the data set one shard at a time, fanned across
-// ForEachPoint workers — the shard-worker count is Parallelism(), and
-// the result is byte-identical at every worker count:
-//
-//   - shards share no mutable state (own devices, own controller, own
-//     CPU accountant), so each worker's writes are a closed system;
-//   - the clock is never advanced inside the fan (nothing in the write
-//     path reads it, and the scrubber — the controller's only clock
-//     reader — cannot fire at a frozen instant); the serial populate's
-//     total advance (10 µs per block) is applied once after the join;
-//   - each worker uses a fresh generator clone: Fill is deterministic
-//     per (profile, options, lba) but memoizes family bases, so clones
-//     keep the oracle race-free, and each shard's devices get the
-//     clone's fill through the shard-local translation.
-func populateSharded(sys *System, gen *workload.Generator) error {
-	sc := sys.Sharded
-	per := sc.ShardBlocks()
-	n := gen.DataBlocks()
-	if n > sc.Blocks() {
-		n = sc.Blocks()
+	units, per := 1, n
+	setFill := func(_ int, f blockdev.FillFunc) { sys.SetFill(f) }
+	if sc := sys.Sharded; sc != nil {
+		units, per, setFill = sc.NumShards(), sc.ShardBlocks(), sys.SetShardFill
 	}
 	p, opts := gen.Profile(), gen.Options()
-	err := ForEachPoint(sc.NumShards(), func(i int) error {
-		g := workload.NewGenerator(p, opts)
-		sys.SetShardFill(i, g.Fill)
+	err := ForEachPoint(units, func(i int) error {
+		g := gen
+		if units > 1 {
+			g = workload.NewGenerator(p, opts)
+		}
+		setFill(i, g.Fill)
 		lo, hi := int64(i)*per, int64(i+1)*per
 		if hi > n {
 			hi = n
@@ -144,17 +130,17 @@ func populateSharded(sys *System, gen *workload.Generator) error {
 		defer blockdev.PutBlock(buf)
 		for lba := lo; lba < hi; lba++ {
 			g.Fill(lba, buf)
-			if _, err := sc.Shard(i).WriteBlock(lba-lo, buf); err != nil {
-				return fmt.Errorf("harness: %s populate shard %d lba %d: %w", sys.Name(), i, lba, err)
+			if _, err := sys.Dev.WriteBlock(lba, buf); err != nil {
+				return fmt.Errorf("harness: %s populate lba %d: %w", sys.Name(), lba, err)
 			}
-		}
-		if err := sc.Shard(i).Flush(); err != nil {
-			return fmt.Errorf("harness: %s populate shard %d flush: %w", sys.Name(), i, err)
 		}
 		return nil
 	})
 	if err != nil {
 		return err
+	}
+	if err := sys.Flush(); err != nil {
+		return fmt.Errorf("harness: %s populate flush: %w", sys.Name(), err)
 	}
 	sys.Clock.Advance(sim.Duration(n) * 10 * sim.Microsecond)
 	sys.ResetStats()
@@ -165,11 +151,33 @@ func populateSharded(sys *System, gen *workload.Generator) error {
 // generator must be freshly Reset; the system must be freshly built.
 // Populate is normally called first.
 //
-// The issue mode comes from the generator's options: QueueDepth <= 1
-// with a single stream takes the classic serial path (one request at a
-// time on the shared clock — bit-identical to the pre-engine harness);
-// anything else runs on the discrete-event engine with overlapping
-// requests.
+// The issue mode comes from the generator's options: QueueDepth
+// outstanding requests per stream, one stream per VM under StreamPerVM.
+// The model is closed-loop trace-and-replay on the discrete-event
+// engine. Each stream owns qd issue tokens; a token issues a request,
+// and when that request completes the token issues the next one — the
+// scheduler interleaves all tokens of all streams by virtual completion
+// time. Each block of a request walks the device stack synchronously
+// (the stack is ordinary sequential code); the devices note every
+// station visit (SSD channel, HDD actuator) with its service time, and
+// the engine replays those visits onto the station timelines starting
+// at the block's arrival instant to discover the queueing delays
+// concurrent requests inflict on each other. A block's response time is
+// its uncontended service time plus those queue waits; a request
+// completes when its last block does.
+//
+// Background device work a request triggers (I-CASH log appends,
+// destages) occupies its stations just like foreground work: later
+// requests landing on the same actuator wait behind it. That is the
+// backpressure a real drive exerts, and it is the deliberate design
+// choice here — background traffic contends for arms and channels the
+// moment requests overlap. One token on one stream never overlaps
+// anything, so such a run does not trace: no station visit is replayed,
+// no queue wait recorded, and the result carries no station table.
+//
+// Determinism: everything runs on one goroutine, the scheduler breaks
+// timestamp ties in schedule order, and stack state mutates in event
+// order — same seed, same results, regardless of GOMAXPROCS.
 func Run(sys *System, gen *workload.Generator) (*Result, error) {
 	opts := gen.Options()
 	qd := opts.QueueDepth
@@ -182,94 +190,150 @@ func Run(sys *System, gen *workload.Generator) (*Result, error) {
 			streams = vs
 		}
 	}
-	if qd <= 1 && len(streams) == 1 {
-		return runSerial(sys, gen)
-	}
-	return runConcurrent(sys, gen, streams, qd)
-}
+	trace := qd > 1 || len(streams) > 1
 
-// runSerial is the classic one-request-at-a-time path: the clock
-// advances by each request's full service time before the next request
-// issues. Kept verbatim so QD=1 single-stream results stay bit-identical
-// across the engine's introduction.
-func runSerial(sys *System, gen *workload.Generator) (*Result, error) {
 	p := gen.Profile()
-	res := &Result{System: sys.Name(), Benchmark: p.Name}
+	res := &Result{
+		System: sys.Name(), Benchmark: p.Name,
+		QueueDepth: qd, Streams: len(streams),
+	}
 	sys.SetFill(gen.Fill)
 
-	// Guest page cache: the profile's PCFraction of VM RAM, scaled like
-	// the data set (databases with direct I/O barely use it; file and
-	// mail servers cache aggressively).
+	// Guest page cache, one per stream (each stream is one guest VM with
+	// its own RAM): the profile's PCFraction of VM RAM, scaled like the
+	// data set (databases with direct I/O barely use it; file and mail
+	// servers cache aggressively).
 	frac := p.PCFraction
 	if frac <= 0 {
 		frac = 0.25
 	}
 	pcBlocks := int(frac * float64(p.VMRAMBytes/blockdev.BlockSize) *
 		float64(gen.DataBlocks()) / float64(p.DataBlocks()))
-	pc := newPageCache(pcBlocks)
+	caches := make([]*pageCache, len(streams))
+	for i := range caches {
+		caches[i] = newPageCache(pcBlocks)
+	}
 
 	clock := sys.Clock
+	sch := event.NewScheduler(clock)
+	start := clock.Now()
+	maxDone := start
 	buf := blockdev.GetBlock()
 	defer blockdev.PutBlock(buf)
-	start := clock.Now()
+	var runErr error
 
-	for {
+	// One issue closure per stream, reused for every request of every
+	// token of that stream, so scheduling a completion allocates nothing.
+	issuers := make([]func(), len(streams))
+	issue := func(si int) {
+		if runErr != nil {
+			return
+		}
+		gen, pc := streams[si], caches[si]
 		req, ok := gen.Next()
 		if !ok {
-			break
+			return // this token retires; the stream is drained
 		}
 		res.Ops++
 		sys.CPU.ChargeApp(p.AppCPU)
-		clock.Advance(p.AppCPU)
+		arrival := clock.Now().Add(p.AppCPU)
 		for i := 0; i < req.Blocks; i++ {
 			lba := req.LBA + int64(i)
 			if lba >= sys.Dev.Blocks() {
 				break
 			}
+			if !req.Write && pc.lookup(lba) {
+				res.ReadLat.Record(pageCacheHitLatency)
+				res.ReadHist.Record(pageCacheHitLatency)
+				arrival = arrival.Add(pageCacheHitLatency)
+				continue
+			}
+			if trace {
+				sys.Tracer.Begin()
+			}
+			var d sim.Duration
+			var err error
+			op := "read"
 			if req.Write {
+				op = "write"
 				gen.WriteContent(lba, buf)
-				d, err := sys.Dev.WriteBlock(lba, buf)
-				if err != nil {
-					return nil, fmt.Errorf("harness: %s write lba %d: %w", sys.Name(), lba, err)
-				}
-				pc.insert(lba)
+				d, err = sys.Dev.WriteBlock(lba, buf)
+			} else {
+				d, err = sys.Dev.ReadBlock(lba, buf)
+			}
+			if err != nil {
+				runErr = fmt.Errorf("harness: %s %s lba %d: %w", sys.Name(), op, lba, err)
+				return
+			}
+			if trace {
+				wait := event.Replay(sys.Tracer.Take(), arrival)
+				sys.PollDetector()
+				res.QueueWait.Record(wait)
+				d += wait
+			}
+			pc.insert(lba)
+			if req.Write {
 				res.Writes++
 				res.WriteLat.Record(d)
 				res.WriteHist.Record(d)
-				clock.Advance(d)
 			} else {
-				if pc.lookup(lba) {
-					res.ReadLat.Record(pageCacheHitLatency)
-					res.ReadHist.Record(pageCacheHitLatency)
-					clock.Advance(pageCacheHitLatency)
-					continue
-				}
-				d, err := sys.Dev.ReadBlock(lba, buf)
-				if err != nil {
-					return nil, fmt.Errorf("harness: %s read lba %d: %w", sys.Name(), lba, err)
-				}
-				pc.insert(lba)
 				res.Reads++
 				res.ReadLat.Record(d)
 				res.ReadHist.Record(d)
-				clock.Advance(d)
 			}
+			arrival = arrival.Add(d)
 		}
+		if arrival > maxDone {
+			maxDone = arrival
+		}
+		// The token's next request issues when this one completes.
+		sch.At(arrival, issuers[si])
+	}
+
+	// Prime the pump: qd tokens per stream, all issuing at the start
+	// instant, interleaved stream-by-stream for fairness.
+	for si := range streams {
+		si := si
+		issuers[si] = func() { issue(si) }
+	}
+	for t := 0; t < qd; t++ {
+		for _, fn := range issuers {
+			sch.After(0, fn)
+		}
+	}
+	sch.Run()
+	if runErr != nil {
+		return nil, runErr
+	}
+	// The last events are issues; the run ends when the last request
+	// completes.
+	if maxDone > clock.Now() {
+		clock.AdvanceTo(maxDone)
 	}
 	if err := sys.Flush(); err != nil {
 		return nil, fmt.Errorf("harness: %s flush: %w", sys.Name(), err)
 	}
 
-	res.QueueDepth = 1
-	res.Streams = 1
-	res.PageCacheHitRatio = pc.hitRatio()
+	var hits, total float64
+	for _, pc := range caches {
+		hits += float64(pc.hits)
+		total += float64(pc.hits + pc.misses)
+	}
+	if total > 0 {
+		res.PageCacheHitRatio = hits / total
+	}
 	finalize(sys, res, p, start)
+	if trace {
+		for _, st := range sys.Stations {
+			res.Stations = append(res.Stations, st.Snapshot(res.Elapsed))
+		}
+	}
 	return res, nil
 }
 
 // finalize computes the derived measurements of a finished run (rates,
 // CPU utilization, device and power accounting) from the system's
-// current state. Shared by the serial and concurrent paths.
+// current state.
 func finalize(sys *System, res *Result, p workload.Profile, start sim.Time) {
 	clock := sys.Clock
 	res.Elapsed = clock.Now().Sub(start)
@@ -314,12 +378,7 @@ func finalize(sys *System, res *Result, p workload.Profile, start sim.Time) {
 	usage.HDDBusy = res.HDDBusy
 	res.WattHours = power.DefaultModel().WattHours(usage)
 
-	if sys.ICASH != nil {
-		st := sys.ICASH.Stats
-		res.ICASHStats = &st
-		res.KindCounts = sys.ICASH.KindCounts()
-		res.Degraded = sys.ICASH.Degraded()
-	} else if sys.Sharded != nil {
+	if sys.Sharded != nil {
 		st := sys.Sharded.Stats()
 		res.ICASHStats = &st
 		res.KindCounts = sys.Sharded.KindCounts()
@@ -341,12 +400,8 @@ type BenchmarkRun struct {
 	Opts    workload.Options
 	Order   []Kind
 	Results map[Kind]*Result
-	// SysICASH keeps the I-CASH controller handle for inspection tools
-	// (nil on sharded runs; SysSharded carries the composed handle then).
-	SysICASH *core.Controller
-	// SysSharded is the composed sharded controller when the run built
-	// with Shards > 1; inspection tools break out per-shard state from
-	// it.
+	// SysSharded keeps the I-CASH controller handle for inspection
+	// tools, which break out per-shard state from it.
 	SysSharded *core.ShardedController
 }
 
@@ -373,7 +428,7 @@ func benchConfig(p workload.Profile, opts workload.Options) BuildConfig {
 		cfg.VMImageBlocks = gen.ImageBlocks()
 	}
 	cfg.Tune = opts.TuneICASH
-	cfg.Shards = Shards()
+	cfg.Shards = opts.Shards
 	return cfg
 }
 
@@ -388,7 +443,6 @@ func ConfigForProfile(p workload.Profile, opts workload.Options) BuildConfig {
 // pointResult is the output of one independent experiment point.
 type pointResult struct {
 	res     *Result
-	icash   *core.Controller
 	sharded *core.ShardedController
 }
 
@@ -411,7 +465,7 @@ func runPoint(p workload.Profile, opts workload.Options, cfg BuildConfig, k Kind
 	if err != nil {
 		return pointResult{}, fmt.Errorf("harness: %s on %s: %w", p.Name, k, err)
 	}
-	return pointResult{res: res, icash: sys.ICASH, sharded: sys.Sharded}, nil
+	return pointResult{res: res, sharded: sys.Sharded}, nil
 }
 
 // RunBenchmark executes profile p on each requested system (all five
@@ -439,9 +493,6 @@ func RunBenchmark(p workload.Profile, opts workload.Options, systems []Kind) (*B
 	}
 	for i, k := range systems {
 		br.Results[k] = points[i].res
-		if points[i].icash != nil {
-			br.SysICASH = points[i].icash
-		}
 		if points[i].sharded != nil {
 			br.SysSharded = points[i].sharded
 		}

@@ -5,6 +5,9 @@ import (
 	"reflect"
 	"testing"
 
+	"icash/internal/core"
+	"icash/internal/fault"
+	"icash/internal/sim"
 	"icash/internal/workload"
 )
 
@@ -15,38 +18,29 @@ import (
 // data-race proof for the per-shard fan (fresh generators, per-shard
 // accountants, frozen clock).
 
-// withShards runs fn with the package shard count set to n, restoring
-// the previous setting afterwards.
-func withShards(t *testing.T, n int, fn func()) {
-	t.Helper()
-	prev := int(shardCount.Load())
-	SetShards(n)
-	defer SetShards(prev)
-	fn()
-}
-
 func TestRunBenchmarkShardedSerialParallelIdentical(t *testing.T) {
 	p := workload.SysBench()
-	opts := workload.Options{Scale: 1.0 / 256, MaxOps: 1200, Seed: 42}
 	for _, shards := range []int{1, 2, 8} {
-		withShards(t, shards, func() {
-			var runs [][]*Result
-			for _, n := range []int{1, 2, 8} {
-				withParallelism(t, n, func() {
-					br, err := RunBenchmark(p, opts, []Kind{ICASH})
-					if err != nil {
-						t.Fatalf("shards %d parallelism %d: %v", shards, n, err)
-					}
-					runs = append(runs, resultsOf(br))
-				})
-			}
-			for i := 1; i < len(runs); i++ {
-				if !reflect.DeepEqual(runs[0], runs[i]) {
-					t.Fatalf("shards %d: results diverge between parallelism 1 and %d",
-						shards, []int{1, 2, 8}[i])
+		opts := workload.Options{Scale: 1.0 / 256, MaxOps: 1200, Seed: 42, Shards: shards}
+		var runs [][]*Result
+		for _, n := range []int{1, 2, 8} {
+			withParallelism(t, n, func() {
+				br, err := RunBenchmark(p, opts, []Kind{ICASH})
+				if err != nil {
+					t.Fatalf("shards %d parallelism %d: %v", shards, n, err)
 				}
+				if got := br.SysSharded.NumShards(); got != shards {
+					t.Fatalf("Options.Shards %d built %d shards", shards, got)
+				}
+				runs = append(runs, resultsOf(br))
+			})
+		}
+		for i := 1; i < len(runs); i++ {
+			if !reflect.DeepEqual(runs[0], runs[i]) {
+				t.Fatalf("shards %d: results diverge between parallelism 1 and %d",
+					shards, []int{1, 2, 8}[i])
 			}
-		})
+		}
 	}
 }
 
@@ -104,9 +98,6 @@ func TestShardedPopulateMatchesSerial(t *testing.T) {
 	serial := build(1)
 	fanned := build(8)
 
-	if serial.Sharded == nil || fanned.Sharded == nil {
-		t.Fatal("expected sharded builds")
-	}
 	for i := 0; i < serial.Sharded.NumShards(); i++ {
 		a, b := serial.Sharded.Shard(i).Stats, fanned.Sharded.Shard(i).Stats
 		if !reflect.DeepEqual(a, b) {
@@ -151,9 +142,6 @@ func TestBuildShardedShapes(t *testing.T) {
 	if sc == nil {
 		t.Fatal("Sharded not set")
 	}
-	if sys.ICASH != nil {
-		t.Error("ICASH handle should be nil on a sharded build")
-	}
 	// 4096/4 = 1024, aligned up to a multiple of 96 -> 1056.
 	if sc.ShardBlocks() != 1056 {
 		t.Errorf("ShardBlocks = %d, want 1056 (1024 aligned to 96)", sc.ShardBlocks())
@@ -165,13 +153,98 @@ func TestBuildShardedShapes(t *testing.T) {
 	// Station namespaces: every station name carries its shard prefix.
 	for _, st := range sys.Stations {
 		name := st.Name()
-		if name[0] != 's' {
+		if name[0] != 's' || name[2] != '.' {
 			t.Errorf("station %q lacks a shard prefix", name)
 		}
 	}
 	wantStations := 4 * (4 + 1) // 4 channels + 1 actuator per shard
 	if len(sys.Stations) != wantStations {
 		t.Errorf("stations = %d, want %d", len(sys.Stations), wantStations)
+	}
+}
+
+// TestBuildOneShard pins what the one-shard array — the paper's
+// prototype, and every default run — looks like: the same composed
+// handle as any other shard count, station and fault-station names
+// without a shard prefix, and exactly the budgets the caller asked for.
+// The per-shard floors (64 SSD blocks, 512 B/block delta RAM, 512 KB
+// data RAM) exist to keep a divided slice viable; applied to an
+// undivided budget they would silently resize every chaos, scrub and
+// bit-rot soak, which deliberately runs a 256 KB data cache.
+func TestBuildOneShard(t *testing.T) {
+	p := workload.SysBench()
+	opts := workload.Options{Scale: 1.0 / 256, MaxOps: 600, Seed: 42}
+	for _, shards := range []int{0, 1} {
+		gen := workload.NewGenerator(p, opts)
+		var got core.Config
+		// Windows on the unprefixed names: they slow the fault injectors
+		// only if the injectors' default stations are "ssd" and "hdd0".
+		plan := &fault.Schedule{Windows: []fault.Window{
+			{Station: "ssd", To: sim.Time(3600 * sim.Second), Factor: 2},
+			{Station: "hdd0", To: sim.Time(3600 * sim.Second), Factor: 2},
+		}}
+		sys, err := Build(ICASH, BuildConfig{
+			DataBlocks:     gen.DataBlocks(),
+			Shards:         shards,
+			SSDCacheBlocks: 32,
+			DeltaRAMBytes:  64 << 10,
+			DataRAMBytes:   256 << 10,
+			FaultSSD:       &fault.Config{Plan: plan},
+			FaultHDD:       &fault.Config{Plan: plan},
+			SlowDetector:   true,
+			Tune:           func(c *core.Config) { got = *c },
+		})
+		if err != nil {
+			t.Fatalf("build (Shards=%d): %v", shards, err)
+		}
+		sc := sys.Sharded
+		if sc == nil || sc.NumShards() != 1 || sc.Blocks() != gen.DataBlocks() {
+			t.Fatalf("Shards=%d: want one %d-block shard, got %+v", shards, gen.DataBlocks(), sc)
+		}
+		if sys.SSD != nil || len(sys.SSDs) != 1 || len(sys.HDDs) != 1 || len(sys.ShardCPUs) != 1 {
+			t.Errorf("device handles: SSD=%v SSDs=%d HDDs=%d ShardCPUs=%d, want nil/1/1/1",
+				sys.SSD, len(sys.SSDs), len(sys.HDDs), len(sys.ShardCPUs))
+		}
+		if got.SSDBlocks != 32 || got.DeltaRAMBytes != 64<<10 || got.DataRAMBytes != 256<<10 {
+			t.Errorf("budgets SSD=%d deltaRAM=%d dataRAM=%d, want the caller's 32 / %d / %d",
+				got.SSDBlocks, got.DeltaRAMBytes, got.DataRAMBytes, 64<<10, 256<<10)
+		}
+		var names []string
+		for _, st := range sys.Stations {
+			names = append(names, st.Name())
+		}
+		want := []string{"ssd.ch0", "ssd.ch1", "ssd.ch2", "ssd.ch3", "hdd0"}
+		if !reflect.DeepEqual(names, want) {
+			t.Errorf("stations %v, want %v", names, want)
+		}
+		if !reflect.DeepEqual(sys.shardSSDNames, []string{"ssd"}) {
+			t.Errorf("detector SSD names %v, want [ssd]", sys.shardSSDNames)
+		}
+		if err := Populate(sys, gen); err != nil {
+			t.Fatalf("populate: %v", err)
+		}
+		res, err := Run(sys, gen)
+		if err != nil {
+			t.Fatalf("run: %v", err)
+		}
+		if res.SSDFaultStats.SlowOps == 0 || res.HDDFaultStats.SlowOps == 0 {
+			t.Errorf("windows on \"ssd\"/\"hdd0\" slowed %d SSD and %d HDD ops; the injectors' default stations are not those names",
+				res.SSDFaultStats.SlowOps, res.HDDFaultStats.SlowOps)
+		}
+	}
+}
+
+func TestShardStation(t *testing.T) {
+	for _, c := range []struct {
+		i, n       int
+		name, want string
+	}{
+		{0, 1, "ssd", "ssd"}, {0, 0, "hdd0", "hdd0"}, {0, 1, "", ""},
+		{0, 4, "ssd", "s0.ssd"}, {3, 4, "hdd0", "s3.hdd0"}, {2, 4, "", "s2"},
+	} {
+		if got := ShardStation(c.i, c.n, c.name); got != c.want {
+			t.Errorf("ShardStation(%d, %d, %q) = %q, want %q", c.i, c.n, c.name, got, c.want)
+		}
 	}
 }
 
@@ -185,7 +258,7 @@ func TestShardSweepScaling(t *testing.T) {
 		t.Fatalf("ShardSweep: %v", err)
 	}
 	// The acceptance bound: 4 shards must at least double both the
-	// random-read and random-write throughput of the single-controller
+	// random-read and random-write throughput of the one-shard
 	// build at QD>=8. Parse the speedup column of each table's last row.
 	var speedups []float64
 	for _, line := range splitLines(out) {

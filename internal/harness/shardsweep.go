@@ -20,7 +20,7 @@ const ShardSweepStreams = 64
 // ShardSweepStreams per-VM streams at queue depth >= 8 each. Each
 // shard owns its own SSD+HDD pair, so N shards expose N times the
 // flash channels and disk arms; with hundreds of requests in flight
-// the single-controller build saturates its devices and the sharded
+// the one-shard build saturates its devices and the wider
 // builds convert the extra hardware into throughput — the
 // sharded-controller analogue of the RAID0 QD-scaling table.
 //
@@ -76,20 +76,14 @@ func ShardSweep(counts []int, opts workload.Options) (string, error) {
 			}
 			fmt.Fprintf(&b, "shards=%-2d req/s=%8.0f speedup=%5.2fx elapsed=%v\n",
 				n, r.ReqPerSec, r.ReqPerSec/base, r.Elapsed)
-			if pt.sharded != nil {
-				// Per-shard journal accounting: group commit is a
-				// per-shard chain, and balanced counters are the
-				// evidence the routing spreads load rather than
-				// funneling it.
-				b.WriteString("  journal:")
-				for si := 0; si < pt.sharded.NumShards(); si++ {
-					st := pt.sharded.Shard(si).Stats
-					fmt.Fprintf(&b, " s%d[txns=%d bytes=%d]", si, st.TxnsCommitted, st.GroupCommitBytes)
-				}
-				b.WriteString("\n")
-			} else if st := r.ICASHStats; st != nil {
-				fmt.Fprintf(&b, "  journal: s0[txns=%d bytes=%d]\n", st.TxnsCommitted, st.GroupCommitBytes)
+			// Per-shard journal accounting: group commit is a per-shard
+			// chain, and balanced counters are the evidence the routing
+			// spreads load rather than funneling it.
+			b.WriteString("  journal:")
+			for si, sh := range pt.sharded.Shards() {
+				fmt.Fprintf(&b, " s%d[txns=%d bytes=%d]", si, sh.Stats.TxnsCommitted, sh.Stats.GroupCommitBytes)
 			}
+			b.WriteString("\n")
 		}
 	}
 	return b.String(), firstErr

@@ -72,27 +72,24 @@ type BuildConfig struct {
 	RAIDDisks int
 	// Shards partitions the I-CASH controller into that many
 	// independent LBA-range shards, each a full controller over its own
-	// SSD+HDD pair, composed under the one clock (<= 1 builds the
-	// classic single instance; ignored for the baseline systems). When
+	// SSD+HDD pair, composed under the one clock (<= 1 is one shard, the
+	// paper's prototype; ignored for the baseline systems). When
 	// VMImageBlocks is set the per-shard size is aligned up to it, so a
 	// VM image never straddles shards.
 	Shards int
-	// FaultShard selects which shard the FaultSSD/FaultHDD injectors
-	// attach to when Shards > 1 (default shard 0). Faults are a
-	// per-device phenomenon, and pinning them to one shard is what the
-	// blast-radius experiments measure: the other shards keep serving.
-	FaultShard int
 	// Tune overrides I-CASH controller parameters after the harness
 	// defaults are applied (ablation studies).
 	Tune func(*core.Config)
 
 	// FaultSSD and FaultHDD, when non-nil, interpose deterministic
-	// fault injectors between the I-CASH controller and its devices
-	// (robustness experiments; ignored for the baseline systems). Their
-	// Clock and default Station names are filled in by Build; a Plan on
-	// either config is additionally installed as a station shaper, so
-	// fail-slow windows inflate both the controller-visible latency and
-	// the station occupancy under QD>1.
+	// fault injectors between shard 0's controller and its devices
+	// (robustness experiments; ignored for the baseline systems). Faults
+	// are a per-device phenomenon, and pinning them to one shard is what
+	// the blast-radius experiments measure: the other shards keep
+	// serving. Their Clock and default Station names are filled in by
+	// Build; a Plan on either config is additionally installed as a
+	// station shaper, so fail-slow windows inflate both the
+	// controller-visible latency and the station occupancy under QD>1.
 	FaultSSD *fault.Config
 	FaultHDD *fault.Config
 
@@ -102,8 +99,8 @@ type BuildConfig struct {
 	Scrub core.ScrubConfig
 
 	// SlowDetector enables the fail-slow detector: station service
-	// times feed a windowed-p99 watch, and the concurrent runner
-	// quarantines / re-admits the I-CASH SSD as the flag flips.
+	// times feed a windowed-p99 watch, and the run loop quarantines /
+	// re-admits the I-CASH SSD as the flag flips.
 	SlowDetector bool
 	// SlowSSDThreshold and SlowHDDThreshold override the detector
 	// thresholds (zero keeps the defaults: 2 ms per SSD channel, 100 ms
@@ -124,26 +121,25 @@ type System struct {
 	CPU   *cpumodel.Accountant
 	Dev   blockdev.Device
 
-	// Component handles for statistics; nil when absent.
+	// Component handles for statistics; nil when absent. SSD is the
+	// baselines' single flash device.
 	SSD   *ssd.Device
 	HDDs  []*hdd.Device
-	ICASH *core.Controller
 	LRUc  *baseline.LRUCache
 	Dedup *baseline.DedupCache
 	Pure  *baseline.PureSSD
 	RAID  *raid.Array0
 
-	// Sharded is the composed controller when the build asked for
-	// Shards > 1; ICASH is nil then, and shard i's SSD and HDD are
-	// SSDs[i] and HDDs[i]. ShardCPUs holds one storage accountant per
-	// shard — per-shard so the parallel populate fan never shares a
-	// mutable accountant across workers; the aggregate views below sum
-	// them with the system accountant.
+	// Sharded is the I-CASH controller: one or more LBA-range shards,
+	// shard i over SSDs[i] and HDDs[i]. ShardCPUs holds one storage
+	// accountant per shard — per-shard so the parallel populate fan
+	// never shares a mutable accountant across workers; the aggregate
+	// views below sum them with the system accountant.
 	Sharded   *core.ShardedController
 	SSDs      []*ssd.Device
 	ShardCPUs []*cpumodel.Accountant
-	// shardSSDNames caches the per-shard SSD station prefixes
-	// ("s0.ssd", ...) so the per-request detector poll allocates
+	// shardSSDNames caches the per-shard SSD station prefixes ("ssd",
+	// or "s0.ssd", ...) so the per-request detector poll allocates
 	// nothing.
 	shardSSDNames []string
 
@@ -154,14 +150,15 @@ type System struct {
 
 	// Tracer and Stations are the concurrency-engine hookup: every SSD
 	// channel and HDD actuator is a service station, and devices note
-	// their per-request service times through the tracer. The serial
-	// (QD=1) path never begins a trace, so the stations stay idle there.
+	// their per-request service times through the tracer. A QD=1
+	// single-stream run never begins a trace, so the stations stay idle
+	// there.
 	Tracer   *event.Tracer
 	Stations []*event.Server
 
 	// Detector, when the build enabled it, watches station service
-	// times; the concurrent runner polls it between requests to drive
-	// SSD quarantine and re-admission on the I-CASH controller.
+	// times; the runner polls it between traced requests to drive SSD
+	// quarantine and re-admission on the I-CASH shards.
 	Detector *fault.Detector
 
 	flush func() error
@@ -189,9 +186,6 @@ func (s *System) ResetStats() {
 	}
 	for _, h := range s.HDDs {
 		h.ResetStats()
-	}
-	if s.ICASH != nil {
-		s.ICASH.ResetStats()
 	}
 	if s.Sharded != nil {
 		s.Sharded.ResetStats()
@@ -224,8 +218,8 @@ func (s *System) ResetStats() {
 }
 
 // ssdStats returns the device-level SSD accounting: the single SSD's
-// stats on a classic stack, the sum across per-shard SSDs on a sharded
-// one, nil when the stack has no SSD (RAID0).
+// stats on a baseline stack, the sum across per-shard SSDs on I-CASH,
+// nil when the stack has no SSD (RAID0).
 func (s *System) ssdStats() *ssd.Stats {
 	if s.SSD != nil {
 		st := s.SSD.Stats
@@ -297,11 +291,10 @@ func (s *System) instrument(cfg BuildConfig) {
 	if hddThreshold <= 0 {
 		hddThreshold = 100 * sim.Millisecond
 	}
-	addSSD := func(dev *ssd.Device, prefix string) {
-		n := dev.Config().Channels
-		chans := make([]*event.Server, n)
+	addSSD := func(dev *ssd.Device, name string) {
+		chans := make([]*event.Server, dev.Config().Channels)
 		for i := range chans {
-			chans[i] = event.NewServer(fmt.Sprintf("%sssd.ch%d", prefix, i), event.DefaultQueueCap)
+			chans[i] = event.NewServer(fmt.Sprintf("%s.ch%d", name, i), event.DefaultQueueCap)
 			chans[i].SetShaper(ssdPlan.Shaper(chans[i].Name()))
 			watch(chans[i], ssdThreshold)
 			s.Stations = append(s.Stations, chans[i])
@@ -315,32 +308,48 @@ func (s *System) instrument(cfg BuildConfig) {
 		s.Stations = append(s.Stations, srv)
 		h.Instrument(s.Tracer, srv)
 	}
-	if s.Sharded != nil {
-		// Sharded stack: shard i's stations live under the "s<i>."
-		// prefix, so a fault window or detector verdict scoped to
-		// "s0.ssd" touches exactly one shard's channels (the schedule
-		// and detector both match dotted prefixes).
-		for i, dev := range s.SSDs {
-			s.shardSSDNames = append(s.shardSSDNames, fmt.Sprintf("s%d.ssd", i))
-			addSSD(dev, fmt.Sprintf("s%d.", i))
-		}
-		for i, h := range s.HDDs {
-			addHDD(h, fmt.Sprintf("s%d.hdd0", i))
-		}
-		return
-	}
 	if s.SSD != nil {
-		addSSD(s.SSD, "")
+		addSSD(s.SSD, "ssd")
+	}
+	// I-CASH: shard i's stations live under ShardStation's namespace, so
+	// a fault window or detector verdict scoped to "s0.ssd" touches
+	// exactly one shard's channels (the schedule and detector both match
+	// dotted prefixes).
+	n := len(s.SSDs)
+	for i, dev := range s.SSDs {
+		name := ShardStation(i, n, "ssd")
+		s.shardSSDNames = append(s.shardSSDNames, name)
+		addSSD(dev, name)
 	}
 	for i, h := range s.HDDs {
-		addHDD(h, fmt.Sprintf("hdd%d", i))
+		name := fmt.Sprintf("hdd%d", i)
+		if s.Sharded != nil {
+			name = ShardStation(i, n, "hdd0")
+		}
+		addHDD(h, name)
 	}
 }
 
+// ShardStation names a station, or a dotted station prefix, of shard i
+// in an n-shard I-CASH array. It is the one place that decides what a
+// shard's stations are called: bare on a one-shard array ("ssd.ch0",
+// "hdd0", detector name "ssd"), under "s<i>." otherwise. An empty name
+// addresses every station of the shard, the way fault windows and the
+// detector match dotted prefixes.
+func ShardStation(i, n int, name string) string {
+	switch {
+	case n <= 1:
+		return name
+	case name == "":
+		return fmt.Sprintf("s%d", i)
+	}
+	return fmt.Sprintf("s%d.%s", i, name)
+}
+
 // SetFill installs the workload's initial-content oracle on every
-// device in the stack. On a sharded stack each shard's devices see
-// shard-local LBAs, so the oracle is installed through the routing
-// translation (global = shard base + local).
+// device in the stack. An I-CASH shard's devices see shard-local LBAs,
+// so there the oracle is installed through the routing translation
+// (global = shard base + local).
 func (s *System) SetFill(f blockdev.FillFunc) {
 	if s.Sharded != nil {
 		for i := range s.SSDs {
@@ -361,8 +370,8 @@ func (s *System) SetFill(f blockdev.FillFunc) {
 
 // SetShardFill installs f — an oracle over *global* LBAs — on shard
 // i's devices, translated to the shard's local address space. The
-// sharded populate fan uses it with one generator clone per shard, so
-// no two workers ever share the (non-thread-safe) oracle.
+// populate fan uses it with one generator per shard, so no two workers
+// ever share the (non-thread-safe) oracle.
 func (s *System) SetShardFill(i int, f blockdev.FillFunc) {
 	base := int64(i) * s.Sharded.ShardBlocks()
 	tf := func(lba int64, buf []byte) { f(base+lba, buf) }
@@ -431,49 +440,9 @@ func Build(kind Kind, cfg BuildConfig) (*System, error) {
 		s.flush = c.Flush
 
 	case ICASH:
-		if cfg.Shards > 1 {
-			if err := buildShardedICASH(s, cfg); err != nil {
-				return nil, err
-			}
-			break
-		}
-		ssdBlocks := cacheBlocks(cfg)
-		ccfg := icashConfig(cfg.DataBlocks, ssdBlocks,
-			orDefault(cfg.DeltaRAMBytes, 32<<20), orDefault(cfg.DataRAMBytes, 32<<20),
-			cfg.VMImageBlocks)
-		s.SSD = ssd.New(cachePartitionConfig(ssdBlocks))
-		h := hdd.New(hdd.DefaultConfig(cfg.DataBlocks + ccfg.LogBlocks))
-		s.HDDs = []*hdd.Device{h}
-		if cfg.Tune != nil {
-			cfg.Tune(&ccfg)
-		}
-		var ssdDev, hddDev blockdev.Device = s.SSD, h
-		if cfg.FaultSSD != nil {
-			fc := *cfg.FaultSSD
-			fc.Clock = clock
-			if fc.Station == "" {
-				fc.Station = "ssd"
-			}
-			s.SSDFault = fault.Wrap(ssdDev, fc)
-			ssdDev = s.SSDFault
-		}
-		if cfg.FaultHDD != nil {
-			fc := *cfg.FaultHDD
-			fc.Clock = clock
-			if fc.Station == "" {
-				fc.Station = "hdd0"
-			}
-			s.HDDFault = fault.Wrap(hddDev, fc)
-			hddDev = s.HDDFault
-		}
-		ctrl, err := core.New(ccfg, ssdDev, hddDev, clock, cpu)
-		if err != nil {
+		if err := buildICASH(s, cfg); err != nil {
 			return nil, err
 		}
-		ctrl.SetScrub(cfg.Scrub)
-		s.ICASH = ctrl
-		s.Dev = ctrl
-		s.flush = ctrl.Flush
 
 	default:
 		return nil, fmt.Errorf("harness: unknown system kind %d", kind)
@@ -483,33 +452,25 @@ func Build(kind Kind, cfg BuildConfig) (*System, error) {
 }
 
 // PollDetector drives SSD quarantine and re-admission on the I-CASH
-// controller from the slow-device detector's current verdict. The
-// concurrent runner calls it after every replayed block, so a flagged
-// station sidetracks the SSD within one request and a recovered one
-// re-admits it just as promptly. No-op when the build did not ask for
-// a detector or the system is not I-CASH.
+// shards from the slow-device detector's current verdict. The runner
+// calls it after every replayed block, so a flagged station sidetracks
+// its SSD within one request and a recovered one re-admits it just as
+// promptly. Quarantine is per shard: a slow channel on s0's SSD
+// sidetracks only s0; the other shards keep their read path. No-op
+// when the build did not ask for a detector or the system is not
+// I-CASH.
 func (s *System) PollDetector() {
 	if s.Detector == nil {
 		return
 	}
-	if s.Sharded != nil {
-		// Quarantine is per shard: a slow channel on s0's SSD
-		// sidetracks only s0; the other shards keep their read path.
-		for i, name := range s.shardSSDNames {
-			s.Sharded.Shard(i).SetSSDQuarantined(s.Detector.AnySlow(name))
-		}
-		return
+	for i, name := range s.shardSSDNames {
+		s.Sharded.Shard(i).SetSSDQuarantined(s.Detector.AnySlow(name))
 	}
-	if s.ICASH == nil {
-		return
-	}
-	s.ICASH.SetSSDQuarantined(s.Detector.AnySlow("ssd"))
 }
 
 // icashConfig sizes one I-CASH controller over dataBlocks virtual
-// blocks — the whole disk for the classic build, one shard's slice for
-// the sharded build, so a shard is configured exactly like a small
-// standalone controller.
+// blocks — one shard's slice of the disk, so a shard is configured
+// exactly like a small standalone controller.
 func icashConfig(dataBlocks, ssdBlocks, deltaRAM, dataRAM, vmImageBlocks int64) core.Config {
 	// The log must comfortably hold the live delta volume of a fully
 	// delta-represented data set (a 4 KB log block packs roughly ten
@@ -552,14 +513,28 @@ func icashConfig(dataBlocks, ssdBlocks, deltaRAM, dataRAM, vmImageBlocks int64) 
 	return ccfg
 }
 
-// buildShardedICASH assembles cfg.Shards independent controllers, each
-// over its own SSD+HDD pair sized to its LBA slice, and composes them
-// with core.NewSharded under the system's one clock. RAM budgets and
-// the SSD cache split evenly; per-slice floors keep tiny shards
-// viable. The fault injectors, when requested, attach to shard
-// cfg.FaultShard only, under that shard's station namespace.
-func buildShardedICASH(s *System, cfg BuildConfig) error {
+// perShard splits a whole-array budget n ways. The floor keeps a tiny
+// slice viable; it guards the division only, so a one-shard array gets
+// exactly the budget its caller asked for.
+func perShard(total int64, n int, floor int64) int64 {
+	per := total / int64(n)
+	if n > 1 && per < floor {
+		per = floor
+	}
+	return per
+}
+
+// buildICASH assembles cfg.Shards (at least one) independent
+// controllers, each over its own SSD+HDD pair sized to its LBA slice,
+// and composes them with core.NewSharded under the system's one clock.
+// RAM budgets and the SSD cache split evenly. The fault injectors, when
+// requested, attach to shard 0 only, under that shard's station
+// namespace.
+func buildICASH(s *System, cfg BuildConfig) error {
 	nsh := cfg.Shards
+	if nsh < 1 {
+		nsh = 1
+	}
 	per := (cfg.DataBlocks + int64(nsh) - 1) / int64(nsh)
 	if cfg.VMImageBlocks > 0 {
 		// Align so no VM image straddles a shard boundary: the session
@@ -567,22 +542,9 @@ func buildShardedICASH(s *System, cfg BuildConfig) error {
 		// first-load pairing needs image-offset twins co-resident.
 		per = (per + cfg.VMImageBlocks - 1) / cfg.VMImageBlocks * cfg.VMImageBlocks
 	}
-	ssdBlocks := cacheBlocks(cfg) / int64(nsh)
-	if ssdBlocks < 64 {
-		ssdBlocks = 64
-	}
-	deltaRAM := orDefault(cfg.DeltaRAMBytes, 32<<20) / int64(nsh)
-	if min := per * 512; deltaRAM < min {
-		deltaRAM = min
-	}
-	dataRAM := orDefault(cfg.DataRAMBytes, 32<<20) / int64(nsh)
-	if dataRAM < 512<<10 {
-		dataRAM = 512 << 10
-	}
-	faultShard := cfg.FaultShard
-	if faultShard < 0 || faultShard >= nsh {
-		faultShard = 0
-	}
+	ssdBlocks := perShard(cacheBlocks(cfg), nsh, 64)
+	deltaRAM := perShard(orDefault(cfg.DeltaRAMBytes, 32<<20), nsh, per*512)
+	dataRAM := perShard(orDefault(cfg.DataRAMBytes, 32<<20), nsh, 512<<10)
 
 	shards := make([]*core.Controller, nsh)
 	for i := 0; i < nsh; i++ {
@@ -595,22 +557,12 @@ func buildShardedICASH(s *System, cfg BuildConfig) error {
 			cfg.Tune(&ccfg)
 		}
 		var ssdDev, hddDev blockdev.Device = sdev, h
-		if i == faultShard && cfg.FaultSSD != nil {
-			fc := *cfg.FaultSSD
-			fc.Clock = s.Clock
-			if fc.Station == "" {
-				fc.Station = fmt.Sprintf("s%d.ssd", i)
-			}
-			s.SSDFault = fault.Wrap(ssdDev, fc)
+		if i == 0 && cfg.FaultSSD != nil {
+			s.SSDFault = wrapFault(ssdDev, cfg.FaultSSD, s.Clock, ShardStation(0, nsh, "ssd"))
 			ssdDev = s.SSDFault
 		}
-		if i == faultShard && cfg.FaultHDD != nil {
-			fc := *cfg.FaultHDD
-			fc.Clock = s.Clock
-			if fc.Station == "" {
-				fc.Station = fmt.Sprintf("s%d.hdd0", i)
-			}
-			s.HDDFault = fault.Wrap(hddDev, fc)
+		if i == 0 && cfg.FaultHDD != nil {
+			s.HDDFault = wrapFault(hddDev, cfg.FaultHDD, s.Clock, ShardStation(0, nsh, "hdd0"))
 			hddDev = s.HDDFault
 		}
 		shardCPU := cpumodel.NewAccountant(s.Clock)
@@ -640,6 +592,17 @@ func buildShardedICASH(s *System, cfg BuildConfig) error {
 		})
 	}
 	return nil
+}
+
+// wrapFault interposes a fault injector configured by fc on dev, on the
+// system clock, defaulting its station name to station.
+func wrapFault(dev blockdev.Device, fc *fault.Config, clock *sim.Clock, station string) *fault.Device {
+	c := *fc
+	c.Clock = clock
+	if c.Station == "" {
+		c.Station = station
+	}
+	return fault.Wrap(dev, c)
 }
 
 // cachePartitionConfig builds the SSD device for a cache-sized

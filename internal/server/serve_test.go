@@ -14,7 +14,7 @@ import (
 
 // fingerprint hashes the final content of every virtual block the
 // controller serves — the data-set identity of a finished run.
-func fingerprint(t *testing.T, ctrl *core.Controller) uint64 {
+func fingerprint(t *testing.T, ctrl *core.ShardedController) uint64 {
 	t.Helper()
 	h := fnv.New64a()
 	buf := make([]byte, blockdev.BlockSize)
@@ -50,7 +50,7 @@ func TestServedEqualsInproc(t *testing.T) {
 	if err != nil {
 		t.Fatalf("direct run: %v", err)
 	}
-	directFP := fingerprint(t, br.SysICASH)
+	directFP := fingerprint(t, br.SysSharded)
 	directRes := resilienceString(br.Results[harness.ICASH].ICASHStats)
 
 	type servedOut struct {
@@ -79,8 +79,8 @@ func TestServedEqualsInproc(t *testing.T) {
 					// plain error path instead inside goroutines.
 					h := fnv.New64a()
 					buf := make([]byte, blockdev.BlockSize)
-					for lba := int64(0); lba < sr.Sys.ICASH.Blocks(); lba++ {
-						if _, err := sr.Sys.ICASH.ReadBlock(lba, buf); err != nil {
+					for lba := int64(0); lba < sr.Sys.Sharded.Blocks(); lba++ {
+						if _, err := sr.Sys.Sharded.ReadBlock(lba, buf); err != nil {
 							outs[i] = servedOut{err: err}
 							return
 						}
@@ -127,10 +127,12 @@ func TestServedRunAccounting(t *testing.T) {
 
 	// Graceful shutdown drained every session through the journal: no
 	// transaction may be left incomplete on the media.
-	if n, err := sr.Sys.ICASH.AuditJournal(); err != nil || n != 0 {
-		t.Fatalf("journal after drain: %d incomplete, err %v", n, err)
+	for i, sh := range sr.Sys.Sharded.Shards() {
+		if n, err := sh.AuditJournal(); err != nil || n != 0 {
+			t.Fatalf("shard %d journal after drain: %d incomplete, err %v", i, n, err)
+		}
 	}
-	if err := sr.Sys.ICASH.CheckInvariants(); err != nil {
+	if err := sr.Sys.Sharded.CheckInvariants(); err != nil {
 		t.Fatalf("invariants after served run: %v", err)
 	}
 

@@ -112,9 +112,9 @@ func (r *ServeResult) Report() string {
 
 // simBackend adapts a harness system to the session Backend, replaying
 // every device walk onto the station timelines from the current frame
-// arrival — the same trace-and-replay contract as the in-process
-// concurrent runner. The arrival cursor is simulated bookkeeping, not
-// the clock: only the event scheduler moves time.
+// arrival — the same trace-and-replay contract as the in-process run
+// loop. The arrival cursor is simulated bookkeeping, not the clock:
+// only the event scheduler moves time.
 type simBackend struct {
 	sys     *harness.System
 	arrival sim.Time
@@ -416,11 +416,7 @@ func RunServed(p workload.Profile, opts workload.Options, cfg SimConfig) (*Serve
 	for _, st := range sys.Stations {
 		res.Stations = append(res.Stations, st.Snapshot(res.Elapsed))
 	}
-	if sys.ICASH != nil {
-		st := sys.ICASH.Stats
-		res.Stats = &st
-		res.Degraded = sys.ICASH.Degraded()
-	} else if sys.Sharded != nil {
+	if sys.Sharded != nil {
 		st := sys.Sharded.Stats()
 		res.Stats = &st
 		res.Degraded = sys.Sharded.Degraded()

@@ -28,8 +28,7 @@ type Options struct {
 	// Seed makes the stream reproducible.
 	Seed uint64
 	// QueueDepth is the number of outstanding requests each stream keeps
-	// in flight (closed-loop issue). 0 or 1 selects the classic serial
-	// path: one request at a time.
+	// in flight (closed-loop issue). 0 or 1 is one request at a time.
 	QueueDepth int
 	// StreamPerVM splits a multi-VM profile into one independent
 	// generator per VM, interleaved by virtual arrival time, instead of
@@ -40,6 +39,10 @@ type Options struct {
 	// I-CASH controller parameters (ablation studies). Ignored by the
 	// generator itself.
 	TuneICASH func(*core.Config)
+	// Shards, when run through the experiment harness, partitions the
+	// I-CASH controller into that many LBA-range shards (0 or 1 = one
+	// shard). Ignored by the generator itself.
+	Shards int
 }
 
 // DefaultScale keeps the largest benchmark around a hundred thousand
