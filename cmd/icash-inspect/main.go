@@ -81,7 +81,7 @@ func main() {
 
 	fmt.Printf("I-CASH on %s (scale %.4g, %d ops)\n", p.Name, *scale, res.Ops)
 	fmt.Printf("elapsed %v — %.1f tx/s, reads avg %v, writes avg %v\n",
-		res.Elapsed, res.TxnPerSec, res.ReadLat.Mean(), res.WriteLat.Mean())
+		res.Elapsed, res.TxnPerSec, res.ReadHist.Mean(), res.WriteHist.Mean())
 	fmt.Printf("read latency  %s\n", res.ReadHist.String())
 	fmt.Printf("write latency %s\n\n", res.WriteHist.String())
 

@@ -110,9 +110,9 @@ var Experiments = []Experiment{
 		ID: "fig7", Title: "SysBench response time (µs)", Benchmark: "SysBench",
 		Render: func(br *BenchmarkRun) string {
 			out := "reads:\n" + renderSeriesLow(br, paperFig{35, 192, 71, 36, 18}, "µs",
-				func(r *Result) float64 { return r.ReadLat.Mean().Microseconds() })
+				func(r *Result) float64 { return r.ReadHist.Mean().Microseconds() })
 			out += "writes:\n" + renderSeriesLow(br, paperFig{75, 1156, 106, 122, 7}, "µs",
-				func(r *Result) float64 { return r.WriteLat.Mean().Microseconds() })
+				func(r *Result) float64 { return r.WriteHist.Mean().Microseconds() })
 			return out
 		},
 	},
@@ -134,9 +134,9 @@ var Experiments = []Experiment{
 		ID: "fig9", Title: "Hadoop response time (µs)", Benchmark: "Hadoop",
 		Render: func(br *BenchmarkRun) string {
 			out := "reads:\n" + renderSeriesLow(br, paperFig{1311, 3959, 1712, 1699, 1368}, "µs",
-				func(r *Result) float64 { return r.ReadLat.Mean().Microseconds() })
+				func(r *Result) float64 { return r.ReadHist.Mean().Microseconds() })
 			out += "writes:\n" + renderSeriesLow(br, paperFig{7301, 3244, 7520, 7405, 586}, "µs",
-				func(r *Result) float64 { return r.WriteLat.Mean().Microseconds() })
+				func(r *Result) float64 { return r.WriteHist.Mean().Microseconds() })
 			return out
 		},
 	},
@@ -277,8 +277,8 @@ func txnLatencyMs(br *BenchmarkRun, r *Result) float64 {
 // loadSimScore mimics LoadSim's weighted-latency score (lower is
 // better): the mean request latency in tens of microseconds.
 func loadSimScore(r *Result) float64 {
-	reqLat := r.ReadLat.Sum() + r.WriteLat.Sum()
-	n := r.ReadLat.Count() + r.WriteLat.Count()
+	reqLat := r.ReadHist.Sum() + r.WriteHist.Sum()
+	n := r.ReadHist.Count() + r.WriteHist.Count()
 	if n == 0 {
 		return 0
 	}

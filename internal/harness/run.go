@@ -26,14 +26,11 @@ type Result struct {
 	Reads  int64 // block reads issued to the system (page-cache misses)
 	Writes int64
 
-	// ReadLat and WriteLat are block-level response-time distributions,
-	// including guest page-cache hits (the prototype measures at the
-	// virtual-disk level).
-	ReadLat  metrics.LatencyRecorder
-	WriteLat metrics.LatencyRecorder
-	// ReadHist and WriteHist bucket the same samples for percentile
-	// reporting (p50/p95/p99/p999) — tail latency is the signal the
-	// fail-slow experiments care about, and means hide it.
+	// ReadHist and WriteHist are block-level response-time
+	// distributions, including guest page-cache hits (the prototype
+	// measures at the virtual-disk level): exact sums for the means, and
+	// percentile buckets (p50/p95/p99/p999) — tail latency is the signal
+	// the fail-slow experiments care about, and means hide it.
 	ReadHist  metrics.Histogram
 	WriteHist metrics.Histogram
 
@@ -51,7 +48,7 @@ type Result struct {
 	Streams    int
 	// QueueWait is the per-block device queueing delay distribution
 	// (empty at QD=1 on one stream: one request never queues).
-	QueueWait metrics.LatencyRecorder
+	QueueWait metrics.Histogram
 	// Stations is the per-station utilization/queue accounting from the
 	// concurrency engine; nil at QD=1 on one stream.
 	Stations []metrics.StationStats
@@ -243,7 +240,6 @@ func Run(sys *System, gen *workload.Generator) (*Result, error) {
 				break
 			}
 			if !req.Write && pc.lookup(lba) {
-				res.ReadLat.Record(pageCacheHitLatency)
 				res.ReadHist.Record(pageCacheHitLatency)
 				arrival = arrival.Add(pageCacheHitLatency)
 				continue
@@ -274,11 +270,9 @@ func Run(sys *System, gen *workload.Generator) (*Result, error) {
 			pc.insert(lba)
 			if req.Write {
 				res.Writes++
-				res.WriteLat.Record(d)
 				res.WriteHist.Record(d)
 			} else {
 				res.Reads++
-				res.ReadLat.Record(d)
 				res.ReadHist.Record(d)
 			}
 			arrival = arrival.Add(d)

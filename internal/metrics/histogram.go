@@ -1,3 +1,6 @@
+// Package metrics provides latency recording and table formatting for
+// the experiment harness. Latencies go into logarithmic histograms so
+// means and percentiles are available without storing every sample.
 package metrics
 
 import (
@@ -8,11 +11,10 @@ import (
 )
 
 // Histogram is a fixed-bucket latency histogram with enough resolution
-// for tail percentiles (p99, p999). Where LatencyRecorder uses one
-// bucket per power of two (fine for means and medians, coarse at the
-// tail), Histogram splits every power-of-two octave into four linear
-// sub-buckets — two significant bits of mantissa — so a p999 estimate
-// is within ~12.5% of the true sample instead of within 2x.
+// for tail percentiles (p99, p999): every power-of-two octave is split
+// into four linear sub-buckets — two significant bits of mantissa — so
+// a p999 estimate is within ~12.5% of the true sample. Count, Sum and
+// Mean are exact, not bucketed.
 //
 // The bucket layout is fixed (no allocation, mergeable by index):
 //
@@ -33,8 +35,7 @@ const (
 	// histMinExp: durations below 2^histMinExp ns (~1 µs) share four
 	// linear buckets; nothing in the simulation resolves finer.
 	histMinExp = 10
-	// histMaxExp caps the top octave at 2^34 ns (~17 s), matching
-	// LatencyRecorder's range.
+	// histMaxExp caps the top octave at 2^34 ns (~17 s).
 	histMaxExp = 34
 	// histSub is the number of linear sub-buckets per octave.
 	histSub = 4
@@ -137,6 +138,17 @@ func (h *Histogram) Percentile(p float64) sim.Duration {
 		}
 	}
 	return h.max
+}
+
+// clampDur bounds a bucket-midpoint estimate to the observed range.
+func clampDur(d, lo, hi sim.Duration) sim.Duration {
+	if d < lo {
+		return lo
+	}
+	if d > hi {
+		return hi
+	}
+	return d
 }
 
 // P50, P95, P99 and P999 are the percentile shorthands every table uses.

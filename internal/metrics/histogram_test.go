@@ -2,10 +2,72 @@ package metrics
 
 import (
 	"sort"
+	"strings"
 	"testing"
+	"testing/quick"
 
 	"icash/internal/sim"
 )
+
+func TestEmptyRecorder(t *testing.T) {
+	var h Histogram
+	if h.Count() != 0 || h.Sum() != 0 || h.Mean() != 0 || h.P50() != 0 {
+		t.Fatal("empty histogram must report zeros")
+	}
+}
+
+// TestBasicStats: count, sum and mean are exact — the figures and the
+// LoadSim score divide Sum by Count, so bucketing must never touch them.
+func TestBasicStats(t *testing.T) {
+	var h Histogram
+	for _, d := range []sim.Duration{10, 20, 30, 40} {
+		h.Record(d * sim.Microsecond)
+	}
+	if h.Count() != 4 || h.Sum() != 100*sim.Microsecond {
+		t.Fatalf("count/sum = %d/%v", h.Count(), h.Sum())
+	}
+	if h.Mean() != 25*sim.Microsecond {
+		t.Fatalf("mean = %v", h.Mean())
+	}
+	if h.Min() != 10*sim.Microsecond || h.Max() != 40*sim.Microsecond {
+		t.Fatalf("min/max = %v/%v", h.Min(), h.Max())
+	}
+	if !strings.Contains(h.String(), "n=4") {
+		t.Fatalf("String() = %q", h.String())
+	}
+}
+
+// Property: mean is exact (not bucketed), percentiles are monotone in
+// p, and every estimate stays inside the observed range.
+func TestRecorderProperties(t *testing.T) {
+	f := func(raw []uint32) bool {
+		if len(raw) == 0 {
+			return true
+		}
+		var h Histogram
+		var sum sim.Duration
+		for _, v := range raw {
+			d := sim.Duration(v)
+			h.Record(d)
+			sum += d
+		}
+		if h.Sum() != sum || h.Mean() != sum/sim.Duration(len(raw)) {
+			return false
+		}
+		last := h.Min()
+		for _, p := range []float64{10, 50, 90, 99, 99.9} {
+			cur := h.Percentile(p)
+			if cur < last || cur > h.Max() {
+				return false
+			}
+			last = cur
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
 
 // TestHistogramBucketRoundTrip: every bucket's bounds contain exactly
 // the durations that map back to it.

@@ -26,7 +26,7 @@ type StationStats struct {
 	// Stalls counts admissions that found the bounded queue full.
 	Stalls int64
 	// Wait is the queue-wait histogram (arrival to service start).
-	Wait LatencyRecorder
+	Wait Histogram
 	// Service is the service-time distribution after fail-slow shaping,
 	// with tail-percentile resolution.
 	Service Histogram
@@ -38,8 +38,12 @@ type StationStats struct {
 
 // String renders one scoreboard row.
 func (s StationStats) String() string {
+	wait := "no samples"
+	if w := &s.Wait; w.Count() > 0 {
+		wait = fmt.Sprintf("n=%d mean=%v p50=%v p99=%v max=%v", w.Count(), w.Mean(), w.P50(), w.P99(), w.Max())
+	}
 	row := fmt.Sprintf("%-8s ops=%-7d util=%5.1f%% qpeak=%-3d stalls=%-5d wait[%s]",
-		s.Name, s.Ops, 100*s.Utilization, s.QueuePeak, s.Stalls, s.Wait.String())
+		s.Name, s.Ops, 100*s.Utilization, s.QueuePeak, s.Stalls, wait)
 	if s.Service.Count() > 0 {
 		row += fmt.Sprintf(" svc[p50=%v p99=%v p999=%v]",
 			s.Service.P50(), s.Service.P99(), s.Service.P999())

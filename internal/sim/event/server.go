@@ -47,7 +47,7 @@ type Server struct {
 	BusyTime sim.Duration
 	// Wait is the queue-wait distribution (time between arrival and
 	// service start).
-	Wait metrics.LatencyRecorder
+	Wait metrics.Histogram
 	// Service is the per-station service-time distribution after
 	// shaping, with tail-percentile resolution.
 	Service metrics.Histogram
@@ -165,7 +165,7 @@ func (s *Server) Snapshot(elapsed sim.Duration) metrics.StationStats {
 func (s *Server) ResetStats() {
 	s.Ops = 0
 	s.BusyTime = 0
-	s.Wait = metrics.LatencyRecorder{}
+	s.Wait = metrics.Histogram{}
 	s.Service = metrics.Histogram{}
 	s.SlowOps = 0
 	s.SlowTime = 0
