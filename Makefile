@@ -1,11 +1,11 @@
 GO ?= go
 
-.PHONY: help check build vet lint vet-json fmt-check test golden race bench bench-smoke bench-profile alloc-gate fuzz-smoke clockcheck chaos chaos-smoke crash-sweep serve-smoke scrub-smoke shard-smoke examples
+.PHONY: help check build vet lint vet-json fmt-check test golden benchmark-smoke race bench bench-smoke bench-profile alloc-gate fuzz-smoke clockcheck chaos chaos-smoke crash-sweep serve-smoke scrub-smoke shard-smoke examples
 
 help: ## list targets (static analysis lives in lint = icash-vet)
 	@awk -F':.*## ' '/^[a-z-]+:.*## /{printf "%-12s %s\n", $$1, $$2}' Makefile
 
-check: fmt-check vet lint build golden race clockcheck bench-smoke alloc-gate crash-sweep serve-smoke scrub-smoke shard-smoke ## everything CI's check job runs
+check: fmt-check vet lint build golden race clockcheck bench-smoke benchmark-smoke alloc-gate crash-sweep serve-smoke scrub-smoke shard-smoke ## everything CI's check job runs
 
 build: ## go build ./...
 	$(GO) build ./...
@@ -27,6 +27,10 @@ test: ## go test ./...
 
 golden: ## rendered sweep/figure/soak reports vs testdata/golden (regenerate: go test -run TestGolden -update .)
 	$(GO) test -count=1 -run 'TestGolden' .
+
+benchmark-smoke: ## two seconds each of the one-shard and the 4-shard repo benchmark workloads (exit status only)
+	$(GO) run ./benchmark -workload oltp -seed 1 -seconds 2 -trace 0 >/dev/null
+	$(GO) run ./benchmark -workload randread-shards4 -seed 1 -seconds 2 -trace 0 >/dev/null
 
 race: ## go test -race ./...
 	$(GO) test -race ./...
