@@ -383,19 +383,18 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	// Measured phase: closed-loop QueueDepth tokens on the event
-	// engine, mirroring the harness's run loop, with every
-	// read checked against the oracle at execution time (the stack
-	// runs in deterministic event order, so "current version" is
-	// well-defined even with overlapping requests).
+	// engine, mirroring the harness's run loop, with every read checked
+	// against the oracle at execution time (the stack runs in
+	// deterministic event order, so "current version" is well-defined
+	// even with overlapping requests).
 	res := &Result{Seed: cfg.Seed}
 
 	// Detection-latency measurement: every checksum-mismatch detection
 	// pops the matching device's outstanding-injection record; the gap
 	// between injection and detection is the silent corruption's
-	// host-visible exposure window.
-	// Only shard 0 carries fault wrappers, so only its detections can
-	// match an injection; the other shards record nothing — which is
-	// itself the blast-radius claim.
+	// host-visible exposure window. Only shard 0 carries fault wrappers,
+	// so only its detections can match an injection; the other shards
+	// record nothing — which is itself the blast-radius claim.
 	sys.Sharded.Shard(0).SetCorruptionHook(func(dev string, devLBA int64) {
 		var t sim.Time
 		var ok bool

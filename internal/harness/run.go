@@ -284,12 +284,12 @@ func Run(sys *System, gen *workload.Generator) (*Result, error) {
 		sch.At(arrival, issuers[si])
 	}
 
-	// Prime the pump: qd tokens per stream, all issuing at the start
-	// instant, interleaved stream-by-stream for fairness.
 	for si := range streams {
 		si := si
 		issuers[si] = func() { issue(si) }
 	}
+	// Prime the pump: qd tokens per stream, all issuing at the start
+	// instant, interleaved stream-by-stream for fairness.
 	for t := 0; t < qd; t++ {
 		for _, fn := range issuers {
 			sch.After(0, fn)
