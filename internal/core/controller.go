@@ -184,6 +184,12 @@ type Controller struct {
 	// budget pressure can never drop the in-flight request's state.
 	pinned *vblock
 
+	// evictProbe, when set, observes every evictOneDataRAM call just
+	// before the victim (nil when none qualified) is released, with the
+	// number of sublist nodes the walk visited. Tests only: the
+	// differential oracle and the step bound hang off it.
+	evictProbe func(keep, victim *vblock, steps int)
+
 	// scratch holds the pooled buffers handed out by getScratch during
 	// the current host request; recycled wholesale at the next request
 	// entry (see scratch.go).
@@ -384,6 +390,7 @@ func (c *Controller) cacheData(v *vblock, content []byte, dirty bool) error {
 		// Pooled: releaseData is the matching Put. The copy below fully
 		// overwrites whatever the recycled buffer held.
 		v.dataRAM = blockdev.GetBlock()
+		c.lru.dataCached(v)
 	}
 	copy(v.dataRAM, content)
 	v.dataDirty = dirty
@@ -397,18 +404,24 @@ func (c *Controller) cacheData(v *vblock, content []byte, dirty bool) error {
 // runs after that content has been consumed.
 func (c *Controller) releaseData(v *vblock) {
 	if v.dataRAM != nil {
+		c.lru.dataReleased(v)
 		blockdev.PutBlock(v.dataRAM)
 		v.dataRAM = nil
 		c.dataBudget.Release(blockdev.BlockSize)
 	}
 }
 
-// evictOneDataRAM frees one cached data block, searching from the LRU
-// tail (paper's data-block replacement, §4.3). keep is exempt. Reports
-// whether anything was freed.
+// evictOneDataRAM frees one cached data block: the coldest one, taken
+// from the tail of the LRU's data-resident sublist (paper's data-block
+// replacement, §4.3). keep and the pinned block are exempt and are the
+// only nodes the walk can skip, apart from a dirty victim whose home
+// write fails. Reports whether anything was freed.
 func (c *Controller) evictOneDataRAM(keep *vblock) bool {
-	for v := c.lru.tail; v != nil; v = v.prev {
-		if v == keep || v == c.pinned || v.dataRAM == nil {
+	var victim *vblock
+	steps := 0
+	for v := c.lru.dtail; v != nil; v = v.dprev {
+		steps++
+		if v == keep || v == c.pinned {
 			continue
 		}
 		if v.dataDirty {
@@ -417,11 +430,18 @@ func (c *Controller) evictOneDataRAM(keep *vblock) bool {
 				continue
 			}
 		}
-		c.releaseData(v)
-		c.Stats.EvictDataRAM++
-		return true
+		victim = v
+		break
 	}
-	return false
+	if c.evictProbe != nil {
+		c.evictProbe(keep, victim, steps)
+	}
+	if victim == nil {
+		return false
+	}
+	c.releaseData(victim)
+	c.Stats.EvictDataRAM++
+	return true
 }
 
 // storeDelta installs enc as v's RAM delta, adjusting the segment-based
@@ -511,10 +531,6 @@ func (c *Controller) releaseDelta(v *vblock) {
 	v.deltaDirty = false
 }
 
-// reclaimDeltaRAM frees delta-buffer space under pressure: first drop a
-// clean RAM delta that also lives in the log (cheap), then flush dirty
-// deltas to the log, then fall back to evicting a whole delta-carrying
-// virtual block (the paper's delta replacement, §4.3). keep is exempt.
 // dropOneCleanDelta frees delta RAM by discarding, from the LRU tail, a
 // clean delta whose durable copy lives in the log. Pure RAM operation:
 // no device I/O, safe from any context.
@@ -530,6 +546,10 @@ func (c *Controller) dropOneCleanDelta(keep *vblock) bool {
 	return false
 }
 
+// reclaimDeltaRAM frees delta-buffer space under pressure: first drop a
+// clean RAM delta that also lives in the log (cheap), then flush dirty
+// deltas to the log, then fall back to evicting a whole delta-carrying
+// virtual block (the paper's delta replacement, §4.3). keep is exempt.
 func (c *Controller) reclaimDeltaRAM(keep *vblock) bool {
 	if c.dropOneCleanDelta(keep) {
 		return true

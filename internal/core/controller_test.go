@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"icash/internal/blockdev"
 	"icash/internal/cpumodel"
@@ -363,5 +364,211 @@ func TestDeltaBudgetSurvivesGroomReentrancy(t *testing.T) {
 		if err := c.CheckInvariants(); err != nil {
 			t.Fatalf("op %d (lba %d): %v", op, lba, err)
 		}
+	}
+}
+
+// TestVBlockSizeClass pins vblock inside the 128-byte malloc size class:
+// one record is allocated per tracked LBA, so spilling into the 144-byte
+// class shows up directly in the live heap.
+func TestVBlockSizeClass(t *testing.T) {
+	if got := unsafe.Sizeof(vblock{}); got > 128 {
+		t.Fatalf("vblock is %d bytes, want <= 128 (pack small fields into the tail)", got)
+	}
+}
+
+// refEvictVictim is the replacement policy as it was first written, kept
+// as the oracle for the data-resident sublist: walk the whole LRU from
+// its tail and take the first block that holds data, is neither keep nor
+// pinned, and — when dirty — can be written home. homeFails stands in
+// for that write (the oracle must not touch the device).
+func refEvictVictim(c *Controller, keep *vblock, homeFails func(lba int64) bool) *vblock {
+	for v := c.lru.tail; v != nil; v = v.prev {
+		if v == keep || v == c.pinned || v.dataRAM == nil {
+			continue
+		}
+		if v.dataDirty && homeFails(v.lba) {
+			continue
+		}
+		return v
+	}
+	return nil
+}
+
+// badHomeDevice fails writes to a fixed set of home LBAs with a media
+// error while armed, so dirty eviction victims can be made unwritable.
+type badHomeDevice struct {
+	*blockdev.MemDevice
+	armed bool
+}
+
+func (d *badHomeDevice) bad(lba int64) bool { return d.armed && lba%5 == 2 && lba < 4096 }
+
+func (d *badHomeDevice) WriteBlock(lba int64, buf []byte) (sim.Duration, error) {
+	if d.bad(lba) {
+		return sim.Millisecond, fmt.Errorf("test: write lba %d: %w", lba, blockdev.ErrMedia)
+	}
+	return d.MemDevice.WriteBlock(lba, buf)
+}
+
+// TestEvictionMatchesReferenceWalk drives a seeded mix through every
+// way a block gains, loses or re-ranks its cached data — misses, hits,
+// overwrites, fresh writes, write-through, dirty RAM-only writes under
+// SSD quarantine, flushes, scans, unwritable dirty victims, a crash
+// recovery — with a data budget of 24 blocks, and checks each eviction
+// against the linear walk it replaced.
+func TestEvictionMatchesReferenceWalk(t *testing.T) {
+	cfg := smallConfig()
+	cfg.DataRAMBytes = 24 * blockdev.BlockSize
+	cfg.SSDBlocks = 32
+	cfg.MetadataBlocks = 300
+	clock := sim.NewClock()
+	cpu := cpumodel.NewAccountant(clock)
+	ssd := blockdev.NewMemDevice(cfg.SSDBlocks, 10*sim.Microsecond)
+	hdd := &badHomeDevice{MemDevice: blockdev.NewMemDevice(cfg.VirtualBlocks+cfg.LogBlocks, 100*sim.Microsecond)}
+	c, err := New(cfg, ssd, hdd, clock, cpu)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var evictions, skippedDirty, noVictim int
+	watch := func(c *Controller) {
+		c.evictProbe = func(keep, victim *vblock, steps int) {
+			// The probe runs before the victim's data is released, so the
+			// old walk sees the state it would have chosen from; a dirty
+			// victim was already written home, which is what the old
+			// walk would have done on reaching it.
+			want := refEvictVictim(c, keep, hdd.bad)
+			if victim != want {
+				t.Fatalf("eviction %d: sublist chose %s, reference walk chooses %s",
+					evictions, lbaOf(victim), lbaOf(want))
+			}
+			for v := c.lru.dtail; v != victim; v = v.dprev {
+				if v.dataDirty && v != keep && v != c.pinned {
+					skippedDirty++
+				}
+			}
+			if victim == nil {
+				noVictim++
+			}
+			evictions++
+		}
+	}
+	watch(c)
+
+	r := sim.NewRand(1311)
+	buf := make([]byte, blockdev.BlockSize)
+	const ops = 12000
+	for op := 0; op < ops; op++ {
+		switch {
+		case op == ops/4:
+			hdd.armed = true
+			c.SetSSDQuarantined(true) // writes now stay dirty in RAM
+		case op == ops/2:
+			hdd.armed = false
+			c.SetSSDQuarantined(false)
+		case op == 5*ops/8:
+			if err := c.Flush(); err != nil {
+				t.Fatalf("op %d: flush before crash: %v", op, err)
+			}
+			if err := c.CheckInvariants(); err != nil {
+				t.Fatalf("op %d: %v", op, err)
+			}
+			clock = sim.NewClock()
+			if c, err = Recover(cfg, ssd, hdd, clock, cpumodel.NewAccountant(clock)); err != nil {
+				t.Fatalf("op %d: recover: %v", op, err)
+			}
+			watch(c)
+		}
+		lba := int64(r.Intn(256))
+		if r.Float64() < 0.15 {
+			lba = 256 + int64(r.Intn(3000)) // cold: fresh writes and one-off misses
+		}
+		// Requests may fail while home writes do; replacement must agree
+		// with the reference walk regardless.
+		switch p := r.Float64(); {
+		case p < 0.50:
+			_, _ = c.ReadBlock(lba, buf)
+		case p < 0.97:
+			_, _ = c.WriteBlock(lba, genContent(r, int(lba%6), 0.05))
+		case p < 0.985:
+			_ = c.Flush()
+		default:
+			_ = c.scan()
+		}
+		if op%97 == 0 {
+			if err := c.CheckInvariants(); err != nil {
+				t.Fatalf("op %d: %v", op, err)
+			}
+		}
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if evictions < 1000 || skippedDirty == 0 {
+		t.Fatalf("mix too tame: %d evictions, %d unwritable dirty victims skipped", evictions, skippedDirty)
+	}
+	t.Logf("%d evictions checked, %d unwritable dirty victims skipped, %d calls found no victim",
+		evictions, skippedDirty, noVictim)
+}
+
+func lbaOf(v *vblock) string {
+	if v == nil {
+		return "none"
+	}
+	return fmt.Sprintf("lba %d", v.lba)
+}
+
+// TestEvictionStepsBounded: replacement cost must not depend on how many
+// blocks are tracked. With 64 Ki tracked and 64 resident, every eviction
+// visits at most three sublist nodes (the tail, plus keep and pinned when
+// they happen to be coldest).
+func TestEvictionStepsBounded(t *testing.T) {
+	const tracked, resident = 64 << 10, 64
+	cfg := NewDefaultConfig(tracked, 64, 8<<20, resident*blockdev.BlockSize)
+	cfg.MetadataBlocks = tracked + 1024
+	cfg.LogBlocks = 64
+	rig := newTestRig(t, cfg)
+	c := rig.c
+	// Unrelated content per LBA: no block attaches to another's reference,
+	// so nothing but the metadata cap could drop a tracked block.
+	rig.hdd.SetFill(func(lba int64, buf []byte) { sim.NewRand(uint64(lba) + 1).Bytes(buf) })
+	buf := make([]byte, blockdev.BlockSize)
+	for lba := int64(0); lba < tracked; lba++ {
+		if _, err := c.ReadBlock(lba, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := c.lru.len(); got != tracked {
+		t.Fatalf("tracking %d blocks, want %d", got, tracked)
+	}
+	evictions, maxSteps := 0, 0
+	c.evictProbe = func(_, victim *vblock, steps int) {
+		if victim == nil {
+			t.Fatal("no victim among 64 resident blocks")
+		}
+		evictions++
+		if steps > maxSteps {
+			maxSteps = steps
+		}
+	}
+	r := sim.NewRand(5)
+	for op := 0; op < 20000; op++ {
+		lba := int64(r.Intn(tracked))
+		var err error
+		if op%4 == 3 {
+			_, err = c.WriteBlock(lba, genContent(r, int(lba%6), 0.05))
+		} else {
+			_, err = c.ReadBlock(lba, buf)
+		}
+		if err != nil {
+			t.Fatalf("op %d: %v", op, err)
+		}
+	}
+	if evictions < 15000 {
+		t.Fatalf("only %d evictions in 20000 cold requests", evictions)
+	}
+	if maxSteps > 3 {
+		t.Fatalf("an eviction visited %d sublist nodes with %d tracked / %d resident, want <= 3",
+			maxSteps, tracked, resident)
 	}
 }

@@ -1,13 +1,21 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"icash/internal/blockdev"
+)
 
 // CheckInvariants validates the controller's cross-structure
 // consistency. Tests call it after randomized operation sequences; it
 // is not part of any hot path.
 //
 // Checked relations:
-//   - the LRU list and the block map contain exactly the same blocks;
+//   - the LRU list and the block map contain exactly the same blocks,
+//     in strictly descending stamp order;
+//   - the data-resident sublist is the LRU filtered on dataRAM != nil
+//     (same nodes, same order, no links on non-members) and its length
+//     times the block size is the data budget's occupancy;
 //   - slot reference counts equal the number of attached blocks, and
 //     every live slot is reachable from the slots map;
 //   - free, quarantined and live slots partition the SSD exactly;
@@ -19,9 +27,26 @@ func (c *Controller) CheckInvariants() error {
 	// LRU <-> map agreement.
 	seen := make(map[int64]bool, c.lru.len())
 	n := 0
+	resident := 0
+	var lastStamp uint64
+	lastResident, nextResident := (*vblock)(nil), c.lru.dhead
 	for v := c.lru.head; v != nil; v = v.next {
 		if v.dead {
 			return fmt.Errorf("core: dead block %d still in LRU", v.lba)
+		}
+		if v.stamp == 0 || v.stamp > c.lru.seq || (n > 0 && v.stamp >= lastStamp) {
+			return fmt.Errorf("core: LRU block %d stamp %d after stamp %d (last issued %d)",
+				v.lba, v.stamp, lastStamp, c.lru.seq)
+		}
+		lastStamp = v.stamp
+		if v.dataRAM != nil {
+			if v != nextResident || v.dprev != lastResident {
+				return fmt.Errorf("core: resident block %d out of place in the data sublist", v.lba)
+			}
+			lastResident, nextResident = v, v.dnext
+			resident++
+		} else if v.dprev != nil || v.dnext != nil {
+			return fmt.Errorf("core: non-resident block %d linked into the data sublist", v.lba)
 		}
 		if seen[v.lba] {
 			return fmt.Errorf("core: lba %d appears twice in LRU", v.lba)
@@ -35,6 +60,14 @@ func (c *Controller) CheckInvariants() error {
 	if n != len(c.blocks) || n != c.lru.len() {
 		return fmt.Errorf("core: LRU has %d blocks, map has %d, count says %d",
 			n, len(c.blocks), c.lru.len())
+	}
+	if nextResident != nil || c.lru.dtail != lastResident || resident != c.lru.dn {
+		return fmt.Errorf("core: data sublist does not end with the LRU's %d resident blocks (count says %d)",
+			resident, c.lru.dn)
+	}
+	if used := int64(resident) * blockdev.BlockSize; used != c.dataBudget.Used() {
+		return fmt.Errorf("core: data budget says %d, %d sublist blocks make %d",
+			c.dataBudget.Used(), resident, used)
 	}
 
 	// Slot refcounts and partition of SSD slots.

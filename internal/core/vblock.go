@@ -39,9 +39,12 @@ func (k Kind) String() string {
 // the LBA, the content signature, the reference association, and
 // pointers to cached data and delta bytes. The newest durable log record
 // for the LBA, if any, is tracked centrally in Controller.logIndex.
+//
+// Field order is deliberate: the small fields share one 16-byte tail so
+// the record stays inside the 128-byte malloc size class
+// (TestVBlockSizeClass pins it).
 type vblock struct {
 	lba  int64
-	kind Kind
 	sigv sig.Signature
 
 	// slotRef is the SSD reference slot this block is attached to (nil
@@ -55,6 +58,25 @@ type vblock struct {
 
 	// dataRAM caches the full current content (nil when evicted).
 	dataRAM []byte
+	// deltaRAM holds the current delta against the slot content.
+	deltaRAM []byte
+
+	// LRU linkage (intrusive doubly-linked list).
+	prev, next *vblock
+	// dprev/dnext link the data-resident sublist (lruList): exactly the
+	// listed blocks with dataRAM != nil, in LRU order. Both nil on a
+	// non-member.
+	dprev, dnext *vblock
+	// stamp is the LRU sequence number taken when the block was last
+	// linked at the head; list order is descending stamp. Zero while
+	// the block is not linked.
+	stamp uint64
+
+	// deltaCRC is the CRC32-C of deltaRAM, set when the delta is
+	// stored; materialize verifies it before decoding so a corrupt
+	// cache entry is never baked into served content.
+	deltaCRC uint32
+	kind     Kind
 	// dataDirty marks dataRAM newer than every durable copy.
 	dataDirty bool
 	// hddHome is true when the block's HDD home location holds its
@@ -64,18 +86,8 @@ type vblock struct {
 	// *current* content (write-through blocks; for a donor it means no
 	// self-delta has accumulated).
 	ssdCurrent bool
-
-	// deltaRAM holds the current delta against the slot content.
-	deltaRAM []byte
 	// deltaDirty marks deltaRAM as not yet packed into the log.
 	deltaDirty bool
-	// deltaCRC is the CRC32-C of deltaRAM, set when the delta is
-	// stored; materialize verifies it before decoding so a corrupt
-	// cache entry is never baked into served content.
-	deltaCRC uint32
-
-	// LRU linkage (intrusive doubly-linked list).
-	prev, next *vblock
 	// inDirty marks membership in the dirty-delta flush queue.
 	inDirty bool
 	// dead marks a block evicted from the controller; holders of stale
@@ -84,14 +96,29 @@ type vblock struct {
 }
 
 // lruList is an intrusive LRU list of vblocks. head is most recently
-// used, tail least.
+// used, tail least. It threads a second list through the same nodes,
+// the data-resident sublist: exactly the listed blocks whose dataRAM is
+// non-nil, in the same relative order, so data-block replacement takes
+// its victim from dtail instead of walking past every non-resident
+// block. pushFront and remove keep both lists; dataCached and
+// dataReleased are the two membership edges (cacheData, releaseData).
 type lruList struct {
 	head, tail *vblock
 	n          int
+
+	dhead, dtail *vblock
+	dn           int
+
+	// seq is the last stamp handed out. Nodes are only ever linked at
+	// the head, so list order is descending stamp, which lets
+	// dataCached find a block's sublist rank without walking the list.
+	seq uint64
 }
 
 // pushFront inserts v at the head (most recently used).
 func (l *lruList) pushFront(v *vblock) {
+	l.seq++
+	v.stamp = l.seq
 	v.prev = nil
 	v.next = l.head
 	if l.head != nil {
@@ -102,10 +129,16 @@ func (l *lruList) pushFront(v *vblock) {
 		l.tail = v
 	}
 	l.n++
+	if v.dataRAM != nil {
+		l.dataInsertBefore(v, l.dhead)
+	}
 }
 
 // remove unlinks v.
 func (l *lruList) remove(v *vblock) {
+	if v.dataRAM != nil {
+		l.dataUnlink(v)
+	}
 	if v.prev != nil {
 		v.prev.next = v.next
 	} else {
@@ -117,6 +150,7 @@ func (l *lruList) remove(v *vblock) {
 		l.tail = v.prev
 	}
 	v.prev, v.next = nil, nil
+	v.stamp = 0
 	l.n--
 }
 
@@ -131,3 +165,74 @@ func (l *lruList) moveToFront(v *vblock) {
 
 // len returns the list length.
 func (l *lruList) len() int { return l.n }
+
+// dataCached enters v, whose dataRAM just became non-nil, into the
+// resident sublist at its LRU rank. A block not linked yet (getOrLoad
+// caches before it links) joins when pushFront links it. The rank is
+// found by comparing stamps from both ends alternately: the callers
+// cache before they touch, so v is usually colder than every resident
+// block (a re-read after eviction) or hotter than all of them, and
+// either end answers in one step.
+func (l *lruList) dataCached(v *vblock) {
+	if v.stamp == 0 {
+		return
+	}
+	h, t := l.dhead, l.dtail
+	for h != nil {
+		if v.stamp > h.stamp {
+			l.dataInsertBefore(v, h)
+			return
+		}
+		if v.stamp < t.stamp {
+			l.dataInsertBefore(v, t.dnext)
+			return
+		}
+		// dhead > v > dtail, so the rank lies strictly between and both
+		// cursors reach it before they run off the list.
+		h, t = h.dnext, t.dprev
+	}
+	l.dataInsertBefore(v, nil)
+}
+
+// dataReleased takes v, whose dataRAM is being dropped, out of the
+// resident sublist.
+func (l *lruList) dataReleased(v *vblock) {
+	if v.stamp != 0 {
+		l.dataUnlink(v)
+	}
+}
+
+// dataInsertBefore links v into the resident sublist ahead of at (nil
+// appends at the tail).
+func (l *lruList) dataInsertBefore(v, at *vblock) {
+	v.dnext = at
+	if at != nil {
+		v.dprev = at.dprev
+		at.dprev = v
+	} else {
+		v.dprev = l.dtail
+		l.dtail = v
+	}
+	if v.dprev != nil {
+		v.dprev.dnext = v
+	} else {
+		l.dhead = v
+	}
+	l.dn++
+}
+
+// dataUnlink unlinks v from the resident sublist.
+func (l *lruList) dataUnlink(v *vblock) {
+	if v.dprev != nil {
+		v.dprev.dnext = v.dnext
+	} else {
+		l.dhead = v.dnext
+	}
+	if v.dnext != nil {
+		v.dnext.dprev = v.dprev
+	} else {
+		l.dtail = v.dprev
+	}
+	v.dprev, v.dnext = nil, nil
+	l.dn--
+}
