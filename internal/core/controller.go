@@ -122,6 +122,9 @@ type Controller struct {
 	txnLive map[uint64]int
 	// txnBlocks lists the log blocks of each tracked transaction.
 	txnBlocks map[uint64][]int64
+	// freeLogBlocks is the number of log blocks logBlockFree holds for
+	// (see countFreeLogBlocks).
+	freeLogBlocks int64
 	// metaPool recycles entryMeta slices between packed log blocks.
 	metaPool [][]entryMeta
 	// txnBlocksPool recycles the per-transaction block lists, so the
@@ -238,6 +241,7 @@ func New(cfg Config, ssdDev, hddDev blockdev.Device, clock *sim.Clock, cpu *cpum
 		sums:         make(map[int64]uint32),
 		poisoned:     make(map[int64]bool),
 	}
+	c.freeLogBlocks = cfg.LogBlocks
 	c.freeSlots = make([]int64, 0, cfg.SSDBlocks)
 	for i := cfg.SSDBlocks - 1; i >= 0; i-- {
 		c.freeSlots = append(c.freeSlots, i)

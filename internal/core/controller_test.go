@@ -8,6 +8,7 @@ import (
 
 	"icash/internal/blockdev"
 	"icash/internal/cpumodel"
+	"icash/internal/fault"
 	"icash/internal/sim"
 )
 
@@ -394,16 +395,14 @@ func refEvictVictim(c *Controller, keep *vblock, homeFails func(lba int64) bool)
 	return nil
 }
 
-// badHomeDevice fails writes to a fixed set of home LBAs with a media
-// error while armed, so dirty eviction victims can be made unwritable.
-type badHomeDevice struct {
+// badWriteDevice fails writes to the device LBAs bad selects with a
+// media error, every time (fault.Device heals a bad block on rewrite).
+type badWriteDevice struct {
 	*blockdev.MemDevice
-	armed bool
+	bad func(lba int64) bool
 }
 
-func (d *badHomeDevice) bad(lba int64) bool { return d.armed && lba%5 == 2 && lba < 4096 }
-
-func (d *badHomeDevice) WriteBlock(lba int64, buf []byte) (sim.Duration, error) {
+func (d *badWriteDevice) WriteBlock(lba int64, buf []byte) (sim.Duration, error) {
 	if d.bad(lba) {
 		return sim.Millisecond, fmt.Errorf("test: write lba %d: %w", lba, blockdev.ErrMedia)
 	}
@@ -424,7 +423,13 @@ func TestEvictionMatchesReferenceWalk(t *testing.T) {
 	clock := sim.NewClock()
 	cpu := cpumodel.NewAccountant(clock)
 	ssd := blockdev.NewMemDevice(cfg.SSDBlocks, 10*sim.Microsecond)
-	hdd := &badHomeDevice{MemDevice: blockdev.NewMemDevice(cfg.VirtualBlocks+cfg.LogBlocks, 100*sim.Microsecond)}
+	// While armed, a fifth of the home locations cannot be written, so
+	// dirty victims there cannot be evicted.
+	armed := false
+	hdd := &badWriteDevice{
+		MemDevice: blockdev.NewMemDevice(cfg.VirtualBlocks+cfg.LogBlocks, 100*sim.Microsecond),
+		bad:       func(lba int64) bool { return armed && lba%5 == 2 && lba < cfg.VirtualBlocks },
+	}
 	c, err := New(cfg, ssd, hdd, clock, cpu)
 	if err != nil {
 		t.Fatal(err)
@@ -461,10 +466,10 @@ func TestEvictionMatchesReferenceWalk(t *testing.T) {
 	for op := 0; op < ops; op++ {
 		switch {
 		case op == ops/4:
-			hdd.armed = true
+			armed = true
 			c.SetSSDQuarantined(true) // writes now stay dirty in RAM
 		case op == ops/2:
-			hdd.armed = false
+			armed = false
 			c.SetSSDQuarantined(false)
 		case op == 5*ops/8:
 			if err := c.Flush(); err != nil {
@@ -570,5 +575,77 @@ func TestEvictionStepsBounded(t *testing.T) {
 	if maxSteps > 3 {
 		t.Fatalf("an eviction visited %d sublist nodes with %d tracked / %d resident, want <= 3",
 			maxSteps, tracked, resident)
+	}
+}
+
+// TestFreeLogBlockCountTracksLap holds the running free-log-block count
+// to a full frontier lap after every request, through log wrap,
+// compaction, shedding, log blocks retired by write failures, and a
+// recovery that retires an unreadable one.
+func TestFreeLogBlockCountTracksLap(t *testing.T) {
+	cfg := smallConfig()
+	cfg.LogBlocks = 16
+	cfg.DeltaRAMBytes = 16 << 10
+	clock := sim.NewClock()
+	ssd := blockdev.NewMemDevice(cfg.SSDBlocks, 10*sim.Microsecond)
+	hdd := &badWriteDevice{
+		MemDevice: blockdev.NewMemDevice(cfg.VirtualBlocks+cfg.LogBlocks, 100*sim.Microsecond),
+		bad:       func(lba int64) bool { b := lba - cfg.VirtualBlocks; return b == 3 || b == 11 },
+	}
+	c, err := New(cfg, ssd, hdd, clock, cpumodel.NewAccountant(clock))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := sim.NewRand(17)
+	buf := make([]byte, blockdev.BlockSize)
+	minFree := cfg.LogBlocks
+	drive := func(c *Controller, ops int) {
+		t.Helper()
+		for op := 0; op < ops; op++ {
+			lba := int64(r.Intn(400))
+			var err error
+			if r.Float64() < 0.7 {
+				_, err = c.WriteBlock(lba, genContent(r, int(lba%4), 0.04))
+			} else {
+				_, err = c.ReadBlock(lba, buf)
+			}
+			if err != nil {
+				t.Fatalf("op %d: %v", op, err)
+			}
+			got, want := c.countFreeLogBlocks(), c.lapFreeLogBlocks()
+			if got != want {
+				t.Fatalf("op %d: running count says %d free log blocks, a lap finds %d", op, got, want)
+			}
+			if got < minFree {
+				minFree = got
+			}
+		}
+	}
+	drive(c, 6000)
+	if c.Stats.BadLogBlocks != 2 || c.Stats.LogCleanerRuns == 0 || minFree > cfg.LogBlocks/2 {
+		t.Fatalf("mix too tame: %d log blocks retired, %d cleaner runs, never fewer than %d free",
+			c.Stats.BadLogBlocks, c.Stats.LogCleanerRuns, minFree)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Crash; block 6 of the journal has gone unreadable meanwhile.
+	unreadable := fault.Wrap(hdd, fault.Config{})
+	unreadable.InjectBad(cfg.VirtualBlocks + 6)
+	clock = sim.NewClock()
+	rc, err := Recover(cfg, ssd, unreadable, clock, cpumodel.NewAccountant(clock))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rc.Stats.BadLogBlocks != 1 {
+		t.Fatalf("recovery retired %d log blocks, want the unreadable one", rc.Stats.BadLogBlocks)
+	}
+	drive(rc, 3000)
+	if err := rc.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

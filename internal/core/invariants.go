@@ -21,6 +21,7 @@ import (
 //   - free, quarantined and live slots partition the SSD exactly;
 //   - the delta budget equals the segment-rounded sum of resident
 //     deltas, and the data budget equals the resident data blocks;
+//   - the running free-log-block count equals a frontier lap's;
 //   - logIndex entries point at blocks the cleaner still tracks
 //     (logMeta), and perLba counts match the per-block record census.
 func (c *Controller) CheckInvariants() error {
@@ -117,6 +118,11 @@ func (c *Controller) CheckInvariants() error {
 	}
 	if int64(len(used)) != c.cfg.SSDBlocks {
 		return fmt.Errorf("core: %d slots accounted, SSD has %d", len(used), c.cfg.SSDBlocks)
+	}
+
+	// The running free-log-block count against a full frontier lap.
+	if lap := c.lapFreeLogBlocks(); lap != c.freeLogBlocks {
+		return fmt.Errorf("core: free log block count says %d, a frontier lap finds %d", c.freeLogBlocks, lap)
 	}
 
 	// Retired log blocks must not be tracked by the cleaner.

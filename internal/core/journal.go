@@ -90,9 +90,15 @@ func (a *logBlockAlloc) take() (int64, bool) {
 	return 0, false
 }
 
-// countFreeLogBlocks counts the overwritable blocks one frontier lap
-// would find.
-func (c *Controller) countFreeLogBlocks() int64 {
+// countFreeLogBlocks returns how many overwritable blocks one frontier
+// lap would find. The commit and compaction loops ask between every
+// step, so the answer is the running count freeLogBlocks, kept by the
+// only writers of what logBlockFree reads: retireLogBlock, bindLogBlock,
+// unbindLogBlock and addTxnLive. CheckInvariants recounts lap-wise.
+func (c *Controller) countFreeLogBlocks() int64 { return c.freeLogBlocks }
+
+// lapFreeLogBlocks is countFreeLogBlocks the slow way: one frontier lap.
+func (c *Controller) lapFreeLogBlocks() int64 {
 	a := c.newLogAlloc()
 	n := int64(0)
 	for {
@@ -100,6 +106,55 @@ func (c *Controller) countFreeLogBlocks() int64 {
 			return n
 		}
 		n++
+	}
+}
+
+// noteLogBlockFree moves the running count when log block b's
+// reusability changed from was.
+func (c *Controller) noteLogBlockFree(b int64, was bool) {
+	switch is := c.logBlockFree(b); {
+	case is && !was:
+		c.freeLogBlocks++
+	case was && !is:
+		c.freeLogBlocks--
+	}
+}
+
+// retireLogBlock takes log block b out of circulation for good.
+func (c *Controller) retireLogBlock(b int64) {
+	was := c.logBlockFree(b)
+	c.badLogBlocks[b] = true
+	c.Stats.BadLogBlocks++
+	c.noteLogBlockFree(b, was)
+}
+
+// bindLogBlock records that log block b carries a part of transaction t.
+func (c *Controller) bindLogBlock(b int64, t uint64) {
+	was := c.logBlockFree(b)
+	c.blockTxn[b] = t
+	c.noteLogBlockFree(b, was)
+}
+
+// unbindLogBlock forgets which transaction log block b belonged to.
+func (c *Controller) unbindLogBlock(b int64) {
+	was := c.logBlockFree(b)
+	delete(c.blockTxn, b)
+	c.noteLogBlockFree(b, was)
+}
+
+// addTxnLive adjusts transaction t's live-record count. Crossing zero
+// flips the reusability of every block t owns (a tracked block is never
+// a retired one, so that is all of txnBlocks[t]).
+func (c *Controller) addTxnLive(t uint64, d int) {
+	old := c.txnLive[t]
+	c.txnLive[t] = old + d
+	if (old == 0) == (old+d == 0) {
+		return
+	}
+	if n := int64(len(c.txnBlocks[t])); old == 0 {
+		c.freeLogBlocks -= n
+	} else {
+		c.freeLogBlocks += n
 	}
 }
 
@@ -163,7 +218,7 @@ func (c *Controller) forgetLogBlock(b int64) {
 	if !ok {
 		return
 	}
-	delete(c.blockTxn, b)
+	c.unbindLogBlock(b)
 	blocks := c.txnBlocks[t]
 	for i, bb := range blocks {
 		if bb == b {
@@ -468,8 +523,7 @@ func (c *Controller) writeTxn(entries []logEntry, blockCap int64) (int, error) {
 			// Parts carry their index in the header, so their disk
 			// placement is position-independent.
 			c.forgetLogBlock(p.block)
-			c.badLogBlocks[p.block] = true
-			c.Stats.BadLogBlocks++
+			c.retireLogBlock(p.block)
 			nb, ok := alloc.take()
 			if !ok {
 				abort()
@@ -485,7 +539,7 @@ func (c *Controller) writeTxn(entries []logEntry, blockCap int64) (int, error) {
 	for i := range parts {
 		p := &parts[i]
 		c.logMeta[p.block] = p.metas
-		c.blockTxn[p.block] = txn
+		c.bindLogBlock(p.block, txn)
 		txnBlocks = append(txnBlocks, p.block)
 		c.Stats.LogBlocksWritten++
 	}

@@ -131,13 +131,13 @@ func (c *Controller) setLogIndex(lba int64, rec logRec) {
 	if old, ok := c.logIndex[lba]; ok {
 		c.liveLogBytes -= int64(old.size)
 		if t, ok := c.blockTxn[old.block]; ok {
-			c.txnLive[t]--
+			c.addTxnLive(t, -1)
 		}
 	}
 	c.logIndex[lba] = rec
 	c.liveLogBytes += int64(rec.size)
 	if t, ok := c.blockTxn[rec.block]; ok {
-		c.txnLive[t]++
+		c.addTxnLive(t, 1)
 	}
 }
 
@@ -146,7 +146,7 @@ func (c *Controller) clearLogIndex(lba int64) {
 	if old, ok := c.logIndex[lba]; ok {
 		c.liveLogBytes -= int64(old.size)
 		if t, ok := c.blockTxn[old.block]; ok {
-			c.txnLive[t]--
+			c.addTxnLive(t, -1)
 		}
 		delete(c.logIndex, lba)
 	}

@@ -54,8 +54,7 @@ func (c *Controller) replayLog() error {
 				// Unreadable log block: retire it. Its records were
 				// either superseded elsewhere or fall inside the bounded
 				// loss window (its transaction assembles as incomplete).
-				c.badLogBlocks[b] = true
-				c.Stats.BadLogBlocks++
+				c.retireLogBlock(b)
 				continue
 			}
 			return fmt.Errorf("core: recovery read log block %d: %w", b, err)
@@ -98,7 +97,7 @@ func (c *Controller) replayLog() error {
 				}
 			}
 			c.logMeta[b] = metas
-			c.blockTxn[b] = id
+			c.bindLogBlock(b, id)
 			c.txnBlocks[id] = append(c.txnBlocks[id], b)
 		}
 	}
