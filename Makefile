@@ -46,8 +46,8 @@ bench-profile: ## full figure suite with CPU + heap profiles (cpu.prof, mem.prof
 	@echo "profiles written: cpu.prof mem.prof (inspect with: go tool pprof cpu.prof)"
 
 alloc-gate: ## hot-path allocation gates + allocs/op benchmarks + miss-and-evict scaling (must run WITHOUT -race)
-	$(GO) test -run 'TestAllocGate' -count=1 ./internal/delta/ ./internal/blockdev/ ./internal/core/
-	$(GO) test -run 'TestAllocGateReadMissEvictScaling' -count=1 ./internal/core/ -args -timing-gates
+	$(GO) test -run 'TestAllocGate' -count=1 ./internal/delta/ ./internal/blockdev/
+	$(GO) test -run 'TestAllocGate' -count=1 ./internal/core/ -args -timing-gates
 	$(GO) test -bench 'AppendEncode|AppendDecode|Size' -benchtime 1000x -benchmem -run '^$$' ./internal/delta/
 	$(GO) test -bench 'ReadMissEvict' -benchtime 20000x -benchmem -run '^$$' ./internal/core/
 

@@ -20,7 +20,7 @@ import (
 //     every live slot is reachable from the slots map;
 //   - free, quarantined and live slots partition the SSD exactly;
 //   - the delta budget equals the segment-rounded sum of resident
-//     deltas, and the data budget equals the resident data blocks;
+//     deltas;
 //   - the running free-log-block count equals a frontier lap's;
 //   - logIndex entries point at blocks the cleaner still tracks
 //     (logMeta), and perLba counts match the per-block record census.
@@ -62,9 +62,8 @@ func (c *Controller) CheckInvariants() error {
 		return fmt.Errorf("core: LRU has %d blocks, map has %d, count says %d",
 			n, len(c.blocks), c.lru.len())
 	}
-	if nextResident != nil || c.lru.dtail != lastResident || resident != c.lru.dn {
-		return fmt.Errorf("core: data sublist does not end with the LRU's %d resident blocks (count says %d)",
-			resident, c.lru.dn)
+	if nextResident != nil || c.lru.dtail != lastResident {
+		return fmt.Errorf("core: data sublist runs past the LRU's %d resident blocks", resident)
 	}
 	if used := int64(resident) * blockdev.BlockSize; used != c.dataBudget.Used() {
 		return fmt.Errorf("core: data budget says %d, %d sublist blocks make %d",
@@ -132,23 +131,16 @@ func (c *Controller) CheckInvariants() error {
 		}
 	}
 
-	// RAM budgets.
-	var deltaBytes, dataBytes int64
+	// Delta RAM budget (the data budget is checked with the sublist).
+	var deltaBytes int64
 	for v := c.lru.head; v != nil; v = v.next {
 		if v.deltaRAM != nil {
 			deltaBytes += c.segBytes(len(v.deltaRAM))
-		}
-		if v.dataRAM != nil {
-			dataBytes += int64(len(v.dataRAM))
 		}
 	}
 	if deltaBytes != c.deltaBudget.Used() {
 		return fmt.Errorf("core: delta budget says %d, resident deltas sum to %d",
 			c.deltaBudget.Used(), deltaBytes)
-	}
-	if dataBytes != c.dataBudget.Used() {
-		return fmt.Errorf("core: data budget says %d, resident data sums to %d",
-			c.dataBudget.Used(), dataBytes)
 	}
 
 	// Log index vs per-block metadata census.

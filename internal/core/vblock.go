@@ -107,7 +107,6 @@ type lruList struct {
 	n          int
 
 	dhead, dtail *vblock
-	dn           int
 
 	// seq is the last stamp handed out. Nodes are only ever linked at
 	// the head, so list order is descending stamp, which lets
@@ -218,7 +217,6 @@ func (l *lruList) dataInsertBefore(v, at *vblock) {
 	} else {
 		l.dhead = v
 	}
-	l.dn++
 }
 
 // dataUnlink unlinks v from the resident sublist.
@@ -234,5 +232,4 @@ func (l *lruList) dataUnlink(v *vblock) {
 		l.dtail = v.dprev
 	}
 	v.dprev, v.dnext = nil, nil
-	l.dn--
 }
