@@ -76,16 +76,11 @@ func realMain() int {
 // the aggregate accounting is reported and the array flushed before the
 // error surfaces.
 func serveListen(addr string, p workload.Profile, opts workload.Options, window int) error {
-	sys, err := harness.Build(harness.ICASH, harness.ConfigForProfile(p, opts))
+	sys, gen, err := harness.BuildPopulated(harness.ICASH, p, opts)
 	if err != nil {
 		return err
 	}
-	gen := workload.NewGenerator(p, opts)
-	sys.SetFill(gen.Fill)
-	fmt.Fprintf(os.Stderr, "icash-serve: populating %s\n", gen.Summary())
-	if err := harness.Populate(sys, gen); err != nil {
-		return err
-	}
+	fmt.Fprintf(os.Stderr, "icash-serve: populated %s\n", gen.Summary())
 	// Per-shard backends under the router: sessions whose partitions
 	// land on different shards serve concurrently, each shard still
 	// single-threaded behind its lockmap address. One shard is one

@@ -10,41 +10,21 @@ package icash_test
 
 import (
 	"flag"
-	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"icash/internal/fault/chaos"
 	"icash/internal/harness"
-	"icash/internal/metrics"
 	"icash/internal/server"
-	"icash/internal/sim"
 	"icash/internal/workload"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden/*.txt from the current tree")
 
-// goldenSoak renders three seeds of one chaos configuration: the
-// one-line summary icash-bench prints per seed, then the station
-// scoreboard (queue waits, service tails, fail-slow inflation).
-func goldenSoak(cfg chaos.Config) (string, error) {
-	var b strings.Builder
-	for seed := uint64(42); seed < 45; seed++ {
-		cfg.Seed = seed
-		res, err := chaos.Run(cfg)
-		if err != nil {
-			return b.String(), err
-		}
-		fmt.Fprintf(&b, "%s\n", res)
-		b.WriteString(metrics.FormatStations(res.Stations, "  ", true))
-	}
-	return b.String(), nil
-}
-
 func TestGolden(t *testing.T) {
 	figs := []string{"fig7", "fig15"}
+	soak := chaos.Config{Seed: 42, Ops: 2000}
 	cases := []struct {
 		name   string
 		render func() (string, error)
@@ -68,20 +48,11 @@ func TestGolden(t *testing.T) {
 			return harness.RunExperiments(figs, workload.Options{
 				Scale: 1.0 / 1024, Seed: 42, QueueDepth: 8, StreamPerVM: true})
 		}},
-		// The three soak configurations are icash-bench's -chaos, -scrub
-		// (10ms arm) and -bitrot.
-		{"chaos", func() (string, error) {
-			return goldenSoak(chaos.Config{Ops: 2000, QueueDepth: 8})
-		}},
-		{"scrub", func() (string, error) {
-			return goldenSoak(chaos.Config{Ops: 2000, QueueDepth: 8,
-				NoFailStop: true, NoFailSlow: true, ScrubInterval: 10 * sim.Millisecond})
-		}},
-		{"bitrot", func() (string, error) {
-			return goldenSoak(chaos.Config{Ops: 2000, QueueDepth: 8,
-				NoFailStop: true, NoFailSlow: true,
-				SilentFaults: true, ScrubInterval: 5 * sim.Millisecond})
-		}},
+		// The three soak reports are icash-bench's -chaos, -scrub and
+		// -bitrot at -seeds 3.
+		{"chaos", func() (string, error) { return chaos.SoakReport(soak, 3, 0) }},
+		{"scrub", func() (string, error) { return chaos.ScrubOverheadReport(soak, 3, 0) }},
+		{"bitrot", func() (string, error) { return chaos.BitrotReport(soak, 3, 0) }},
 	}
 	for _, c := range cases {
 		c := c

@@ -22,10 +22,11 @@ import (
 //     — a zero wall-clock instant smuggled into simulated state;
 //   - calls to the mutating sim.Clock methods (Advance, AdvanceTo,
 //     Reset) from any package other than the run-driving owners:
-//     internal/sim itself, the event scheduler (internal/sim/event),
-//     the experiment harness (internal/harness), and the chaos-soak
-//     harness (internal/fault/chaos). Device models receive latencies
-//     and return them; they never advance the timeline.
+//     internal/sim itself, the event scheduler (internal/sim/event)
+//     and the experiment harness (internal/harness), whose pump every
+//     other run-driver (the chaos soak included) issues through. Device
+//     models receive latencies and return them; they never advance the
+//     timeline.
 //
 // The last rule is the static generalization of the `clockcheck`
 // build-tag runtime assertion (internal/sim/clockcheck_on.go), which
@@ -53,10 +54,9 @@ var wallClockFuncs = map[string]bool{
 // layers that drive simulation runs (see the Clock single-owner rule,
 // DESIGN.md §8).
 var clockOwnerPkgs = map[string]bool{
-	"icash/internal/sim":         true,
-	"icash/internal/sim/event":   true,
-	"icash/internal/harness":     true,
-	"icash/internal/fault/chaos": true,
+	"icash/internal/sim":       true,
+	"icash/internal/sim/event": true,
+	"icash/internal/harness":   true,
 }
 
 // engineOwnerPkgs are run-driving packages that own the clock only

@@ -17,6 +17,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 
 	"icash/internal/blockdev"
 	"icash/internal/core"
@@ -24,7 +25,6 @@ import (
 	"icash/internal/harness"
 	"icash/internal/metrics"
 	"icash/internal/sim"
-	"icash/internal/sim/event"
 )
 
 // Config parameterizes one soak run. The zero value of every field is
@@ -306,13 +306,29 @@ func Run(cfg Config) (*Result, error) {
 	// turning an accounted loss into an apparent silent one).
 	oracle := make([]lbaState, cfg.LBASpace)
 	buf := make([]byte, blockdev.BlockSize)
-	for lba := int64(0); lba < cfg.LBASpace; lba++ {
+	// sweep visits every block once on a one-token pump, serially and
+	// untraced: each visit issues when the one before, d long, completes.
+	sweep := func(visit func(lba int64) (d sim.Duration, err error)) error {
+		lba := int64(0)
+		return sys.Pump(1, 1, func(int) (sim.Time, error) {
+			if lba >= cfg.LBASpace {
+				return 0, io.EOF
+			}
+			d, err := visit(lba)
+			lba++
+			return clock.Now().Add(d), err
+		})
+	}
+	err = sweep(func(lba int64) (sim.Duration, error) {
 		fillBlock(buf, lba, 1)
 		if _, err := sys.Dev.WriteBlock(lba, buf); err != nil {
-			return nil, fmt.Errorf("chaos: populate lba %d: %w", lba, err)
+			return 0, fmt.Errorf("chaos: populate lba %d: %w", lba, err)
 		}
 		oracle[lba] = lbaState{current: append([]byte(nil), buf...)}
-		clock.Advance(10 * sim.Microsecond)
+		return 10 * sim.Microsecond, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	if err := sys.Flush(); err != nil {
 		return nil, fmt.Errorf("chaos: populate flush: %w", err)
@@ -382,11 +398,10 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	// Measured phase: closed-loop QueueDepth tokens on the event
-	// engine, mirroring the harness's run loop, with every read checked
-	// against the oracle at execution time (the stack runs in
-	// deterministic event order, so "current version" is well-defined
-	// even with overlapping requests).
+	// Measured phase: QueueDepth issue tokens on the harness pump, every
+	// block a traced op, with every read checked against the oracle at
+	// execution time (the stack runs in deterministic event order, so
+	// "current version" is well-defined even with overlapping requests).
 	res := &Result{Seed: cfg.Seed}
 
 	// Detection-latency measurement: every checksum-mismatch detection
@@ -416,12 +431,8 @@ func Run(cfg Config) (*Result, error) {
 	})
 
 	rng := sim.NewRand(cfg.Seed ^ 0x5eed_0fca_0c4a_0001)
-	sch := event.NewScheduler(clock)
-	maxDone := start
-	issued := 0
 	version := uint64(1) // global version counter: unique per write
 	wrong := make(map[int64]bool)
-	var runErr error
 
 	verify := func(lba int64, b []byte) {
 		st := &oracle[lba]
@@ -432,12 +443,12 @@ func Run(cfg Config) (*Result, error) {
 		wrong[lba] = true
 	}
 
-	var issue func()
-	issue = func() {
-		if runErr != nil || issued >= cfg.Ops {
-			return
+	// A failed op is a loud failure, counted here and judged by the
+	// invariant and loss checks below; it does not stop the pump.
+	err = sys.Pump(1, cfg.QueueDepth, func(int) (sim.Time, error) {
+		if res.Ops >= int64(cfg.Ops) {
+			return 0, io.EOF
 		}
-		issued++
 		res.Ops++
 		lba := rng.Int63n(cfg.LBASpace)
 		write := rng.Float64() < cfg.WriteFrac
@@ -445,51 +456,35 @@ func Run(cfg Config) (*Result, error) {
 		if write {
 			version++
 			fillBlock(buf, lba, version)
-			sys.Tracer.Begin()
-			d, werr := sys.Dev.WriteBlock(lba, buf)
-			wait := event.Replay(sys.Tracer.Take(), arrival)
-			sys.PollDetector()
+		}
+		d, wait, err := sys.TracedOp(write, lba, buf, arrival)
+		d += wait
+		if err != nil {
+			res.OpErrors++
+		}
+		if write {
 			st := &oracle[lba]
-			if werr != nil {
+			if err != nil {
 				// The write failed loudly; the block now legitimately
 				// holds either the old or the new content.
-				res.OpErrors++
 				st.maybe = append([]byte(nil), buf...)
 			} else {
 				st.current = append([]byte(nil), buf...)
 				st.maybe = nil
 			}
 			res.Writes++
-			res.WriteHist.Record(d + wait)
-			arrival = arrival.Add(d + wait)
+			res.WriteHist.Record(d)
 		} else {
-			sys.Tracer.Begin()
-			d, rerr := sys.Dev.ReadBlock(lba, buf)
-			wait := event.Replay(sys.Tracer.Take(), arrival)
-			sys.PollDetector()
-			if rerr != nil {
-				res.OpErrors++
-			} else {
+			if err == nil {
 				verify(lba, buf)
 			}
 			res.Reads++
-			res.ReadHist.Record(d + wait)
-			arrival = arrival.Add(d + wait)
+			res.ReadHist.Record(d)
 		}
-		if arrival > maxDone {
-			maxDone = arrival
-		}
-		sch.At(arrival, issue)
-	}
-	for t := 0; t < cfg.QueueDepth; t++ {
-		sch.After(0, issue)
-	}
-	sch.Run()
-	if runErr != nil {
-		return nil, runErr
-	}
-	if maxDone > clock.Now() {
-		clock.AdvanceTo(maxDone)
+		return arrival.Add(d), nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	if err := sys.Flush(); err != nil {
 		// A failed final flush is a loud failure, not silent loss;
@@ -497,15 +492,18 @@ func Run(cfg Config) (*Result, error) {
 		res.OpErrors++
 	}
 
-	// Full-sweep verify: every block read back once, serially.
-	for lba := int64(0); lba < cfg.LBASpace; lba++ {
-		d, rerr := sys.Dev.ReadBlock(lba, buf)
-		if rerr != nil {
+	// Full-sweep verify: every block read back once.
+	err = sweep(func(lba int64) (sim.Duration, error) {
+		d, err := sys.Dev.ReadBlock(lba, buf)
+		if err != nil {
 			res.OpErrors++
 		} else {
 			verify(lba, buf)
 		}
-		clock.Advance(d)
+		return d, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	res.Elapsed = clock.Now().Sub(start)
 

@@ -1,8 +1,11 @@
 package harness
 
 import (
+	"errors"
 	"testing"
 
+	"icash/internal/blockdev"
+	"icash/internal/sim"
 	"icash/internal/workload"
 )
 
@@ -163,12 +166,64 @@ func TestMultiStreamInterleave(t *testing.T) {
 	}
 }
 
+// failAfterWalk lets the inner stack walk a block — so the devices note
+// their station visits — and then fails the op.
+type failAfterWalk struct{ blockdev.Device }
+
+var errAfterWalk = errors.New("injected failure after the device walk")
+
+func (f failAfterWalk) ReadBlock(lba int64, buf []byte) (sim.Duration, error) {
+	d, _ := f.Device.ReadBlock(lba, buf)
+	return d, errAfterWalk
+}
+
+// TestTracedOpFailureTakesAndReplays pins the traced op's error path: a
+// failing device op is taken and replayed like a successful one, so the
+// station visits it made before failing are charged to their stations
+// and the tracer is left idle — a later untraced walk must not append
+// to the dead trace.
+func TestTracedOpFailureTakesAndReplays(t *testing.T) {
+	sys, err := Build(RAID0, BuildConfig{DataBlocks: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner := sys.Dev
+	sys.Dev = failAfterWalk{inner}
+	buf := make([]byte, blockdev.BlockSize)
+
+	svc, _, err := sys.TracedOp(false, 7, buf, sys.Clock.Now())
+	if !errors.Is(err, errAfterWalk) {
+		t.Fatalf("TracedOp error = %v, want the injected failure", err)
+	}
+	var ops int64
+	var busy sim.Duration
+	for _, st := range sys.Stations {
+		snap := st.Snapshot(0)
+		ops, busy = ops+snap.Ops, busy+snap.Busy
+	}
+	if ops != 1 || busy != svc || svc == 0 {
+		t.Fatalf("failed walk charged %d station ops, %v busy for a %v walk; want its one visit replayed", ops, busy, svc)
+	}
+
+	if _, err := inner.ReadBlock(8, buf); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(sys.Tracer.Take()); n != 1 {
+		t.Fatalf("tracer holds %d segments after an untraced walk, want the failed op's 1: the failure left it active", n)
+	}
+}
+
 // TestVMStreamsPartition checks the per-VM generators stay inside their
 // own image partitions and split the request budget exactly.
 func TestVMStreamsPartition(t *testing.T) {
 	p := workload.TPCC5VM()
-	gen := workload.NewGenerator(p, workload.Options{Scale: 1.0 / 256, MaxOps: 5000, Seed: 7})
-	streams := gen.VMStreams()
+	opts := workload.Options{Scale: 1.0 / 256, MaxOps: 5000, Seed: 7}
+	if one := workload.NewGenerator(p, opts); len(one.Streams()) != 1 || one.Streams()[0] != one {
+		t.Fatal("without StreamPerVM the generator is not its own single stream")
+	}
+	opts.StreamPerVM = true
+	gen := workload.NewGenerator(p, opts)
+	streams := gen.Streams()
 	if len(streams) != 5 {
 		t.Fatalf("stream count %d, want 5", len(streams))
 	}

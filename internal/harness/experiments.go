@@ -304,30 +304,18 @@ func ExperimentByID(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// ExperimentsForBenchmark lists the experiments rendered from one
-// benchmark's run.
-func ExperimentsForBenchmark(name string) []Experiment {
-	var out []Experiment
-	for _, e := range Experiments {
-		if e.Benchmark == name {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // RunExperiments executes the benchmark for the named experiment IDs
 // ("all" = every experiment), sharing one benchmark run across all the
 // figures it feeds, and returns the rendered report.
 //
-// The work is flattened into a (profile, system) grid and fanned across
-// Parallelism() workers — finer-grained than fanning whole benchmarks,
-// so a five-system SysBench run does not serialize behind one worker
-// while others idle. Rendering happens afterwards in Table4 order from
-// results gathered by grid index, so the report is byte-identical to
-// the serial harness's; on failure the report still contains every
-// benchmark that completed before (in submission order) the first
-// failing point, exactly like the historical sequential loop.
+// The work is flattened into one RunPoints grid of (profile, system)
+// points — finer-grained than fanning whole benchmarks, so a
+// five-system SysBench run does not serialize behind one worker while
+// others idle. Rendering happens afterwards in Table4 order from the
+// index-gathered results, so the report is byte-identical at every
+// worker count; on failure it still contains every benchmark that
+// completed before (in submission order) the first failing point,
+// exactly like a sequential loop.
 func RunExperiments(ids []string, opts workload.Options) (string, error) {
 	want := make(map[string]bool)
 	all := len(ids) == 0
@@ -344,68 +332,27 @@ func RunExperiments(ids []string, opts workload.Options) (string, error) {
 			benchNeeded[e.Benchmark] = true
 		}
 	}
-	var profiles []workload.Profile
-	for _, p := range workload.Table4() {
-		if benchNeeded[p.Name] {
-			profiles = append(profiles, p)
-		}
-	}
 	kinds := AllKinds()
-	cfgs := make([]BuildConfig, len(profiles))
-	for i, p := range profiles {
-		cfgs[i] = benchConfig(p, opts)
-	}
-	type gridPoint struct {
-		profile int
-		kind    Kind
-	}
-	var grid []gridPoint
-	for pi := range profiles {
+	var profiles []workload.Profile
+	var pts []Point
+	for _, p := range workload.Table4() {
+		if !benchNeeded[p.Name] {
+			continue
+		}
+		profiles = append(profiles, p)
 		for _, k := range kinds {
-			grid = append(grid, gridPoint{profile: pi, kind: k})
+			pts = append(pts, Point{Profile: p, Opts: opts, Kind: k})
 		}
 	}
-	points := make([]pointResult, len(grid))
-	errs := make([]error, len(grid))
-	firstErr := ForEachPoint(len(grid), func(i int) error {
-		g := grid[i]
-		pt, err := runPoint(profiles[g.profile], opts, cfgs[g.profile], g.kind)
-		if err != nil {
-			errs[i] = err
-			return err
-		}
-		points[i] = pt
-		return nil
-	})
-	// The first failing grid index (the same failure a serial loop would
-	// hit first — ForEachPoint returns exactly that error) truncates the
-	// report at its benchmark's boundary.
-	failProfile := len(profiles)
-	if firstErr != nil {
-		for i, err := range errs {
-			if err != nil {
-				failProfile = grid[i].profile
-				break
-			}
-		}
-	}
+	out, err := RunPoints(opts.Workers, pts)
 	var b strings.Builder
 	for pi, p := range profiles {
-		if pi >= failProfile {
-			break
+		if (pi+1)*len(kinds) > len(out) {
+			break // the first failing point truncates the report at its benchmark
 		}
-		br := &BenchmarkRun{Profile: p, Opts: opts, Order: kinds, Results: make(map[Kind]*Result)}
-		for gi, g := range grid {
-			if g.profile != pi {
-				continue
-			}
-			br.Results[g.kind] = points[gi].res
-			if points[gi].sharded != nil {
-				br.SysSharded = points[gi].sharded
-			}
-		}
-		for _, e := range ExperimentsForBenchmark(p.Name) {
-			if !all && !want[e.ID] {
+		br := newBenchmarkRun(p, kinds, out[pi*len(kinds):])
+		for _, e := range Experiments {
+			if e.Benchmark != p.Name || !(all || want[e.ID]) {
 				continue
 			}
 			fmt.Fprintf(&b, "=== %s: %s ===\n", e.ID, e.Title)
@@ -413,5 +360,5 @@ func RunExperiments(ids []string, opts workload.Options) (string, error) {
 			b.WriteString("\n")
 		}
 	}
-	return b.String(), firstErr
+	return b.String(), err
 }

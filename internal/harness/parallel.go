@@ -17,43 +17,25 @@ import (
 // back in submission order. Parallel across runs, never within a run
 // (DESIGN.md §11).
 
-// parallelism is the worker count for ForEachPoint; 0 means GOMAXPROCS.
-var parallelism atomic.Int32
-
-// SetParallelism sets how many experiment points may run concurrently.
-// n <= 0 restores the default (GOMAXPROCS). 1 runs every point inline
-// on the calling goroutine in submission order — byte-identical to, and
-// exactly as lazy as, the historical serial harness.
-func SetParallelism(n int) {
-	if n < 0 {
-		n = 0
-	}
-	parallelism.Store(int32(n))
-}
-
-// Parallelism reports the current worker count for experiment points.
-func Parallelism() int {
-	if n := int(parallelism.Load()); n > 0 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// ForEachPoint runs fn(0..n-1), fanning across min(Parallelism(), n)
-// workers. Results must be gathered by index into caller-owned slices —
-// that is what keeps the output independent of completion order. The
-// returned error is the lowest-index failure (the same one a serial
-// loop would hit first), so error reporting is deterministic too. With
-// one worker the calling goroutine runs every point itself, stopping at
-// the first failure exactly like the historical loop.
+// ForEachPoint runs fn(0..n-1), fanning across min(workers, n) workers
+// (workers <= 0 means GOMAXPROCS). Results must be gathered by index
+// into caller-owned slices — that is what keeps the output independent
+// of completion order. The returned error is the lowest-index failure
+// (the same one a serial loop would hit first), so error reporting is
+// deterministic too. With one worker the calling goroutine runs every
+// point itself in submission order, stopping at the first failure
+// exactly like the historical serial harness.
 //
 // This is the module's blessed fan-out primitive: every package that
 // wants experiment-point parallelism routes through it (the goroutines
 // analyzer rejects hand-rolled worker pools in internal/), so the
 // determinism argument — independent points, index-gathered results,
 // lowest-index error — lives in exactly one place.
-func ForEachPoint(n int, fn func(int) error) error {
-	p := Parallelism()
+func ForEachPoint(workers, n int, fn func(int) error) error {
+	p := workers
+	if p <= 0 {
+		p = runtime.GOMAXPROCS(0)
+	}
 	if p > n {
 		p = n
 	}

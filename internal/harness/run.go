@@ -1,7 +1,9 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
+	"io"
 
 	"icash/internal/blockdev"
 	"icash/internal/core"
@@ -87,8 +89,9 @@ type Result struct {
 // working sets. Populate time and device activity are not measured.
 //
 // The load is cut into independent units — one per I-CASH shard, one
-// for a baseline system — fanned across ForEachPoint workers, and the
-// result is byte-identical at every worker count:
+// for a baseline system — fanned across the generator's Options.Workers
+// ForEachPoint workers, and the result is byte-identical at every
+// worker count:
 //
 //   - units share no mutable state (a shard has its own devices,
 //     controller and CPU accountant), so each worker's writes are a
@@ -113,7 +116,7 @@ func Populate(sys *System, gen *workload.Generator) error {
 		units, per, setFill = sc.NumShards(), sc.ShardBlocks(), sys.SetShardFill
 	}
 	p, opts := gen.Profile(), gen.Options()
-	err := ForEachPoint(units, func(i int) error {
+	err := ForEachPoint(opts.Workers, units, func(i int) error {
 		g := gen
 		if units > 1 {
 			g = workload.NewGenerator(p, opts)
@@ -144,49 +147,126 @@ func Populate(sys *System, gen *workload.Generator) error {
 	return nil
 }
 
+// BuildPopulated builds the system of kind k sized for (p, opts) and
+// loads the data set through it, returning the system with the
+// generator that is both its request stream and its content oracle —
+// the setup every run-driver (Run's points, the served simulation, the
+// TCP front-end) shares, so their systems are comparable point for
+// point.
+func BuildPopulated(k Kind, p workload.Profile, opts workload.Options) (*System, *workload.Generator, error) {
+	sys, err := Build(k, ConfigForProfile(p, opts))
+	if err != nil {
+		return nil, nil, err
+	}
+	gen := workload.NewGenerator(p, opts)
+	if err := Populate(sys, gen); err != nil {
+		return nil, nil, err
+	}
+	return sys, gen, nil
+}
+
+// blockOp walks one block read or write synchronously through the
+// device stack and returns its uncontended service time.
+func (s *System) blockOp(write bool, lba int64, buf []byte) (sim.Duration, error) {
+	if write {
+		return s.Dev.WriteBlock(lba, buf)
+	}
+	return s.Dev.ReadBlock(lba, buf)
+}
+
+// TracedOp issues one block read or write as seen from arrival — the
+// one trace-and-replay step every overlapping run shares. The block
+// walks the device stack synchronously (the stack is ordinary
+// sequential code) while the devices note every station visit (SSD
+// channel, HDD actuator) with its service time; the visits are then
+// replayed onto the station timelines from arrival to discover the
+// queueing delay concurrent requests inflict on each other, and the
+// slow-device detector is polled on what the stations just observed.
+// The block's response time is svc + wait.
+//
+// Background device work the op triggers (I-CASH log appends, destages)
+// occupies its stations just like foreground work: later requests on
+// the same actuator wait behind it, the backpressure a real drive
+// exerts. A failing walk is taken and replayed like any other: its
+// visits so far are charged to their stations and the tracer is left
+// idle, so a later untraced walk cannot append to a dead trace.
+func (s *System) TracedOp(write bool, lba int64, buf []byte, arrival sim.Time) (svc, wait sim.Duration, err error) {
+	s.Tracer.Begin()
+	svc, err = s.blockOp(write, lba, buf)
+	wait = event.Replay(s.Tracer.Take(), arrival)
+	s.PollDetector()
+	return svc, wait, err
+}
+
+// Pump runs a closed loop of streams x tokens issue tokens on the
+// discrete-event engine. A token calls step(stream) at the current
+// instant; step performs one request and returns the instant it
+// completes, and the token issues again then — the scheduler
+// interleaves all tokens of all streams by virtual completion time.
+// Tokens are primed at the current instant, stream by stream for
+// fairness. A step that returns io.EOF retires its token (the stream is
+// drained); any other error stops every token and is returned. On
+// return the clock stands at the last completion.
+//
+// Determinism: everything runs on the calling goroutine, the scheduler
+// breaks timestamp ties in schedule order, and stack state mutates in
+// event order — same seed, same results, regardless of GOMAXPROCS. Each
+// stream reuses one closure, so scheduling a completion allocates
+// nothing.
+func (s *System) Pump(streams, tokens int, step func(stream int) (sim.Time, error)) error {
+	sch := event.NewScheduler(s.Clock)
+	last := s.Clock.Now()
+	var failed error
+	issuers := make([]func(), streams)
+	for si := range issuers {
+		issuers[si] = func() {
+			if failed != nil {
+				return
+			}
+			done, err := step(si)
+			if err != nil {
+				if !errors.Is(err, io.EOF) {
+					failed = err
+				}
+				return
+			}
+			if done > last {
+				last = done
+			}
+			sch.At(done, issuers[si])
+		}
+	}
+	for t := 0; t < tokens; t++ {
+		for _, fn := range issuers {
+			sch.After(0, fn)
+		}
+	}
+	sch.Run()
+	if failed != nil {
+		return failed
+	}
+	s.Clock.AdvanceTo(last) // the last events are issues, not completions
+	return nil
+}
+
 // Run drives gen against sys to completion and collects a Result. The
 // generator must be freshly Reset; the system must be freshly built.
 // Populate is normally called first.
 //
-// The issue mode comes from the generator's options: QueueDepth
-// outstanding requests per stream, one stream per VM under StreamPerVM.
-// The model is closed-loop trace-and-replay on the discrete-event
-// engine. Each stream owns qd issue tokens; a token issues a request,
-// and when that request completes the token issues the next one — the
-// scheduler interleaves all tokens of all streams by virtual completion
-// time. Each block of a request walks the device stack synchronously
-// (the stack is ordinary sequential code); the devices note every
-// station visit (SSD channel, HDD actuator) with its service time, and
-// the engine replays those visits onto the station timelines starting
-// at the block's arrival instant to discover the queueing delays
-// concurrent requests inflict on each other. A block's response time is
-// its uncontended service time plus those queue waits; a request
-// completes when its last block does.
-//
-// Background device work a request triggers (I-CASH log appends,
-// destages) occupies its stations just like foreground work: later
-// requests landing on the same actuator wait behind it. That is the
-// backpressure a real drive exerts, and it is the deliberate design
-// choice here — background traffic contends for arms and channels the
-// moment requests overlap. One token on one stream never overlaps
-// anything, so such a run does not trace: no station visit is replayed,
-// no queue wait recorded, and the result carries no station table.
-//
-// Determinism: everything runs on one goroutine, the scheduler breaks
-// timestamp ties in schedule order, and stack state mutates in event
-// order — same seed, same results, regardless of GOMAXPROCS.
+// The issue mode comes from the generator's options: QueueDepth issue
+// tokens per stream on the Pump, one stream per VM under StreamPerVM.
+// A request's blocks issue back to back, each as seen from the
+// completion of the one before, and the request completes when its last
+// block does. Overlapping requests go through TracedOp. One token on
+// one stream never overlaps anything, so such a run does not trace: no
+// station visit is replayed, no queue wait recorded, and the result
+// carries no station table.
 func Run(sys *System, gen *workload.Generator) (*Result, error) {
-	opts := gen.Options()
-	qd := opts.QueueDepth
+	qd := gen.Options().QueueDepth
 	if qd < 1 {
 		qd = 1
 	}
-	streams := []*workload.Generator{gen}
-	if opts.StreamPerVM {
-		if vs := gen.VMStreams(); vs != nil {
-			streams = vs
-		}
-	}
+	streams := gen.Streams()
 	trace := qd > 1 || len(streams) > 1
 
 	p := gen.Profile()
@@ -211,29 +291,19 @@ func Run(sys *System, gen *workload.Generator) (*Result, error) {
 		caches[i] = newPageCache(pcBlocks)
 	}
 
-	clock := sys.Clock
-	sch := event.NewScheduler(clock)
-	start := clock.Now()
-	maxDone := start
+	start := sys.Clock.Now()
 	buf := blockdev.GetBlock()
 	defer blockdev.PutBlock(buf)
-	var runErr error
 
-	// One issue closure per stream, reused for every request of every
-	// token of that stream, so scheduling a completion allocates nothing.
-	issuers := make([]func(), len(streams))
-	issue := func(si int) {
-		if runErr != nil {
-			return
-		}
-		gen, pc := streams[si], caches[si]
-		req, ok := gen.Next()
+	err := sys.Pump(len(streams), qd, func(si int) (sim.Time, error) {
+		g, pc := streams[si], caches[si]
+		req, ok := g.Next()
 		if !ok {
-			return // this token retires; the stream is drained
+			return 0, io.EOF
 		}
 		res.Ops++
 		sys.CPU.ChargeApp(p.AppCPU)
-		arrival := clock.Now().Add(p.AppCPU)
+		arrival := sys.Clock.Now().Add(p.AppCPU)
 		for i := 0; i < req.Blocks; i++ {
 			lba := req.LBA + int64(i)
 			if lba >= sys.Dev.Blocks() {
@@ -244,28 +314,23 @@ func Run(sys *System, gen *workload.Generator) (*Result, error) {
 				arrival = arrival.Add(pageCacheHitLatency)
 				continue
 			}
-			if trace {
-				sys.Tracer.Begin()
-			}
-			var d sim.Duration
-			var err error
 			op := "read"
 			if req.Write {
 				op = "write"
-				gen.WriteContent(lba, buf)
-				d, err = sys.Dev.WriteBlock(lba, buf)
-			} else {
-				d, err = sys.Dev.ReadBlock(lba, buf)
+				g.WriteContent(lba, buf)
 			}
-			if err != nil {
-				runErr = fmt.Errorf("harness: %s %s lba %d: %w", sys.Name(), op, lba, err)
-				return
-			}
+			var d sim.Duration
+			var err error
 			if trace {
-				wait := event.Replay(sys.Tracer.Take(), arrival)
-				sys.PollDetector()
+				var wait sim.Duration
+				d, wait, err = sys.TracedOp(req.Write, lba, buf, arrival)
 				res.QueueWait.Record(wait)
 				d += wait
+			} else {
+				d, err = sys.blockOp(req.Write, lba, buf)
+			}
+			if err != nil {
+				return 0, fmt.Errorf("harness: %s %s lba %d: %w", sys.Name(), op, lba, err)
 			}
 			pc.insert(lba)
 			if req.Write {
@@ -277,32 +342,10 @@ func Run(sys *System, gen *workload.Generator) (*Result, error) {
 			}
 			arrival = arrival.Add(d)
 		}
-		if arrival > maxDone {
-			maxDone = arrival
-		}
-		// The token's next request issues when this one completes.
-		sch.At(arrival, issuers[si])
-	}
-
-	for si := range streams {
-		si := si
-		issuers[si] = func() { issue(si) }
-	}
-	// Prime the pump: qd tokens per stream, all issuing at the start
-	// instant, interleaved stream-by-stream for fairness.
-	for t := 0; t < qd; t++ {
-		for _, fn := range issuers {
-			sch.After(0, fn)
-		}
-	}
-	sch.Run()
-	if runErr != nil {
-		return nil, runErr
-	}
-	// The last events are issues; the run ends when the last request
-	// completes.
-	if maxDone > clock.Now() {
-		clock.AdvanceTo(maxDone)
+		return arrival, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	if err := sys.Flush(); err != nil {
 		return nil, fmt.Errorf("harness: %s flush: %w", sys.Name(), err)
@@ -391,7 +434,6 @@ func finalize(sys *System, res *Result, p workload.Profile, start sim.Time) {
 // BenchmarkRun bundles the per-system results of one benchmark.
 type BenchmarkRun struct {
 	Profile workload.Profile
-	Opts    workload.Options
 	Order   []Kind
 	Results map[Kind]*Result
 	// SysSharded keeps the I-CASH controller handle for inspection
@@ -399,10 +441,10 @@ type BenchmarkRun struct {
 	SysSharded *core.ShardedController
 }
 
-// benchConfig derives the scaled build configuration for profile p.
-// It is computed once per benchmark and shared read-only by every
-// (profile, system) point.
-func benchConfig(p workload.Profile, opts workload.Options) BuildConfig {
+// ConfigForProfile derives the scaled build configuration for profile
+// p under opts: what BuildPopulated builds, exported for run-drivers
+// that build and populate for themselves.
+func ConfigForProfile(p workload.Profile, opts workload.Options) BuildConfig {
 	gen := workload.NewGenerator(p, opts)
 	scale := float64(gen.DataBlocks()) / float64(p.DataBlocks())
 	cfg := BuildConfig{
@@ -423,75 +465,84 @@ func benchConfig(p workload.Profile, opts workload.Options) BuildConfig {
 	}
 	cfg.Tune = opts.TuneICASH
 	cfg.Shards = opts.Shards
+	cfg.Workers = opts.Workers
 	return cfg
 }
 
-// ConfigForProfile returns the scaled build configuration RunBenchmark
-// would use for profile p — the hook external run-drivers (the block-
-// service front-end) use to build systems identical to the in-process
-// harness's, so served and direct runs are comparable point for point.
-func ConfigForProfile(p workload.Profile, opts workload.Options) BuildConfig {
-	return benchConfig(p, opts)
+// Point is one independent experiment point: the request stream
+// (profile and options, which also size the build) and the system kind.
+type Point struct {
+	Profile workload.Profile
+	Opts    workload.Options
+	Kind    Kind
 }
 
-// pointResult is the output of one independent experiment point.
-type pointResult struct {
-	res     *Result
-	sharded *core.ShardedController
+// PointResult is the output of one point: the measurement and, for
+// I-CASH, the controller handle (per-shard state for inspection).
+type PointResult struct {
+	Res     *Result
+	Sharded *core.ShardedController
 }
 
-// runPoint executes one (profile, system) point in full isolation: a
-// fresh system build and a fresh workload generator, so concurrent
-// points share nothing mutable. A fresh generator is equivalent to the
-// historical shared-generator-plus-Reset pattern (NewGenerator is
-// Reset), so the simulated numbers are bit-identical either way.
-func runPoint(p workload.Profile, opts workload.Options, cfg BuildConfig, k Kind) (pointResult, error) {
-	sys, err := Build(k, cfg)
+// RunPoints executes every point in full isolation — a fresh system
+// build and a fresh workload generator each, so concurrent points share
+// nothing mutable — fanned across workers, and returns the results
+// gathered by index. On failure it returns the lowest-index error (the
+// one a serial loop would hit first) with the results of the points
+// before it, so a caller renders exactly what the serial harness would
+// have finished, whatever the worker count.
+func RunPoints(workers int, pts []Point) ([]PointResult, error) {
+	out := make([]PointResult, len(pts))
+	err := ForEachPoint(workers, len(pts), func(i int) error {
+		pt := pts[i]
+		sys, gen, err := BuildPopulated(pt.Kind, pt.Profile, pt.Opts)
+		if err == nil {
+			out[i].Res, err = Run(sys, gen)
+		}
+		if err != nil {
+			return fmt.Errorf("harness: %s on %s: %w", pt.Profile.Name, pt.Kind, err)
+		}
+		out[i].Sharded = sys.Sharded
+		return nil
+	})
 	if err != nil {
-		return pointResult{}, err
+		for i := range out {
+			if out[i].Res == nil {
+				return out[:i], err
+			}
+		}
 	}
-	gen := workload.NewGenerator(p, opts)
-	sys.SetFill(gen.Fill)
-	if err := Populate(sys, gen); err != nil {
-		return pointResult{}, fmt.Errorf("harness: %s on %s: %w", p.Name, k, err)
-	}
-	res, err := Run(sys, gen)
-	if err != nil {
-		return pointResult{}, fmt.Errorf("harness: %s on %s: %w", p.Name, k, err)
-	}
-	return pointResult{res: res, sharded: sys.Sharded}, nil
+	return out, err
 }
 
 // RunBenchmark executes profile p on each requested system (all five
-// when systems is nil) with identical request streams. The per-system
-// points are independent and fan across Parallelism() workers; results
-// are gathered in the systems' submission order, so the BenchmarkRun is
-// identical whatever the worker count.
+// when systems is nil) with identical request streams, as one RunPoints
+// fan over the systems.
 func RunBenchmark(p workload.Profile, opts workload.Options, systems []Kind) (*BenchmarkRun, error) {
 	if systems == nil {
 		systems = AllKinds()
 	}
-	br := &BenchmarkRun{Profile: p, Opts: opts, Order: systems, Results: make(map[Kind]*Result)}
-	cfg := benchConfig(p, opts)
-	points := make([]pointResult, len(systems))
-	err := ForEachPoint(len(systems), func(i int) error {
-		pt, err := runPoint(p, opts, cfg, systems[i])
-		if err != nil {
-			return err
-		}
-		points[i] = pt
-		return nil
-	})
+	pts := make([]Point, len(systems))
+	for i, k := range systems {
+		pts[i] = Point{Profile: p, Opts: opts, Kind: k}
+	}
+	out, err := RunPoints(opts.Workers, pts)
 	if err != nil {
 		return nil, err
 	}
+	return newBenchmarkRun(p, systems, out), nil
+}
+
+// newBenchmarkRun bundles one benchmark's per-system point results.
+func newBenchmarkRun(p workload.Profile, systems []Kind, out []PointResult) *BenchmarkRun {
+	br := &BenchmarkRun{Profile: p, Order: systems, Results: make(map[Kind]*Result)}
 	for i, k := range systems {
-		br.Results[k] = points[i].res
-		if points[i].sharded != nil {
-			br.SysSharded = points[i].sharded
+		br.Results[k] = out[i].Res
+		if out[i].Sharded != nil {
+			br.SysSharded = out[i].Sharded
 		}
 	}
-	return br, nil
+	return br
 }
 
 // scaleBytes scales a byte budget, with a floor that keeps fixed

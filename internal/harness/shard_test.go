@@ -24,16 +24,15 @@ func TestRunBenchmarkShardedSerialParallelIdentical(t *testing.T) {
 		opts := workload.Options{Scale: 1.0 / 256, MaxOps: 1200, Seed: 42, Shards: shards}
 		var runs [][]*Result
 		for _, n := range []int{1, 2, 8} {
-			withParallelism(t, n, func() {
-				br, err := RunBenchmark(p, opts, []Kind{ICASH})
-				if err != nil {
-					t.Fatalf("shards %d parallelism %d: %v", shards, n, err)
-				}
-				if got := br.SysSharded.NumShards(); got != shards {
-					t.Fatalf("Options.Shards %d built %d shards", shards, got)
-				}
-				runs = append(runs, resultsOf(br))
-			})
+			opts.Workers = n
+			br, err := RunBenchmark(p, opts, []Kind{ICASH})
+			if err != nil {
+				t.Fatalf("shards %d parallelism %d: %v", shards, n, err)
+			}
+			if got := br.SysSharded.NumShards(); got != shards {
+				t.Fatalf("Options.Shards %d built %d shards", shards, got)
+			}
+			runs = append(runs, resultsOf(br))
 		}
 		for i := 1; i < len(runs); i++ {
 			if !reflect.DeepEqual(runs[0], runs[i]) {
@@ -54,13 +53,12 @@ func TestShardSweepSerialParallelIdentical(t *testing.T) {
 	counts := []int{1, 2, 4}
 	var reports []string
 	for _, n := range []int{1, 2, 8} {
-		withParallelism(t, n, func() {
-			out, err := ShardSweep(counts, opts)
-			if err != nil {
-				t.Fatalf("parallelism %d: %v", n, err)
-			}
-			reports = append(reports, out)
-		})
+		opts.Workers = n
+		out, err := ShardSweep(counts, opts)
+		if err != nil {
+			t.Fatalf("parallelism %d: %v", n, err)
+		}
+		reports = append(reports, out)
 	}
 	for i := 1; i < len(reports); i++ {
 		if reports[i] != reports[0] {
@@ -77,22 +75,14 @@ func TestShardSweepSerialParallelIdentical(t *testing.T) {
 func TestShardedPopulateMatchesSerial(t *testing.T) {
 	p := workload.RandRead()
 	opts := workload.Options{Scale: 1.0 / 256, MaxOps: 400, Seed: 7}
-	cfg := ConfigForProfile(p, opts)
-	cfg.Shards = 4
 
 	build := func(workers int) *System {
-		var sys *System
-		withParallelism(t, workers, func() {
-			s, err := Build(ICASH, cfg)
-			if err != nil {
-				t.Fatalf("build: %v", err)
-			}
-			gen := workload.NewGenerator(p, opts)
-			if err := Populate(s, gen); err != nil {
-				t.Fatalf("populate (workers=%d): %v", workers, err)
-			}
-			sys = s
-		})
+		o := opts
+		o.Workers, o.Shards = workers, 4
+		sys, _, err := BuildPopulated(ICASH, p, o)
+		if err != nil {
+			t.Fatalf("build+populate (workers=%d): %v", workers, err)
+		}
 		return sys
 	}
 	serial := build(1)

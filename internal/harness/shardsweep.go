@@ -24,9 +24,9 @@ const ShardSweepStreams = 64
 // builds convert the extra hardware into throughput — the
 // sharded-controller analogue of the RAID0 QD-scaling table.
 //
-// Every (profile, shard-count) point builds its own system and fans
-// across Parallelism() workers; rendering in submission order keeps
-// the table byte-identical at every worker and shard-worker count.
+// The (profile, shard-count) grid is one RunPoints fan; rendering in
+// submission order keeps the table byte-identical at every worker and
+// shard-worker count.
 func ShardSweep(counts []int, opts workload.Options) (string, error) {
 	if len(counts) == 0 {
 		counts = []int{1, 2, 4, 8}
@@ -42,49 +42,35 @@ func ShardSweep(counts []int, opts workload.Options) (string, error) {
 	}
 	opts.StreamPerVM = true
 	profiles := []workload.Profile{workload.RandRead(), workload.RandWrite()}
+	var pts []Point
 	for i := range profiles {
 		profiles[i].VMs = ShardSweepStreams
-	}
-	points := make([]pointResult, len(profiles)*len(counts))
-	var firstErr error
-	err := ForEachPoint(len(points), func(i int) error {
-		p := profiles[i/len(counts)]
-		o := opts
-		cfg := benchConfig(p, o)
-		cfg.Shards = counts[i%len(counts)]
-		pt, err := runPoint(p, o, cfg, ICASH)
-		if err != nil {
-			return err
+		for _, n := range counts {
+			o := opts
+			o.Shards = n
+			pts = append(pts, Point{Profile: profiles[i], Opts: o, Kind: ICASH})
 		}
-		points[i] = pt
-		return nil
-	})
+	}
+	out, err := RunPoints(opts.Workers, pts)
 	var b strings.Builder
-	for pi, p := range profiles {
-		fmt.Fprintf(&b, "=== shardsweep: %s on I-CASH (scale %.5f, %d ops, %d streams, qd %d) ===\n",
-			p.Name, opts.Scale, opts.MaxOps, p.VMs, opts.QueueDepth)
-		base := 0.0
-		for ci, n := range counts {
-			pt := points[pi*len(counts)+ci]
-			if pt.res == nil {
-				firstErr = err
-				break
-			}
-			r := pt.res
-			if base == 0 {
-				base = r.ReqPerSec
-			}
-			fmt.Fprintf(&b, "shards=%-2d req/s=%8.0f speedup=%5.2fx elapsed=%v\n",
-				n, r.ReqPerSec, r.ReqPerSec/base, r.Elapsed)
-			// Per-shard journal accounting: group commit is a per-shard
-			// chain, and balanced counters are the evidence the routing
-			// spreads load rather than funneling it.
-			b.WriteString("  journal:")
-			for si, sh := range pt.sharded.Shards() {
-				fmt.Fprintf(&b, " s%d[txns=%d bytes=%d]", si, sh.Stats.TxnsCommitted, sh.Stats.GroupCommitBytes)
-			}
-			b.WriteString("\n")
+	base := 0.0
+	for i, pt := range out {
+		p, r := profiles[i/len(counts)], pt.Res
+		if i%len(counts) == 0 {
+			fmt.Fprintf(&b, "=== shardsweep: %s on I-CASH (scale %.5f, %d ops, %d streams, qd %d) ===\n",
+				p.Name, opts.Scale, opts.MaxOps, p.VMs, opts.QueueDepth)
+			base = r.ReqPerSec
 		}
+		fmt.Fprintf(&b, "shards=%-2d req/s=%8.0f speedup=%5.2fx elapsed=%v\n",
+			counts[i%len(counts)], r.ReqPerSec, r.ReqPerSec/base, r.Elapsed)
+		// Per-shard journal accounting: group commit is a per-shard
+		// chain, and balanced counters are the evidence the routing
+		// spreads load rather than funneling it.
+		b.WriteString("  journal:")
+		for si, sh := range pt.Sharded.Shards() {
+			fmt.Fprintf(&b, " s%d[txns=%d bytes=%d]", si, sh.Stats.TxnsCommitted, sh.Stats.GroupCommitBytes)
+		}
+		b.WriteString("\n")
 	}
-	return b.String(), firstErr
+	return b.String(), err
 }

@@ -16,110 +16,52 @@ import (
 // device parallelism rather than stripe-rounding imbalance.
 const QDSweepScale = 1.0 / 120
 
-// QDSweep measures RAID0 random-read throughput against queue depth
-// (the RandRead microbenchmark) and renders a scaling table with
-// per-station utilization. A 4-disk array should approach 4x the QD=1
-// throughput once enough requests are in flight (>=3x at QD=8).
-func QDSweep(depths []int, opts workload.Options) (string, error) {
-	if len(depths) == 0 {
-		depths = []int{1, 2, 4, 8, 16, 32}
-	}
-	if opts.Scale <= 0 {
-		opts.Scale = QDSweepScale
-	}
-	if opts.MaxOps <= 0 {
-		opts.MaxOps = 4000
-	}
-	p := workload.RandRead()
-	var b strings.Builder
-	fmt.Fprintf(&b, "=== qdsweep: %s on RAID0 (scale %.5f, %d ops) ===\n",
-		p.Name, opts.Scale, opts.MaxOps)
-	// Depths are independent points: fan them across Parallelism()
-	// workers and render in submission order, so the table (including
-	// the speedup column, normalized to the first depth) is byte-for-
-	// byte what the serial sweep prints.
-	runs := make([]*BenchmarkRun, len(depths))
-	var firstErr error
-	err := ForEachPoint(len(depths), func(i int) error {
-		o := opts
-		o.QueueDepth = depths[i]
-		br, err := RunBenchmark(p, o, []Kind{RAID0})
-		if err != nil {
-			return err
-		}
-		runs[i] = br
-		return nil
-	})
-	base := 0.0
-	for i, qd := range depths {
-		if runs[i] == nil {
-			firstErr = err
-			break
-		}
-		r := runs[i].Results[RAID0]
-		if base == 0 {
-			base = r.ReqPerSec
-		}
-		fmt.Fprintf(&b, "qd=%-3d req/s=%8.0f speedup=%5.2fx elapsed=%v\n",
-			qd, r.ReqPerSec, r.ReqPerSec/base, r.Elapsed)
-		b.WriteString(metrics.FormatStations(r.Stations, "  ", true))
-	}
-	return b.String(), firstErr
+// qdSweep is one queue-depth scaling table: a microbenchmark on one
+// system across depths.
+type qdSweep struct {
+	name, label string
+	profile     workload.Profile
+	kind        Kind
+	depths      []int
+	maxOps      int
+	tune        func(*core.Config)
 }
 
-// WriteQDSweep measures I-CASH random-write throughput against queue
-// depth (the RandWrite microbenchmark) and renders a scaling table with
-// the delta-log commit accounting next to each depth. This is the
-// before/after instrument for the group-commit journal: overlapping
-// writers should amortize into fewer, larger sequential log commits,
-// which shows up as higher req/s and fewer log blocks per operation.
-func WriteQDSweep(depths []int, opts workload.Options) (string, error) {
+// render runs the sweep's depths as one RunPoints fan and renders them
+// in submission order, so the table (including the speedup column,
+// normalized to the first depth) is byte-identical at every worker
+// count. An I-CASH row carries the delta-log commit accounting.
+func (sw qdSweep) render(depths []int, opts workload.Options) (string, error) {
 	if len(depths) == 0 {
-		depths = []int{1, 2, 4, 8, 16}
+		depths = sw.depths
 	}
 	if opts.Scale <= 0 {
 		opts.Scale = QDSweepScale
 	}
 	if opts.MaxOps <= 0 {
-		opts.MaxOps = 12000
+		opts.MaxOps = sw.maxOps
 	}
 	if opts.TuneICASH == nil {
-		// Shrink the log so the run wraps it several times: steady-state
-		// write throughput is set by the commit + compaction path, not by
-		// appends into a forever-empty log.
-		opts.TuneICASH = func(c *core.Config) { c.LogBlocks = 128 }
+		opts.TuneICASH = sw.tune
 	}
-	p := workload.RandWrite()
 	var b strings.Builder
-	fmt.Fprintf(&b, "=== wsweep: %s on I-CASH (scale %.5f, %d ops) ===\n",
-		p.Name, opts.Scale, opts.MaxOps)
-	// Depths fan across Parallelism() workers like every other point
-	// set; rendering in submission order keeps the table byte-identical
-	// at every worker count.
-	runs := make([]*BenchmarkRun, len(depths))
-	var firstErr error
-	err := ForEachPoint(len(depths), func(i int) error {
-		o := opts
-		o.QueueDepth = depths[i]
-		br, err := RunBenchmark(p, o, []Kind{ICASH})
-		if err != nil {
-			return err
-		}
-		runs[i] = br
-		return nil
-	})
-	base := 0.0
+	fmt.Fprintf(&b, "=== %s: %s on %s (scale %.5f, %d ops) ===\n",
+		sw.name, sw.profile.Name, sw.label, opts.Scale, opts.MaxOps)
+	pts := make([]Point, len(depths))
 	for i, qd := range depths {
-		if runs[i] == nil {
-			firstErr = err
-			break
-		}
-		r := runs[i].Results[ICASH]
+		o := opts
+		o.QueueDepth = qd
+		pts[i] = Point{Profile: sw.profile, Opts: o, Kind: sw.kind}
+	}
+	out, err := RunPoints(opts.Workers, pts)
+	base := 0.0
+	for i, pt := range out {
+		r := pt.Res
 		if base == 0 {
 			base = r.ReqPerSec
 		}
 		fmt.Fprintf(&b, "qd=%-3d req/s=%8.0f speedup=%5.2fx elapsed=%v\n",
-			qd, r.ReqPerSec, r.ReqPerSec/base, r.Elapsed)
+			depths[i], r.ReqPerSec, r.ReqPerSec/base, r.Elapsed)
 		if st := r.ICASHStats; st != nil {
 			fmt.Fprintf(&b, "  log: txns=%d flushes=%d blocks=%d deltas=%d",
 				st.TxnsCommitted, st.FlushRuns, st.LogBlocksWritten, st.DeltasPacked)
@@ -130,5 +72,33 @@ func WriteQDSweep(depths []int, opts workload.Options) (string, error) {
 		}
 		b.WriteString(metrics.FormatStations(r.Stations, "  ", true))
 	}
-	return b.String(), firstErr
+	return b.String(), err
+}
+
+// QDSweep measures RAID0 random-read throughput against queue depth
+// (the RandRead microbenchmark) and renders a scaling table with
+// per-station utilization. A 4-disk array should approach 4x the QD=1
+// throughput once enough requests are in flight (>=3x at QD=8).
+func QDSweep(depths []int, opts workload.Options) (string, error) {
+	return qdSweep{
+		name: "qdsweep", label: "RAID0", profile: workload.RandRead(), kind: RAID0,
+		depths: []int{1, 2, 4, 8, 16, 32}, maxOps: 4000,
+	}.render(depths, opts)
+}
+
+// WriteQDSweep measures I-CASH random-write throughput against queue
+// depth (the RandWrite microbenchmark) and renders a scaling table with
+// the delta-log commit accounting next to each depth. This is the
+// before/after instrument for the group-commit journal: overlapping
+// writers should amortize into fewer, larger sequential log commits,
+// which shows up as higher req/s and fewer log blocks per operation.
+func WriteQDSweep(depths []int, opts workload.Options) (string, error) {
+	return qdSweep{
+		name: "wsweep", label: "I-CASH", profile: workload.RandWrite(), kind: ICASH,
+		depths: []int{1, 2, 4, 8, 16}, maxOps: 12000,
+		// Shrink the log so the run wraps it several times: steady-state
+		// write throughput is set by the commit + compaction path, not by
+		// appends into a forever-empty log.
+		tune: func(c *core.Config) { c.LogBlocks = 128 },
+	}.render(depths, opts)
 }

@@ -77,6 +77,10 @@ type BuildConfig struct {
 	// VMImageBlocks is set the per-shard size is aligned up to it, so a
 	// VM image never straddles shards.
 	Shards int
+	// Workers is the worker count of the ForEachPoint fans inside one
+	// system — the per-shard flush (<= 0 = GOMAXPROCS). Output is
+	// identical at every count.
+	Workers int
 	// Tune overrides I-CASH controller parameters after the harness
 	// defaults are applied (ablation studies).
 	Tune func(*core.Config)
@@ -419,7 +423,6 @@ func Build(kind Kind, cfg BuildConfig) (*System, error) {
 		}
 		s.RAID = arr
 		s.Dev = arr
-		s.flush = func() error { return nil }
 
 	case Dedup:
 		s.SSD = ssd.New(cachePartitionConfig(cacheBlocks(cfg)))
@@ -584,7 +587,7 @@ func buildICASH(s *System, cfg BuildConfig) error {
 	// results are index-gathered, and the first-index error wins — same
 	// determinism argument as every other ForEachPoint use.
 	s.flush = func() error {
-		return ForEachPoint(sc.NumShards(), func(i int) error {
+		return ForEachPoint(cfg.Workers, sc.NumShards(), func(i int) error {
 			if err := sc.Shard(i).Flush(); err != nil {
 				return fmt.Errorf("harness: shard %d flush: %w", i, err)
 			}

@@ -59,9 +59,8 @@ func TestServedEqualsInproc(t *testing.T) {
 		err error
 	}
 
-	defer harness.SetParallelism(harness.Parallelism())
 	for _, par := range []int{1, 4, 8} {
-		harness.SetParallelism(par)
+		opts.Workers = par
 		outs := make([]servedOut, par)
 		var wg sync.WaitGroup
 		wg.Add(par)

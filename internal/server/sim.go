@@ -110,38 +110,28 @@ func (r *ServeResult) Report() string {
 	return b.String()
 }
 
-// simBackend adapts a harness system to the session Backend, replaying
-// every device walk onto the station timelines from the current frame
-// arrival — the same trace-and-replay contract as the in-process run
-// loop. The arrival cursor is simulated bookkeeping, not the clock:
-// only the event scheduler moves time.
+// simBackend adapts a harness system to the session Backend: every
+// block is the harness's traced op, seen from the current frame's
+// arrival cursor — the same trace-and-replay contract as the in-process
+// run loop. The cursor is simulated bookkeeping, not the clock: only
+// the event scheduler moves time.
 type simBackend struct {
 	sys     *harness.System
 	arrival sim.Time
 }
 
-func (b *simBackend) ReadBlock(lba int64, buf []byte) (sim.Duration, error) {
-	b.sys.Tracer.Begin()
-	d, err := b.sys.Dev.ReadBlock(lba, buf)
-	if err != nil {
-		return d, err
-	}
-	wait := event.Replay(b.sys.Tracer.Take(), b.arrival)
-	b.sys.PollDetector()
+func (b *simBackend) op(write bool, lba int64, buf []byte) (sim.Duration, error) {
+	d, wait, err := b.sys.TracedOp(write, lba, buf, b.arrival)
 	b.arrival = b.arrival.Add(d + wait)
-	return d + wait, nil
+	return d + wait, err
+}
+
+func (b *simBackend) ReadBlock(lba int64, buf []byte) (sim.Duration, error) {
+	return b.op(false, lba, buf)
 }
 
 func (b *simBackend) WriteBlock(lba int64, buf []byte) (sim.Duration, error) {
-	b.sys.Tracer.Begin()
-	d, err := b.sys.Dev.WriteBlock(lba, buf)
-	if err != nil {
-		return d, err
-	}
-	wait := event.Replay(b.sys.Tracer.Take(), b.arrival)
-	b.sys.PollDetector()
-	b.arrival = b.arrival.Add(d + wait)
-	return d + wait, nil
+	return b.op(true, lba, buf)
 }
 
 func (b *simBackend) Flush() error  { return b.sys.Flush() }
@@ -194,22 +184,11 @@ func RunServed(p workload.Profile, opts workload.Options, cfg SimConfig) (*Serve
 		window = MaxWindow
 	}
 
-	sys, err := harness.Build(cfg.System, harness.ConfigForProfile(p, opts))
+	sys, gen, err := harness.BuildPopulated(cfg.System, p, opts)
 	if err != nil {
 		return nil, err
 	}
-	gen := workload.NewGenerator(p, opts)
-	sys.SetFill(gen.Fill)
-	if err := harness.Populate(sys, gen); err != nil {
-		return nil, err
-	}
-
-	streams := []*workload.Generator{gen}
-	if opts.StreamPerVM {
-		if vs := gen.VMStreams(); vs != nil {
-			streams = vs
-		}
-	}
+	streams := gen.Streams()
 	imageBlocks := gen.ImageBlocks()
 
 	backend := &simBackend{sys: sys}

@@ -43,6 +43,11 @@ type Options struct {
 	// I-CASH controller into that many LBA-range shards (0 or 1 = one
 	// shard). Ignored by the generator itself.
 	Shards int
+	// Workers, when run through the experiment harness, is the number of
+	// independent experiment points, and populate units of one point,
+	// that run concurrently (<= 0 = GOMAXPROCS). Output is identical at
+	// every count. Ignored by the generator itself.
+	Workers int
 }
 
 // DefaultScale keeps the largest benchmark around a hundred thousand
@@ -110,15 +115,16 @@ func (g *Generator) Options() Options { return g.opts }
 // whole-data-set generator.
 func (g *Generator) VM() int { return g.vmPin }
 
-// VMStreams splits the generator into one independent stream per VM,
-// sharing the content model (same seed, same families, same initial
-// data set) but drawing requests only from their own image partition.
-// The profile's request budget is divided among the streams. Returns
-// nil for single-VM profiles.
-func (g *Generator) VMStreams() []*Generator {
+// Streams returns the request streams a run of g issues from. Under
+// Options.StreamPerVM a multi-VM profile splits into one independent
+// stream per VM, sharing the content model (same seed, same families,
+// same initial data set) but drawing requests only from their own image
+// partition, with the profile's request budget divided among them;
+// otherwise g itself is the one stream.
+func (g *Generator) Streams() []*Generator {
 	vms := g.p.VMs
-	if vms <= 1 {
-		return nil
+	if !g.opts.StreamPerVM || vms <= 1 {
+		return []*Generator{g}
 	}
 	total := g.numOps
 	streams := make([]*Generator, vms)
