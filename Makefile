@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: help check build vet lint vet-json fmt-check test golden benchmark-smoke race bench bench-smoke bench-profile alloc-gate fuzz-smoke clockcheck chaos chaos-smoke crash-sweep serve-smoke scrub-smoke shard-smoke examples
+.PHONY: help check build vet lint vet-json fmt-check test golden loc benchmark-smoke race bench bench-smoke bench-profile alloc-gate fuzz-smoke clockcheck chaos chaos-smoke crash-sweep serve-smoke scrub-smoke shard-smoke examples
 
 help: ## list targets (static analysis lives in lint = icash-vet)
 	@awk -F':.*## ' '/^[a-z-]+:.*## /{printf "%-12s %s\n", $$1, $$2}' Makefile
@@ -28,6 +28,9 @@ test: ## go test ./...
 golden: ## rendered sweep/figure/soak reports vs testdata/golden (regenerate: go test -run TestGolden -update .)
 	$(GO) test -count=1 -run 'TestGolden' .
 
+loc: ## non-test .go lines outside benchmark/ and the analyzer fixtures (the number simplicity PRs report)
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './internal/analysis/testdata/*' -print0 | xargs -0 cat | wc -l
+
 benchmark-smoke: ## two seconds each of the one-shard and the 4-shard repo benchmark workloads (exit status only)
 	$(GO) run ./benchmark -workload oltp -seed 1 -seconds 2 -trace 0 >/dev/null
 	$(GO) run ./benchmark -workload randread-shards4 -seed 1 -seconds 2 -trace 0 >/dev/null
@@ -35,7 +38,7 @@ benchmark-smoke: ## two seconds each of the one-shard and the 4-shard repo bench
 race: ## go test -race ./...
 	$(GO) test -race ./...
 
-bench:
+bench: ## one iteration of every testing.B benchmark in the root package
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
 
 bench-smoke: ## one iteration of every figure benchmark
@@ -82,7 +85,7 @@ shard-smoke: ## sharded-controller battery under -race: routing, scoreboard equa
 	$(GO) test -race -count=1 -run 'TestShardRouter|TestChaosShard' ./internal/server/ ./internal/fault/chaos/
 	$(GO) run ./cmd/icash-bench -shardsweep -ops 4000
 
-examples:
+examples: ## run all five narrated demos
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/recovery
 	$(GO) run ./examples/oltp
