@@ -48,14 +48,15 @@ bench-profile: ## full figure suite with CPU + heap profiles (cpu.prof, mem.prof
 	$(GO) run ./cmd/icash-bench -run all -cpuprofile cpu.prof -memprofile mem.prof
 	@echo "profiles written: cpu.prof mem.prof (inspect with: go tool pprof cpu.prof)"
 
-alloc-gate: ## hot-path allocation gates + allocs/op benchmarks + miss-and-evict scaling (must run WITHOUT -race)
+alloc-gate: ## hot-path allocation gates + allocs/op and B/op benchmarks (codec MB/s per shape, write path) + miss-and-evict scaling (must run WITHOUT -race)
 	$(GO) test -run 'TestAllocGate' -count=1 ./internal/delta/ ./internal/blockdev/
 	$(GO) test -run 'TestAllocGate' -count=1 ./internal/core/ -args -timing-gates
 	$(GO) test -bench 'AppendEncode|AppendDecode|Size' -benchtime 1000x -benchmem -run '^$$' ./internal/delta/
-	$(GO) test -bench 'ReadMissEvict' -benchtime 20000x -benchmem -run '^$$' ./internal/core/
+	$(GO) test -bench 'ReadMissEvict|WriteDelta' -benchtime 20000x -benchmem -run '^$$' ./internal/core/
 
 fuzz-smoke: ## 10s per fuzz target, seeded from testdata corpora
 	$(GO) test ./internal/delta -fuzz FuzzDeltaRoundTrip -fuzztime 10s
+	$(GO) test ./internal/delta -fuzz FuzzSegmentation -fuzztime 10s
 	$(GO) test ./internal/core -fuzz FuzzLogReplay -fuzztime 10s
 	$(GO) test ./internal/core -fuzz FuzzJournalReplay -fuzztime 10s
 	$(GO) test ./internal/server -fuzz FuzzFrameRoundTrip -fuzztime 10s

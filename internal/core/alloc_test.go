@@ -17,10 +17,11 @@ import (
 // the documented allocation floor (DESIGN.md §11, EXPERIMENTS.md):
 //
 //   - RAM-hit reads: zero steady-state heap allocations;
-//   - delta writes: the retained delta bytes themselves (delta.Encode's
-//     output lives on as v.deltaRAM until the block is evicted) plus
-//     bookkeeping that grows with the working set (dirty queue, log
-//     metadata, map growth) — a handful of objects, not buffers.
+//   - delta writes: the retained delta bytes themselves (an exact-size
+//     copy of the reused encode buffer lives on as v.deltaRAM until the
+//     block is evicted) plus bookkeeping that grows with the working
+//     set (dirty queue, log metadata, map growth) — a handful of
+//     objects, not buffers.
 //
 // Run by the CI alloc-gate step; skipped under -race, whose
 // instrumentation adds allocations.
@@ -185,7 +186,7 @@ func TestAllocGateWriteDeltaFloor(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Small mutations of one block: every write re-derives a delta, so
-	// the floor is the retained delta buffer (delta.Encode output) plus
+	// the floor is the retained delta (encodeDelta's exact-size copy) plus
 	// amortized queue/log bookkeeping. Gate it at a small constant so a
 	// regression back to fresh-4KB-buffers-per-I/O (several buffers per
 	// op before this pool existed) fails loudly.
@@ -200,6 +201,49 @@ func TestAllocGateWriteDeltaFloor(t *testing.T) {
 	})
 	if got > 8 {
 		t.Fatalf("delta WriteBlock allocated %v objects/op, want <= 8 (retained delta + bookkeeping)", got)
+	}
+}
+
+// TestAllocGateWriteDeltaBytes bounds the bytes, not just the objects,
+// a steady-state delta write allocates: the encode runs in the
+// controller's reused buffer and only an exact-size copy is retained,
+// so rewriting a few hot fields costs the delta's own size plus
+// bookkeeping — not a quarter-block encode buffer per write.
+func TestAllocGateWriteDeltaBytes(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	rig := newTestRig(t, smallConfig())
+	c := rig.c
+	base := genContent(sim.NewRand(88), 2, 0)
+	if _, err := c.WriteBlock(9, base); err != nil {
+		t.Fatal(err)
+	}
+	// Keep rewriting the same three 16-byte fields, so the delta stays
+	// the size of a typical oltp one however long the test runs.
+	r := sim.NewRand(99)
+	write := func() {
+		field := []int{100, 1700, 3900}[r.Intn(3)]
+		base[field+r.Intn(16)] = byte(r.Uint64())
+		if _, err := c.WriteBlock(9, base); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 200; i++ {
+		write() // warm up: queues and maps reach their steady capacity
+	}
+	const runs = 1000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		write()
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / runs; got > 512 {
+		t.Fatalf("delta WriteBlock allocated %d B/op, want <= 512 (exact-size retained delta + bookkeeping)", got)
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"icash/internal/blockdev"
 	"icash/internal/cpumodel"
+	"icash/internal/delta"
 	"icash/internal/ram"
 	"icash/internal/sig"
 	"icash/internal/sim"
@@ -198,6 +200,10 @@ type Controller struct {
 	// entry (see scratch.go).
 	scratch [][]byte
 
+	// encBuf is the buffer every delta encode runs in (encodeDelta). Its
+	// contents are dead once encodeDelta returns; nothing retains it.
+	encBuf []byte
+
 	// Stats is externally visible accounting.
 	Stats Stats
 }
@@ -240,6 +246,9 @@ func New(cfg Config, ssdDev, hddDev blockdev.Device, clock *sim.Clock, cpu *cpum
 		sameOffset:   make(map[int64][]*vblock),
 		sums:         make(map[int64]uint32),
 		poisoned:     make(map[int64]bool),
+		// A rejected encode stops before its buffer would pass the
+		// threshold plus one op's two varints, so this never grows.
+		encBuf: make([]byte, 0, cfg.DeltaThreshold+2*binary.MaxVarintLen64),
 	}
 	c.freeLogBlocks = cfg.LogBlocks
 	c.freeSlots = make([]int64, 0, cfg.SSDBlocks)
@@ -446,6 +455,31 @@ func (c *Controller) evictOneDataRAM(keep *vblock) bool {
 	c.releaseData(victim)
 	c.Stats.EvictDataRAM++
 	return true
+}
+
+// encodeDelta charges and counts one delta encode of target against
+// base. The encode runs in the controller's reused buffer; what is
+// returned is an exact-size private copy, so the caller may hand it to
+// storeDelta to retain — and a nested encode (storeDelta's reclamation
+// can reach one) cannot overwrite it. ok is false when the delta would
+// exceed cfg.DeltaThreshold.
+func (c *Controller) encodeDelta(target, base []byte) (enc []byte, ok bool) {
+	c.cpu.ChargeStorage(c.costs.DeltaEncode)
+	c.Stats.EncodeOps++
+	buf, ok := delta.AppendEncode(c.encBuf, target, base, c.cfg.DeltaThreshold)
+	if !ok {
+		return nil, false
+	}
+	return exactCopy(buf), true
+}
+
+// exactCopy returns a copy of b with cap == len: a retained delta owns
+// its bytes and no slack (an append-based clone rounds its capacity up
+// to an allocator size class; CheckInvariants holds deltaRAM to this).
+func exactCopy(b []byte) []byte {
+	out := make([]byte, len(b))
+	copy(out, b)
+	return out
 }
 
 // storeDelta installs enc as v's RAM delta, adjusting the segment-based

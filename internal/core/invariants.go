@@ -136,6 +136,12 @@ func (c *Controller) CheckInvariants() error {
 	for v := c.lru.head; v != nil; v = v.next {
 		if v.deltaRAM != nil {
 			deltaBytes += c.segBytes(len(v.deltaRAM))
+			// A retained delta is an exact-size private copy: slack
+			// here means a shared or over-sized encode buffer leaked in.
+			if cap(v.deltaRAM) != len(v.deltaRAM) {
+				return fmt.Errorf("core: lba %d retains a %d-byte delta in a %d-byte buffer",
+					v.lba, len(v.deltaRAM), cap(v.deltaRAM))
+			}
 		}
 	}
 	if deltaBytes != c.deltaBudget.Used() {

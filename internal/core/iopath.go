@@ -343,9 +343,7 @@ func (c *Controller) writeAttached(v *vblock, buf []byte, newSig sig.Signature) 
 	if err != nil {
 		return 0, err
 	}
-	c.cpu.ChargeStorage(c.costs.DeltaEncode)
-	c.Stats.EncodeOps++
-	enc, ok := delta.Encode(buf, base, c.cfg.DeltaThreshold)
+	enc, ok := c.encodeDelta(buf, base)
 	if ok && c.storeDelta(v, enc, true) {
 		if v.slotRef.donor == v.lba {
 			v.kind = Reference
@@ -400,9 +398,7 @@ func (c *Controller) writeIndependent(v *vblock, buf []byte, newSig sig.Signatur
 		if err != nil {
 			return 0, err
 		}
-		c.cpu.ChargeStorage(c.costs.DeltaEncode)
-		c.Stats.EncodeOps++
-		enc, ok := delta.Encode(buf, base, c.cfg.DeltaThreshold)
+		enc, ok := c.encodeDelta(buf, base)
 		if ok && c.storeDelta(v, enc, true) {
 			c.attachSlot(v, s)
 			c.promoteDonor(s)
@@ -477,9 +473,7 @@ func (c *Controller) tryFirstLoadPair(v *vblock) {
 		if err != nil {
 			continue
 		}
-		c.cpu.ChargeStorage(c.costs.DeltaEncode)
-		c.Stats.EncodeOps++
-		enc, ok := delta.Encode(v.dataRAM, base, c.cfg.DeltaThreshold)
+		enc, ok := c.encodeDelta(v.dataRAM, base)
 		if !ok {
 			c.Stats.ScanDeltaRejects++
 			continue

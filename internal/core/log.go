@@ -335,7 +335,7 @@ func decodeLogBlock(buf []byte) (blockHeader, []logEntry, error) {
 			return hdr, nil, fmt.Errorf("%w: record %d delta overruns block", ErrCorruptLogBlock, i)
 		}
 		if dlen > 0 {
-			e.delta = append([]byte(nil), buf[off:off+dlen]...)
+			e.delta = exactCopy(buf[off : off+dlen])
 			off += dlen
 		}
 		switch e.kind {

@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"icash/internal/blockdev"
-	"icash/internal/delta"
 	"icash/internal/sig"
 	"icash/internal/sim"
 )
@@ -159,9 +158,7 @@ func (c *Controller) tryAttach(v *vblock, s *refSlot) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	c.cpu.ChargeStorage(c.costs.DeltaEncode)
-	c.Stats.EncodeOps++
-	enc, ok := delta.Encode(content, base, c.cfg.DeltaThreshold)
+	enc, ok := c.encodeDelta(content, base)
 	if !ok {
 		c.Stats.ScanDeltaRejects++
 		return false, nil

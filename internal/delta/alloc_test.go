@@ -1,9 +1,11 @@
 package delta
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"icash/internal/race"
+	"icash/internal/sim"
 )
 
 // Alloc gates: the append-style APIs must be zero-allocation at steady
@@ -64,15 +66,72 @@ func TestAllocGateSize(t *testing.T) {
 	}
 }
 
-func BenchmarkAppendEncode(b *testing.B) {
-	target, ref := randomPair(24, 4096, 64)
-	dst := make([]byte, 0, 8192)
-	b.ReportAllocs()
-	b.SetBytes(4096)
-	for i := 0; i < b.N; i++ {
-		dst, _ = AppendEncode(dst[:0], target, ref, 0)
+// benchShapes are the three 4 KB inputs the write path sees: sparse is
+// the oltp shape (2 % of the bytes changed, in a few runs), dense sits
+// just under the 2 048-byte threshold, unrelated is fresh content that
+// the threshold rejects (every mail write-through).
+var benchShapes = []struct {
+	name   string
+	accept bool
+	pair   func() (target, ref []byte)
+}{
+	{"sparse", true, func() ([]byte, []byte) { return runsPair(24, 4, 20) }},
+	{"dense", true, func() ([]byte, []byte) { return runsPair(27, 60, 32) }},
+	{"unrelated", false, unrelatedPair},
+}
+
+// unrelatedPair returns two independent random 4 KB blocks.
+func unrelatedPair() (target, ref []byte) {
+	target, ref = make([]byte, 4096), make([]byte, 4096)
+	sim.NewRand(28).Bytes(target)
+	sim.NewRand(29).Bytes(ref)
+	return target, ref
+}
+
+// runsPair returns a 4 KB reference and a target that rewrites runs
+// disjoint runs of runLen bytes in it, evenly spread.
+func runsPair(seed uint64, runs, runLen int) (target, ref []byte) {
+	ref = make([]byte, 4096)
+	sim.NewRand(seed).Bytes(ref)
+	target = append([]byte(nil), ref...)
+	for k := 0; k < runs; k++ {
+		pos := k*(4096/runs) + 5
+		for i := pos; i < pos+runLen; i++ {
+			target[i] = ^ref[i]
+		}
 	}
-	_ = dst
+	return target, ref
+}
+
+const benchThreshold = 2048
+
+func TestBenchShapes(t *testing.T) {
+	for _, sh := range benchShapes {
+		target, ref := sh.pair()
+		d, ok := Encode(target, ref, benchThreshold)
+		if ok != sh.accept {
+			t.Errorf("%s: Encode ok = %v, want %v", sh.name, ok, sh.accept)
+		}
+		if sh.name == "dense" && len(d) < benchThreshold*9/10 {
+			t.Errorf("dense: delta is %d bytes, want within 10%% of the %d-byte threshold", len(d), benchThreshold)
+		}
+	}
+}
+
+func BenchmarkAppendEncode(b *testing.B) {
+	for _, sh := range benchShapes {
+		b.Run(sh.name, func(b *testing.B) {
+			target, ref := sh.pair()
+			dst := make([]byte, 0, benchThreshold+2*binary.MaxVarintLen64)
+			b.ReportAllocs()
+			b.SetBytes(4096)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				dst, _ = AppendEncode(dst[:0], target, ref, benchThreshold)
+			}
+			_ = dst
+		})
+	}
 }
 
 func BenchmarkAppendDecode(b *testing.B) {
@@ -88,12 +147,17 @@ func BenchmarkAppendDecode(b *testing.B) {
 }
 
 func BenchmarkSize(b *testing.B) {
-	target, ref := randomPair(26, 4096, 64)
-	b.ReportAllocs()
-	b.SetBytes(4096)
-	var s int
-	for i := 0; i < b.N; i++ {
-		s = Size(target, ref)
+	for _, sh := range benchShapes {
+		b.Run(sh.name, func(b *testing.B) {
+			target, ref := sh.pair()
+			b.ReportAllocs()
+			b.SetBytes(4096)
+			b.ResetTimer()
+			var s int
+			for i := 0; i < b.N; i++ {
+				s = Size(target, ref)
+			}
+			_ = s
+		})
 	}
-	_ = s
 }

@@ -33,6 +33,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 const (
@@ -65,13 +66,15 @@ var (
 // AppendEncode and Size: both walk exactly this sequence of ops, so the
 // counted size and the materialized bytes cannot diverge.
 //
+// The two long runs — equal bytes for the COPY, unequal bytes for the
+// ADD — are measured eight bytes at a time (matchLen, diffLen); the
+// rule deciding whether a short equal gap ends the ADD stays byte-wise.
+//
 // n is len(target); limit is min(len(ref), n).
 func nextOps(target, ref []byte, i, n, limit int) (copyLen, addLen, next int) {
 	// Measure the COPY run: equal bytes at the same offset.
 	start := i
-	for i < limit && target[i] == ref[i] {
-		i++
-	}
+	i += matchLen(target[i:limit], ref[i:limit])
 	copyLen = i - start
 	// Measure the ADD run: unequal bytes, absorbing short equal gaps.
 	addStart := i
@@ -80,8 +83,8 @@ func nextOps(target, ref []byte, i, n, limit int) (copyLen, addLen, next int) {
 			i = n
 			break
 		}
-		if target[i] != ref[i] {
-			i++
+		i += diffLen(target[i:limit], ref[i:limit])
+		if i >= limit {
 			continue
 		}
 		// Equal byte: only end the ADD if the equal run is long
@@ -96,6 +99,63 @@ func nextOps(target, ref []byte, i, n, limit int) (copyLen, addLen, next int) {
 		i = g + 1 // absorb the short gap into the literal
 	}
 	return copyLen, i - addStart, i
+}
+
+const (
+	lowBytes  = 0x0101010101010101
+	highBytes = 0x8080808080808080
+)
+
+// diff64 XORs the 8 bytes of a and b at offset i, loaded little-endian:
+// byte i+k of the slices lands in bits 8k..8k+7, so the lowest set bit
+// belongs to the first differing byte. The full slice expression lets
+// the compiler drop the bounds checks inside the load.
+func diff64(a, b []byte, i int) uint64 {
+	return binary.LittleEndian.Uint64(a[i:i+8:i+8]) ^ binary.LittleEndian.Uint64(b[i:i+8:i+8])
+}
+
+// matchLen returns the length of the common prefix of a and b, which
+// must be the same length.
+func matchLen(a, b []byte) int {
+	n := len(a)
+	b = b[:n]
+	i := 0
+	for ; i+32 <= n; i += 32 {
+		p, q := a[i:i+32:i+32], b[i:i+32:i+32]
+		if diff64(p, q, 0)|diff64(p, q, 8)|diff64(p, q, 16)|diff64(p, q, 24) != 0 {
+			break // the word loop below locates the byte
+		}
+	}
+	for ; i+8 <= n; i += 8 {
+		if x := diff64(a, b, i); x != 0 {
+			return i + bits.TrailingZeros64(x)>>3
+		}
+	}
+	for i < n && a[i] == b[i] {
+		i++
+	}
+	return i
+}
+
+// diffLen returns the offset of the first position at which a and b,
+// which must be the same length, hold the same byte (len(a) if none).
+// (x-lowBytes) &^ x & highBytes has bit 8k+7 set exactly when byte k of
+// x is zero or a lower byte borrowed into it, and a borrow starts only
+// at a zero byte: the lowest set bit is always the first zero byte.
+func diffLen(a, b []byte) int {
+	n := len(a)
+	b = b[:n]
+	i := 0
+	for ; i+8 <= n; i += 8 {
+		x := diff64(a, b, i)
+		if z := (x - lowBytes) &^ x & highBytes; z != 0 {
+			return i + bits.TrailingZeros64(z)>>3
+		}
+	}
+	for i < n && a[i] != b[i] {
+		i++
+	}
+	return i
 }
 
 // AppendEncode appends the delta that rebuilds target from ref to dst
@@ -125,10 +185,12 @@ func AppendEncode(dst, target, ref []byte, maxSize int) (d []byte, ok bool) {
 		i = next
 		out = binary.AppendUvarint(out, uint64(copyLen))
 		out = binary.AppendUvarint(out, uint64(addLen))
-		out = append(out, target[addStart:addStart+addLen]...)
-		if maxSize > 0 && len(out)-base > maxSize {
+		// Reject before copying a literal that cannot fit: unrelated
+		// content fails here without touching (or growing) dst further.
+		if maxSize > 0 && len(out)-base+addLen > maxSize {
 			return dst[:base], false
 		}
+		out = append(out, target[addStart:addStart+addLen]...)
 	}
 	if maxSize > 0 && len(out)-base > maxSize {
 		return dst[:base], false

@@ -66,3 +66,30 @@ func FuzzDeltaRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSegmentation holds the word-at-a-time nextOps to the byte-wise
+// scan it replaced (refNextOps), op for op, on arbitrary pairs, and
+// checks the counting pass against the materialized delta.
+func FuzzSegmentation(f *testing.F) {
+	f.Add([]byte("hello, block world"), []byte("hello, delta world"))
+	f.Add([]byte{}, []byte{})
+	f.Add([]byte("1234567"), []byte("123456"))
+	f.Fuzz(func(t *testing.T, target, ref []byte) {
+		if len(target) > 2*4096 {
+			target = target[:2*4096]
+		}
+		if len(ref) > 2*4096 {
+			ref = ref[:2*4096]
+		}
+		if msg := segmentationMismatch(target, ref); msg != "" {
+			t.Fatal(msg)
+		}
+		d, ok := Encode(target, ref, 0)
+		if !ok {
+			t.Fatal("unbounded Encode refused")
+		}
+		if got := Size(target, ref); got != len(d) {
+			t.Fatalf("Size = %d disagrees with len(Encode) = %d", got, len(d))
+		}
+	})
+}

@@ -1,6 +1,9 @@
 package sim
 
-import "math"
+import (
+	"encoding/binary"
+	"math"
+)
 
 // Rand is a small, fast, deterministic pseudo-random number generator
 // (splitmix64 seeding an xoshiro256** core). Every workload generator and
@@ -84,23 +87,26 @@ func (r *Rand) Perm(n int) []int {
 	return p
 }
 
-// Bytes fills b with random bytes.
+// Bytes fills b with random bytes: the little-endian bytes of
+// successive Uint64 draws, a final partial draw covering any tail. The
+// generator steps on four locals and stores a word at a time; stream
+// and end state are exactly those of calling Uint64 in a loop.
 func (r *Rand) Bytes(b []byte) {
-	i := 0
-	for ; i+8 <= len(b); i += 8 {
-		v := r.Uint64()
-		b[i] = byte(v)
-		b[i+1] = byte(v >> 8)
-		b[i+2] = byte(v >> 16)
-		b[i+3] = byte(v >> 24)
-		b[i+4] = byte(v >> 32)
-		b[i+5] = byte(v >> 40)
-		b[i+6] = byte(v >> 48)
-		b[i+7] = byte(v >> 56)
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for ; len(b) >= 8; b = b[8:] {
+		binary.LittleEndian.PutUint64(b, rotl(s1*5, 7)*9)
+		t := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = rotl(s3, 45)
 	}
-	if i < len(b) {
+	r.s = [4]uint64{s0, s1, s2, s3}
+	if len(b) > 0 {
 		v := r.Uint64()
-		for ; i < len(b); i++ {
+		for i := range b {
 			b[i] = byte(v)
 			v >>= 8
 		}

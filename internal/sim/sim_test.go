@@ -117,6 +117,33 @@ func TestRandBytes(t *testing.T) {
 	}
 }
 
+// TestRandBytesMatchesUint64 pins Bytes to its definition: the
+// little-endian bytes of successive Uint64 draws (a partial last draw
+// for the tail), leaving the generator exactly where those draws would.
+func TestRandBytesMatchesUint64(t *testing.T) {
+	lengths := []int{4096}
+	for n := 0; n <= 17; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, n := range lengths {
+		got, want := NewRand(uint64(n)+3), NewRand(uint64(n)+3)
+		b := make([]byte, n)
+		got.Bytes(b)
+		for i := 0; i < n; i += 8 {
+			v := want.Uint64()
+			for k := i; k < i+8 && k < n; k++ {
+				if b[k] != byte(v) {
+					t.Fatalf("Bytes(%d): byte %d = %#x, Uint64 stream has %#x", n, k, b[k], byte(v))
+				}
+				v >>= 8
+			}
+		}
+		if g, w := got.Uint64(), want.Uint64(); g != w {
+			t.Fatalf("Bytes(%d): next Uint64 = %#x, want %#x", n, g, w)
+		}
+	}
+}
+
 func TestRandPerm(t *testing.T) {
 	r := NewRand(11)
 	p := r.Perm(100)

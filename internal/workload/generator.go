@@ -372,10 +372,20 @@ func mutate(buf []byte, posSeed, valSeed uint64, frac float64) {
 			run = n
 		}
 		pos := pr.Intn(len(buf))
-		for i := 0; i < run; i++ {
-			buf[(pos+i)%len(buf)] = byte(vr.Uint64())
-		}
 		n -= run
+		// A run that passes the end of buf wraps to its start: fill it
+		// as contiguous spans rather than reducing every index.
+		for run > 0 {
+			span := buf[pos:]
+			if len(span) > run {
+				span = span[:run]
+			}
+			for i := range span {
+				span[i] = byte(vr.Uint64())
+			}
+			run -= len(span)
+			pos = 0
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"icash/internal/blockdev"
+	"icash/internal/sim"
 )
 
 func TestTable4Profiles(t *testing.T) {
@@ -265,5 +266,49 @@ func TestFillPureProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refMutate is the per-byte-modulo loop mutate replaced, kept as the
+// reference for TestMutateMatchesReference.
+func refMutate(buf []byte, posSeed, valSeed uint64, frac float64) {
+	if frac <= 0 {
+		return
+	}
+	n := int(frac * float64(len(buf)))
+	if n <= 0 {
+		n = 1
+	}
+	pr := sim.NewRand(posSeed)
+	vr := sim.NewRand(valSeed)
+	for n > 0 {
+		run := 16 + pr.Intn(49)
+		if run > n {
+			run = n
+		}
+		pos := pr.Intn(len(buf))
+		for i := 0; i < run; i++ {
+			buf[(pos+i)%len(buf)] = byte(vr.Uint64())
+		}
+		n -= run
+	}
+}
+
+// TestMutateMatchesReference: same positions, same values, same draw
+// order as the reference loop — including runs that wrap past the end
+// of the buffer, which the buffers shorter than a run force.
+func TestMutateMatchesReference(t *testing.T) {
+	for _, size := range []int{1, 5, 16, 40, 64, 100, 4096} {
+		for seed := uint64(0); seed < 200; seed++ {
+			for _, frac := range []float64{0, 0.0001, 0.02, 0.3, 1} {
+				got := make([]byte, size)
+				want := make([]byte, size)
+				mutate(got, seed, seed*7+1, frac)
+				refMutate(want, seed, seed*7+1, frac)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("size %d seed %d frac %v: mutate diverges from the reference loop", size, seed, frac)
+				}
+			}
+		}
 	}
 }
