@@ -31,8 +31,9 @@ golden: ## rendered sweep/figure/soak reports vs testdata/golden (regenerate: go
 loc: ## non-test .go lines outside benchmark/ and the analyzer fixtures (the number simplicity PRs report)
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './internal/analysis/testdata/*' -print0 | xargs -0 cat | wc -l
 
-benchmark-smoke: ## two seconds each of the one-shard and the 4-shard repo benchmark workloads (exit status only)
+benchmark-smoke: ## two seconds each of the one-shard, the full-SSD (write-through reclaim) and the 4-shard repo benchmark workloads (exit status only)
 	$(GO) run ./benchmark -workload oltp -seed 1 -seconds 2 -trace 0 >/dev/null
+	$(GO) run ./benchmark -workload mail -seed 1 -seconds 2 -trace 0 >/dev/null
 	$(GO) run ./benchmark -workload randread-shards4 -seed 1 -seconds 2 -trace 0 >/dev/null
 
 race: ## go test -race ./...
@@ -48,11 +49,11 @@ bench-profile: ## full figure suite with CPU + heap profiles (cpu.prof, mem.prof
 	$(GO) run ./cmd/icash-bench -run all -cpuprofile cpu.prof -memprofile mem.prof
 	@echo "profiles written: cpu.prof mem.prof (inspect with: go tool pprof cpu.prof)"
 
-alloc-gate: ## hot-path allocation gates + allocs/op and B/op benchmarks (codec MB/s per shape, write path) + miss-and-evict scaling (must run WITHOUT -race)
+alloc-gate: ## hot-path allocation gates + allocs/op and B/op benchmarks (codec MB/s per shape, write path) + miss-and-evict, similarity-probe and write-through-reclaim scaling (must run WITHOUT -race)
 	$(GO) test -run 'TestAllocGate' -count=1 ./internal/delta/ ./internal/blockdev/
 	$(GO) test -run 'TestAllocGate' -count=1 ./internal/core/ -args -timing-gates
 	$(GO) test -bench 'AppendEncode|AppendDecode|Size' -benchtime 1000x -benchmem -run '^$$' ./internal/delta/
-	$(GO) test -bench 'ReadMissEvict|WriteDelta' -benchtime 20000x -benchmem -run '^$$' ./internal/core/
+	$(GO) test -bench 'ReadMissEvict|WriteDelta|SimilarProbe|WriteThroughReclaim' -benchtime 20000x -benchmem -run '^$$' ./internal/core/
 
 fuzz-smoke: ## 10s per fuzz target, seeded from testdata corpora
 	$(GO) test ./internal/delta -fuzz FuzzDeltaRoundTrip -fuzztime 10s

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"flag"
 	"fmt"
 	"runtime"
@@ -9,6 +10,7 @@ import (
 
 	"icash/internal/blockdev"
 	"icash/internal/race"
+	"icash/internal/sig"
 	"icash/internal/sim"
 )
 
@@ -314,6 +316,23 @@ func BenchmarkReadMissEvict(b *testing.B) {
 // than the 1 Ki one.
 var timingGates = flag.Bool("timing-gates", false, "also gate wall-clock scaling ratios, not only allocation counts")
 
+// bestOfRounds times each run in five interleaved rounds and keeps each
+// one's fastest, so a noisy neighbour has to hit every round of one
+// scale to move a ratio between them.
+func bestOfRounds(runs []func()) []time.Duration {
+	best := make([]time.Duration, len(runs))
+	for round := 0; round < 5; round++ {
+		for i, run := range runs {
+			start := time.Now()
+			run()
+			if d := time.Since(start); round == 0 || d < best[i] {
+				best[i] = d
+			}
+		}
+	}
+	return best
+}
+
 // TestAllocGateReadMissEvictScaling is the gate on that benchmark: a
 // miss-and-evict read allocates nothing, and (with -timing-gates) costs
 // at most twice as much with 256 Ki blocks tracked as with 1 Ki (the
@@ -341,21 +360,199 @@ func TestAllocGateReadMissEvictScaling(t *testing.T) {
 	if !*timingGates {
 		return
 	}
-	best := make([]time.Duration, len(evictScales))
-	for round := 0; round < 5; round++ {
-		for i, rig := range rigs {
-			start := time.Now()
-			rig.readMisses(t, perRound, buf)
-			if d := time.Since(start); round == 0 || d < best[i] {
-				best[i] = d
-			}
-		}
+	runs := make([]func(), len(rigs))
+	for i, rig := range rigs {
+		runs[i] = func() { rig.readMisses(t, perRound, buf) }
 	}
+	best := bestOfRounds(runs)
 	for i, tracked := range evictScales {
 		t.Logf("tracked=%d: %d ns per miss-and-evict read", tracked, int64(best[i])/perRound)
 	}
 	if small, large := best[0], best[len(best)-1]; large > 2*small {
 		t.Fatalf("miss-and-evict read costs %v per %d at %d tracked blocks, %v at %d: more than 2x",
 			large, perRound, evictScales[len(evictScales)-1], small, evictScales[0])
+	}
+}
+
+// slotScales are the live-slot populations BenchmarkSimilarProbe and its
+// gate compare; the probe measures the first maxSlotProbe of them at
+// every scale.
+var slotScales = []int64{256, 4 << 10, 32 << 10}
+
+// newProbeRig fills the SSD with the given number of write-through
+// slots of unrelated content, the shape a does-not-fit workload leaves.
+// Scans, flushes and heatmap decay are pushed out of reach.
+func newProbeRig(tb testing.TB, slots int64) *testRig {
+	cfg := NewDefaultConfig(slots+1024, slots, 64<<10, 64*blockdev.BlockSize)
+	cfg.MetadataBlocks = int(slots) + 1024
+	cfg.ScanPeriod = 1 << 30
+	cfg.FlushPeriodOps = 0
+	cfg.HeatmapDecayOps = 0
+	rig := newTestRig(tb, cfg)
+	buf := make([]byte, blockdev.BlockSize)
+	for lba := int64(0); lba < slots; lba++ {
+		fillByLBA(lba, buf)
+		if _, err := rig.c.WriteBlock(lba, buf); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if got := int64(len(rig.c.liveSlots())); got != slots {
+		tb.Fatalf("%d live slots after %d write-throughs", got, slots)
+	}
+	return rig
+}
+
+// probes runs n similarity probes with random signatures: none equals a
+// slot's, so each one measures its whole budget.
+func (rig *testRig) probes(n int, r *sim.Rand) {
+	var sigv sig.Signature
+	for i := 0; i < n; i++ {
+		binary.LittleEndian.PutUint64(sigv[:], r.Uint64())
+		probeSink = rig.c.findSimilarSlot(sigv)
+	}
+}
+
+// probeSink keeps the probes' results live.
+var probeSink *refSlot
+
+// BenchmarkSimilarProbe reports the cost of one similarity probe at
+// three live-slot populations. The probe reads a maintained list and
+// measures a bounded prefix of it, so ns/op must not grow with the
+// population (TestAllocGateSlotWalksScaling holds it to 2x across 128x).
+func BenchmarkSimilarProbe(b *testing.B) {
+	for _, slots := range slotScales {
+		rig := newProbeRig(b, slots)
+		b.Run(fmt.Sprintf("slots=%d", slots), func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			rig.probes(b.N, sim.NewRand(1))
+		})
+	}
+}
+
+// reclaimScales are the populations of slot-less blocks colder than the
+// victim that BenchmarkWriteThroughReclaim and its gate compare.
+var reclaimScales = []int64{0, 4 << 10, 32 << 10}
+
+// reclaimSlots is the SSD size of the reclaim rigs: every slot holds a
+// write-through, so each further one reclaims the coldest.
+const reclaimSlots = 64
+
+// newReclaimRig tracks the given number of slot-less blocks (read once,
+// never touched again) and then fills a 64-slot SSD with write-throughs:
+// every further write of unrelated content has to reclaim the coldest
+// write-through, which sits ahead of all the slot-less blocks in a walk
+// from the LRU tail.
+func newReclaimRig(tb testing.TB, colder int64) *testRig {
+	cfg := NewDefaultConfig(colder+(1<<20), reclaimSlots, 64<<10, 64*blockdev.BlockSize)
+	cfg.MetadataBlocks = int(colder) + 4096
+	cfg.ScanPeriod = 1 << 30
+	cfg.FlushPeriodOps = 0
+	cfg.HeatmapDecayOps = 0
+	rig := newTestRig(tb, cfg)
+	rig.hdd.SetFill(fillByLBA)
+	buf := make([]byte, blockdev.BlockSize)
+	for lba := int64(0); lba < colder; lba++ {
+		if _, err := rig.c.ReadBlock(lba, buf); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	rig.writeThroughs(tb, reclaimSlots, buf)
+	if rig.c.FreeSlotCount() != 0 || rig.c.Stats.WriteThroughSSD != reclaimSlots {
+		tb.Fatalf("SSD not full of write-throughs: %d free slots, %d written through",
+			rig.c.FreeSlotCount(), rig.c.Stats.WriteThroughSSD)
+	}
+	return rig
+}
+
+// writeThroughs issues n writes of unrelated content to LBAs never
+// written before (past the slot-less range).
+func (rig *testRig) writeThroughs(tb testing.TB, n int, buf []byte) {
+	c := rig.c
+	lba := c.cfg.VirtualBlocks - (1 << 20) + c.Stats.Writes
+	for i := 0; i < n; i++ {
+		fillByLBA(lba, buf)
+		if _, err := c.WriteBlock(lba, buf); err != nil {
+			tb.Fatal(err)
+		}
+		lba++
+	}
+}
+
+// BenchmarkWriteThroughReclaim reports the cost of a write-through that
+// has to reclaim a slot, with three populations of slot-less blocks
+// colder than the victim. The victim is the write-through sublist's
+// tail, so ns/op must not grow with the population
+// (TestAllocGateSlotWalksScaling holds it to 2x).
+func BenchmarkWriteThroughReclaim(b *testing.B) {
+	for _, colder := range reclaimScales {
+		rig := newReclaimRig(b, colder)
+		b.Run(fmt.Sprintf("colder=%dk", colder>>10), func(b *testing.B) {
+			buf := make([]byte, blockdev.BlockSize)
+			b.ReportAllocs()
+			b.ResetTimer()
+			rig.writeThroughs(b, b.N, buf)
+		})
+	}
+}
+
+// TestAllocGateSlotWalksScaling is the gate on those two benchmarks. A
+// probe allocates nothing at any slot population, and a reclaiming
+// write-through reclaims exactly one slot and allocates the same with
+// 32 Ki colder slot-less blocks as with none; with -timing-gates,
+// neither costs more than twice as much at its largest population as at
+// its smallest.
+func TestAllocGateSlotWalksScaling(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts and timings are inflated under the race detector")
+	}
+	const probesPerRound, writesPerRound = 20000, 5000
+	var probeRuns, reclaimRuns []func()
+	for _, slots := range slotScales {
+		rig, r := newProbeRig(t, slots), sim.NewRand(1)
+		if allocs := testing.AllocsPerRun(10, func() { rig.probes(100, r) }); allocs != 0 {
+			t.Errorf("slots=%d: %v allocations per 100 probes, want 0", slots, allocs)
+		}
+		probeRuns = append(probeRuns, func() { rig.probes(probesPerRound, r) })
+	}
+	buf := make([]byte, blockdev.BlockSize)
+	var allocs []float64
+	for _, colder := range reclaimScales {
+		rig := newReclaimRig(t, colder)
+		rig.writeThroughs(t, writesPerRound, buf) // warm the pools, wrap into steady state
+		before := rig.c.Stats.WritebacksHome
+		allocs = append(allocs, testing.AllocsPerRun(10, func() { rig.writeThroughs(t, 100, buf) }))
+		if got := rig.c.Stats.WritebacksHome - before; got != 1100 {
+			t.Fatalf("colder=%d: %d reclaims in 1100 write-throughs, want one each", colder, got)
+		}
+		if tail := rig.c.lru.tail; colder > 0 && (tail.slotRef != nil || tail.lba != 0) {
+			t.Fatalf("colder=%d: LRU tail is lba %d, want the first slot-less block", colder, tail.lba)
+		}
+		reclaimRuns = append(reclaimRuns, func() { rig.writeThroughs(t, writesPerRound, buf) })
+	}
+	if small, large := allocs[0], allocs[len(allocs)-1]; large > small+100 {
+		t.Errorf("100 reclaiming write-throughs allocate %v objects with %d colder blocks, %v with none",
+			large, reclaimScales[len(reclaimScales)-1], small)
+	}
+	if !*timingGates {
+		return
+	}
+	for _, g := range []struct {
+		name  string
+		per   int
+		runs  []func()
+		sizes []int64
+	}{
+		{"similarity probe", probesPerRound, probeRuns, slotScales},
+		{"reclaiming write-through", writesPerRound, reclaimRuns, reclaimScales},
+	} {
+		best := bestOfRounds(g.runs)
+		for i, n := range g.sizes {
+			t.Logf("%s at %d: %d ns", g.name, n, int64(best[i])/int64(g.per))
+		}
+		if small, large := best[0], best[len(best)-1]; large > 2*small {
+			t.Errorf("%s costs %v per %d at %d, %v at %d: more than 2x",
+				g.name, large, g.per, g.sizes[len(g.sizes)-1], small, g.sizes[0])
+		}
 	}
 }

@@ -23,11 +23,22 @@ type refSlot struct {
 	donor  int64         // lba whose content was installed, -1 when unknown
 	sigv   sig.Signature // signature of the slot content
 	crc    uint32        // CRC32 of the slot content (repair validation)
+	listed bool          // slotOrder holds an entry for this slot (see liveSlots)
 	// homeLBA is the HDD home location holding a backup of the slot
 	// content (the donor's home at install time), or -1. scrubSlot
 	// re-fetches damaged reference content from here; the CRC guards
 	// against the backup having been overwritten since.
 	homeLBA int64
+
+	// wt is the write-through block that owns this slot: the linked
+	// Independent block attached to it, nil when there is none. At most
+	// one block per slot can be that (a write-through takes a slot as
+	// its sole occupant, and every later arrival attaches as an
+	// associate), so the write-through sublist (lruList) is threaded
+	// through the slots, which SSDBlocks bounds, and not through every
+	// vblock. wprev/wnext are its links; nil while wt is nil.
+	wt           *vblock
+	wprev, wnext *refSlot
 }
 
 // Controller is the I-CASH device: an SSD + HDD pair coupled by the
@@ -50,10 +61,14 @@ type Controller struct {
 	dataBudget  *ram.Budget
 
 	slots map[int64]*refSlot // SSD index -> live slot
-	// slotOrder lists live slots in allocation order for deterministic
-	// similarity search (map iteration order would not be reproducible).
-	slotOrder []*refSlot
-	freeSlots []int64
+	// slotOrder lists slots in the order they came to life (first
+	// attach, or re-attach after a compaction dropped the entry) for
+	// deterministic similarity search (map iteration order would not be
+	// reproducible). An entry whose refcnt fell to zero stays until
+	// liveSlots compacts; slotsStale says one may be there.
+	slotOrder  []*refSlot
+	slotsStale bool
+	freeSlots  []int64
 	// quarantine holds freed SSD slots that may not be reused until the
 	// next log flush commits the tombstones that detached them.
 	quarantine []int64
@@ -143,6 +158,10 @@ type Controller struct {
 	// are collected in LRU order, then written back in home-LBA order so
 	// the HDD sweeps them with short forward seeks.
 	shedScratch []*vblock
+	// scanCands and scanSigGroup are scan's reusable window: the
+	// candidates with their popularity, and the blocks per signature.
+	scanCands    []scanCand
+	scanSigGroup map[sig.Signature]int
 	// committing guards against re-entrant flushes: eviction inside a
 	// commit can hit RAM pressure whose reclaim path asks for another
 	// flush, but the commit buffer is already snapshotted — a nested
@@ -243,6 +262,7 @@ func New(cfg Config, ssdDev, hddDev blockdev.Device, clock *sim.Clock, cpu *cpum
 		blockTxn:     make(map[int64]uint64),
 		txnLive:      make(map[uint64]int),
 		txnBlocks:    make(map[uint64][]int64),
+		scanSigGroup: make(map[sig.Signature]int),
 		sameOffset:   make(map[int64][]*vblock),
 		sums:         make(map[int64]uint32),
 		poisoned:     make(map[int64]bool),

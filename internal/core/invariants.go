@@ -16,8 +16,13 @@ import (
 //   - the data-resident sublist is the LRU filtered on dataRAM != nil
 //     (same nodes, same order, no links on non-members) and its length
 //     times the block size is the data budget's occupancy;
+//   - the write-through sublist is the LRU filtered on slotRef != nil
+//     && kind == Independent (same order, each member owning its slot
+//     through refSlot.wt, no links and no owner on any other slot);
 //   - slot reference counts equal the number of attached blocks, and
 //     every live slot is reachable from the slots map;
+//   - slotOrder lists every live slot exactly once, and holds a dead
+//     entry only while slotsStale says so;
 //   - free, quarantined and live slots partition the SSD exactly;
 //   - the delta budget equals the segment-rounded sum of resident
 //     deltas;
@@ -31,6 +36,8 @@ func (c *Controller) CheckInvariants() error {
 	resident := 0
 	var lastStamp uint64
 	lastResident, nextResident := (*vblock)(nil), c.lru.dhead
+	writeThroughs := 0
+	lastWT, nextWT := (*refSlot)(nil), c.lru.whead
 	for v := c.lru.head; v != nil; v = v.next {
 		if v.dead {
 			return fmt.Errorf("core: dead block %d still in LRU", v.lba)
@@ -49,6 +56,15 @@ func (c *Controller) CheckInvariants() error {
 		} else if v.dprev != nil || v.dnext != nil {
 			return fmt.Errorf("core: non-resident block %d linked into the data sublist", v.lba)
 		}
+		if s := v.slotRef; s != nil && v.kind == Independent {
+			if s != nextWT || s.wt != v || s.wprev != lastWT {
+				return fmt.Errorf("core: write-through block %d (slot %d) out of place in the write-through sublist", v.lba, s.index)
+			}
+			lastWT, nextWT = s, s.wnext
+			writeThroughs++
+		} else if s != nil && s.wt == v {
+			return fmt.Errorf("core: %v block %d owns slot %d in the write-through sublist", v.kind, v.lba, s.index)
+		}
 		if seen[v.lba] {
 			return fmt.Errorf("core: lba %d appears twice in LRU", v.lba)
 		}
@@ -64,6 +80,9 @@ func (c *Controller) CheckInvariants() error {
 	}
 	if nextResident != nil || c.lru.dtail != lastResident {
 		return fmt.Errorf("core: data sublist runs past the LRU's %d resident blocks", resident)
+	}
+	if nextWT != nil || c.lru.wtail != lastWT {
+		return fmt.Errorf("core: write-through sublist runs past the LRU's %d write-through blocks", writeThroughs)
 	}
 	if used := int64(resident) * blockdev.BlockSize; used != c.dataBudget.Used() {
 		return fmt.Errorf("core: data budget says %d, %d sublist blocks make %d",
@@ -91,6 +110,37 @@ func (c *Controller) CheckInvariants() error {
 		}
 		if s.refcnt <= 0 {
 			return fmt.Errorf("core: live slot %d with refcnt %d", s.index, s.refcnt)
+		}
+		// The LRU walk above placed every owned slot in the sublist; an
+		// owner it did not reach, or links without one, are strays.
+		if s.wt != nil && (s.wt.slotRef != s || c.blocks[s.wt.lba] != s.wt) {
+			return fmt.Errorf("core: slot %d owned by lba %d, which is not attached to it", s.index, s.wt.lba)
+		}
+		if s.wt == nil && (s.wprev != nil || s.wnext != nil) {
+			return fmt.Errorf("core: slot %d linked into the write-through sublist without an owner", s.index)
+		}
+	}
+	// slotOrder: every live slot once, dead entries only until the
+	// compaction slotsStale has asked for.
+	listed := make(map[*refSlot]bool, len(c.slotOrder))
+	for _, s := range c.slotOrder {
+		if listed[s] {
+			return fmt.Errorf("core: slot %d listed twice in slotOrder", s.index)
+		}
+		listed[s] = true
+		if !s.listed {
+			return fmt.Errorf("core: slot %d in slotOrder but not marked listed", s.index)
+		}
+		if s.refcnt <= 0 && !c.slotsStale {
+			return fmt.Errorf("core: dead slot %d in slotOrder with no compaction pending", s.index)
+		}
+		if s.refcnt > 0 && c.slots[s.index] != s {
+			return fmt.Errorf("core: slotOrder entry for slot %d is not the live slot", s.index)
+		}
+	}
+	for _, s := range c.slots {
+		if !listed[s] {
+			return fmt.Errorf("core: live slot %d missing from slotOrder", s.index)
 		}
 	}
 	used := make(map[int64]string)

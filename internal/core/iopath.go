@@ -346,10 +346,10 @@ func (c *Controller) writeAttached(v *vblock, buf []byte, newSig sig.Signature) 
 	enc, ok := c.encodeDelta(buf, base)
 	if ok && c.storeDelta(v, enc, true) {
 		if v.slotRef.donor == v.lba {
-			v.kind = Reference
+			c.setKind(v, Reference)
 			v.ssdCurrent = false // the reference now carries a self-delta
 		} else {
-			v.kind = Associate
+			c.setKind(v, Associate)
 			// The signature keeps referring to the reference content
 			// (paper §4.3): the association, not the new bytes, defines
 			// the block's identity in the heatmap.
@@ -385,7 +385,7 @@ func (c *Controller) writeIndependent(v *vblock, buf []byte, newSig sig.Signatur
 		// HDD-only degraded mode, or a fail-slow SSD under quarantine:
 		// no similarity detection, no write-through — plain RAM + home
 		// semantics keep new traffic off the sidelined device.
-		v.kind = Independent
+		c.setKind(v, Independent)
 		v.hddHome = false
 		if err := c.cacheData(v, buf, true); err != nil {
 			return 0, err
@@ -402,7 +402,7 @@ func (c *Controller) writeIndependent(v *vblock, buf []byte, newSig sig.Signatur
 		if ok && c.storeDelta(v, enc, true) {
 			c.attachSlot(v, s)
 			c.promoteDonor(s)
-			v.kind = Associate
+			c.setKind(v, Associate)
 			v.sigv = s.sigv
 			v.hddHome = false
 			if err := c.cacheData(v, buf, false); err != nil {
@@ -422,7 +422,7 @@ func (c *Controller) writeIndependent(v *vblock, buf []byte, newSig sig.Signatur
 	if len(c.freeSlots) > 0 || c.canReclaimSlot() {
 		return c.writeThroughSSD(v, buf)
 	}
-	v.kind = Independent
+	c.setKind(v, Independent)
 	v.hddHome = false
 	if err := c.cacheData(v, buf, true); err != nil {
 		return 0, err
@@ -483,7 +483,7 @@ func (c *Controller) tryFirstLoadPair(v *vblock) {
 		}
 		c.attachSlot(v, s)
 		c.promoteDonor(s)
-		v.kind = Associate
+		c.setKind(v, Associate)
 		v.sigv = s.sigv // identity now refers to the reference
 		c.Stats.FirstLoadPairs++
 		c.Stats.AssocFormed++

@@ -141,7 +141,6 @@ func (c *Controller) replayLog() error {
 		s.sigv = sig.Compute(content)
 		s.crc = contentCRC(content)
 		c.slots[idx] = s
-		c.slotOrder = append(c.slotOrder, s)
 		return s, nil
 	}
 	// dropRecord abandons a slot-bound record whose SSD content cannot
@@ -186,9 +185,9 @@ func (c *Controller) replayLog() error {
 				s.donor = lba
 			}
 			if e.flags&flagReference != 0 {
-				v.kind = Reference
+				c.setKind(v, Reference)
 			} else {
-				v.kind = Independent
+				c.setKind(v, Independent)
 			}
 			c.blocks[lba] = v
 			c.lru.pushFront(v)
@@ -205,9 +204,9 @@ func (c *Controller) replayLog() error {
 			c.attachSlot(v, s)
 			if e.flags&flagDonor != 0 {
 				s.donor = lba
-				v.kind = Reference
+				c.setKind(v, Reference)
 			} else {
-				v.kind = Associate
+				c.setKind(v, Associate)
 			}
 			// Best effort RAM install; the log copy remains the durable
 			// source either way.

@@ -270,7 +270,7 @@ func (c *Controller) residentDelta(v *vblock) []byte {
 func (c *Controller) orphanFromSlot(v *vblock) {
 	c.releaseDelta(v)
 	c.detachSlot(v)
-	v.kind = Independent
+	c.setKind(v, Independent)
 	if rec, ok := c.logIndex[v.lba]; !ok || rec.kind != entryTombstone {
 		c.queueControl(logEntry{kind: entryTombstone, lba: v.lba})
 	}

@@ -1,12 +1,22 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"icash/internal/blockdev"
 	"icash/internal/sig"
 	"icash/internal/sim"
 )
+
+// scanCand is one scan-window block with its Heatmap popularity.
+type scanCand struct {
+	v   *vblock
+	pop uint64
+}
+
+// maxSlotProbe bounds the slots one similarity probe measures.
+const maxSlotProbe = 256
 
 // scan is the periodic similarity-detection phase (paper §4.2): every
 // ScanPeriod I/Os the controller examines up to ScanWindow blocks from
@@ -23,41 +33,38 @@ func (c *Controller) scan() error {
 	}
 	c.Stats.Scans++
 
-	// Collect the scan window from the LRU head.
-	window := make([]*vblock, 0, c.cfg.ScanWindow)
-	for v := c.lru.head; v != nil && len(window) < c.cfg.ScanWindow; v = v.next {
-		window = append(window, v)
-	}
-	if len(window) == 0 {
-		return nil
-	}
-	c.Stats.ScanCandidates += int64(len(window))
-	c.cpu.ChargeStorage(c.costs.ScanPerBlock * sim.Duration(len(window)))
-
-	// Popularity of every window block, and identical-signature groups:
-	// two blocks sharing an exact signature are the strongest similarity
-	// signal and always justify a reference.
-	type cand struct {
-		v   *vblock
-		pop uint64
-	}
-	cands := make([]cand, 0, len(window))
-	sigGroup := make(map[sig.Signature]int, len(window))
+	// Popularity of every block in the scan window (the LRU head), and
+	// identical-signature groups: two blocks sharing an exact signature
+	// are the strongest similarity signal and always justify a
+	// reference. Both live in per-controller scratch, emptied on the way
+	// out so a block dropped later is not held by it.
+	cands, sigGroup := c.scanCands[:0], c.scanSigGroup
+	defer func() {
+		clear(cands)
+		clear(sigGroup)
+		c.scanCands = cands[:0]
+	}()
 	var popSum uint64
-	for _, v := range window {
+	for v := c.lru.head; v != nil && len(cands) < c.cfg.ScanWindow; v = v.next {
 		p := c.heat.Popularity(v.sigv)
-		cands = append(cands, cand{v: v, pop: p})
+		cands = append(cands, scanCand{v: v, pop: p})
 		popSum += p
 		sigGroup[v.sigv]++
 	}
-	popBar := 2 * popSum / uint64(len(window)) // twice the window mean
+	if len(cands) == 0 {
+		return nil
+	}
+	c.Stats.ScanCandidates += int64(len(cands))
+	c.cpu.ChargeStorage(c.costs.ScanPerBlock * sim.Duration(len(cands)))
+	popBar := 2 * popSum / uint64(len(cands)) // twice the window mean
 
-	// Most popular first; ties broken by LBA for determinism.
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].pop != cands[j].pop {
-			return cands[i].pop > cands[j].pop
+	// Most popular first; ties broken by LBA for determinism (a total
+	// order, so an unstable sort has one answer).
+	slices.SortFunc(cands, func(a, b scanCand) int {
+		if a.pop != b.pop {
+			return cmp.Compare(b.pop, a.pop)
 		}
-		return cands[i].v.lba < cands[j].v.lba
+		return cmp.Compare(a.v.lba, b.v.lba)
 	})
 
 	installFailed := 0
@@ -129,7 +136,6 @@ func (c *Controller) scan() error {
 // probe count is bounded so per-request similarity detection stays
 // cheap.
 func (c *Controller) findSimilarSlot(sigv sig.Signature) *refSlot {
-	const maxSlotProbe = 256
 	var best *refSlot
 	bestDist := c.cfg.MaxSigDistance + 1
 	probes := 0
@@ -175,7 +181,7 @@ func (c *Controller) tryAttach(v *vblock, s *refSlot) (bool, error) {
 	}
 	c.attachSlot(v, s)
 	c.promoteDonor(s)
-	v.kind = Associate
+	c.setKind(v, Associate)
 	v.sigv = s.sigv // identity now refers to the reference content
 	v.dataDirty = false
 	c.Stats.AssocFormed++

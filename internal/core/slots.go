@@ -26,19 +26,29 @@ func (c *Controller) allocSlot() *refSlot {
 	c.freeSlots = c.freeSlots[:len(c.freeSlots)-1]
 	s := &refSlot{index: idx, donor: -1, homeLBA: -1}
 	c.slots[idx] = s
-	c.slotOrder = append(c.slotOrder, s)
 	return s
 }
 
-// liveSlots compacts and returns the deterministic slot list.
+// liveSlots returns the deterministic slot list: every slot with a
+// block attached, once, in the order attachSlot listed them. A slot is
+// listed from its first attach, so an entry is dead exactly when its
+// refcnt is zero, and the list needs compacting only after detachSlot
+// took a listed slot there.
 func (c *Controller) liveSlots() []*refSlot {
+	if !c.slotsStale {
+		return c.slotOrder
+	}
 	out := c.slotOrder[:0]
 	for _, s := range c.slotOrder {
-		if s.refcnt > 0 && c.slots[s.index] == s {
+		if s.refcnt > 0 {
 			out = append(out, s)
+		} else {
+			s.listed = false
 		}
 	}
+	clear(c.slotOrder[len(out):]) // dead slots are garbage from here on
 	c.slotOrder = out
+	c.slotsStale = false
 	return out
 }
 
@@ -50,7 +60,12 @@ func (c *Controller) liveSlots() []*refSlot {
 // content is untouched until the index is reallocated, which cannot
 // happen inside the cascade — but the index must come back out of the
 // quarantine or free list, or a later flush would hand it out while
-// blocks are still attached.
+// blocks are still attached. A resurrected slot that no compaction has
+// dropped from slotOrder yet keeps the entry it has; listing it again
+// would have every probe visit it twice.
+//
+// The caller sets v's kind next (setKind), which is what files v in the
+// write-through sublist.
 func (c *Controller) attachSlot(v *vblock, s *refSlot) {
 	if v.slotRef != nil {
 		c.detachSlot(v)
@@ -60,12 +75,22 @@ func (c *Controller) attachSlot(v *vblock, s *refSlot) {
 			panic(fmt.Sprintf("core: slot %d resurrected after reallocation (now %p)", s.index, prev))
 		}
 		c.slots[s.index] = s
-		c.slotOrder = append(c.slotOrder, s)
 		c.quarantine = removeIndex(c.quarantine, s.index)
 		c.freeSlots = removeIndex(c.freeSlots, s.index)
 	}
+	if !s.listed {
+		s.listed = true
+		c.slotOrder = append(c.slotOrder, s)
+	}
 	v.slotRef = s
 	s.refcnt++
+}
+
+// setKind reclassifies v. It is the one place a linked block's kind
+// changes, because the write-through sublist's membership hangs on it.
+func (c *Controller) setKind(v *vblock, k Kind) {
+	v.kind = k
+	c.lru.wtSync(v)
 }
 
 // removeIndex deletes the first occurrence of idx, preserving order.
@@ -90,11 +115,40 @@ func (c *Controller) detachSlot(v *vblock) {
 	if s == nil {
 		return
 	}
+	if s.wt == v {
+		c.lru.wtUnlink(s)
+	}
 	s.refcnt--
 	if s.refcnt <= 0 {
 		delete(c.slots, s.index)
 		c.quarantine = append(c.quarantine, s.index)
+		c.slotsStale = true
 	}
+}
+
+// writeThroughVictim returns the coldest write-through block
+// (Independent and attached to a slot) other than the one being served,
+// or nil: the tail of the write-through sublist.
+func (c *Controller) writeThroughVictim() *vblock {
+	s := c.lru.wtail
+	if s != nil && s.wt == c.pinned {
+		s = s.wprev
+	}
+	if s == nil {
+		return nil
+	}
+	return s.wt
+}
+
+// donorOnlyVictim returns the coldest reference block nothing else is
+// attached to, other than the one being served, or nil.
+func (c *Controller) donorOnlyVictim() *vblock {
+	for v := c.lru.tail; v != nil; v = v.prev {
+		if v != c.pinned && v.kind == Reference && v.slotRef != nil && v.slotRef.refcnt == 1 {
+			return v
+		}
+	}
+	return nil
 }
 
 // reclaimWriteThrough evicts the coldest write-through (independent,
@@ -103,60 +157,32 @@ func (c *Controller) detachSlot(v *vblock) {
 // associations on the write path would be far more expensive than the
 // RAM fallback.
 func (c *Controller) reclaimWriteThrough() error {
-	for v := c.lru.tail; v != nil; v = v.prev {
-		if v == c.pinned || v.slotRef == nil || v.kind != Independent {
-			continue
-		}
-		if err := c.evictToHome(v); err != nil {
-			return err
-		}
-		if len(c.quarantine) > 0 && len(c.freeSlots) == 0 {
-			return c.commitJournal()
-		}
+	v := c.writeThroughVictim()
+	if v == nil {
 		return nil
+	}
+	if err := c.evictToHome(v); err != nil {
+		return err
+	}
+	if len(c.quarantine) > 0 && len(c.freeSlots) == 0 {
+		return c.commitJournal()
 	}
 	return nil
 }
 
 // canReclaimSlot reports whether reclaimSlot would find a victim.
 func (c *Controller) canReclaimSlot() bool {
-	for v := c.lru.tail; v != nil; v = v.prev {
-		if v == c.pinned || v.slotRef == nil {
-			continue
-		}
-		if v.kind == Independent {
-			return true
-		}
-		if v.kind == Reference && v.slotRef.refcnt == 1 {
-			return true
-		}
-	}
-	return false
+	return c.writeThroughVictim() != nil || c.donorOnlyVictim() != nil
 }
 
-// reclaimSlot tries to free one SSD slot by evicting, from the LRU tail,
-// first a cold write-through independent and then a donor-only
-// reference. Shared reference slots are never broken up here (the scan
-// reorganizes those).
+// reclaimSlot tries to free one SSD slot by evicting the coldest
+// write-through independent or, when there is none, the coldest
+// donor-only reference. Shared reference slots are never broken up here
+// (the scan reorganizes those).
 func (c *Controller) reclaimSlot() {
-	var writeThrough, donorOnly *vblock
-	for v := c.lru.tail; v != nil; v = v.prev {
-		if v == c.pinned || v.slotRef == nil {
-			continue
-		}
-		if v.kind == Independent && writeThrough == nil {
-			writeThrough = v
-		}
-		if v.kind == Reference && v.slotRef.refcnt == 1 && donorOnly == nil {
-			donorOnly = v
-		}
-		if writeThrough != nil {
-			break
-		}
-	}
-	victim := writeThrough
+	victim := c.writeThroughVictim()
 	if victim == nil {
-		victim = donorOnly
+		victim = c.donorOnlyVictim()
 	}
 	if victim == nil {
 		return
@@ -179,7 +205,7 @@ func (c *Controller) promoteDonor(s *refSlot) {
 		return
 	}
 	if donor.kind == Independent && donor.ssdCurrent {
-		donor.kind = Reference
+		c.setKind(donor, Reference)
 	}
 }
 
@@ -334,7 +360,7 @@ func (c *Controller) writeThroughSSD(v *vblock, content []byte) (sim.Duration, e
 		// in RAM instead; eviction will write it home. A tombstone
 		// supersedes any durable delta/pointer record left behind.
 		c.releaseDelta(v)
-		v.kind = Independent
+		c.setKind(v, Independent)
 		v.hddHome = false
 		if rec, ok := c.logIndex[v.lba]; ok && rec.kind != entryTombstone {
 			c.queueControl(logEntry{kind: entryTombstone, lba: v.lba})
@@ -365,7 +391,7 @@ func (c *Controller) writeThroughSSD(v *vblock, content []byte) (sim.Duration, e
 			c.discardSlot(s, retire)
 		}
 		c.releaseDelta(v)
-		v.kind = Independent
+		c.setKind(v, Independent)
 		v.hddHome = false
 		if rec, ok := c.logIndex[v.lba]; !ok || rec.kind != entryTombstone {
 			c.queueControl(logEntry{kind: entryTombstone, lba: v.lba})
@@ -385,7 +411,7 @@ func (c *Controller) writeThroughSSD(v *vblock, content []byte) (sim.Duration, e
 	s.crc = contentCRC(content)
 	s.homeLBA = -1 // write-throughs have no home backup (home is stale)
 	c.releaseDelta(v)
-	v.kind = Independent
+	c.setKind(v, Independent)
 	v.ssdCurrent = true
 	v.hddHome = false
 	if err := c.cacheData(v, content, false); err != nil {
@@ -437,7 +463,7 @@ func (c *Controller) installReference(v *vblock, content []byte) (*refSlot, erro
 	c.attachSlot(v, s)
 	s.donor = v.lba
 	s.sigv = v.sigv
-	v.kind = Reference
+	c.setKind(v, Reference)
 	v.ssdCurrent = true
 	v.dataDirty = false // the SSD slot is now a durable current copy
 	c.releaseDelta(v)

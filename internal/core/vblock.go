@@ -102,11 +102,19 @@ type vblock struct {
 // its victim from dtail instead of walking past every non-resident
 // block. pushFront and remove keep both lists; dataCached and
 // dataReleased are the two membership edges (cacheData, releaseData).
+//
+// A third list, the write-through sublist, holds exactly the listed
+// blocks with slotRef != nil && kind == Independent, again in LRU
+// order, so write-through reclaim takes its victim from wtail. A slot
+// has at most one such block (refSlot.wt), so this one is threaded
+// through the blocks' slots. Its membership edges are setKind and
+// detachSlot.
 type lruList struct {
 	head, tail *vblock
 	n          int
 
 	dhead, dtail *vblock
+	whead, wtail *refSlot
 
 	// seq is the last stamp handed out. Nodes are only ever linked at
 	// the head, so list order is descending stamp, which lets
@@ -131,12 +139,18 @@ func (l *lruList) pushFront(v *vblock) {
 	if v.dataRAM != nil {
 		l.dataInsertBefore(v, l.dhead)
 	}
+	if v.slotRef != nil && v.kind == Independent {
+		l.wtInsertBefore(v, l.whead)
+	}
 }
 
 // remove unlinks v.
 func (l *lruList) remove(v *vblock) {
 	if v.dataRAM != nil {
 		l.dataUnlink(v)
+	}
+	if s := v.slotRef; s != nil && s.wt == v {
+		l.wtUnlink(s)
 	}
 	if v.prev != nil {
 		v.prev.next = v.next
@@ -232,4 +246,77 @@ func (l *lruList) dataUnlink(v *vblock) {
 		l.dtail = v.dprev
 	}
 	v.dprev, v.dnext = nil, nil
+}
+
+// wtSync re-files v in the write-through sublist after its kind changed
+// (setKind, which every attach is followed by). It enters at its LRU
+// rank, found from both ends as in dataCached: a write-through of a
+// block the request just loaded is hotter than every member, and the
+// request's own touch moves any other to the head right after. A block
+// that is not linked joins when pushFront links it; a block without a
+// slot is no member, and detachSlot has already taken it out.
+func (l *lruList) wtSync(v *vblock) {
+	s := v.slotRef
+	if s == nil || v.stamp == 0 {
+		return
+	}
+	switch member, want := s.wt == v, v.kind == Independent; {
+	case member == want:
+		return
+	case member:
+		l.wtUnlink(s)
+		return
+	}
+	h, t := l.whead, l.wtail
+	for h != nil {
+		if v.stamp > h.wt.stamp {
+			l.wtInsertBefore(v, h)
+			return
+		}
+		if v.stamp < t.wt.stamp {
+			l.wtInsertBefore(v, t.wnext)
+			return
+		}
+		h, t = h.wnext, t.wprev
+	}
+	l.wtInsertBefore(v, nil)
+}
+
+// wtInsertBefore links v's slot into the write-through sublist ahead of
+// at (nil appends at the tail), with v as its owner.
+func (l *lruList) wtInsertBefore(v *vblock, at *refSlot) {
+	s := v.slotRef
+	if s.wt != nil {
+		panic(fmt.Sprintf("core: slot %d written through by lba %d and lba %d", s.index, s.wt.lba, v.lba))
+	}
+	s.wt = v
+	s.wnext = at
+	if at != nil {
+		s.wprev = at.wprev
+		at.wprev = s
+	} else {
+		s.wprev = l.wtail
+		l.wtail = s
+	}
+	if s.wprev != nil {
+		s.wprev.wnext = s
+	} else {
+		l.whead = s
+	}
+}
+
+// wtUnlink takes s, whose owner stops being a write-through block, out
+// of the write-through sublist.
+func (l *lruList) wtUnlink(s *refSlot) {
+	if s.wprev != nil {
+		s.wprev.wnext = s.wnext
+	} else {
+		l.whead = s.wnext
+	}
+	if s.wnext != nil {
+		s.wnext.wprev = s.wprev
+	} else {
+		l.wtail = s.wprev
+	}
+	s.wt, s.wprev, s.wnext = nil, nil, nil
 }

@@ -159,8 +159,10 @@ func buildRig(cfg Config) (*rig, error) {
 
 // runWorkload issues the deterministic request stream, returning the
 // operation index of the power cut (-1 if none fired) and the oracle.
-// Any error other than the expected device loss is returned.
-func runWorkload(cfg Config, r *rig) (int, *Oracle, error) {
+// Any error other than the expected device loss is returned. afterOp,
+// when non-nil, runs after every operation that succeeded; its error
+// ends the run.
+func runWorkload(cfg Config, r *rig, afterOp func(op int) error) (int, *Oracle, error) {
 	rnd := sim.NewRand(cfg.Seed)
 	o := NewOracle()
 	buf := make([]byte, blockdev.BlockSize)
@@ -197,6 +199,11 @@ func runWorkload(cfg Config, r *rig) (int, *Oracle, error) {
 			}
 			return -1, nil, fmt.Errorf("op %d: %w", op, err)
 		}
+		if afterOp != nil {
+			if err := afterOp(op); err != nil {
+				return -1, nil, fmt.Errorf("op %d: %w", op, err)
+			}
+		}
 	}
 	return -1, o, nil
 }
@@ -211,7 +218,7 @@ func LogWritePoints(cfg Config) ([]int64, error) {
 		return nil, err
 	}
 	r.hddF.TraceWrites = true
-	if _, _, err := runWorkload(cfg, r); err != nil {
+	if _, _, err := runWorkload(cfg, r, nil); err != nil {
 		return nil, err
 	}
 	var points []int64
@@ -234,7 +241,7 @@ func RunCrash(cfg Config, crashWrite int64, tornBytes int) (Result, error) {
 		return Result{}, err
 	}
 	r.hddF.SetCrashAfterWrites(crashWrite, tornBytes)
-	crashOp, o, err := runWorkload(cfg, r)
+	crashOp, o, err := runWorkload(cfg, r, nil)
 	if err != nil {
 		return Result{}, err
 	}

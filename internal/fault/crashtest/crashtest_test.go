@@ -74,6 +74,25 @@ func TestCrashSweep(t *testing.T) {
 	}
 }
 
+// TestSweepWorkloadInvariantsEveryOp replays the sweep's request stream
+// without a crash and checks the controller's invariants after every
+// operation, not only after recovery. This stream is where a slot was
+// first seen listed twice for similarity search: a scan attached a
+// candidate to a slot whose last dependent the attach's own delta store
+// had just evicted, and the slot, still listed, was listed again. The
+// second entry is gone again a few hundred operations later, so only a
+// per-operation check sees it.
+func TestSweepWorkloadInvariantsEveryOp(t *testing.T) {
+	cfg := sweepConfig()
+	r, err := buildRig(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := runWorkload(cfg, r, func(int) error { return r.c.CheckInvariants() }); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestCrashSweepFailSlow repeats a crash sweep while the HDD runs under
 // an always-active fail-slow window: commit bursts take 8x their
 // nominal service time (with deterministic jitter), so power cuts land

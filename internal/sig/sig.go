@@ -17,7 +17,12 @@
 // shared counters). The most popular blocks become reference blocks.
 package sig
 
-import "icash/internal/blockdev"
+import (
+	"encoding/binary"
+	"math/bits"
+
+	"icash/internal/blockdev"
+)
 
 const (
 	// SubBlocks is the number of sub-blocks per 4 KB block (S in the
@@ -109,12 +114,14 @@ func (h *Heatmap) Reset() {
 // Distance returns the number of differing sub-signatures between a and
 // b, in [0, SubBlocks]. Similarity detection treats small distances as
 // likely-similar content worth delta-encoding.
+//
+// A signature is one 64-bit word, so the count is the number of nonzero
+// byte lanes of a XOR b: adding 0x7f to a lane's low seven bits carries
+// into its top bit exactly when one of them is set (and never out of
+// the lane), and OR-ing x back in covers a lane whose only set bit is
+// the top one.
 func Distance(a, b Signature) int {
-	n := 0
-	for i := range a {
-		if a[i] != b[i] {
-			n++
-		}
-	}
-	return n
+	const low7 = 0x7f7f7f7f7f7f7f7f
+	x := binary.LittleEndian.Uint64(a[:]) ^ binary.LittleEndian.Uint64(b[:])
+	return bits.OnesCount64(((x&low7 + low7) | x) &^ low7)
 }

@@ -184,6 +184,64 @@ func TestDistance(t *testing.T) {
 	}
 }
 
+// distanceBytes is the byte-at-a-time definition Distance is held to.
+func distanceBytes(a, b Signature) int {
+	n := 0
+	for i := range a {
+		if a[i] != b[i] {
+			n++
+		}
+	}
+	return n
+}
+
+// TestDistanceMatchesByteLoop holds the word-wise Distance to the byte
+// loop: every pair of the lane values that stress the nonzero-byte
+// count (nothing set, all low bits, only the top bit, everything) in
+// every lane against every background, then random pairs.
+func TestDistanceMatchesByteLoop(t *testing.T) {
+	edge := []byte{0x00, 0x7f, 0x80, 0xff}
+	for lane := 0; lane < SubBlocks; lane++ {
+		for _, bg := range edge {
+			for _, x := range edge {
+				for _, y := range edge {
+					var a, b Signature
+					for i := range a {
+						a[i], b[i] = bg, bg
+					}
+					a[lane], b[lane] = x, y
+					if got, want := Distance(a, b), distanceBytes(a, b); got != want {
+						t.Fatalf("Distance(%x, %x) = %d, byte loop says %d", a, b, got, want)
+					}
+					// The same lane pair against a background that
+					// differs everywhere else.
+					for i := range b {
+						if i != lane {
+							b[i] = ^bg
+						}
+					}
+					if got, want := Distance(a, b), distanceBytes(a, b); got != want {
+						t.Fatalf("Distance(%x, %x) = %d, byte loop says %d", a, b, got, want)
+					}
+				}
+			}
+		}
+	}
+	f := func(a, b Signature, same uint8) bool {
+		// Random signatures almost never share a lane: force the lanes
+		// picked by same to agree so every distance gets drawn.
+		for i := range a {
+			if same&(1<<i) != 0 {
+				b[i] = a[i]
+			}
+		}
+		return Distance(a, b) == distanceBytes(a, b) && Distance(b, a) == distanceBytes(a, b)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // Property: similar blocks (few changed bytes) have small signature
 // distance; the signature is deterministic.
 func TestSignatureProperties(t *testing.T) {
