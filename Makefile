@@ -13,11 +13,11 @@ build: ## go build ./...
 vet: ## stdlib go vet
 	$(GO) vet ./...
 
-lint: ## icash-vet: the 9 repo-specific analyzers, strict (stale suppressions fail), baselined
-	$(GO) run ./cmd/icash-vet -strict -baseline vet.baseline ./...
+lint: ## icash-vet: the 9 repo-specific analyzers, strict (stale suppressions fail)
+	$(GO) run ./cmd/icash-vet -strict ./...
 
 vet-json: ## icash-vet findings as an icash-vet/1 JSON document (machine-readable)
-	$(GO) run ./cmd/icash-vet -json -strict -baseline vet.baseline ./...
+	$(GO) run ./cmd/icash-vet -json -strict ./...
 
 fmt-check: ## fail on gofmt drift
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
@@ -60,6 +60,7 @@ fuzz-smoke: ## 10s per fuzz target, seeded from testdata corpora
 	$(GO) test ./internal/delta -fuzz FuzzSegmentation -fuzztime 10s
 	$(GO) test ./internal/core -fuzz FuzzLogReplay -fuzztime 10s
 	$(GO) test ./internal/core -fuzz FuzzJournalReplay -fuzztime 10s
+	$(GO) test ./internal/core -fuzz FuzzRecover -fuzztime 10s
 	$(GO) test ./internal/server -fuzz FuzzFrameRoundTrip -fuzztime 10s
 	$(GO) test ./internal/server -fuzz FuzzSessionBytes -fuzztime 10s
 

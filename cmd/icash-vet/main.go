@@ -7,18 +7,16 @@
 //
 // Usage:
 //
-//	icash-vet [-list] [-json] [-strict] [-baseline file] [-writebaseline file] [packages]
+//	icash-vet [-list] [-json] [-strict] [packages]
 //
 // Package patterns are module-relative ("./...", "./internal/ssd");
 // the default is "./...". Findings print one per line in vet format
-// (file:line:col: analyzer: message) and any finding exits 1, with two
-// exceptions: staleignore findings (suppression directives that no
-// longer suppress anything) are warnings unless -strict, and findings
-// recorded in a -baseline file are parked. -json emits the icash-vet/1
-// JSON document instead of text; -writebaseline regenerates a baseline
-// file from the current hard findings and exits clean. A known-good
-// site is suppressed with a //lint:ignore directive on its line or the
-// line above:
+// (file:line:col: analyzer: message) and any finding exits 1, with one
+// exception: staleignore findings (suppression directives that no
+// longer suppress anything) are warnings unless -strict. -json emits
+// the icash-vet/1 JSON document instead of text. A known-good site is
+// suppressed with a //lint:ignore directive on its line or the line
+// above:
 //
 //	//lint:ignore <analyzer> <reason>
 package main
@@ -37,15 +35,13 @@ func main() {
 
 func realMain() int {
 	var (
-		list          = flag.Bool("list", false, "list the analyzer catalog and exit")
-		jsonOut       = flag.Bool("json", false, "emit findings as an icash-vet/1 JSON document")
-		strict        = flag.Bool("strict", false, "treat staleignore findings as errors, not warnings")
-		baselinePath  = flag.String("baseline", "", "suppress findings recorded in this baseline file")
-		writeBaseline = flag.String("writebaseline", "", "write current findings to this baseline file and exit clean")
+		list    = flag.Bool("list", false, "list the analyzer catalog and exit")
+		jsonOut = flag.Bool("json", false, "emit findings as an icash-vet/1 JSON document")
+		strict  = flag.Bool("strict", false, "treat staleignore findings as errors, not warnings")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: icash-vet [-list] [-json] [-strict] [-baseline file] [-writebaseline file] [packages]\n")
+			"usage: icash-vet [-list] [-json] [-strict] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -86,28 +82,6 @@ func realMain() int {
 		} else {
 			hard = append(hard, f)
 		}
-	}
-
-	if *baselinePath != "" {
-		set, err := analysis.LoadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "icash-vet:", err)
-			return 2
-		}
-		var parked int
-		hard, parked = analysis.FilterBaseline(root, hard, set)
-		if parked > 0 {
-			fmt.Fprintf(os.Stderr, "icash-vet: %d finding(s) parked in %s\n", parked, *baselinePath)
-		}
-	}
-
-	if *writeBaseline != "" {
-		if err := analysis.WriteBaseline(*writeBaseline, root, hard); err != nil {
-			fmt.Fprintln(os.Stderr, "icash-vet:", err)
-			return 2
-		}
-		fmt.Fprintf(os.Stderr, "icash-vet: wrote %d finding(s) to %s\n", len(hard), *writeBaseline)
-		return 0
 	}
 
 	failing := hard

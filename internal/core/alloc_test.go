@@ -97,10 +97,11 @@ func BenchmarkWriteDelta(b *testing.B) {
 }
 
 // TestAllocGateCommitSteadyState gates the group-commit path at zero
-// steady-state heap allocations: with the staging area, part scratch,
-// meta slices, per-transaction block lists and the pack buffer all
-// pooled, a flush that drains one dirty delta into a durable
-// transaction must not touch the heap. The dirtying WriteBlock runs
+// steady-state heap allocations: the staging area and part scratch are
+// reused, a log block's record metadata is rebuilt in the block's own
+// record, a new transaction takes over a forgotten one's record and
+// block list, and the pack buffer is pooled, so a flush that drains one
+// dirty delta into a durable transaction must not touch the heap. The dirtying WriteBlock runs
 // outside the measured window (its retained delta is the write path's
 // documented floor); only Flush is metered, via the runtime's malloc
 // counter.
@@ -123,9 +124,9 @@ func TestAllocGateCommitSteadyState(t *testing.T) {
 		return c.Flush()
 	}
 	// Warm-up: fill the scratch pools, lazily allocate the log region's
-	// device blocks, and let the transaction-recycling cycle reach its
-	// steady state (a dead transaction's block list returns to the pool
-	// only when a later commit reuses its block).
+	// device blocks, and let the transaction records reach their steady
+	// state (a dead transaction's record is spare only once later
+	// commits have overwritten its blocks).
 	for i := 0; i < 100; i++ {
 		if err := step(); err != nil {
 			t.Fatal(err)
@@ -554,5 +555,73 @@ func TestAllocGateSlotWalksScaling(t *testing.T) {
 			t.Errorf("%s costs %v per %d at %d, %v at %d: more than 2x",
 				g.name, large, g.per, g.sizes[len(g.sizes)-1], small, g.sizes[0])
 		}
+	}
+}
+
+// newCommitRig builds a controller with a 128-block log over a virtual
+// disk of the given size and wraps the log a few times with writes to
+// the first 2048 LBAs, so commits run against a full log that the
+// compactor has to keep open.
+func newCommitRig(tb testing.TB, virtualBlocks int64) (*testRig, *sim.Rand) {
+	cfg := NewDefaultConfig(virtualBlocks, 256, 64<<10, 256<<10)
+	cfg.LogBlocks = 128
+	cfg.ScanPeriod = 100
+	cfg.ScanWindow = 400
+	cfg.FlushPeriodOps = 32
+	cfg.FlushDirtyBytes = 32 << 10
+	rig, r := newTestRig(tb, cfg), sim.NewRand(5)
+	rig.commits(tb, 20000, r)
+	return rig, r
+}
+
+// commits writes n similar blocks at random among the first 2048 LBAs
+// (the controller commits every FlushPeriodOps of them).
+func (rig *testRig) commits(tb testing.TB, n int, r *sim.Rand) {
+	for i := 0; i < n; i++ {
+		lba := int64(r.Intn(2048))
+		if _, err := rig.c.WriteBlock(lba, genContent(r, int(lba%4), 0.03)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// TestAllocGateCommitScaling pins that nothing on the commit and
+// compaction path walks the LBA table: with -timing-gates, the same
+// writes against the same 128-block log cost at most twice as much on a
+// 1 Mi-block virtual disk as on a 4 Ki-block one (one table walk per
+// commit would cost hundreds of times more). Without the flag it checks
+// only that the runs commit and compact.
+func TestAllocGateCommitScaling(t *testing.T) {
+	if race.Enabled {
+		t.Skip("timings are inflated under the race detector")
+	}
+	const perRound = 5000
+	scales := []int64{1 << 12, 1 << 20}
+	if !*timingGates {
+		scales = scales[:1]
+	}
+	var runs []func()
+	for _, vb := range scales {
+		rig, r := newCommitRig(t, vb)
+		flushes, cleans := rig.c.Stats.FlushRuns, rig.c.Stats.LogCleanerRuns
+		rig.commits(t, perRound, r)
+		if f, cl := rig.c.Stats.FlushRuns-flushes, rig.c.Stats.LogCleanerRuns-cleans; f < perRound/64 || cl == 0 {
+			t.Fatalf("VirtualBlocks=%d: %d commits and %d compactions in %d writes: the log is not under pressure", vb, f, cl, perRound)
+		}
+		if err := rig.c.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		runs = append(runs, func() { rig.commits(t, perRound, r) })
+	}
+	if !*timingGates {
+		return
+	}
+	best := bestOfRounds(runs)
+	for i, vb := range scales {
+		t.Logf("VirtualBlocks=%d: %d ns per write", vb, int64(best[i])/perRound)
+	}
+	if small, large := best[0], best[1]; large > 2*small {
+		t.Fatalf("%d writes cost %v at %d virtual blocks, %v at %d: more than 2x",
+			perRound, large, scales[1], small, scales[0])
 	}
 }

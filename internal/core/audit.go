@@ -13,12 +13,12 @@ import (
 // group-commit design promises actually hold on the media.
 //
 // Checked relations:
-//   - every live logIndex record points into an on-disk transaction
+//   - every LBA's newest-record entry points into an on-disk transaction
 //     that is complete (all parts present, CRC-valid, commit marker
 //     seen) — atomicity: no reader-visible record can depend on a
 //     partially landed batch;
 //   - the disk block backing a live record carries the transaction id
-//     the controller's reuse bookkeeping (blockTxn) has for it, in the
+//     the controller's reuse bookkeeping (logBlock.txn) has for it, in the
 //     current epoch or an earlier one;
 //   - the record itself (lba, seq, kind) is present in that decoded
 //     block — the index never points at bytes that are not there.
@@ -31,7 +31,7 @@ func (c *Controller) AuditJournal() (int, error) {
 	asm := newJournalAsm()
 	buf := make([]byte, blockdev.BlockSize)
 	for b := int64(0); b < c.cfg.LogBlocks; b++ {
-		if c.badLogBlocks[b] {
+		if c.logBlocks[b].bad {
 			continue
 		}
 		if _, err := c.hddRead(c.cfg.VirtualBlocks+b, buf); err != nil {
@@ -47,7 +47,11 @@ func (c *Controller) AuditJournal() (int, error) {
 		}
 	}
 
-	for lba, rec := range c.logIndex {
+	for lba := range c.lbas {
+		rec := c.lbas[lba].rec
+		if rec.kind == entryNone {
+			continue
+		}
 		sb, ok := asm.blocks[rec.block]
 		if !ok {
 			return incomplete, fmt.Errorf("core: audit: live record for lba %d in undecodable log block %d", lba, rec.block)
@@ -57,18 +61,18 @@ func (c *Controller) AuditJournal() (int, error) {
 			return incomplete, fmt.Errorf("core: audit: live record for lba %d rides incomplete txn %d (block %d)",
 				lba, sb.hdr.txn, rec.block)
 		}
-		owner, tracked := c.blockTxn[rec.block]
-		if !tracked {
+		owner := c.logBlocks[rec.block].txn
+		if owner == nil {
 			return incomplete, fmt.Errorf("core: audit: live record for lba %d in untracked log block %d", lba, rec.block)
 		}
-		if owner != sb.hdr.txn {
+		if owner.id != sb.hdr.txn {
 			return incomplete, fmt.Errorf("core: audit: log block %d holds txn %d on disk, controller tracks txn %d",
-				rec.block, sb.hdr.txn, owner)
+				rec.block, sb.hdr.txn, owner.id)
 		}
 		found := false
 		for i := range sb.entries {
 			e := &sb.entries[i]
-			if e.lba == lba && e.seq == rec.seq && e.kind == rec.kind {
+			if e.lba == int64(lba) && e.seq == rec.seq && e.kind == rec.kind {
 				found = true
 				break
 			}
@@ -81,13 +85,9 @@ func (c *Controller) AuditJournal() (int, error) {
 
 	// Every transaction the reuse bookkeeping still tracks with live
 	// records must be wholly on the media.
-	for txn, live := range c.txnLive {
-		if live == 0 {
-			continue
-		}
-		t := asm.txns[txn]
-		if t == nil || !t.complete() {
-			return incomplete, fmt.Errorf("core: audit: txn %d has %d live records but is not complete on disk", txn, live)
+	for id, t := range c.txns {
+		if at := asm.txns[id]; t.live > 0 && (at == nil || !at.complete()) {
+			return incomplete, fmt.Errorf("core: audit: txn %d has %d live records but is not complete on disk", id, t.live)
 		}
 	}
 	return incomplete, nil

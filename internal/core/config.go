@@ -82,19 +82,10 @@ type Config struct {
 	// (0 disables decay).
 	HeatmapDecayOps int
 
-	// ReserveSlots keeps this many SSD slots out of reach of reference
-	// installation so the write-through path (§5.3) always has room for
-	// incompressible writes. Zero derives SSDBlocks/8.
-	ReserveSlots int
-
 	// MaxRetries bounds retries of transient device errors per device
 	// operation. Zero derives the default (3); negative disables
 	// retrying entirely.
 	MaxRetries int
-	// RetryBackoff is the simulated-clock delay charged before the
-	// first retry of a transient error; it doubles on each further
-	// attempt. Zero derives the default (500 µs).
-	RetryBackoff sim.Duration
 
 	// HedgeDeadline is the per-read deadline on SSD reference fetches:
 	// when a foreground slot read's device service time exceeds it, the
@@ -175,20 +166,11 @@ func (c *Config) validate() error {
 	if c.FlushDirtyBytes <= 0 {
 		c.FlushDirtyBytes = 1 << 20
 	}
-	if c.ReserveSlots <= 0 {
-		c.ReserveSlots = int(c.SSDBlocks / 8)
-		if c.ReserveSlots < 4 {
-			c.ReserveSlots = 4
-		}
-	}
 	if c.MaxRetries == 0 {
 		c.MaxRetries = 3
 	}
 	if c.MaxRetries < 0 {
 		c.MaxRetries = 0
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 500 * sim.Microsecond
 	}
 	if c.HedgeDeadline == 0 {
 		c.HedgeDeadline = 2 * sim.Millisecond

@@ -53,14 +53,19 @@ type Controller struct {
 	ssd blockdev.Device // reference store, cfg.SSDBlocks
 	hdd blockdev.Device // primary region + delta-log region
 
-	heat   *sig.Heatmap
-	blocks map[int64]*vblock
-	lru    lruList
+	heat *sig.Heatmap
+	// lbas holds one record per LBA of the virtual disk: the tracked
+	// vblock, the newest durable log record, the content checksum.
+	lbas []lbaState
+	lru  lruList
 
 	deltaBudget *ram.Budget
 	dataBudget  *ram.Budget
 
-	slots map[int64]*refSlot // SSD index -> live slot
+	// slotTab holds the live slot at each SSD index, nil where there is
+	// none; nLiveSlots counts the non-nil entries.
+	slotTab    []*refSlot
+	nLiveSlots int
 	// slotOrder lists slots in the order they came to life (first
 	// attach, or re-attach after a compaction dropped the entry) for
 	// deterministic similarity search (map iteration order would not be
@@ -96,10 +101,6 @@ type Controller struct {
 	// transient-retry detour does not masquerade as a slow device.
 	lastAttemptDur sim.Duration
 
-	// badLogBlocks marks HDD log blocks retired after write failures;
-	// the flush frontier skips them.
-	badLogBlocks map[int64]bool
-
 	// dirtyQ is the FIFO of virtual blocks with unflushed deltas or
 	// pending control records, in write order (flush packs in this
 	// order, preserving the temporal grouping of §3.1).
@@ -111,16 +112,16 @@ type Controller struct {
 
 	logHead int64 // next log block (index within the log region)
 	logSeq  uint64
-	// logIndex maps each LBA to its newest durable log record; recovery
-	// replays exactly this relation. In-RAM state supersedes it while
-	// the controller is running.
-	logIndex map[int64]logRec
-	// logMeta holds per-log-block entry metadata so the compactor can
-	// decide liveness without reading dead blocks from disk.
-	logMeta map[int64][]entryMeta
-	// perLba counts durable records per LBA across the whole log; a
-	// tombstone may be dropped only when it is the last record.
-	perLba map[int64]int
+	// logBlocks holds one record per block of the log region.
+	// retiredLogBlocks counts the bad ones and freeLogBlocks the ones
+	// logBlockFree holds for.
+	logBlocks        []logBlock
+	retiredLogBlocks int64
+	freeLogBlocks    int64
+	// txns holds the transactions that still own log blocks, by id, and
+	// spareTxns the records of those that no longer do, for reuse.
+	txns      map[uint64]*txn
+	spareTxns []*txn
 
 	// nextTxn hands out journal transaction IDs. IDs are never reused,
 	// so a half-overwritten old transaction can never alias a new one.
@@ -128,26 +129,6 @@ type Controller struct {
 	// logEpoch stamps every commit record written by this controller
 	// incarnation; recovery bumps it past everything it saw on disk.
 	logEpoch uint64
-	// blockTxn maps each tracked log block to the transaction whose
-	// commit record it carries.
-	blockTxn map[int64]uint64
-	// txnLive counts live (newest-for-their-LBA) records per tracked
-	// transaction. A log block may be overwritten only when its whole
-	// transaction has no live records left: txn-granular reuse keeps
-	// every on-disk transaction either wholly intact or wholly dead,
-	// which is what makes all-or-nothing replay safe.
-	txnLive map[uint64]int
-	// txnBlocks lists the log blocks of each tracked transaction.
-	txnBlocks map[uint64][]int64
-	// freeLogBlocks is the number of log blocks logBlockFree holds for
-	// (see countFreeLogBlocks).
-	freeLogBlocks int64
-	// metaPool recycles entryMeta slices between packed log blocks.
-	metaPool [][]entryMeta
-	// txnBlocksPool recycles the per-transaction block lists, so the
-	// steady-state commit path (one new transaction per flush) stays
-	// allocation-free.
-	txnBlocksPool [][]int64
 	// pendingScratch, partScratch and rescueScratch are the commit
 	// path's reusable staging areas (alloc-gated: steady-state commits
 	// reuse them instead of allocating).
@@ -173,17 +154,8 @@ type Controller struct {
 	// similarity pairing (paper §4.2 case 1).
 	sameOffset map[int64][]*vblock
 
-	// sums maps each LBA to the CRC32-C of its current content — the
-	// end-to-end integrity checksum, set on every successful host write
-	// and checked at every layer crossing (see integrity.go). An LBA
-	// leaves the map when its content intentionally regresses to a
-	// stale copy (accounted-loss fallbacks) or becomes indeterminate
-	// (failed write).
-	sums map[int64]uint32
-	// poisoned marks LBAs whose every copy failed verification: reads
-	// fail loudly with ErrCorruption instead of serving wrong bytes,
-	// until a full overwrite installs known-good content again.
-	poisoned map[int64]bool
+	// nPoisoned counts the LBAs whose poison flag is set.
+	nPoisoned int
 	// corruptionHook, when set, observes every checksum-mismatch
 	// detection (device name + device-local address). The chaos harness
 	// uses it to measure detection latency against injection times.
@@ -242,35 +214,28 @@ func New(cfg Config, ssdDev, hddDev blockdev.Device, clock *sim.Clock, cpu *cpum
 			hddDev.Blocks(), cfg.VirtualBlocks, cfg.LogBlocks)
 	}
 	c := &Controller{
-		cfg:          cfg,
-		clock:        clock,
-		cpu:          cpu,
-		costs:        cpumodel.DefaultCosts(),
-		ssd:          ssdDev,
-		hdd:          hddDev,
-		heat:         sig.NewHeatmap(),
-		blocks:       make(map[int64]*vblock),
-		deltaBudget:  ram.NewBudget(cfg.DeltaRAMBytes),
-		dataBudget:   ram.NewBudget(cfg.DataRAMBytes),
-		slots:        make(map[int64]*refSlot),
-		badLogBlocks: make(map[int64]bool),
-		logIndex:     make(map[int64]logRec),
-		logMeta:      make(map[int64][]entryMeta),
-		perLba:       make(map[int64]int),
-		nextTxn:      1,
-		logEpoch:     1,
-		blockTxn:     make(map[int64]uint64),
-		txnLive:      make(map[uint64]int),
-		txnBlocks:    make(map[uint64][]int64),
-		scanSigGroup: make(map[sig.Signature]int),
-		sameOffset:   make(map[int64][]*vblock),
-		sums:         make(map[int64]uint32),
-		poisoned:     make(map[int64]bool),
+		cfg:           cfg,
+		clock:         clock,
+		cpu:           cpu,
+		costs:         cpumodel.DefaultCosts(),
+		ssd:           ssdDev,
+		hdd:           hddDev,
+		heat:          sig.NewHeatmap(),
+		lbas:          make([]lbaState, cfg.VirtualBlocks),
+		deltaBudget:   ram.NewBudget(cfg.DeltaRAMBytes),
+		dataBudget:    ram.NewBudget(cfg.DataRAMBytes),
+		slotTab:       make([]*refSlot, cfg.SSDBlocks),
+		logBlocks:     make([]logBlock, cfg.LogBlocks),
+		freeLogBlocks: cfg.LogBlocks,
+		txns:          make(map[uint64]*txn),
+		nextTxn:       1,
+		logEpoch:      1,
+		scanSigGroup:  make(map[sig.Signature]int),
+		sameOffset:    make(map[int64][]*vblock),
 		// A rejected encode stops before its buffer would pass the
 		// threshold plus one op's two varints, so this never grows.
 		encBuf: make([]byte, 0, cfg.DeltaThreshold+2*binary.MaxVarintLen64),
 	}
-	c.freeLogBlocks = cfg.LogBlocks
 	c.freeSlots = make([]int64, 0, cfg.SSDBlocks)
 	for i := cfg.SSDBlocks - 1; i >= 0; i-- {
 		c.freeSlots = append(c.freeSlots, i)
@@ -306,6 +271,12 @@ func (c *Controller) offsetKey(lba int64) int64 {
 	return lba % c.cfg.VMImageBlocks
 }
 
+// validLBA reports whether an LBA decoded from the media indexes the
+// LBA table (host requests are range-checked at entry).
+func (c *Controller) validLBA(lba int64) bool {
+	return lba >= 0 && lba < c.cfg.VirtualBlocks
+}
+
 // KindCounts snapshots the virtual-block population.
 func (c *Controller) KindCounts() KindCounts {
 	var k KindCounts
@@ -330,7 +301,7 @@ func (c *Controller) KindCounts() KindCounts {
 // location on a miss (forWrite skips the home read: a full-block write
 // overwrites everything). The returned latency is the synchronous cost.
 func (c *Controller) getOrLoad(lba int64, forWrite bool) (*vblock, sim.Duration, error) {
-	if v, ok := c.blocks[lba]; ok {
+	if v := c.lbas[lba].v; v != nil {
 		return v, 0, nil
 	}
 	if err := c.ensureMetadata(); err != nil {
@@ -355,11 +326,7 @@ func (c *Controller) getOrLoad(lba int64, forWrite bool) (*vblock, sim.Duration,
 		v.sigv = sig.Compute(buf)
 		c.cpu.ChargeStorage(c.costs.Signature)
 	}
-	c.blocks[lba] = v
-	c.lru.pushFront(v)
-	if key := c.offsetKey(lba); key >= 0 {
-		c.sameOffset[key] = append(c.sameOffset[key], v)
-	}
+	c.track(v)
 	// First-load similarity: look for an attached block at the same
 	// VM-image offset and try to share its reference (paper §4.2).
 	if !forWrite && v.dataRAM != nil {
@@ -367,6 +334,16 @@ func (c *Controller) getOrLoad(lba int64, forWrite bool) (*vblock, sim.Duration,
 		c.tryFirstLoadPair(v)
 	}
 	return v, lat, nil
+}
+
+// track enters v into the controller's indexes: the LBA table, the head
+// of the LRU, and the VM-offset pairing index.
+func (c *Controller) track(v *vblock) {
+	c.lbas[v.lba].v = v
+	c.lru.pushFront(v)
+	if key := c.offsetKey(v.lba); key >= 0 {
+		c.sameOffset[key] = append(c.sameOffset[key], v)
+	}
 }
 
 // dropVBlock removes v from all controller indexes and releases its RAM.
@@ -380,7 +357,7 @@ func (c *Controller) dropVBlock(v *vblock) {
 		c.detachSlot(v)
 	}
 	c.lru.remove(v)
-	delete(c.blocks, v.lba)
+	c.lbas[v.lba].v = nil
 	if key := c.offsetKey(v.lba); key >= 0 {
 		list := c.sameOffset[key]
 		for i, b := range list {
@@ -636,8 +613,7 @@ func (c *Controller) reclaimDeltaRAM(keep *vblock) bool {
 // deltaLogged reports whether the newest durable log record for v is a
 // delta record (i.e. v's clean RAM delta can be dropped and reloaded).
 func (c *Controller) deltaLogged(v *vblock) bool {
-	rec, ok := c.logIndex[v.lba]
-	return ok && rec.kind == entryDelta
+	return c.lbas[v.lba].rec.kind == entryDelta
 }
 
 // ensureMetadata keeps the tracked-block population within bounds by
@@ -686,9 +662,9 @@ func (c *Controller) evictToHome(v *vblock) error {
 	}
 	// A tombstone tells recovery the home location is authoritative,
 	// superseding any durable or pending delta/pointer record.
-	rec, hasRec := c.logIndex[v.lba]
-	dbg(v.lba, "evictToHome kind=%v ssdCur=%v hasRec=%v recKind=%d dirty=%v", v.kind, v.ssdCurrent, hasRec, rec.kind, v.deltaDirty)
-	if (hasRec && rec.kind != entryTombstone) || v.ssdCurrent || v.deltaDirty || v.inDirty {
+	rec := c.lbas[v.lba].rec
+	dbg(v.lba, "evictToHome kind=%v ssdCur=%v recKind=%d dirty=%v", v.kind, v.ssdCurrent, rec.kind, v.deltaDirty)
+	if (rec.kind != entryNone && rec.kind != entryTombstone) || v.ssdCurrent || v.deltaDirty || v.inDirty {
 		c.queueControl(logEntry{kind: entryTombstone, lba: v.lba})
 	}
 	c.Stats.WritebacksHome++

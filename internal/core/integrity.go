@@ -8,14 +8,15 @@ import (
 )
 
 // This file is the controller's end-to-end integrity layer (DESIGN.md
-// §14): a per-LBA content-checksum map maintained on the host write
-// path and verified at every layer crossing — SSD reference fetch
-// (slots.go), HDD home read (below), delta apply (iopath.go), journal
-// load (log.go) — so a device that lies and returns success with wrong
-// bytes is caught before the bytes are served or re-encoded. Detected
-// corruption is repaired from whichever redundant copy verifies; when
-// none does, the block is poisoned (reads fail loudly) or its content
-// regresses to an accounted stale copy — never silently wrong.
+// §14): a per-LBA content checksum (lbaState.sum) maintained on the
+// host write path and verified at every layer crossing — SSD reference
+// fetch (slots.go), HDD home read (below), delta apply (iopath.go),
+// journal load (log.go) — so a device that lies and returns success
+// with wrong bytes is caught before the bytes are served or re-encoded.
+// Detected corruption is repaired from whichever redundant copy
+// verifies; when none does, the block is poisoned (reads fail loudly) or
+// its content regresses to an accounted stale copy — never silently
+// wrong.
 
 // SetCorruptionHook registers fn to observe every checksum-mismatch
 // detection: dev names the lying device ("ssd", "hdd", "ram", "host")
@@ -38,23 +39,36 @@ func (c *Controller) noteCorruption(dev string, devLBA int64) {
 // host write (or preload) and clears any poison: the block holds
 // known-good content again.
 func (c *Controller) trackSum(lba int64, content []byte) {
-	c.sums[lba] = blockdev.ContentCRC(content)
-	delete(c.poisoned, lba)
+	l := &c.lbas[lba]
+	l.sum, l.sumOK = blockdev.ContentCRC(content), true
+	if l.poison {
+		l.poison = false
+		c.nPoisoned--
+	}
+}
+
+// poisonLBA marks lba unrepairable: every copy failed verification.
+func (c *Controller) poisonLBA(lba int64) {
+	if l := &c.lbas[lba]; !l.poison {
+		l.poison = true
+		c.nPoisoned++
+	}
+	c.Stats.UnrepairableBlocks++
 }
 
 // dropSum stops tracking lba. Called when the block's durable content
 // becomes indeterminate (a failed host write) or intentionally
 // regresses to a stale copy (the accounted-loss fallbacks): the old
 // checksum would flag the fallback content as corrupt forever.
-func (c *Controller) dropSum(lba int64) { delete(c.sums, lba) }
+func (c *Controller) dropSum(lba int64) { c.lbas[lba].sum, c.lbas[lba].sumOK = 0, false }
 
 // Poisoned reports whether lba is poisoned: every copy of its content
 // failed verification and reads fail with ErrCorruption until the
 // block is fully overwritten.
-func (c *Controller) Poisoned(lba int64) bool { return c.poisoned[lba] }
+func (c *Controller) Poisoned(lba int64) bool { return c.validLBA(lba) && c.lbas[lba].poison }
 
 // PoisonedBlocks reports how many LBAs are currently poisoned.
-func (c *Controller) PoisonedBlocks() int { return len(c.poisoned) }
+func (c *Controller) PoisonedBlocks() int { return c.nPoisoned }
 
 // errPoisoned builds the loud read error for a poisoned block.
 func errPoisoned(lba int64) error {
@@ -71,15 +85,16 @@ func errPoisoned(lba int64) error {
 // pass unverified. The returned duration covers every device access;
 // the caller charges it foreground or background as usual.
 func (c *Controller) readHomeVerified(lba int64, buf []byte) (sim.Duration, error) {
-	if c.poisoned[lba] {
+	l := &c.lbas[lba]
+	if l.poison {
 		return 0, errPoisoned(lba)
 	}
 	d, err := c.hddRead(lba, buf)
 	if err != nil {
 		return d, fmt.Errorf("core: home read lba %d: %w", lba, err)
 	}
-	want, tracked := c.sums[lba]
-	if !tracked || blockdev.ContentCRC(buf) == want {
+	want := l.sum
+	if !l.sumOK || blockdev.ContentCRC(buf) == want {
 		return d, nil
 	}
 	c.noteCorruption("hdd", lba)
@@ -89,8 +104,7 @@ func (c *Controller) readHomeVerified(lba int64, buf []byte) (sim.Duration, erro
 		c.Stats.CorruptionsRepaired++
 		return d, nil
 	}
-	c.poisoned[lba] = true
-	c.Stats.UnrepairableBlocks++
+	c.poisonLBA(lba)
 	return d, fmt.Errorf("core: home read lba %d: %w", lba, blockdev.ErrCorruption)
 }
 

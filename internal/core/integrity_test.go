@@ -63,12 +63,12 @@ func findHomeBackedSlot(rig *testRig) (*vblock, *refSlot) {
 	c := rig.c
 	buf := make([]byte, blockdev.BlockSize)
 	for lba := int64(0); lba < c.cfg.VirtualBlocks; lba++ {
-		v := c.blocks[lba]
+		v := c.lbas[lba].v
 		if v == nil || v.slotRef == nil || v.dataDirty {
 			continue
 		}
 		s := v.slotRef
-		if s.homeLBA < 0 || c.poisoned[s.homeLBA] || c.sums[s.homeLBA] != s.crc {
+		if s.homeLBA < 0 || c.lbas[s.homeLBA].poison || c.lbas[s.homeLBA].sum != s.crc {
 			continue
 		}
 		if _, err := rig.hdd.ReadBlock(s.homeLBA, buf); err != nil || contentCRC(buf) != s.crc {
@@ -105,7 +105,7 @@ func TestLyingSSDReadNeverReachesHost(t *testing.T) {
 		c.releaseData(victim)
 	}
 	if slot.donor >= 0 && slot.donor != victim.lba {
-		if dv := c.blocks[slot.donor]; dv != nil && dv.dataRAM != nil && !dv.dataDirty &&
+		if dv := c.lbas[slot.donor].v; dv != nil && dv.dataRAM != nil && !dv.dataDirty &&
 			contentCRC(dv.dataRAM) == slot.crc {
 			c.releaseData(dv)
 		}
@@ -137,7 +137,7 @@ func TestLyingSSDReadNeverReachesHost(t *testing.T) {
 	if _, err := rig.ssd.ReadBlock(slot.index, raw); err != nil {
 		t.Fatalf("raw ssd read: %v", err)
 	}
-	if c.slots[slot.index] == slot && contentCRC(raw) != slot.crc {
+	if c.slotTab[slot.index] == slot && contentCRC(raw) != slot.crc {
 		t.Fatal("SSD slot content not healed in place")
 	}
 	if err := c.CheckInvariants(); err != nil {
@@ -233,7 +233,7 @@ func TestScrubHealsRottedHomeBackup(t *testing.T) {
 	if _, err := rig.hdd.ReadBlock(slot.homeLBA, raw); err != nil {
 		t.Fatalf("raw hdd read: %v", err)
 	}
-	if c.slots[slot.index] == slot && contentCRC(raw) != slot.crc {
+	if c.slotTab[slot.index] == slot && contentCRC(raw) != slot.crc {
 		t.Fatal("home backup not healed in place")
 	}
 	if c.PoisonedBlocks() != 0 {
@@ -366,11 +366,10 @@ func TestReplayDiscardsCorruptJournalTxn(t *testing.T) {
 	// single-block transaction is simply invisible to the assembler and
 	// would not exercise the discard accounting).
 	victim := int64(-1)
-	var victimTxn uint64
-	for b := int64(0); b < cfg.LogBlocks; b++ {
-		id, ok := c.blockTxn[b]
-		if ok && len(c.txnBlocks[id]) >= 2 {
-			victim, victimTxn = b, id
+	var victimTxn *txn
+	for b := range c.logBlocks {
+		if t := c.logBlocks[b].txn; t != nil && len(t.blocks) >= 2 {
+			victim, victimTxn = int64(b), t
 			break
 		}
 	}
@@ -378,8 +377,8 @@ func TestReplayDiscardsCorruptJournalTxn(t *testing.T) {
 		t.Fatal("workload produced no multi-block journal transaction")
 	}
 	affected := make(map[int64]bool)
-	for _, b := range c.txnBlocks[victimTxn] {
-		for _, m := range c.logMeta[b] {
+	for _, b := range victimTxn.blocks {
+		for _, m := range c.logBlocks[b].metas {
 			affected[m.lba] = true
 		}
 	}

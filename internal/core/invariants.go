@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"icash/internal/blockdev"
 )
@@ -11,7 +12,7 @@ import (
 // is not part of any hot path.
 //
 // Checked relations:
-//   - the LRU list and the block map contain exactly the same blocks,
+//   - the LRU list and the LBA table contain exactly the same blocks,
 //     in strictly descending stamp order;
 //   - the data-resident sublist is the LRU filtered on dataRAM != nil
 //     (same nodes, same order, no links on non-members) and its length
@@ -20,18 +21,21 @@ import (
 //     && kind == Independent (same order, each member owning its slot
 //     through refSlot.wt, no links and no owner on any other slot);
 //   - slot reference counts equal the number of attached blocks, and
-//     every live slot is reachable from the slots map;
+//     every live slot is the slot table's entry at its index;
 //   - slotOrder lists every live slot exactly once, and holds a dead
 //     entry only while slotsStale says so;
 //   - free, quarantined and live slots partition the SSD exactly;
 //   - the delta budget equals the segment-rounded sum of resident
 //     deltas;
-//   - the running free-log-block count equals a frontier lap's;
-//   - logIndex entries point at blocks the cleaner still tracks
-//     (logMeta), and perLba counts match the per-block record census.
+//   - the running counts (free and retired log blocks, live slots,
+//     poisoned LBAs) equal a frontier lap's and a table scan's;
+//   - every LBA's newest-record entry names a record its log block still
+//     lists, and the durable counts match the per-block record census;
+//   - log blocks and transactions point at each other exactly, and the
+//     per-transaction live counts match the newest-record census.
 func (c *Controller) CheckInvariants() error {
-	// LRU <-> map agreement.
-	seen := make(map[int64]bool, c.lru.len())
+	// LRU <-> LBA table agreement. A block listed twice breaks the stamp
+	// order; two blocks for one LBA cannot both be the table's.
 	n := 0
 	resident := 0
 	var lastStamp uint64
@@ -65,18 +69,13 @@ func (c *Controller) CheckInvariants() error {
 		} else if s != nil && s.wt == v {
 			return fmt.Errorf("core: %v block %d owns slot %d in the write-through sublist", v.kind, v.lba, s.index)
 		}
-		if seen[v.lba] {
-			return fmt.Errorf("core: lba %d appears twice in LRU", v.lba)
-		}
-		seen[v.lba] = true
-		if c.blocks[v.lba] != v {
-			return fmt.Errorf("core: LRU block %d not in map", v.lba)
+		if c.lbas[v.lba].v != v {
+			return fmt.Errorf("core: LRU block %d not in the LBA table", v.lba)
 		}
 		n++
 	}
-	if n != len(c.blocks) || n != c.lru.len() {
-		return fmt.Errorf("core: LRU has %d blocks, map has %d, count says %d",
-			n, len(c.blocks), c.lru.len())
+	if n != c.lru.len() {
+		return fmt.Errorf("core: LRU has %d blocks, count says %d", n, c.lru.len())
 	}
 	if nextResident != nil || c.lru.dtail != lastResident {
 		return fmt.Errorf("core: data sublist runs past the LRU's %d resident blocks", resident)
@@ -94,30 +93,10 @@ func (c *Controller) CheckInvariants() error {
 	for v := c.lru.head; v != nil; v = v.next {
 		if v.slotRef != nil {
 			refcnt[v.slotRef]++
-			if c.slots[v.slotRef.index] != v.slotRef {
+			if c.slotTab[v.slotRef.index] != v.slotRef {
 				return fmt.Errorf("core: lba %d attached to unregistered slot %d",
 					v.lba, v.slotRef.index)
 			}
-		}
-	}
-	for idx, s := range c.slots {
-		if s.index != idx {
-			return fmt.Errorf("core: slot map key %d holds slot %d", idx, s.index)
-		}
-		if refcnt[s] != s.refcnt {
-			return fmt.Errorf("core: slot %d refcnt=%d, actual attached=%d",
-				s.index, s.refcnt, refcnt[s])
-		}
-		if s.refcnt <= 0 {
-			return fmt.Errorf("core: live slot %d with refcnt %d", s.index, s.refcnt)
-		}
-		// The LRU walk above placed every owned slot in the sublist; an
-		// owner it did not reach, or links without one, are strays.
-		if s.wt != nil && (s.wt.slotRef != s || c.blocks[s.wt.lba] != s.wt) {
-			return fmt.Errorf("core: slot %d owned by lba %d, which is not attached to it", s.index, s.wt.lba)
-		}
-		if s.wt == nil && (s.wprev != nil || s.wnext != nil) {
-			return fmt.Errorf("core: slot %d linked into the write-through sublist without an owner", s.index)
 		}
 	}
 	// slotOrder: every live slot once, dead entries only until the
@@ -134,18 +113,40 @@ func (c *Controller) CheckInvariants() error {
 		if s.refcnt <= 0 && !c.slotsStale {
 			return fmt.Errorf("core: dead slot %d in slotOrder with no compaction pending", s.index)
 		}
-		if s.refcnt > 0 && c.slots[s.index] != s {
+		if s.refcnt > 0 && c.slotTab[s.index] != s {
 			return fmt.Errorf("core: slotOrder entry for slot %d is not the live slot", s.index)
 		}
 	}
-	for _, s := range c.slots {
+	used := make(map[int64]string)
+	for idx, s := range c.slotTab {
+		if s == nil {
+			continue
+		}
+		used[int64(idx)] = "live"
+		if s.index != int64(idx) {
+			return fmt.Errorf("core: slot table entry %d holds slot %d", idx, s.index)
+		}
+		if refcnt[s] != s.refcnt {
+			return fmt.Errorf("core: slot %d refcnt=%d, actual attached=%d",
+				s.index, s.refcnt, refcnt[s])
+		}
+		if s.refcnt <= 0 {
+			return fmt.Errorf("core: live slot %d with refcnt %d", s.index, s.refcnt)
+		}
+		// The LRU walk above placed every owned slot in the sublist; an
+		// owner it did not reach, or links without one, are strays.
+		if s.wt != nil && (s.wt.slotRef != s || c.lbas[s.wt.lba].v != s.wt) {
+			return fmt.Errorf("core: slot %d owned by lba %d, which is not attached to it", s.index, s.wt.lba)
+		}
+		if s.wt == nil && (s.wprev != nil || s.wnext != nil) {
+			return fmt.Errorf("core: slot %d linked into the write-through sublist without an owner", s.index)
+		}
 		if !listed[s] {
 			return fmt.Errorf("core: live slot %d missing from slotOrder", s.index)
 		}
 	}
-	used := make(map[int64]string)
-	for idx := range c.slots {
-		used[idx] = "live"
+	if len(used) != c.nLiveSlots {
+		return fmt.Errorf("core: live slot count says %d, the slot table holds %d", c.nLiveSlots, len(used))
 	}
 	for _, idx := range c.freeSlots {
 		if prev, ok := used[idx]; ok {
@@ -174,13 +175,6 @@ func (c *Controller) CheckInvariants() error {
 		return fmt.Errorf("core: free log block count says %d, a frontier lap finds %d", c.freeLogBlocks, lap)
 	}
 
-	// Retired log blocks must not be tracked by the cleaner.
-	for b := range c.badLogBlocks {
-		if len(c.logMeta[b]) > 0 {
-			return fmt.Errorf("core: retired log block %d still tracked by the cleaner", b)
-		}
-	}
-
 	// Delta RAM budget (the data budget is checked with the sublist).
 	var deltaBytes int64
 	for v := c.lru.head; v != nil; v = v.next {
@@ -199,93 +193,90 @@ func (c *Controller) CheckInvariants() error {
 			c.deltaBudget.Used(), deltaBytes)
 	}
 
-	// Log index vs per-block metadata census.
-	census := make(map[int64]int)
-	for block, metas := range c.logMeta {
-		for i := range metas {
-			census[metas[i].lba]++
-			if metas[i].kind != entryDelta && metas[i].kind != entryPointer && metas[i].kind != entryTombstone {
-				return fmt.Errorf("core: log block %d has record of kind %d", block, metas[i].kind)
+	// Log blocks: a retired one is tracked by nothing, a tracked one
+	// and its transaction point at each other; the record census.
+	census := make([]int32, len(c.lbas))
+	retired := int64(0)
+	for b := range c.logBlocks {
+		lb := &c.logBlocks[b]
+		if lb.bad {
+			retired++
+		}
+		if (lb.bad || lb.txn == nil) && len(lb.metas) > 0 {
+			return fmt.Errorf("core: retired or untracked log block %d still lists records", b)
+		}
+		if lb.txn == nil {
+			continue
+		}
+		if lb.bad || c.txns[lb.txn.id] != lb.txn || !slices.Contains(lb.txn.blocks, int64(b)) {
+			return fmt.Errorf("core: log block %d (retired=%v) claims txn %d, which does not list it", b, lb.bad, lb.txn.id)
+		}
+		for i := range lb.metas {
+			m := &lb.metas[i]
+			if m.kind != entryDelta && m.kind != entryPointer && m.kind != entryTombstone {
+				return fmt.Errorf("core: log block %d has record of kind %d", b, m.kind)
 			}
-		}
-	}
-	for lba, cnt := range c.perLba {
-		if census[lba] != cnt {
-			return fmt.Errorf("core: perLba[%d]=%d, census says %d", lba, cnt, census[lba])
-		}
-	}
-	for lba, cnt := range census {
-		if c.perLba[lba] != cnt {
-			return fmt.Errorf("core: census[%d]=%d, perLba says %d", lba, cnt, c.perLba[lba])
-		}
-	}
-	for lba, rec := range c.logIndex {
-		metas := c.logMeta[rec.block]
-		found := false
-		for i := range metas {
-			if metas[i].lba == lba && metas[i].seq == rec.seq && metas[i].kind == rec.kind {
-				found = true
-				break
+			if !c.validLBA(m.lba) {
+				return fmt.Errorf("core: log block %d has a record for lba %d", b, m.lba)
 			}
+			census[m.lba]++
 		}
-		if !found {
-			return fmt.Errorf("core: logIndex[%d] points at missing record (block %d seq %d)",
-				lba, rec.block, rec.seq)
+	}
+	if retired != c.retiredLogBlocks {
+		return fmt.Errorf("core: retired log block count says %d, the table holds %d", c.retiredLogBlocks, retired)
+	}
+	for id, t := range c.txns {
+		if t.id != id || len(t.blocks) == 0 {
+			return fmt.Errorf("core: txn %d tracked as %d with %d blocks", id, t.id, len(t.blocks))
+		}
+		for _, b := range t.blocks {
+			if owner := c.logBlocks[b].txn; owner != t {
+				return fmt.Errorf("core: txn %d lists block %d, which another owns", id, b)
+			}
 		}
 	}
 
-	// Transaction bookkeeping: tracked blocks and transactions point at
-	// each other exactly, and the per-transaction live counts (which
-	// gate block reuse) match the live-record census.
-	for b := range c.logMeta {
-		if _, ok := c.blockTxn[b]; !ok {
-			return fmt.Errorf("core: log block %d tracked without a transaction", b)
+	// LBA table: tracked blocks, poison and checksum flags, durable
+	// counts against the census, and every newest record present in its
+	// block — which, counted per transaction, are the live counts that
+	// gate block reuse.
+	tracked, poisoned := 0, 0
+	txnCensus := make(map[*txn]int)
+	for i := range c.lbas {
+		l, lba := &c.lbas[i], int64(i)
+		if l.v != nil {
+			tracked++
 		}
+		if l.poison {
+			poisoned++
+		}
+		if !l.sumOK && l.sum != 0 {
+			return fmt.Errorf("core: lba %d keeps sum %08x while untracked", lba, l.sum)
+		}
+		if census[i] != l.durable {
+			return fmt.Errorf("core: lba %d durable count %d, census says %d", lba, l.durable, census[i])
+		}
+		rec := l.rec
+		if rec.kind == entryNone {
+			continue
+		}
+		lb := &c.logBlocks[rec.block]
+		if !slices.ContainsFunc(lb.metas, func(m entryMeta) bool {
+			return m.lba == lba && m.seq == rec.seq && m.kind == rec.kind
+		}) {
+			return fmt.Errorf("core: newest record of lba %d missing (block %d seq %d)", lba, rec.block, rec.seq)
+		}
+		txnCensus[lb.txn]++
 	}
-	for b, t := range c.blockTxn {
-		if c.badLogBlocks[b] {
-			return fmt.Errorf("core: retired log block %d still in txn %d", b, t)
-		}
-		found := false
-		for _, bb := range c.txnBlocks[t] {
-			if bb == b {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return fmt.Errorf("core: log block %d claims txn %d, which does not list it", b, t)
-		}
+	if tracked != n {
+		return fmt.Errorf("core: LRU has %d blocks, the LBA table tracks %d", n, tracked)
 	}
-	for t, blocks := range c.txnBlocks {
-		if len(blocks) == 0 {
-			return fmt.Errorf("core: txn %d tracked with no blocks", t)
-		}
-		if _, ok := c.txnLive[t]; !ok {
-			return fmt.Errorf("core: txn %d has blocks but no live count", t)
-		}
-		for _, b := range blocks {
-			if owner, ok := c.blockTxn[b]; !ok || owner != t {
-				return fmt.Errorf("core: txn %d lists block %d owned by txn %d", t, b, owner)
-			}
-		}
+	if poisoned != c.nPoisoned {
+		return fmt.Errorf("core: poisoned count says %d, the LBA table holds %d", c.nPoisoned, poisoned)
 	}
-	for t := range c.txnLive {
-		if _, ok := c.txnBlocks[t]; !ok {
-			return fmt.Errorf("core: txn %d has a live count but no blocks", t)
-		}
-	}
-	txnCensus := make(map[uint64]int)
-	for _, rec := range c.logIndex {
-		t, ok := c.blockTxn[rec.block]
-		if !ok {
-			return fmt.Errorf("core: live record in block %d outside any transaction", rec.block)
-		}
-		txnCensus[t]++
-	}
-	for t, live := range c.txnLive {
-		if txnCensus[t] != live {
-			return fmt.Errorf("core: txnLive[%d]=%d, census says %d", t, live, txnCensus[t])
+	for id, t := range c.txns {
+		if txnCensus[t] != t.live {
+			return fmt.Errorf("core: txn %d live count %d, census says %d", id, t.live, txnCensus[t])
 		}
 	}
 

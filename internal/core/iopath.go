@@ -44,7 +44,7 @@ func (c *Controller) periodic() error {
 func (c *Controller) touchLRU(v *vblock) {
 	c.lru.moveToFront(v)
 	if v.kind == Associate && v.slotRef != nil && v.slotRef.donor >= 0 {
-		if donor, ok := c.blocks[v.slotRef.donor]; ok && donor.slotRef == v.slotRef {
+		if donor := c.lbas[v.slotRef.donor].v; donor != nil && donor.slotRef == v.slotRef {
 			c.lru.moveToFront(donor)
 		}
 	}
@@ -83,8 +83,8 @@ func (c *Controller) materialize(v *vblock, background bool) ([]byte, sim.Durati
 		var lat sim.Duration
 		path := pathSSD
 		if v.deltaRAM == nil {
-			rec, ok := c.logIndex[v.lba]
-			if !ok || rec.kind != entryDelta {
+			rec := c.lbas[v.lba].rec
+			if rec.kind != entryDelta {
 				return nil, 0, pathSSD, fmt.Errorf("core: lba %d: delta lost (no RAM copy, no log record)", v.lba)
 			}
 			d, err := c.loadDeltaBlock(rec.block)
@@ -150,8 +150,8 @@ func (c *Controller) materialize(v *vblock, background bool) ([]byte, sim.Durati
 // deltaFromLog re-reads v's delta bytes from its durable log record
 // (slow path used only when the RAM budget rejected the prefetch).
 func (c *Controller) deltaFromLog(lba int64) ([]byte, error) {
-	rec, ok := c.logIndex[lba]
-	if !ok || rec.kind != entryDelta {
+	rec := c.lbas[lba].rec
+	if rec.kind != entryDelta {
 		return nil, fmt.Errorf("core: lba %d: no durable delta record", lba)
 	}
 	// Pooled: decodeLogBlock copies every entry's delta bytes out.
@@ -188,7 +188,8 @@ func (c *Controller) ReadBlock(lba int64, buf []byte) (sim.Duration, error) {
 	if err := blockdev.CheckBuffer(buf); err != nil {
 		return 0, err
 	}
-	if c.poisoned[lba] {
+	l := &c.lbas[lba]
+	if l.poison {
 		return 0, errPoisoned(lba)
 	}
 	c.recycleScratch() // previous request's scratch buffers are dead now
@@ -228,7 +229,7 @@ func (c *Controller) ReadBlock(lba int64, buf []byte) (sim.Duration, error) {
 	// last line of defense — it catches whatever slipped past the
 	// per-layer checks (e.g. RAM rot in the data cache). Dirty blocks are
 	// exempt: their RAM copy *is* the content the checksum was taken of.
-	if want, tracked := c.sums[lba]; tracked && !v.dataDirty && blockdev.ContentCRC(content) != want {
+	if l.sumOK && !v.dataDirty && blockdev.ContentCRC(content) != l.sum {
 		c.noteCorruption("host", lba)
 		// Drop the (possibly aliased) bad cached copy and rebuild from
 		// the durable layers, which verify themselves.
@@ -243,9 +244,8 @@ func (c *Controller) ReadBlock(lba int64, buf []byte) (sim.Duration, error) {
 		lat += lat2
 		// Re-fetch the expected sum: the rebuild may have dropped the
 		// delta as accounted loss, untracking the block.
-		if want2, tracked2 := c.sums[lba]; tracked2 && blockdev.ContentCRC(content) != want2 {
-			c.poisoned[lba] = true
-			c.Stats.UnrepairableBlocks++
+		if l.sumOK && blockdev.ContentCRC(content) != l.sum {
+			c.poisonLBA(lba)
 			return 0, errPoisoned(lba)
 		}
 		c.Stats.CorruptionsRepaired++

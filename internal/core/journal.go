@@ -19,11 +19,40 @@ import (
 // and recovery can discard incomplete ones without losing anything
 // that was ever acknowledged.
 
+// logBlock is the controller's record of one block of the log region;
+// Controller.logBlocks holds one per block.
+type logBlock struct {
+	// bad marks a block retired after a media failure; the commit
+	// frontier skips it for good. A bad block is never tracked.
+	bad bool
+	// txn is the transaction whose commit-record part the block
+	// carries, nil when the block is untracked (never written, or its
+	// content destroyed or discarded).
+	txn *txn
+	// metas describes the records packed in that part, so the compactor
+	// can decide liveness without reading dead blocks from disk. The
+	// backing array is reused every time the block is overwritten.
+	metas []entryMeta
+}
+
+// txn is the controller's record of one on-disk transaction that still
+// owns log blocks.
+type txn struct {
+	id uint64
+	// live counts the transaction's records that are the newest durable
+	// one for their LBA. A log block may be overwritten only when its
+	// whole transaction has none left: txn-granular reuse keeps every
+	// on-disk transaction either wholly intact or wholly dead, which is
+	// what makes all-or-nothing replay safe.
+	live int
+	// blocks lists the log blocks carrying the transaction's parts.
+	blocks []int64
+}
+
 // txnPart is one planned commit-record part of a transaction.
 type txnPart struct {
 	lo, hi int // entries[lo:hi] packed into this part
 	block  int64
-	metas  []entryMeta
 }
 
 // maxTxnBlocks bounds one transaction's footprint. Reuse is
@@ -62,11 +91,8 @@ func (c *Controller) reserveLogBlocks() int64 {
 // logBlockFree reports whether log block b may be overwritten: healthy,
 // and not part of a transaction that still has live records.
 func (c *Controller) logBlockFree(b int64) bool {
-	if c.badLogBlocks[b] {
-		return false
-	}
-	t, ok := c.blockTxn[b]
-	return !ok || c.txnLive[t] == 0
+	lb := &c.logBlocks[b]
+	return !lb.bad && (lb.txn == nil || lb.txn.live == 0)
 }
 
 // logBlockAlloc walks the circular log from the frontier handing out
@@ -92,9 +118,11 @@ func (a *logBlockAlloc) take() (int64, bool) {
 
 // countFreeLogBlocks returns how many overwritable blocks one frontier
 // lap would find. The commit and compaction loops ask between every
-// step, so the answer is the running count freeLogBlocks, kept by the
-// only writers of what logBlockFree reads: retireLogBlock, bindLogBlock,
-// unbindLogBlock and addTxnLive. CheckInvariants recounts lap-wise.
+// step, so the answer is the running count freeLogBlocks, moved where a
+// block's reusability changes: retireLogBlock and addLive. A block joins
+// (newTxn) and leaves (forgetLogBlock) a transaction only while that
+// transaction has no live records, which moves nothing. CheckInvariants
+// recounts lap-wise.
 func (c *Controller) countFreeLogBlocks() int64 { return c.freeLogBlocks }
 
 // lapFreeLogBlocks is countFreeLogBlocks the slow way: one frontier lap.
@@ -109,128 +137,86 @@ func (c *Controller) lapFreeLogBlocks() int64 {
 	}
 }
 
-// noteLogBlockFree moves the running count when log block b's
-// reusability changed from was.
-func (c *Controller) noteLogBlockFree(b int64, was bool) {
-	switch is := c.logBlockFree(b); {
-	case is && !was:
-		c.freeLogBlocks++
-	case was && !is:
+// retireLogBlock takes the untracked log block b out of circulation for
+// good.
+func (c *Controller) retireLogBlock(b int64) {
+	if c.logBlockFree(b) {
 		c.freeLogBlocks--
 	}
-}
-
-// retireLogBlock takes log block b out of circulation for good.
-func (c *Controller) retireLogBlock(b int64) {
-	was := c.logBlockFree(b)
-	c.badLogBlocks[b] = true
+	c.logBlocks[b].bad = true
+	c.retiredLogBlocks++
 	c.Stats.BadLogBlocks++
-	c.noteLogBlockFree(b, was)
 }
 
-// bindLogBlock records that log block b carries a part of transaction t.
-func (c *Controller) bindLogBlock(b int64, t uint64) {
-	was := c.logBlockFree(b)
-	c.blockTxn[b] = t
-	c.noteLogBlockFree(b, was)
-}
-
-// unbindLogBlock forgets which transaction log block b belonged to.
-func (c *Controller) unbindLogBlock(b int64) {
-	was := c.logBlockFree(b)
-	delete(c.blockTxn, b)
-	c.noteLogBlockFree(b, was)
-}
-
-// addTxnLive adjusts transaction t's live-record count. Crossing zero
-// flips the reusability of every block t owns (a tracked block is never
-// a retired one, so that is all of txnBlocks[t]).
-func (c *Controller) addTxnLive(t uint64, d int) {
-	old := c.txnLive[t]
-	c.txnLive[t] = old + d
-	if (old == 0) == (old+d == 0) {
+// addLive adjusts t's live-record count (t is nil for a record in an
+// untracked block, which CheckInvariants rules out). Crossing zero
+// flips the reusability of every block t owns.
+func (c *Controller) addLive(t *txn, d int) {
+	if t == nil {
 		return
 	}
-	if n := int64(len(c.txnBlocks[t])); old == 0 {
-		c.freeLogBlocks -= n
+	was := t.live == 0
+	t.live += d
+	switch is := t.live == 0; {
+	case is && !was:
+		c.freeLogBlocks += int64(len(t.blocks))
+	case was && !is:
+		c.freeLogBlocks -= int64(len(t.blocks))
+	}
+}
+
+// newTxn registers transaction id, owning no log blocks yet (see own)
+// and with no live records. The record and its block list are a
+// forgotten transaction's when there is one, so the steady-state commit
+// path (one new transaction per flush) stays allocation-free.
+func (c *Controller) newTxn(id uint64) *txn {
+	var t *txn
+	if n := len(c.spareTxns); n > 0 {
+		t = c.spareTxns[n-1]
+		c.spareTxns = c.spareTxns[:n-1]
 	} else {
-		c.freeLogBlocks += n
+		t = new(txn)
 	}
+	*t = txn{id: id, blocks: t.blocks[:0]}
+	c.txns[id] = t
+	return t
 }
 
-// newMetas hands out a pooled entryMeta slice for one packed block.
-func (c *Controller) newMetas() []entryMeta {
-	if n := len(c.metaPool); n > 0 {
-		m := c.metaPool[n-1]
-		c.metaPool = c.metaPool[:n-1]
-		return m[:0]
-	}
-	return make([]entryMeta, 0, 16)
-}
-
-// newTxnBlocks hands out a pooled per-transaction block list.
-func (c *Controller) newTxnBlocks() []int64 {
-	if n := len(c.txnBlocksPool); n > 0 {
-		b := c.txnBlocksPool[n-1]
-		c.txnBlocksPool = c.txnBlocksPool[:n-1]
-		return b[:0]
-	}
-	return make([]int64, 0, 4)
-}
-
-// recycleTxnBlocks returns a block list to the pool.
-func (c *Controller) recycleTxnBlocks(b []int64) {
-	if cap(b) == 0 || len(c.txnBlocksPool) >= 64 {
-		return
-	}
-	c.txnBlocksPool = append(c.txnBlocksPool, b[:0])
-}
-
-// recycleMetas returns a meta slice to the pool.
-func (c *Controller) recycleMetas(m []entryMeta) {
-	if cap(m) == 0 || len(c.metaPool) >= 64 {
-		return
-	}
-	c.metaPool = append(c.metaPool, m[:0])
+// own makes log block b one of t's.
+func (c *Controller) own(t *txn, b int64) {
+	c.logBlocks[b].txn = t
+	t.blocks = append(t.blocks, b)
 }
 
 // forgetLogBlock drops the RAM bookkeeping of a log block whose on-disk
 // content has been destroyed (overwritten or failed): per-LBA census,
 // packed-record metadata, and transaction membership. The caller must
-// ensure no live logIndex record still points at the block — guaranteed
-// for blocks obtained through logBlockFree. Called only after the
+// ensure no live record still points at the block — guaranteed for
+// blocks obtained through logBlockFree. Called only after the
 // destroying write actually happened: forgetting earlier would let a
 // failed commit resurrect stale records at recovery (the on-disk old
 // transaction would still be complete while RAM stopped counting it).
 func (c *Controller) forgetLogBlock(b int64) {
-	if metas, ok := c.logMeta[b]; ok {
-		for i := range metas {
-			m := &metas[i]
-			c.perLba[m.lba]--
-			if c.perLba[m.lba] <= 0 {
-				delete(c.perLba, m.lba)
-			}
-		}
-		delete(c.logMeta, b)
-		c.recycleMetas(metas)
+	lb := &c.logBlocks[b]
+	for i := range lb.metas {
+		c.lbas[lb.metas[i].lba].durable--
 	}
-	t, ok := c.blockTxn[b]
-	if !ok {
+	lb.metas = lb.metas[:0]
+	t := lb.txn
+	if t == nil {
 		return
 	}
-	c.unbindLogBlock(b)
-	blocks := c.txnBlocks[t]
-	for i, bb := range blocks {
+	lb.txn = nil
+	for i, bb := range t.blocks {
 		if bb == b {
-			blocks[i] = blocks[len(blocks)-1]
-			c.txnBlocks[t] = blocks[:len(blocks)-1]
+			t.blocks[i] = t.blocks[len(t.blocks)-1]
+			t.blocks = t.blocks[:len(t.blocks)-1]
 			break
 		}
 	}
-	if len(c.txnBlocks[t]) == 0 {
-		c.recycleTxnBlocks(c.txnBlocks[t])
-		delete(c.txnBlocks, t)
-		delete(c.txnLive, t)
+	if len(t.blocks) == 0 {
+		delete(c.txns, t.id)
+		c.spareTxns = append(c.spareTxns, t)
 	}
 }
 
@@ -313,7 +299,7 @@ func (c *Controller) commitJournal() error {
 			c.requeuePending(pending)
 			return fmt.Errorf("core: delta log too small for live delta volume (LogBlocks=%d)", c.cfg.LogBlocks)
 		}
-		if int64(len(c.badLogBlocks)) >= c.cfg.LogBlocks {
+		if c.retiredLogBlocks >= c.cfg.LogBlocks {
 			c.requeuePending(pending)
 			return fmt.Errorf("core: every log block has failed: %w", blockdev.ErrMedia)
 		}
@@ -440,9 +426,9 @@ func (c *Controller) groomLog() error {
 
 // writeTxn packs a prefix of entries into one transaction of at most
 // blockCap commit-record parts, writes every part durably, and only
-// then publishes the batch (logIndex, per-block metadata, stats).
-// Returns how many entries committed; 0 with nil error means the
-// frontier lap found no overwritable block. On error nothing of the
+// then publishes the batch (newest-record index, per-block metadata,
+// stats). Returns how many entries committed; 0 with nil error means
+// the frontier lap found no overwritable block. On error nothing of the
 // transaction is visible.
 func (c *Controller) writeTxn(entries []logEntry, blockCap int64) (int, error) {
 	if blockCap < 1 {
@@ -458,7 +444,6 @@ func (c *Controller) writeTxn(entries []logEntry, blockCap int64) (int, error) {
 		}
 		lo := n
 		used := logHeaderSize
-		metas := c.newMetas()
 		for n < len(entries) {
 			e := &entries[n]
 			sz := entrySize(e)
@@ -467,37 +452,28 @@ func (c *Controller) writeTxn(entries []logEntry, blockCap int64) (int, error) {
 			}
 			e.seq = c.nextSeq()
 			used += sz
-			metas = append(metas, entryMeta{kind: e.kind, flags: e.flags, lba: e.lba, seq: e.seq, slot: e.slot, size: int32(sz)})
 			n++
 		}
 		if n == lo {
 			// The block was empty, so the next entry alone overflows it.
-			c.recycleMetas(metas)
-			c.partScratch = parts[:0]
 			return 0, fmt.Errorf("core: delta record larger than a log block")
 		}
-		parts = append(parts, txnPart{lo: lo, hi: n, block: blk, metas: metas})
+		parts = append(parts, txnPart{lo: lo, hi: n, block: blk})
 	}
-	c.partScratch = parts
+	c.partScratch = parts[:0]
 	if len(parts) == 0 {
 		return 0, nil
 	}
 
-	txn := c.nextTxn
+	id := c.nextTxn
 	c.nextTxn++
 	// Pooled pack buffer: encodeLogBlock fully overwrites it and the
 	// device copies it, so nothing aliases it past the defer.
 	buf := blockdev.GetBlock()
 	defer blockdev.PutBlock(buf)
-	abort := func() {
-		for i := range parts {
-			c.recycleMetas(parts[i].metas)
-		}
-		c.partScratch = parts[:0]
-	}
 	for i := range parts {
 		p := &parts[i]
-		hdr := blockHeader{txn: txn, epoch: c.logEpoch, part: uint16(i), total: uint16(len(parts))}
+		hdr := blockHeader{txn: id, epoch: c.logEpoch, part: uint16(i), total: uint16(len(parts))}
 		if i == len(parts)-1 {
 			hdr.flags |= blockFlagCommit
 		}
@@ -514,7 +490,6 @@ func (c *Controller) writeTxn(entries []logEntry, blockCap int64) (int, error) {
 			if blockdev.Classify(err) != blockdev.ClassMedia {
 				// Device-level failure: nothing of the transaction is
 				// visible; the caller re-queues and retries the batch.
-				abort()
 				return 0, err
 			}
 			// Latent defect under the frontier: the failed write may
@@ -526,44 +501,39 @@ func (c *Controller) writeTxn(entries []logEntry, blockCap int64) (int, error) {
 			c.retireLogBlock(p.block)
 			nb, ok := alloc.take()
 			if !ok {
-				abort()
 				return 0, fmt.Errorf("core: no usable log block after media failure: %w", blockdev.ErrMedia)
 			}
 			p.block = nb
 		}
 	}
 
-	// Every part is durable: publish the transaction. Registration
-	// precedes the logIndex updates so setLogIndex maintains txnLive.
-	txnBlocks := c.newTxnBlocks()
+	// Every part is durable: publish the transaction. It owns all its
+	// blocks before the first record goes live, so addLive moves the
+	// free count for every one of them.
+	t := c.newTxn(id)
 	for i := range parts {
-		p := &parts[i]
-		c.logMeta[p.block] = p.metas
-		c.bindLogBlock(p.block, txn)
-		txnBlocks = append(txnBlocks, p.block)
+		c.own(t, parts[i].block)
 		c.Stats.LogBlocksWritten++
-	}
-	c.txnBlocks[txn] = txnBlocks
-	if _, ok := c.txnLive[txn]; !ok {
-		c.txnLive[txn] = 0
 	}
 	payload := 0
 	for i := range parts {
 		p := &parts[i]
-		for j := range p.metas {
-			m := &p.metas[j]
-			e := &entries[p.lo+j]
-			payload += int(m.size)
-			c.perLba[m.lba]++
+		lb := &c.logBlocks[p.block]
+		for j := p.lo; j < p.hi; j++ {
+			e := &entries[j]
+			sz := entrySize(e)
+			lb.metas = append(lb.metas, entryMeta{kind: e.kind, flags: e.flags, lba: e.lba, seq: e.seq, slot: e.slot, size: int32(sz)})
+			payload += sz
+			c.lbas[e.lba].durable++
 			if debugLBA >= 0 {
-				dbg(m.lba, "commit txn=%d kind=%d seq=%d block=%d", txn, m.kind, m.seq, p.block)
+				dbg(e.lba, "commit txn=%d kind=%d seq=%d block=%d", id, e.kind, e.seq, p.block)
 			}
-			c.setLogIndex(m.lba, logRec{block: p.block, seq: m.seq, kind: m.kind, size: m.size})
-			if m.kind == entryDelta {
+			c.setLogIndex(e.lba, logRec{block: p.block, seq: e.seq, kind: e.kind, size: int32(sz)})
+			if e.kind == entryDelta {
 				c.Stats.DeltasPacked++
 				// A rescued delta is an older version: the newer dirty
 				// delta (if any) is still waiting for its own commit.
-				if v, ok := c.blocks[m.lba]; ok && !e.rescued {
+				if v := c.lbas[e.lba].v; v != nil && !e.rescued {
 					v.deltaDirty = false
 				}
 			}
@@ -609,22 +579,24 @@ func (c *Controller) compactStep(evict bool, inFlight map[int64]bool) (bool, err
 	// location is authoritative without it), so dropping it can release
 	// whole transactions without writing a byte. This also works when
 	// zero blocks are free and a rescue could not be written at all.
-	var deadStones []int64
-	for lba, rec := range c.logIndex {
-		if rec.kind == entryTombstone && c.perLba[lba] == 1 {
-			deadStones = append(deadStones, lba)
+	// The pass walks the tracked blocks' records, not the LBA table; its
+	// result does not depend on the order (clearing one LBA's record
+	// changes no other LBA's).
+	before := c.countFreeLogBlocks()
+	for b := range c.logBlocks {
+		lb := &c.logBlocks[b]
+		if lb.txn == nil || lb.txn.live == 0 {
+			continue
 		}
-	}
-	freed := false
-	if len(deadStones) > 0 {
-		sort.Slice(deadStones, func(i, j int) bool { return deadStones[i] < deadStones[j] })
-		before := c.countFreeLogBlocks()
-		for _, lba := range deadStones {
-			c.clearLogIndex(lba)
+		for i := range lb.metas {
+			m := &lb.metas[i]
+			if l := &c.lbas[m.lba]; m.kind == entryTombstone && l.durable == 1 && l.rec.at(int64(b), m.seq) {
+				c.clearLogIndex(m.lba)
+			}
 		}
-		freed = c.countFreeLogBlocks() > before
 	}
 	free := c.countFreeLogBlocks()
+	freed := free > before
 	if free == 0 {
 		return freed, nil
 	}
@@ -640,42 +612,38 @@ func (c *Controller) compactStep(evict bool, inFlight map[int64]bool) (bool, err
 	// per block), ties on id: deterministic, and maximizes the blocks
 	// freed per byte of rescue the workspace can hold.
 	type victim struct {
-		txn    uint64
-		blocks int64
-		bytes  int64
+		*txn
+		bytes int64
 	}
 	var vs []victim
-	for t, live := range c.txnLive {
-		if live > 0 {
-			vs = append(vs, victim{txn: t})
+	for _, t := range c.txns {
+		if t.live == 0 {
+			continue
 		}
-	}
-	if len(vs) == 0 {
-		return freed, nil
-	}
-	sort.Slice(vs, func(i, j int) bool { return vs[i].txn < vs[j].txn })
-	for k := range vs {
-		v := &vs[k]
-		v.blocks = int64(len(c.txnBlocks[v.txn]))
-		for _, b := range c.txnBlocks[v.txn] {
-			metas := c.logMeta[b]
+		v := victim{txn: t}
+		for _, b := range t.blocks {
+			metas := c.logBlocks[b].metas
 			for i := range metas {
-				m := &metas[i]
-				if rec, live := c.logIndex[m.lba]; live && rec.block == b && rec.seq == m.seq {
+				if m := &metas[i]; c.lbas[m.lba].rec.at(b, m.seq) {
 					v.bytes += recSize(m)
 				}
 			}
 		}
+		vs = append(vs, v)
+	}
+	if len(vs) == 0 {
+		return freed, nil
 	}
 	sort.Slice(vs, func(i, j int) bool {
-		di, dj := vs[i].bytes*vs[j].blocks, vs[j].bytes*vs[i].blocks
+		bi, bj := int64(len(vs[i].blocks)), int64(len(vs[j].blocks))
+		di, dj := vs[i].bytes*bj, vs[j].bytes*bi
 		if di != dj {
 			return di < dj
 		}
 		if vs[i].bytes != vs[j].bytes {
 			return vs[i].bytes < vs[j].bytes
 		}
-		return vs[i].txn < vs[j].txn
+		return vs[i].id < vs[j].id
 	})
 	// Accept victims whose rescues, packed exactly the way writeTxn
 	// packs (greedy, in order), fit the rescue budget; a victim too big
@@ -703,15 +671,10 @@ func (c *Controller) compactStep(evict bool, inFlight map[int64]bool) (bool, err
 	for _, v := range vs {
 		before, beforeUsed := blocksUsed, usedInBlock
 		ok := true
-		for _, b := range c.txnBlocks[v.txn] {
-			metas := c.logMeta[b]
+		for _, b := range v.blocks {
+			metas := c.logBlocks[b].metas
 			for i := range metas {
-				m := &metas[i]
-				rec, live := c.logIndex[m.lba]
-				if !live || rec.block != b || rec.seq != m.seq {
-					continue
-				}
-				if !fits(int(recSize(m))) {
+				if m := &metas[i]; c.lbas[m.lba].rec.at(b, m.seq) && !fits(int(recSize(m))) {
 					ok = false
 					break
 				}
@@ -734,7 +697,7 @@ func (c *Controller) compactStep(evict bool, inFlight map[int64]bool) (bool, err
 	// immovable dense transactions it would later have to move again).
 	var victimBlocks int64
 	for _, v := range picked {
-		victimBlocks += v.blocks
+		victimBlocks += int64(len(v.blocks))
 	}
 	if victimBlocks < blocksUsed+2 {
 		return freed, nil
@@ -791,7 +754,7 @@ func (c *Controller) compactStep(evict bool, inFlight map[int64]bool) (bool, err
 // counts, because later duplicates supersede within the new
 // transaction, not the old one.
 func (c *Controller) prefixUnpins(pending []logEntry, budget int64) bool {
-	dec := make(map[uint64]int)
+	dec := make(map[*txn]int)
 	seen := make(map[int64]bool)
 	used := logHeaderSize
 	for i := range pending {
@@ -808,14 +771,14 @@ func (c *Controller) prefixUnpins(pending []logEntry, budget int64) bool {
 			continue // only the first new record supersedes the current one
 		}
 		seen[e.lba] = true
-		if rec, ok := c.logIndex[e.lba]; ok {
-			if t, ok := c.blockTxn[rec.block]; ok {
+		if rec := c.lbas[e.lba].rec; rec.kind != entryNone {
+			if t := c.logBlocks[rec.block].txn; t != nil {
 				dec[t]++
 			}
 		}
 	}
 	for t, d := range dec {
-		if c.txnLive[t] == d {
+		if t.live == d {
 			return true
 		}
 	}
@@ -833,7 +796,7 @@ func (c *Controller) compactEvictable(lba int64, slot int64, inFlight map[int64]
 	if inFlight[lba] {
 		return nil
 	}
-	v := c.blocks[lba]
+	v := c.lbas[lba].v
 	if v == nil || v == c.pinned {
 		return nil
 	}
@@ -847,13 +810,12 @@ func (c *Controller) compactEvictable(lba int64, slot int64, inFlight map[int64]
 // goes to its HDD home, the vblock drops, and a tombstone is appended
 // to dst in place of the full rescue. Displaced LBAs are recorded so
 // the rescue pass skips them.
-func (c *Controller) evictTxnDeltas(txn uint64, dst []logEntry, inFlight map[int64]bool, displaced map[int64]bool) ([]logEntry, error) {
-	for _, b := range c.txnBlocks[txn] {
-		metas := c.logMeta[b]
+func (c *Controller) evictTxnDeltas(t *txn, dst []logEntry, inFlight map[int64]bool, displaced map[int64]bool) ([]logEntry, error) {
+	for _, b := range t.blocks {
+		metas := c.logBlocks[b].metas
 		for i := range metas {
 			m := &metas[i]
-			rec, ok := c.logIndex[m.lba]
-			if !ok || rec.block != b || rec.seq != m.seq || m.kind != entryDelta {
+			if m.kind != entryDelta || !c.lbas[m.lba].rec.at(b, m.seq) {
 				continue
 			}
 			v := c.compactEvictable(m.lba, m.slot, inFlight)
@@ -874,7 +836,7 @@ func (c *Controller) evictTxnDeltas(txn uint64, dst []logEntry, inFlight map[int
 			dst = append(dst, logEntry{kind: entryTombstone, rescued: true, lba: m.lba})
 			displaced[m.lba] = true
 			if debugLBA >= 0 {
-				dbg(m.lba, "compact-evict txn=%d seq=%d block=%d", txn, m.seq, b)
+				dbg(m.lba, "compact-evict txn=%d seq=%d block=%d", t.id, m.seq, b)
 			}
 		}
 	}
@@ -976,26 +938,25 @@ func (t *asmTxn) complete() bool {
 // the last record anywhere for its LBA is dropped instead (the home
 // location is already authoritative without it). Sources stay live —
 // the rescue supersedes them only when its transaction commits.
-func (c *Controller) rescueTxn(txn uint64, dst []logEntry, displaced map[int64]bool) ([]logEntry, error) {
+func (c *Controller) rescueTxn(t *txn, dst []logEntry, displaced map[int64]bool) ([]logEntry, error) {
 	var blockData []byte // lazily read only if delta bytes are needed
 	// Pooled: decodeLogBlock copies delta bytes out, so the rescued
 	// entries never alias blockData and the Put below is safe.
 	defer func() { blockdev.PutBlock(blockData) }()
-	for _, b := range c.txnBlocks[txn] {
-		metas := c.logMeta[b]
+	for _, b := range t.blocks {
+		metas := c.logBlocks[b].metas
 		blockRead := false
 		var blockEntries []logEntry
 		for i := range metas {
 			m := &metas[i]
-			rec, ok := c.logIndex[m.lba]
-			if !ok || rec.block != b || rec.seq != m.seq {
+			if !c.lbas[m.lba].rec.at(b, m.seq) {
 				continue // superseded: dead record
 			}
 			if displaced[m.lba] {
 				continue // evicted home; its tombstone already rides along
 			}
 			if debugLBA >= 0 {
-				dbg(m.lba, "rescue txn=%d kind=%d seq=%d block=%d", txn, m.kind, m.seq, b)
+				dbg(m.lba, "rescue txn=%d kind=%d seq=%d block=%d", t.id, m.kind, m.seq, b)
 			}
 			switch m.kind {
 			case entryDelta:
@@ -1005,7 +966,7 @@ func (c *Controller) rescueTxn(txn uint64, dst []logEntry, displaced map[int64]b
 				// version is not durable until its own record commits,
 				// and a crash in between must still find this one.
 				var bytes []byte
-				v := c.blocks[m.lba]
+				v := c.lbas[m.lba].v
 				if v != nil && v.slotRef != nil && v.slotRef.index == m.slot &&
 					!v.ssdCurrent && !v.deltaDirty && v.deltaRAM != nil {
 					bytes = v.deltaRAM
@@ -1047,7 +1008,7 @@ func (c *Controller) rescueTxn(txn uint64, dst []logEntry, displaced map[int64]b
 				// tombstone must outlive every older record for its LBA.
 				// Only when it is the last record anywhere may it drop:
 				// with no records at all, home is authoritative anyway.
-				if c.perLba[m.lba] > 1 {
+				if c.lbas[m.lba].durable > 1 {
 					dst = append(dst, logEntry{kind: entryTombstone, rescued: true, lba: m.lba})
 				} else {
 					c.clearLogIndex(m.lba)

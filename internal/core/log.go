@@ -50,6 +50,7 @@ import (
 type entryKind uint8
 
 const (
+	entryNone      entryKind = 0 // RAM only: the zero logRec, no record
 	entryDelta     entryKind = 1
 	entryPointer   entryKind = 2
 	entryTombstone entryKind = 3
@@ -115,48 +116,47 @@ type entryMeta struct {
 	size  int32 // packed size including header
 }
 
-// logRec is the logIndex value: where the newest durable record for an
-// LBA lives.
+// logRec is lbaState.rec: where the newest durable record for an LBA
+// lives.
 type logRec struct {
 	block int64
 	seq   uint64
-	kind  entryKind
 	size  int32
+	kind  entryKind
 }
 
-// setLogIndex updates the newest-record index for lba, maintaining the
-// live-byte estimate used for log-pressure shedding and the per-
+// at reports whether r is the record with sequence number seq in log
+// block b (the zero logRec is no record anywhere).
+func (r logRec) at(b int64, seq uint64) bool {
+	return r.kind != entryNone && r.block == b && r.seq == seq
+}
+
+// setLogIndex makes rec the newest durable record for lba, maintaining
+// the live-byte estimate used for log-pressure shedding and the per-
 // transaction live-record counts that gate block reuse.
 func (c *Controller) setLogIndex(lba int64, rec logRec) {
-	if old, ok := c.logIndex[lba]; ok {
-		c.liveLogBytes -= int64(old.size)
-		if t, ok := c.blockTxn[old.block]; ok {
-			c.addTxnLive(t, -1)
-		}
-	}
-	c.logIndex[lba] = rec
+	c.clearLogIndex(lba)
+	c.lbas[lba].rec = rec
 	c.liveLogBytes += int64(rec.size)
-	if t, ok := c.blockTxn[rec.block]; ok {
-		c.addTxnLive(t, 1)
-	}
+	c.addLive(c.logBlocks[rec.block].txn, 1)
 }
 
-// clearLogIndex removes the newest-record index entry for lba.
+// clearLogIndex forgets lba's newest durable record, if it has one.
 func (c *Controller) clearLogIndex(lba int64) {
-	if old, ok := c.logIndex[lba]; ok {
-		c.liveLogBytes -= int64(old.size)
-		if t, ok := c.blockTxn[old.block]; ok {
-			c.addTxnLive(t, -1)
-		}
-		delete(c.logIndex, lba)
+	l := &c.lbas[lba]
+	if l.rec.kind == entryNone {
+		return
 	}
+	c.liveLogBytes -= int64(l.rec.size)
+	c.addLive(c.logBlocks[l.rec.block].txn, -1)
+	l.rec = logRec{}
 }
 
 // logCapacityBytes is the usable payload capacity of the log region,
 // with one block of slack for the write frontier. Log blocks retired
 // after write failures no longer count.
 func (c *Controller) logCapacityBytes() int64 {
-	usable := c.cfg.LogBlocks - 1 - int64(len(c.badLogBlocks))
+	usable := c.cfg.LogBlocks - 1 - c.retiredLogBlocks
 	if usable < 1 {
 		usable = 1
 	}
@@ -191,7 +191,7 @@ func (c *Controller) shedLogPressure(pendingBytes int64) error {
 		if v.deltaDirty && v.deltaRAM != nil {
 			projected -= int64(entryHeadSize + len(v.deltaRAM))
 		}
-		if rec, ok := c.logIndex[v.lba]; ok && rec.kind == entryDelta {
+		if rec := c.lbas[v.lba].rec; rec.kind == entryDelta {
 			projected -= int64(rec.size)
 		}
 		projected += entryHeadSize // the tombstone
@@ -372,15 +372,17 @@ func (c *Controller) loadDeltaBlock(b int64) (sim.Duration, error) {
 	}
 	for i := range entries {
 		e := &entries[i]
-		if e.kind != entryDelta {
+		// A foreign block that still frames correctly (a misdirected
+		// write) can name any LBA at all.
+		if e.kind != entryDelta || !c.validLBA(e.lba) {
 			continue
 		}
-		rec, ok := c.logIndex[e.lba]
-		if !ok || rec.block != b || rec.seq != e.seq {
+		l := &c.lbas[e.lba]
+		if !l.rec.at(b, e.seq) {
 			continue
 		}
-		v, ok := c.blocks[e.lba]
-		if !ok || v.slotRef == nil || v.slotRef.index != e.slot || v.deltaRAM != nil {
+		v := l.v
+		if v == nil || v.slotRef == nil || v.slotRef.index != e.slot || v.deltaRAM != nil {
 			continue
 		}
 		// Best effort: install clean; on budget failure skip (the delta
@@ -424,8 +426,8 @@ func (c *Controller) backupWriteThroughs() error {
 		if s.homeLBA >= 0 || s.donor < 0 {
 			continue
 		}
-		v, ok := c.blocks[s.donor]
-		if !ok || v.slotRef != s || !v.ssdCurrent {
+		v := c.lbas[s.donor].v
+		if v == nil || v.slotRef != s || !v.ssdCurrent {
 			continue
 		}
 		content, _, err := c.slotContent(s, true)

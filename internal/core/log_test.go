@@ -194,10 +194,14 @@ func TestRecoveryIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1.lru.len() != r2.lru.len() || len(r1.logIndex) != len(r2.logIndex) ||
-		r1.logSeq != r2.logSeq || r1.logHead != r2.logHead {
-		t.Fatalf("recovery not idempotent: %d/%d blocks, %d/%d index",
-			r1.lru.len(), r2.lru.len(), len(r1.logIndex), len(r2.logIndex))
+	if r1.lru.len() != r2.lru.len() || r1.logSeq != r2.logSeq || r1.logHead != r2.logHead {
+		t.Fatalf("recovery not idempotent: %d/%d blocks, seq %d/%d, head %d/%d",
+			r1.lru.len(), r2.lru.len(), r1.logSeq, r2.logSeq, r1.logHead, r2.logHead)
+	}
+	for lba := range r1.lbas {
+		if a, b := r1.lbas[lba].rec, r2.lbas[lba].rec; a != b {
+			t.Fatalf("recovery not idempotent: lba %d newest record %+v, then %+v", lba, a, b)
+		}
 	}
 }
 

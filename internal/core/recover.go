@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"icash/internal/blockdev"
 	"icash/internal/cpumodel"
@@ -67,50 +67,44 @@ func (c *Controller) replayLog() error {
 	// Register complete transactions in id order for determinism; an
 	// incomplete one is discarded wholly — its blocks stay untracked
 	// (and thus reusable), its records invisible.
-	txns := make([]uint64, 0, len(asm.txns))
+	ids := make([]uint64, 0, len(asm.txns))
 	for id := range asm.txns {
-		txns = append(txns, id)
+		ids = append(ids, id)
 	}
-	sort.Slice(txns, func(i, j int) bool { return txns[i] < txns[j] })
+	slices.Sort(ids)
 	type newest struct {
 		e     logEntry
 		block int64
 	}
 	latest := make(map[int64]newest)
-	for _, id := range txns {
-		t := asm.txns[id]
-		if !t.complete() {
+	for _, id := range ids {
+		onDisk := asm.txns[id]
+		if !onDisk.complete() {
 			c.Stats.TxnsDiscardedOnReplay++
 			continue
 		}
-		c.txnLive[id] = 0
-		for part := 0; part < t.total; part++ {
-			b := t.seen[uint16(part)]
-			sb := asm.blocks[b]
-			metas := make([]entryMeta, 0, len(sb.entries))
-			for i := range sb.entries {
-				e := sb.entries[i]
-				metas = append(metas, entryMeta{kind: e.kind, flags: e.flags, lba: e.lba, seq: e.seq, slot: e.slot, size: int32(entrySize(&e))})
-				c.perLba[e.lba]++
+		t := c.newTxn(id)
+		for part := 0; part < onDisk.total; part++ {
+			b := onDisk.seen[uint16(part)]
+			c.own(t, b)
+			lb := &c.logBlocks[b]
+			for _, e := range asm.blocks[b].entries {
+				// A record for an LBA the virtual disk does not have is
+				// one no host write could ever supersede.
+				if !c.validLBA(e.lba) {
+					return fmt.Errorf("core: recovery: log references lba %d outside the virtual disk", e.lba)
+				}
+				lb.metas = append(lb.metas, entryMeta{kind: e.kind, flags: e.flags, lba: e.lba, seq: e.seq, slot: e.slot, size: int32(entrySize(&e))})
+				c.lbas[e.lba].durable++
 				if cur, ok := latest[e.lba]; !ok || e.seq > cur.e.seq {
 					latest[e.lba] = newest{e: e, block: b}
 				}
 			}
-			c.logMeta[b] = metas
-			c.bindLogBlock(b, id)
-			c.txnBlocks[id] = append(c.txnBlocks[id], b)
 		}
 	}
 	c.logSeq = asm.maxSeq
 	c.nextTxn = asm.maxTxn + 1
 	c.logEpoch = asm.maxEpoch + 1
-
-	// Apply newest records in LBA order for determinism.
-	lbas := make([]int64, 0, len(latest))
-	for lba := range latest {
-		lbas = append(lbas, lba)
-	}
-	sort.Slice(lbas, func(i, j int) bool { return lbas[i] < lbas[j] })
 
 	slotContentCache := make(map[int64][]byte)
 	readSlot := func(idx int64) ([]byte, error) {
@@ -127,11 +121,11 @@ func (c *Controller) replayLog() error {
 		return b, nil
 	}
 	getSlot := func(idx int64) (*refSlot, error) {
-		if s, ok := c.slots[idx]; ok {
-			return s, nil
-		}
 		if idx < 0 || idx >= c.cfg.SSDBlocks {
 			return nil, fmt.Errorf("core: recovery: log references slot %d outside SSD", idx)
+		}
+		if s := c.slotTab[idx]; s != nil {
+			return s, nil
 		}
 		s := &refSlot{index: idx, donor: -1, homeLBA: -1}
 		content, err := readSlot(idx)
@@ -140,7 +134,7 @@ func (c *Controller) replayLog() error {
 		}
 		s.sigv = sig.Compute(content)
 		s.crc = contentCRC(content)
-		c.slots[idx] = s
+		c.setSlot(s)
 		return s, nil
 	}
 	// dropRecord abandons a slot-bound record whose SSD content cannot
@@ -164,7 +158,12 @@ func (c *Controller) replayLog() error {
 		return nil
 	}
 
-	for _, lba := range lbas {
+	// Apply the newest records in LBA order for determinism.
+	for i := range c.lbas {
+		if c.lbas[i].durable == 0 {
+			continue
+		}
+		lba := int64(i)
 		n := latest[lba]
 		e := n.e
 		c.setLogIndex(lba, logRec{block: n.block, seq: e.seq, kind: e.kind, size: int32(entrySize(&e))})
@@ -179,6 +178,11 @@ func (c *Controller) replayLog() error {
 				}
 				continue
 			}
+			if e.flags&flagReference == 0 && s.wt != nil {
+				// A write-through takes its slot as sole occupant; no
+				// controller writes two of them into one.
+				return fmt.Errorf("core: recovery: log writes lba %d and lba %d through to slot %d", s.wt.lba, lba, e.slot)
+			}
 			v := &vblock{lba: lba, ssdCurrent: true, sigv: s.sigv}
 			c.attachSlot(v, s)
 			if e.flags&flagDonor != 0 {
@@ -189,9 +193,7 @@ func (c *Controller) replayLog() error {
 			} else {
 				c.setKind(v, Independent)
 			}
-			c.blocks[lba] = v
-			c.lru.pushFront(v)
-			c.indexOffset(v)
+			c.track(v)
 		case entryDelta:
 			s, err := getSlot(e.slot)
 			if err != nil {
@@ -211,9 +213,7 @@ func (c *Controller) replayLog() error {
 			// Best effort RAM install; the log copy remains the durable
 			// source either way.
 			c.storeDeltaBestEffort(v, e.delta, false)
-			c.blocks[lba] = v
-			c.lru.pushFront(v)
-			c.indexOffset(v)
+			c.track(v)
 		}
 	}
 
@@ -234,22 +234,11 @@ func (c *Controller) replayLog() error {
 	}
 
 	// SSD slots not referenced by any live record are free.
-	used := make(map[int64]bool, len(c.slots))
-	for idx := range c.slots {
-		used[idx] = true
-	}
 	c.freeSlots = c.freeSlots[:0]
 	for i := c.cfg.SSDBlocks - 1; i >= 0; i-- {
-		if !used[i] {
+		if c.slotTab[i] == nil {
 			c.freeSlots = append(c.freeSlots, i)
 		}
 	}
 	return nil
-}
-
-// indexOffset registers v in the VM-offset pairing index.
-func (c *Controller) indexOffset(v *vblock) {
-	if key := c.offsetKey(v.lba); key >= 0 {
-		c.sameOffset[key] = append(c.sameOffset[key], v)
-	}
 }

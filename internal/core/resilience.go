@@ -22,6 +22,10 @@ import (
 // the top-level request handlers can tell SSD loss from HDD loss.
 var errSSDOp = errors.New("core: ssd operation failed")
 
+// retryBackoff is the simulated-clock delay charged before the first
+// retry of a transient error; it doubles on each further attempt.
+const retryBackoff = 500 * sim.Microsecond
+
 // withRetry runs op, retrying transient device errors up to
 // cfg.MaxRetries times with doubling simulated backoff, bounded by the
 // per-operation deadline: once the accumulated time (attempts plus the
@@ -33,7 +37,7 @@ var errSSDOp = errors.New("core: ssd operation failed")
 // c.lastAttemptDur for the hedging decision.
 func (c *Controller) withRetry(op func() (sim.Duration, error)) (sim.Duration, error) {
 	var total sim.Duration
-	backoff := c.cfg.RetryBackoff
+	backoff := retryBackoff
 	for attempt := 0; ; attempt++ {
 		d, err := op()
 		total += d
@@ -111,9 +115,7 @@ func contentCRC(b []byte) uint32 { return blockdev.ContentCRC(b) }
 // block from circulation (program failure); otherwise the slot is
 // quarantined until the next flush, like any freed slot.
 func (c *Controller) discardSlot(s *refSlot, retire bool) {
-	if c.slots[s.index] == s {
-		delete(c.slots, s.index)
-	}
+	c.clearSlot(s)
 	if retire {
 		c.retiredSlots = append(c.retiredSlots, s.index)
 		c.Stats.SlotsRetired++
@@ -153,7 +155,7 @@ func (c *Controller) scrubSlot(s *refSlot) ([]byte, error) {
 	c.Stats.SlotScrubs++
 	var content []byte
 	if s.donor >= 0 {
-		if donor, ok := c.blocks[s.donor]; ok && donor.slotRef == s && donor.ssdCurrent && donor.dataRAM != nil {
+		if donor := c.lbas[s.donor].v; donor != nil && donor.slotRef == s && donor.ssdCurrent && donor.dataRAM != nil {
 			content = append([]byte(nil), donor.dataRAM...)
 		}
 	}
@@ -271,7 +273,7 @@ func (c *Controller) orphanFromSlot(v *vblock) {
 	c.releaseDelta(v)
 	c.detachSlot(v)
 	c.setKind(v, Independent)
-	if rec, ok := c.logIndex[v.lba]; !ok || rec.kind != entryTombstone {
+	if c.lbas[v.lba].rec.kind != entryTombstone {
 		c.queueControl(logEntry{kind: entryTombstone, lba: v.lba})
 	}
 }
@@ -428,7 +430,3 @@ func (c *Controller) Degraded() bool { return c.ssdLost }
 // DegradeSSD forces HDD-only degraded mode, as if the SSD had just
 // failed. Exposed for operational tooling and tests.
 func (c *Controller) DegradeSSD() { c.degradeSSD() }
-
-// RetiredSlotCount reports SSD blocks permanently removed from
-// circulation after unrecoverable program failures.
-func (c *Controller) RetiredSlotCount() int { return len(c.retiredSlots) }

@@ -70,7 +70,7 @@ func TestReferenceAheadOfAssociatesInLRU(t *testing.T) {
 	var assoc *vblock
 	for v := c.lru.head; v != nil; v = v.next {
 		if v.kind == Associate && v.slotRef != nil && v.slotRef.donor >= 0 {
-			if _, ok := c.blocks[v.slotRef.donor]; ok {
+			if c.lbas[v.slotRef.donor].v != nil {
 				assoc = v
 				break
 			}
@@ -82,7 +82,7 @@ func TestReferenceAheadOfAssociatesInLRU(t *testing.T) {
 	if _, err := c.ReadBlock(assoc.lba, buf); err != nil {
 		t.Fatal(err)
 	}
-	donor := c.blocks[assoc.slotRef.donor]
+	donor := c.lbas[assoc.slotRef.donor].v
 	// Walk from the head: the donor must appear before the associate.
 	for v := c.lru.head; v != nil; v = v.next {
 		if v == donor {
@@ -124,7 +124,7 @@ func TestHeatmapDecayTriggered(t *testing.T) {
 	rig := newTestRig(t, cfg)
 	c := rig.c
 	writeSimilarSet(t, c, 300, 13)
-	var s = c.blocks[0].sigv
+	var s = c.lbas[0].v.sigv
 	popMid := c.heat.Popularity(s)
 	// Idle accesses to unrelated blocks: decay halves old popularity.
 	buf := make([]byte, blockdev.BlockSize)

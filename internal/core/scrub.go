@@ -105,8 +105,8 @@ func (c *Controller) scrubStep() {
 // HDD home backup is cross-checked too, so a rotted backup is healed
 // while the SSD copy is still good (and vice versa).
 func (c *Controller) scrubOneSlot(idx int64) {
-	s, ok := c.slots[idx]
-	if !ok || c.ssdSidelined() {
+	s := c.slotTab[idx]
+	if s == nil || c.ssdSidelined() {
 		return
 	}
 	c.Stats.ScrubSlotChecks++
@@ -145,7 +145,8 @@ func (c *Controller) scrubOneSlot(idx int64) {
 // the integrity map distinguishes from rot (the tracked home checksum
 // then no longer equals the slot CRC).
 func (c *Controller) scrubSlotBackup(s *refSlot, content []byte) {
-	if s.homeLBA < 0 || c.poisoned[s.homeLBA] || c.sums[s.homeLBA] != s.crc {
+	// An untracked home reads as sum 0, as good as overwritten.
+	if s.homeLBA < 0 || c.lbas[s.homeLBA].poison || c.lbas[s.homeLBA].sum != s.crc {
 		return
 	}
 	buf := blockdev.GetBlock()
@@ -175,11 +176,12 @@ func (c *Controller) scrubSlotBackup(s *refSlot, content []byte) {
 // test pins this). Repair sources, in order: the block's clean RAM
 // copy, a fresh re-read; failing both, the block is poisoned.
 func (c *Controller) scrubOneHome(lba int64) {
-	want, tracked := c.sums[lba]
-	if !tracked || c.poisoned[lba] {
+	l := &c.lbas[lba]
+	want := l.sum
+	if !l.sumOK || l.poison {
 		return
 	}
-	v := c.blocks[lba]
+	v := l.v
 	if v != nil && (!v.hddHome || v.dataDirty || v.deltaDirty || v.inDirty || v.slotRef != nil) {
 		return
 	}
@@ -210,6 +212,5 @@ func (c *Controller) scrubOneHome(lba int64) {
 			return
 		}
 	}
-	c.poisoned[lba] = true
-	c.Stats.UnrepairableBlocks++
+	c.poisonLBA(lba)
 }

@@ -25,8 +25,22 @@ func (c *Controller) allocSlot() *refSlot {
 	idx := c.freeSlots[len(c.freeSlots)-1]
 	c.freeSlots = c.freeSlots[:len(c.freeSlots)-1]
 	s := &refSlot{index: idx, donor: -1, homeLBA: -1}
-	c.slots[idx] = s
+	c.setSlot(s)
 	return s
+}
+
+// setSlot enters s in the slot table as the live slot at its index.
+func (c *Controller) setSlot(s *refSlot) {
+	c.slotTab[s.index] = s
+	c.nLiveSlots++
+}
+
+// clearSlot takes s out of the slot table if it is the live slot there.
+func (c *Controller) clearSlot(s *refSlot) {
+	if c.slotTab[s.index] == s {
+		c.slotTab[s.index] = nil
+		c.nLiveSlots--
+	}
 }
 
 // liveSlots returns the deterministic slot list: every slot with a
@@ -70,11 +84,11 @@ func (c *Controller) attachSlot(v *vblock, s *refSlot) {
 	if v.slotRef != nil {
 		c.detachSlot(v)
 	}
-	if s.refcnt <= 0 && c.slots[s.index] != s {
-		if prev, taken := c.slots[s.index]; taken {
+	if s.refcnt <= 0 && c.slotTab[s.index] != s {
+		if prev := c.slotTab[s.index]; prev != nil {
 			panic(fmt.Sprintf("core: slot %d resurrected after reallocation (now %p)", s.index, prev))
 		}
-		c.slots[s.index] = s
+		c.setSlot(s)
 		c.quarantine = removeIndex(c.quarantine, s.index)
 		c.freeSlots = removeIndex(c.freeSlots, s.index)
 	}
@@ -120,7 +134,7 @@ func (c *Controller) detachSlot(v *vblock) {
 	}
 	s.refcnt--
 	if s.refcnt <= 0 {
-		delete(c.slots, s.index)
+		c.clearSlot(s)
 		c.quarantine = append(c.quarantine, s.index)
 		c.slotsStale = true
 	}
@@ -200,8 +214,8 @@ func (c *Controller) promoteDonor(s *refSlot) {
 	if s.donor < 0 || s.refcnt < 2 {
 		return
 	}
-	donor, ok := c.blocks[s.donor]
-	if !ok || donor.slotRef != s {
+	donor := c.lbas[s.donor].v
+	if donor == nil || donor.slotRef != s {
 		return
 	}
 	if donor.kind == Independent && donor.ssdCurrent {
@@ -227,7 +241,7 @@ func (c *Controller) promoteDonor(s *refSlot) {
 //     cancelled, not waited out.
 func (c *Controller) slotContent(s *refSlot, background bool) ([]byte, sim.Duration, error) {
 	if s.donor >= 0 {
-		if donor, ok := c.blocks[s.donor]; ok && donor.slotRef == s && donor.ssdCurrent && donor.dataRAM != nil {
+		if donor := c.lbas[s.donor].v; donor != nil && donor.slotRef == s && donor.ssdCurrent && donor.dataRAM != nil {
 			if contentCRC(donor.dataRAM) == s.crc {
 				return donor.dataRAM, ram.AccessLatency, nil
 			}
@@ -362,7 +376,7 @@ func (c *Controller) writeThroughSSD(v *vblock, content []byte) (sim.Duration, e
 		c.releaseDelta(v)
 		c.setKind(v, Independent)
 		v.hddHome = false
-		if rec, ok := c.logIndex[v.lba]; ok && rec.kind != entryTombstone {
+		if k := c.lbas[v.lba].rec.kind; k != entryNone && k != entryTombstone {
 			c.queueControl(logEntry{kind: entryTombstone, lba: v.lba})
 		}
 		if err := c.cacheData(v, content, true); err != nil {
@@ -393,7 +407,7 @@ func (c *Controller) writeThroughSSD(v *vblock, content []byte) (sim.Duration, e
 		c.releaseDelta(v)
 		c.setKind(v, Independent)
 		v.hddHome = false
-		if rec, ok := c.logIndex[v.lba]; !ok || rec.kind != entryTombstone {
+		if c.lbas[v.lba].rec.kind != entryTombstone {
 			c.queueControl(logEntry{kind: entryTombstone, lba: v.lba})
 		}
 		if err := c.cacheData(v, content, true); err != nil {
@@ -426,13 +440,15 @@ func (c *Controller) writeThroughSSD(v *vblock, content []byte) (sim.Duration, e
 // installReference writes content into a fresh SSD slot and makes v its
 // donor ("reference block"). Called by the similarity scan; the SSD
 // write is background reorganization work, not request latency.
-// References never take the last ReserveSlots slots — those stay
-// available for threshold write-throughs.
+// References never take the last reserveSlots slots — those stay
+// available for threshold write-throughs (§5.3), so incompressible
+// writes always have room.
 func (c *Controller) installReference(v *vblock, content []byte) (*refSlot, error) {
-	if len(c.freeSlots) <= c.cfg.ReserveSlots {
+	reserve := c.reserveSlots()
+	if len(c.freeSlots) <= reserve {
 		c.reclaimSlot()
 	}
-	if len(c.freeSlots) <= c.cfg.ReserveSlots {
+	if len(c.freeSlots) <= reserve {
 		return nil, nil
 	}
 	s := c.allocSlot()
@@ -480,4 +496,10 @@ func (c *Controller) FreeSlotCount() int { return len(c.freeSlots) }
 
 // LiveSlotCount reports SSD slots holding live reference or
 // write-through content.
-func (c *Controller) LiveSlotCount() int { return len(c.slots) }
+func (c *Controller) LiveSlotCount() int { return c.nLiveSlots }
+
+// reserveSlots is how many SSD slots reference installation leaves
+// alone: an eighth of the SSD, at least 4.
+func (c *Controller) reserveSlots() int {
+	return int(max(c.cfg.SSDBlocks/8, 4))
+}

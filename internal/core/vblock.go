@@ -37,8 +37,8 @@ func (k Kind) String() string {
 
 // vblock is the per-LBA metadata record ("virtual block", paper §4.3):
 // the LBA, the content signature, the reference association, and
-// pointers to cached data and delta bytes. The newest durable log record
-// for the LBA, if any, is tracked centrally in Controller.logIndex.
+// pointers to cached data and delta bytes. What outlives the vblock (the
+// newest durable log record, the content checksum) is in lbaState.
 //
 // Field order is deliberate: the small fields share one 16-byte tail so
 // the record stays inside the 128-byte malloc size class
@@ -93,6 +93,35 @@ type vblock struct {
 	// dead marks a block evicted from the controller; holders of stale
 	// pointers (the scan window snapshot) must skip it.
 	dead bool
+}
+
+// lbaState is the controller's record of one LBA of the virtual disk;
+// Controller.lbas holds one per LBA, so the zero value is an LBA the
+// controller knows nothing about (home location authoritative and
+// unverified).
+type lbaState struct {
+	// v is the tracked virtual block, nil when metadata replacement
+	// dropped it (or the LBA was never touched).
+	v *vblock
+	// rec is the newest durable log record for the LBA (kind entryNone:
+	// there is none); recovery replays exactly this relation. In-RAM
+	// state supersedes it while the controller is running.
+	rec logRec
+	// durable counts the LBA's records across the whole log, live or
+	// superseded; a tombstone may be dropped only when it is the last.
+	durable int32
+	// sum is the CRC32-C of the LBA's current content, the end-to-end
+	// integrity checksum: set on every successful host write and checked
+	// at every layer crossing (integrity.go). sumOK is false, and sum
+	// zero, while the content is not tracked: never written, regressed
+	// to a stale copy (accounted-loss fallbacks) or indeterminate (a
+	// failed write).
+	sum   uint32
+	sumOK bool
+	// poison marks an LBA whose every copy failed verification: reads
+	// fail loudly with ErrCorruption instead of serving wrong bytes,
+	// until a full overwrite installs known-good content again.
+	poison bool
 }
 
 // lruList is an intrusive LRU list of vblocks. head is most recently

@@ -23,7 +23,7 @@ func (c *Controller) findSimilarSlotWalk(sigv sig.Signature) *refSlot {
 	bestDist := c.cfg.MaxSigDistance + 1
 	probes := 0
 	for _, s := range c.slotOrder {
-		if s.refcnt <= 0 || c.slots[s.index] != s {
+		if s.refcnt <= 0 || c.slotTab[s.index] != s {
 			continue
 		}
 		if probes++; probes > maxSlotProbe {

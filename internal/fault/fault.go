@@ -151,10 +151,6 @@ func Wrap(inner blockdev.Device, cfg Config) *Device {
 	}
 }
 
-// Inner returns the wrapped device (recovery paths bypass the wrapper
-// to model a fresh power-on against intact media).
-func (d *Device) Inner() blockdev.Device { return d.inner }
-
 // shape applies the scheduled fail-slow plan to one operation's service
 // time. Error latencies are shaped too: a browning-out device is slow
 // to fail just as it is slow to succeed.

@@ -150,9 +150,6 @@ func (g *Generator) ImageBlocks() int64 { return g.imageBlocks }
 // NumOps returns the scaled request count.
 func (g *Generator) NumOps() int { return g.numOps }
 
-// Emitted returns how many requests have been produced since Reset.
-func (g *Generator) Emitted() int { return g.emitted }
-
 // Reset rewinds the stream to the beginning.
 func (g *Generator) Reset() {
 	p, opts := g.p, g.opts
