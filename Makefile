@@ -1,11 +1,13 @@
 GO ?= go
+# The non-test source line count (`make loc`) may not pass this.
+LOC_CEILING = 20939
 
-.PHONY: help check build vet lint vet-json fmt-check test golden loc benchmark-smoke race bench bench-smoke bench-profile alloc-gate fuzz-smoke clockcheck chaos chaos-smoke crash-sweep serve-smoke scrub-smoke shard-smoke examples
+.PHONY: help check build vet lint vet-json fmt-check test golden loc loc-check benchmark-smoke race bench bench-smoke bench-profile alloc-gate fuzz-smoke clockcheck chaos chaos-smoke crash-sweep serve-smoke scrub-smoke shard-smoke examples
 
 help: ## list targets (static analysis lives in lint = icash-vet)
 	@awk -F':.*## ' '/^[a-z-]+:.*## /{printf "%-12s %s\n", $$1, $$2}' Makefile
 
-check: fmt-check vet lint build golden race clockcheck bench-smoke benchmark-smoke alloc-gate crash-sweep serve-smoke scrub-smoke shard-smoke ## everything CI's check job runs
+check: fmt-check vet lint build loc-check golden race clockcheck bench-smoke benchmark-smoke alloc-gate crash-sweep serve-smoke scrub-smoke shard-smoke ## everything CI's check job runs
 
 build: ## go build ./...
 	$(GO) build ./...
@@ -13,7 +15,7 @@ build: ## go build ./...
 vet: ## stdlib go vet
 	$(GO) vet ./...
 
-lint: ## icash-vet: the 9 repo-specific analyzers, strict (stale suppressions fail)
+lint: ## icash-vet: the 8 repo-specific analyzers, strict (stale suppressions fail)
 	$(GO) run ./cmd/icash-vet -strict ./...
 
 vet-json: ## icash-vet findings as an icash-vet/1 JSON document (machine-readable)
@@ -30,6 +32,9 @@ golden: ## rendered sweep/figure/soak reports vs testdata/golden (regenerate: go
 
 loc: ## non-test .go lines outside benchmark/ and the analyzer fixtures (the number simplicity PRs report)
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './internal/analysis/testdata/*' -print0 | xargs -0 cat | wc -l
+
+loc-check: ## fail when `make loc` exceeds LOC_CEILING (a PR that must grow the tree raises it and says why)
+	@n=$$($(MAKE) -s loc); if [ "$$n" -gt $(LOC_CEILING) ]; then echo "make loc reads $$n, ceiling is $(LOC_CEILING)"; exit 1; fi
 
 benchmark-smoke: ## two seconds each of the one-shard, the full-SSD (write-through reclaim) and the 4-shard repo benchmark workloads (exit status only)
 	$(GO) run ./benchmark -workload oltp -seed 1 -seconds 2 -trace 0 >/dev/null

@@ -53,9 +53,7 @@ func main() {
 
 	if *serve {
 		opts := workload.Options{Scale: *scale, Seed: *seed, StreamPerVM: *vms, QueueDepth: *window, Shards: *shards}
-		cfg := server.DefaultSimConfig()
-		cfg.Window = *window
-		sr, err := server.RunServed(p, opts, cfg)
+		sr, err := server.RunServed(p, opts)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "icash-inspect: %v\n", err)
 			os.Exit(1)

@@ -59,9 +59,7 @@ func realMain() int {
 		return 0
 	}
 
-	cfg := server.DefaultSimConfig()
-	cfg.Window = *window
-	res, err := server.RunServed(p, opts, cfg)
+	res, err := server.RunServed(p, opts)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "icash-serve: %v\n", err)
 		return 1

@@ -1,9 +1,9 @@
 // Command icash-vet runs the repo-specific static analyzer suite
 // (internal/analysis) over the module: detclock, maporder, errclass,
-// latcharge, poolreturn, verifyread, lockorder, goroutines and
-// staleignore — the compile-time enforcement of the determinism,
-// error-handling, data-integrity and concurrency invariants the
-// simulation's correctness rests on.
+// poolreturn, verifyread, lockorder, goroutines and staleignore — the
+// compile-time enforcement of the determinism, error-handling,
+// data-integrity and concurrency invariants the simulation's
+// correctness rests on.
 //
 // Usage:
 //

@@ -9,8 +9,6 @@
 //     build-tag runtime assertion in internal/sim);
 //   - error discipline: device errors are classified, wrapped with %w,
 //     and never silently discarded on I/O paths (errclass);
-//   - latency accounting: device op methods cannot return success
-//     without charging service time (latcharge);
 //   - end-to-end integrity: the controller's device content fetch
 //     paths cannot return success without checksum-verifying the
 //     bytes (verifyread).
@@ -62,7 +60,6 @@ func Catalog() []*Analyzer {
 		DetClock,
 		MapOrder,
 		ErrClass,
-		LatCharge,
 		PoolReturn,
 		VerifyRead,
 		LockOrder,

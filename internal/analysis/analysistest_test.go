@@ -119,8 +119,8 @@ func TestWantMarkersDoNotLeakIntoFindings(t *testing.T) {
 			t.Fatalf("catalog entry %+v incomplete", a)
 		}
 	}
-	if len(Catalog()) != 9 {
-		t.Fatalf("catalog has %d analyzers, want 9", len(Catalog()))
+	if len(Catalog()) != 8 {
+		t.Fatalf("catalog has %d analyzers, want 8", len(Catalog()))
 	}
 }
 

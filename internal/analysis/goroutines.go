@@ -8,17 +8,10 @@ import (
 // Goroutines proves the concurrency-containment invariant behind the
 // repo's determinism story: simulation code under icash/internal/ does
 // not hand-roll concurrency. Byte-identical results at any -parallel
-// count hold because exactly three places are allowed to spawn
-// goroutines or multiplex channels, each with a reviewed determinism
-// argument:
-//
-//   - harness.ForEachPoint — the blessed fan-out primitive: parallel
-//     across experiment points, never within a run, results delivered
-//     into pre-sized slots (DESIGN.md §8);
-//   - the event engine (internal/sim/event) — single-threaded today,
-//     and the one place a future engine-level overlap model would live;
-//   - the crash harness (internal/fault/crashtest) — process-level
-//     fault injection is inherently asynchronous.
+// count hold because exactly one place is allowed to spawn goroutines,
+// with a reviewed determinism argument: harness.ForEachPoint, the
+// blessed fan-out primitive — parallel across experiment points, never
+// within a run, results delivered into pre-sized slots (DESIGN.md §8).
 //
 // Everywhere else under icash/internal/, a go statement or a select is
 // a finding: a worker pool beside the harness re-introduces completion-
@@ -29,15 +22,8 @@ import (
 // sockets, real signals) are out of scope on purpose.
 var Goroutines = &Analyzer{
 	Name: "goroutines",
-	Doc:  "internal/ packages spawn goroutines and select only via the approved primitives (ForEachPoint, event engine, crashtest)",
+	Doc:  "internal/ packages spawn goroutines only via harness.ForEachPoint and never select",
 	Run:  runGoroutines,
-}
-
-// goroutinePkgAllow are the packages whose concurrency is the approved
-// machinery itself.
-var goroutinePkgAllow = map[string]bool{
-	"icash/internal/sim/event":       true,
-	"icash/internal/fault/crashtest": true,
 }
 
 // goroutineFuncAllow are individually-approved functions in otherwise
@@ -48,7 +34,7 @@ var goroutineFuncAllow = map[string]map[string]bool{
 
 func runGoroutines(pass *Pass) {
 	path := pass.Pkg.Path()
-	if !strings.HasPrefix(path, "icash/internal/") || goroutinePkgAllow[path] {
+	if !strings.HasPrefix(path, "icash/internal/") {
 		return
 	}
 	allowFuncs := goroutineFuncAllow[path]

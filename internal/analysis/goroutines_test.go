@@ -16,23 +16,9 @@ func TestGoroutinesAllowFixture(t *testing.T) {
 	runFixture(t, Goroutines, "goroutinesallow", "icash/internal/harness")
 }
 
-// TestGoroutinesAllowedPackages proves the approved machinery packages
-// (event engine, crash harness) are exempt wholesale.
+// TestGoroutinesAllowedPackages proves no package is exempt wholesale:
+// the event engine, once allowlisted, is single-threaded and held to
+// the rule like any other.
 func TestGoroutinesAllowedPackages(t *testing.T) {
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := NewLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Lenient = true
-	pkg, err := l.LoadDir("testdata/src/goroutines", "icash/internal/sim/event")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fs := RunAnalyzers([]*Analyzer{Goroutines}, pkg, newProgram()); len(fs) != 0 {
-		t.Fatalf("goroutines fired inside an approved package: %v", fs)
-	}
+	runFixture(t, Goroutines, "goroutines", "icash/internal/sim/event")
 }

@@ -15,11 +15,10 @@ import (
 // integrity layer exists to kill: a lying device read flowing to the
 // host as if it were good data.
 //
-// Like latcharge, the check is a lexical approximation biased quiet: a
-// return whose final result is nil inside an obligated function is
-// flagged only when no checksum call appears anywhere earlier in the
-// body. Error returns are exempt — a path that already fails loudly
-// needs no verification.
+// The check is a lexical approximation biased quiet: a return whose
+// final result is nil inside an obligated function is flagged only when
+// no checksum call appears anywhere earlier in the body. Error returns
+// are exempt — a path that already fails loudly needs no verification.
 var VerifyRead = &Analyzer{
 	Name: "verifyread",
 	Doc:  "device content fetch paths must checksum-verify bytes before returning success",

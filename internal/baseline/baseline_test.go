@@ -84,7 +84,7 @@ func TestLRUCacheShadow(t *testing.T) {
 	if c.Stats.Evictions == 0 || c.Stats.Writebacks == 0 {
 		t.Errorf("expected evictions and writebacks: %+v", c.Stats)
 	}
-	if c.Stats.HitRatio() <= 0 {
+	if c.Stats.Hits == 0 {
 		t.Error("expected some cache hits")
 	}
 }

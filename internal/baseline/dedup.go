@@ -22,8 +22,7 @@ type DedupCache struct {
 	cpu   *cpumodel.Accountant
 	costs cpumodel.Costs
 
-	capacity int64
-	blocks   int64
+	blocks int64
 
 	// lbaTo maps a cached LBA to the content node holding its bytes.
 	lbaTo map[int64]*dedupNode
@@ -57,14 +56,14 @@ func NewDedupCache(ssdDev, hddDev blockdev.Device, cpu *cpumodel.Accountant) *De
 		hdd:      hddDev,
 		cpu:      cpu,
 		costs:    cpumodel.DefaultCosts(),
-		capacity: ssdDev.Blocks(),
 		blocks:   hddDev.Blocks(),
 		lbaTo:    make(map[int64]*dedupNode),
 		byHash:   make(map[uint64]*dedupNode),
 		dirtyLBA: make(map[int64]bool),
 	}
-	c.freeSlots = make([]int64, 0, c.capacity)
-	for i := c.capacity - 1; i >= 0; i-- {
+	capacity := ssdDev.Blocks()
+	c.freeSlots = make([]int64, 0, capacity)
+	for i := capacity - 1; i >= 0; i-- {
 		c.freeSlots = append(c.freeSlots, i)
 	}
 	return c
@@ -137,7 +136,6 @@ func (c *DedupCache) allocNode(hash uint64, content []byte) (*dedupNode, sim.Dur
 		c.DedupHits++
 		return n, 0, nil
 	}
-	var lat sim.Duration
 	// Need a slot: evict unreferenced... all nodes are referenced, so
 	// evict the LRU node by spilling its referencing LBAs to the HDD.
 	for len(c.freeSlots) == 0 {
@@ -145,19 +143,16 @@ func (c *DedupCache) allocNode(hash uint64, content []byte) (*dedupNode, sim.Dur
 		if victim == nil {
 			return nil, 0, fmt.Errorf("baseline: dedup cache has no capacity")
 		}
-		d, err := c.evictNode(victim)
-		if err != nil {
+		if err := c.evictNode(victim); err != nil {
 			return nil, 0, err
 		}
-		lat += d
 	}
 	slot := c.freeSlots[len(c.freeSlots)-1]
 	c.freeSlots = c.freeSlots[:len(c.freeSlots)-1]
-	d, err := c.ssd.WriteBlock(slot, content)
+	lat, err := c.ssd.WriteBlock(slot, content)
 	if err != nil {
 		return nil, 0, err
 	}
-	lat += d
 	n := &dedupNode{hash: hash, slot: slot}
 	c.byHash[hash] = n
 	c.pushFront(n)
@@ -168,8 +163,7 @@ func (c *DedupCache) allocNode(hash uint64, content []byte) (*dedupNode, sim.Dur
 // reference it via the asynchronous cleaner (background time, not
 // request latency). LBAs are processed in sorted order so device timing
 // is deterministic run to run.
-func (c *DedupCache) evictNode(n *dedupNode) (sim.Duration, error) {
-	var lat sim.Duration
+func (c *DedupCache) evictNode(n *dedupNode) error {
 	var content []byte
 	var victims []int64
 	for lba, node := range c.lbaTo {
@@ -184,13 +178,13 @@ func (c *DedupCache) evictNode(n *dedupNode) (sim.Duration, error) {
 				content = make([]byte, blockdev.BlockSize)
 				d, err := c.ssd.ReadBlock(n.slot, content)
 				if err != nil {
-					return 0, err
+					return err
 				}
 				c.Stats.BackgroundTime += d
 			}
 			d, err := c.hdd.WriteBlock(lba, content)
 			if err != nil {
-				return 0, err
+				return err
 			}
 			c.Stats.BackgroundTime += d
 			delete(c.dirtyLBA, lba)
@@ -204,7 +198,7 @@ func (c *DedupCache) evictNode(n *dedupNode) (sim.Duration, error) {
 	delete(c.byHash, n.hash)
 	c.freeSlots = append(c.freeSlots, n.slot)
 	c.Stats.Evictions++
-	return lat, nil
+	return nil
 }
 
 // ReadBlock serves a read: SSD on (content) hit, HDD + insert on miss.

@@ -25,10 +25,8 @@ type LRUCache struct {
 	hdd        blockdev.Device
 	cpu        *cpumodel.Accountant
 	costs      cpumodel.Costs
-	capacity   int64
 	blocks     int64
 	entries    map[int64]*lruEntry
-	slotOf     map[int64]int64 // ssd slot -> lba
 	freeSlots  []int64
 	head, tail *lruEntry
 
@@ -50,15 +48,6 @@ type CacheStats struct {
 	BackgroundTime sim.Duration
 }
 
-// HitRatio returns hits/(hits+misses), or 0 before any traffic.
-func (s *CacheStats) HitRatio() float64 {
-	t := s.Hits + s.Misses
-	if t == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(t)
-}
-
 type lruEntry struct {
 	lba        int64
 	slot       int64
@@ -70,17 +59,16 @@ type lruEntry struct {
 // space over hdd.
 func NewLRUCache(ssdDev, hddDev blockdev.Device, cpu *cpumodel.Accountant) *LRUCache {
 	c := &LRUCache{
-		ssd:      ssdDev,
-		hdd:      hddDev,
-		cpu:      cpu,
-		costs:    cpumodel.DefaultCosts(),
-		capacity: ssdDev.Blocks(),
-		blocks:   hddDev.Blocks(),
-		entries:  make(map[int64]*lruEntry),
-		slotOf:   make(map[int64]int64),
+		ssd:     ssdDev,
+		hdd:     hddDev,
+		cpu:     cpu,
+		costs:   cpumodel.DefaultCosts(),
+		blocks:  hddDev.Blocks(),
+		entries: make(map[int64]*lruEntry),
 	}
-	c.freeSlots = make([]int64, 0, c.capacity)
-	for i := c.capacity - 1; i >= 0; i-- {
+	capacity := ssdDev.Blocks()
+	c.freeSlots = make([]int64, 0, capacity)
+	for i := capacity - 1; i >= 0; i-- {
 		c.freeSlots = append(c.freeSlots, i)
 	}
 	return c
@@ -126,35 +114,34 @@ func (c *LRUCache) touch(e *lruEntry) {
 // allocSlot returns a free SSD slot, evicting the LRU entry if needed.
 // Dirty victims are written back to the HDD by the asynchronous cleaner
 // (accounted as background time, not request latency).
-func (c *LRUCache) allocSlot() (int64, sim.Duration, error) {
+func (c *LRUCache) allocSlot() (int64, error) {
 	if n := len(c.freeSlots); n > 0 {
 		s := c.freeSlots[n-1]
 		c.freeSlots = c.freeSlots[:n-1]
-		return s, 0, nil
+		return s, nil
 	}
 	victim := c.tail
 	if victim == nil {
-		return 0, 0, fmt.Errorf("baseline: lru cache has no capacity")
+		return 0, fmt.Errorf("baseline: lru cache has no capacity")
 	}
 	if victim.dirty {
 		buf := make([]byte, blockdev.BlockSize)
 		d, err := c.ssd.ReadBlock(victim.slot, buf)
 		if err != nil {
-			return 0, 0, err
+			return 0, err
 		}
 		c.Stats.BackgroundTime += d
 		d, err = c.hdd.WriteBlock(victim.lba, buf)
 		if err != nil {
-			return 0, 0, err
+			return 0, err
 		}
 		c.Stats.BackgroundTime += d
 		c.Stats.Writebacks++
 	}
 	c.unlink(victim)
 	delete(c.entries, victim.lba)
-	delete(c.slotOf, victim.slot)
 	c.Stats.Evictions++
-	return victim.slot, 0, nil
+	return victim.slot, nil
 }
 
 // ReadBlock serves a read: SSD on hit, HDD + promotion on miss.
@@ -183,11 +170,10 @@ func (c *LRUCache) ReadBlock(lba int64, buf []byte) (sim.Duration, error) {
 		lat += d
 		c.Stats.Misses++
 		// Promote into the cache (inline, like a kernel block cache).
-		slot, evictCost, err := c.allocSlot()
+		slot, err := c.allocSlot()
 		if err != nil {
 			return 0, err
 		}
-		lat += evictCost
 		d, err = c.ssd.WriteBlock(slot, buf)
 		if err != nil {
 			return 0, err
@@ -195,7 +181,6 @@ func (c *LRUCache) ReadBlock(lba int64, buf []byte) (sim.Duration, error) {
 		lat += d
 		e := &lruEntry{lba: lba, slot: slot}
 		c.entries[lba] = e
-		c.slotOf[slot] = lba
 		c.pushFront(e)
 		c.Stats.Promotions++
 	}
@@ -215,14 +200,12 @@ func (c *LRUCache) WriteBlock(lba int64, buf []byte) (sim.Duration, error) {
 	var lat sim.Duration
 	e, ok := c.entries[lba]
 	if !ok {
-		slot, evictCost, err := c.allocSlot()
+		slot, err := c.allocSlot()
 		if err != nil {
 			return 0, err
 		}
-		lat += evictCost
 		e = &lruEntry{lba: lba, slot: slot}
 		c.entries[lba] = e
-		c.slotOf[slot] = lba
 		c.pushFront(e)
 	} else {
 		c.touch(e)

@@ -117,11 +117,7 @@ func (c *Controller) readHomeVerified(lba int64, buf []byte) (sim.Duration, erro
 // corruption-classed error; the caller's faultRecovered retry then
 // serves the home copy.
 func (c *Controller) dropCorruptDelta(v *vblock, cause error) error {
-	c.Stats.DroppedLogRecs++
-	c.dropSum(v.lba)
-	c.orphanFromSlot(v)
-	v.hddHome = true
-	v.dataDirty = false
+	c.salvageHome(v, nil, &c.Stats.DroppedLogRecs)
 	return fmt.Errorf("core: lba %d: delta record corrupt, falling back to stale home copy: %w",
 		v.lba, cause)
 }

@@ -190,27 +190,29 @@ func (c *Controller) scrubSlot(s *refSlot) ([]byte, error) {
 	return content, nil
 }
 
+// salvageHome is the one salvage step: v leaves its slot and lives on
+// as an independent at its home location. content is v's current bytes,
+// nil when they could not be produced without the slot; it is written
+// home, and when there is none (or the write fails) the stale home copy
+// is what remains and *lost counts the block.
+func (c *Controller) salvageHome(v *vblock, content []byte, lost *int64) {
+	if content == nil || c.writeHome(v, content) != nil {
+		*lost++
+		c.dropSum(v.lba) // content regresses to the stale copy
+		v.hddHome = true // stale home copy is all that remains
+		v.dataDirty = false
+	}
+	c.orphanFromSlot(v)
+}
+
 // salvageSlot handles an unrepairable slot: every dependent either has
-// its current content in RAM (write it home, detach, live on as an
-// independent) or has lost data — its newest content needed the dead
-// slot, so the stale HDD home copy is what remains (counted as
-// ScrubDataLoss). The slot itself is retired when retire is set.
+// its current content in RAM or has lost data — its newest content
+// needed the dead slot (counted as ScrubDataLoss). The slot itself is
+// retired when retire is set.
 func (c *Controller) salvageSlot(s *refSlot, retire bool) {
 	idx := s.index
 	for _, v := range c.slotDependents(s) {
-		if v.dataRAM != nil {
-			if err := c.writeHome(v, v.dataRAM); err != nil {
-				c.Stats.ScrubDataLoss++
-				c.dropSum(v.lba) // content regresses to the stale copy
-				v.hddHome = true // stale home copy is all that remains
-				v.dataDirty = false
-			}
-		} else {
-			c.Stats.ScrubDataLoss++
-			c.dropSum(v.lba)
-			v.hddHome = true
-		}
-		c.orphanFromSlot(v)
+		c.salvageHome(v, v.dataRAM, &c.Stats.ScrubDataLoss)
 	}
 	if retire {
 		c.retireQuarantined(idx)
@@ -235,19 +237,7 @@ func (c *Controller) salvageContent(s *refSlot, base []byte) {
 				}
 			}
 		}
-		if content != nil {
-			if err := c.writeHome(v, content); err != nil {
-				c.Stats.ScrubDataLoss++
-				c.dropSum(v.lba)
-				v.hddHome = true
-				v.dataDirty = false
-			}
-		} else {
-			c.Stats.ScrubDataLoss++
-			c.dropSum(v.lba)
-			v.hddHome = true
-		}
-		c.orphanFromSlot(v)
+		c.salvageHome(v, content, &c.Stats.ScrubDataLoss)
 	}
 	c.retireQuarantined(idx)
 }
@@ -344,19 +334,7 @@ func (c *Controller) degradeSSD() {
 		}
 	}
 	for _, v := range attached {
-		if v.dataRAM != nil {
-			if err := c.writeHome(v, v.dataRAM); err != nil {
-				c.Stats.DegradedDataLoss++
-				c.dropSum(v.lba)
-				v.hddHome = true
-				v.dataDirty = false
-			}
-		} else {
-			c.Stats.DegradedDataLoss++
-			c.dropSum(v.lba)
-			v.hddHome = true
-		}
-		c.orphanFromSlot(v)
+		c.salvageHome(v, v.dataRAM, &c.Stats.DegradedDataLoss)
 	}
 	// Commit the tombstones: after this flush the HDD alone describes
 	// every surviving block, so a later crash recovers cleanly without

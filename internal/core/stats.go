@@ -169,8 +169,8 @@ func (k KindCounts) Fractions() (ref, assoc, indep float64) {
 // NoteCommitWrite charges the device time of one successful
 // commit-record write: commit writes happen off the request path, so
 // the time lands in the background account as well as the journal's
-// own meter. icash-vet's latcharge analyzer requires journalWrite to
-// call this before any successful return.
+// own meter. journalWrite calls this before any successful return
+// (harness.TestLatencyConservation holds it to that).
 func (s *Stats) NoteCommitWrite(d sim.Duration) {
 	s.BackgroundHDDTime += d
 	s.CommitWriteTime += d

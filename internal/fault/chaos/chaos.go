@@ -63,11 +63,6 @@ type Config struct {
 	// checksums can catch it, and the zero-undetected-corruption bound
 	// below holds the controller to that.
 	SilentFaults bool
-	// SilentSSD / SilentHDD override the generated silent plan per
-	// device (used with SilentFaults). Window times are relative, like
-	// Plan.
-	SilentSSD *fault.SilentPlan
-	SilentHDD *fault.SilentPlan
 	// ScrubInterval enables the background integrity scrubber with the
 	// given batch interval (0 leaves it off). The scrubber arms at the
 	// start of the measured phase.
@@ -377,25 +372,7 @@ func Run(cfg Config) (*Result, error) {
 	// Install the silent-corruption schedule, anchored the same way.
 	if cfg.SilentFaults {
 		horizon := sim.Duration(cfg.Ops) * 400 * sim.Microsecond
-		shiftWindows := func(p *fault.SilentPlan) []fault.SilentWindow {
-			ws := make([]fault.SilentWindow, 0, len(p.Windows))
-			for _, w := range p.Windows {
-				w.From = start.Add(sim.Duration(w.From))
-				w.To = start.Add(sim.Duration(w.To))
-				ws = append(ws, w)
-			}
-			return ws
-		}
-		if cfg.SilentSSD != nil || cfg.SilentHDD != nil {
-			if cfg.SilentSSD != nil {
-				silentSSD.Windows = shiftWindows(cfg.SilentSSD)
-			}
-			if cfg.SilentHDD != nil {
-				silentHDD.Windows = shiftWindows(cfg.SilentHDD)
-			}
-		} else {
-			silentSSD.Windows, silentHDD.Windows = genSilentPlan(cfg.Seed, start, horizon)
-		}
+		silentSSD.Windows, silentHDD.Windows = genSilentPlan(cfg.Seed, start, horizon)
 	}
 
 	// Measured phase: QueueDepth issue tokens on the harness pump, every

@@ -54,6 +54,19 @@ type Rates struct {
 	Silent SilentRates
 }
 
+// Simulated service times of injected faults.
+const (
+	// timeoutLatency is a transient timeout: a device-level command
+	// timeout.
+	timeoutLatency = 10 * sim.Millisecond
+	// errorLatency is a media error: the drive's internal retries before
+	// giving up.
+	errorLatency = 5 * sim.Millisecond
+	// lostWriteLatency is a lost write: the device acks at normal speed,
+	// the data just never reaches the media.
+	lostWriteLatency = 100 * sim.Microsecond
+)
+
 // Config parameterizes a fault.Device.
 type Config struct {
 	// Seed drives the injection PRNG; the same seed reproduces the
@@ -61,17 +74,6 @@ type Config struct {
 	Seed uint64
 	// Rates are the probabilistic fault rates.
 	Rates Rates
-	// TimeoutLatency is the simulated service time of a transient
-	// timeout (default 10 ms — a device-level command timeout).
-	TimeoutLatency sim.Duration
-	// ErrorLatency is the simulated service time of a media error
-	// (default 5 ms — the drive's internal retries before giving up).
-	ErrorLatency sim.Duration
-	// LostWriteLatency is the simulated service time of a lost write
-	// (default 100 µs): the device acks at normal speed, the data just
-	// never reaches the media.
-	LostWriteLatency sim.Duration
-
 	// Plan, when non-nil, is the scheduled fail-slow plan: service
 	// times (successes and error latencies alike) are inflated by
 	// Plan.Inflate(Station, Clock.Now(), d). Requires Clock.
@@ -133,15 +135,6 @@ type Device struct {
 
 // Wrap builds a fault-injecting view of inner.
 func Wrap(inner blockdev.Device, cfg Config) *Device {
-	if cfg.TimeoutLatency <= 0 {
-		cfg.TimeoutLatency = 10 * sim.Millisecond
-	}
-	if cfg.ErrorLatency <= 0 {
-		cfg.ErrorLatency = 5 * sim.Millisecond
-	}
-	if cfg.LostWriteLatency <= 0 {
-		cfg.LostWriteLatency = 100 * sim.Microsecond
-	}
 	return &Device{
 		inner:      inner,
 		cfg:        cfg,
@@ -225,16 +218,16 @@ func (d *Device) ReadBlock(lba int64, buf []byte) (sim.Duration, error) {
 	}
 	if d.bad[lba] {
 		d.Stats.MediaErrors++
-		return d.shape(d.cfg.ErrorLatency), injectErr("read", lba, blockdev.ErrMedia)
+		return d.shape(errorLatency), injectErr("read", lba, blockdev.ErrMedia)
 	}
 	if d.cfg.Rates.Transient > 0 && d.rng.Float64() < d.cfg.Rates.Transient {
 		d.Stats.TransientErrors++
-		return d.shape(d.cfg.TimeoutLatency), injectErr("read", lba, blockdev.ErrTransient)
+		return d.shape(timeoutLatency), injectErr("read", lba, blockdev.ErrTransient)
 	}
 	if d.cfg.Rates.ReadMedia > 0 && d.rng.Float64() < d.cfg.Rates.ReadMedia {
 		d.bad[lba] = true
 		d.Stats.MediaErrors++
-		return d.shape(d.cfg.ErrorLatency), injectErr("read", lba, blockdev.ErrMedia)
+		return d.shape(errorLatency), injectErr("read", lba, blockdev.ErrMedia)
 	}
 	d.Stats.Reads++
 	dur, err := d.inner.ReadBlock(lba, buf)
@@ -273,12 +266,12 @@ func (d *Device) WriteBlock(lba int64, buf []byte) (sim.Duration, error) {
 	}
 	if d.cfg.Rates.Transient > 0 && d.rng.Float64() < d.cfg.Rates.Transient {
 		d.Stats.TransientErrors++
-		return d.shape(d.cfg.TimeoutLatency), injectErr("write", lba, blockdev.ErrTransient)
+		return d.shape(timeoutLatency), injectErr("write", lba, blockdev.ErrTransient)
 	}
 	if d.cfg.Rates.WriteMedia > 0 && d.rng.Float64() < d.cfg.Rates.WriteMedia {
 		d.bad[lba] = true
 		d.Stats.MediaErrors++
-		return d.shape(d.cfg.ErrorLatency), injectErr("write", lba, blockdev.ErrMedia)
+		return d.shape(errorLatency), injectErr("write", lba, blockdev.ErrMedia)
 	}
 	if sr := d.silentNow(); !sr.zero() {
 		if sr.LostWrite > 0 && d.rng.Float64() < sr.LostWrite {
@@ -287,7 +280,7 @@ func (d *Device) WriteBlock(lba int64, buf []byte) (sim.Duration, error) {
 			d.Stats.LostWrites++
 			d.Stats.Writes++
 			d.noteSilent(lba)
-			return d.shape(d.cfg.LostWriteLatency), nil
+			return d.shape(lostWriteLatency), nil
 		}
 		if sr.Misdirect > 0 && d.rng.Float64() < sr.Misdirect {
 			// The write lands on the neighboring LBA: the target keeps

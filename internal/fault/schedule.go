@@ -141,20 +141,6 @@ func (s *Schedule) Inflate(station string, at sim.Time, svc sim.Duration) sim.Du
 	return freeze + sim.Duration(factor*float64(svc))
 }
 
-// ActiveAt reports whether any window shapes station at time at —
-// harnesses use it to tell "inside the episode" samples apart.
-func (s *Schedule) ActiveAt(station string, at sim.Time) bool {
-	if s == nil {
-		return false
-	}
-	for i := range s.Windows {
-		if s.Windows[i].active(station, at) {
-			return true
-		}
-	}
-	return false
-}
-
 // End returns the latest window end, or zero time for an empty plan.
 func (s *Schedule) End() sim.Time {
 	var end sim.Time

@@ -115,7 +115,7 @@ func TestScheduleStationMatching(t *testing.T) {
 	if got := nilSched.Inflate("ssd", 10, svc); got != svc {
 		t.Errorf("nil schedule shaped: %v", got)
 	}
-	if nilSched.ActiveAt("ssd", 10) || nilSched.End() != 0 || nilSched.Shaper("ssd") != nil {
+	if nilSched.End() != 0 || nilSched.Shaper("ssd") != nil {
 		t.Error("nil schedule should be inert")
 	}
 }
@@ -238,7 +238,7 @@ func TestDeviceFailSlowPlan(t *testing.T) {
 	if Classify(err) != blockdev.ClassMedia {
 		t.Fatalf("expected media error, got %v", err)
 	}
-	if want := d.cfg.ErrorLatency * 100; lat != want {
+	if want := errorLatency * 100; lat != want {
 		t.Errorf("in-window error latency %v, want %v", lat, want)
 	}
 	clock.Advance(sim.Duration(1 * sim.Second)) // past the window

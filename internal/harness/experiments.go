@@ -29,7 +29,7 @@ type paperFig [5]float64
 
 // renderSeries prints one value per system with the paper's number
 // beside it; higher values are better.
-func renderSeries(br *BenchmarkRun, metric string, paper paperFig, unit string,
+func renderSeries(br *BenchmarkRun, paper paperFig, unit string,
 	get func(*Result) float64) string {
 	return renderSeriesDir(br, paper, unit, get, false)
 }
@@ -89,7 +89,7 @@ var Experiments = []Experiment{
 	{
 		ID: "fig6a", Title: "SysBench transaction rate (tx/s)", Benchmark: "SysBench",
 		Render: func(br *BenchmarkRun) string {
-			out := renderSeries(br, "tx/s", paperFig{180, 85, 161, 175, 190}, "tx/s",
+			out := renderSeries(br, paperFig{180, 85, 161, 175, 190}, "tx/s",
 				func(r *Result) float64 { return r.TxnPerSec })
 			if r := br.Results[ICASH]; r != nil && r.ICASHStats != nil {
 				ref, assoc, indep := r.KindCounts.Fractions()
@@ -102,7 +102,7 @@ var Experiments = []Experiment{
 	{
 		ID: "fig6b", Title: "SysBench CPU utilization", Benchmark: "SysBench",
 		Render: func(br *BenchmarkRun) string {
-			return renderSeries(br, "util", paperFig{52, 53, 53, 56, 55}, "%",
+			return renderSeries(br, paperFig{52, 53, 53, 56, 55}, "%",
 				func(r *Result) float64 { return 100 * r.CPUUtil })
 		},
 	},
@@ -126,7 +126,7 @@ var Experiments = []Experiment{
 	{
 		ID: "fig8b", Title: "Hadoop CPU utilization", Benchmark: "Hadoop",
 		Render: func(br *BenchmarkRun) string {
-			return renderSeries(br, "util", paperFig{83, 73, 82, 84, 86}, "%",
+			return renderSeries(br, paperFig{83, 73, 82, 84, 86}, "%",
 				func(r *Result) float64 { return 100 * r.CPUUtil })
 		},
 	},
@@ -143,22 +143,21 @@ var Experiments = []Experiment{
 	{
 		ID: "fig10a", Title: "TPC-C transaction rate (tx/s)", Benchmark: "TPC-C",
 		Render: func(br *BenchmarkRun) string {
-			return renderSeries(br, "tx/s", paperFig{51, 40, 49, 50, 58}, "tx/s",
+			return renderSeries(br, paperFig{51, 40, 49, 50, 58}, "tx/s",
 				func(r *Result) float64 { return r.TxnPerSec })
 		},
 	},
 	{
 		ID: "fig10b", Title: "TPC-C CPU utilization", Benchmark: "TPC-C",
 		Render: func(br *BenchmarkRun) string {
-			return renderSeries(br, "util", paperFig{51, 41, 52, 61, 62}, "%",
+			return renderSeries(br, paperFig{51, 41, 52, 61, 62}, "%",
 				func(r *Result) float64 { return 100 * r.CPUUtil })
 		},
 	},
 	{
 		ID: "fig11", Title: "TPC-C application response time (ms, lower is better)", Benchmark: "TPC-C",
 		Render: func(br *BenchmarkRun) string {
-			return renderSeriesLow(br, paperFig{6.6, 14, 12, 7.1, 2.6}, "ms",
-				func(r *Result) float64 { return txnLatencyMs(br, r) })
+			return renderSeriesLow(br, paperFig{6.6, 14, 12, 7.1, 2.6}, "ms", txnLatencyMs)
 		},
 	},
 	{
@@ -171,14 +170,13 @@ var Experiments = []Experiment{
 	{
 		ID: "fig13", Title: "SPEC-sfs response time (ms, lower is better)", Benchmark: "SPEC-sfs",
 		Render: func(br *BenchmarkRun) string {
-			return renderSeriesLow(br, paperFig{1.4, 1.8, 2.1, 2.1, 1.5}, "ms",
-				func(r *Result) float64 { return txnLatencyMs(br, r) })
+			return renderSeriesLow(br, paperFig{1.4, 1.8, 2.1, 2.1, 1.5}, "ms", txnLatencyMs)
 		},
 	},
 	{
 		ID: "fig14", Title: "RUBiS request rate (req/s)", Benchmark: "RUBiS",
 		Render: func(br *BenchmarkRun) string {
-			return renderSeries(br, "req/s", paperFig{84, 48, 59, 73, 76}, "req/s",
+			return renderSeries(br, paperFig{84, 48, 59, 73, 76}, "req/s",
 				func(r *Result) float64 { return r.TxnPerSec })
 		},
 	},
@@ -261,13 +259,13 @@ func renderNormalized(br *BenchmarkRun, paper paperFig) string {
 	if base == nil || base.TxnPerSec == 0 {
 		return "missing FusionIO baseline\n"
 	}
-	return renderSeries(br, "norm", paper, "x",
+	return renderSeries(br, paper, "x",
 		func(r *Result) float64 { return r.TxnPerSec / base.TxnPerSec })
 }
 
 // txnLatencyMs reports the mean application-level transaction latency:
 // IOsPerTxn requests' worth of compute plus I/O.
-func txnLatencyMs(br *BenchmarkRun, r *Result) float64 {
+func txnLatencyMs(r *Result) float64 {
 	if r.TxnPerSec == 0 {
 		return 0
 	}

@@ -186,8 +186,8 @@ func TestPageCache(t *testing.T) {
 	if hits != 2 {
 		t.Fatalf("expected exactly 2 survivors, got %d", hits)
 	}
-	if pc.hitRatio() <= 0 {
-		t.Fatal("hit ratio")
+	if pc.hits != 4 || pc.misses != 2 {
+		t.Fatalf("%d hits / %d misses, want 4 / 2", pc.hits, pc.misses)
 	}
 	// Disabled cache.
 	off := newPageCache(0)

@@ -98,12 +98,3 @@ func (p *pageCache) insert(lba int64) {
 	p.index[lba] = e
 	p.pushFront(e)
 }
-
-// hitRatio returns hits/(hits+misses).
-func (p *pageCache) hitRatio() float64 {
-	t := p.hits + p.misses
-	if t == 0 {
-		return 0
-	}
-	return float64(p.hits) / float64(t)
-}

@@ -68,8 +68,6 @@ type BuildConfig struct {
 	DataRAMBytes  int64
 	// VMImageBlocks enables I-CASH's VM-offset pairing (0 = off).
 	VMImageBlocks int64
-	// RAIDDisks is the stripe width (the paper uses 4).
-	RAIDDisks int
 	// Shards partitions the I-CASH controller into that many
 	// independent LBA-range shards, each a full controller over its own
 	// SSD+HDD pair, composed under the one clock (<= 1 is one shard, the
@@ -97,25 +95,25 @@ type BuildConfig struct {
 	FaultSSD *fault.Config
 	FaultHDD *fault.Config
 
-	// Scrub configures I-CASH's background integrity scrubber (see
-	// core.ScrubConfig; a zero Interval leaves it disabled). Ignored
-	// for the baseline systems.
-	Scrub core.ScrubConfig
-
 	// SlowDetector enables the fail-slow detector: station service
 	// times feed a windowed-p99 watch, and the run loop quarantines /
 	// re-admits the I-CASH SSD as the flag flips.
 	SlowDetector bool
-	// SlowSSDThreshold and SlowHDDThreshold override the detector
-	// thresholds (zero keeps the defaults: 2 ms per SSD channel, 100 ms
-	// per HDD actuator). 2 ms sits well above a channel's routine
-	// service (tens of microseconds); the rare healthy ops beyond it —
-	// writes that trigger GC pay an erase plus relocations — stay under
-	// the detector's 5% flag fraction, while a fail-slow window pushes
-	// ordinary writes past it in bulk.
-	SlowSSDThreshold sim.Duration
-	SlowHDDThreshold sim.Duration
 }
+
+const (
+	// raidDisks is the RAID0 stripe width (the paper uses 4).
+	raidDisks = 4
+
+	// The fail-slow detector's thresholds, per SSD channel and per HDD
+	// actuator. 2 ms sits well above a channel's routine service (tens
+	// of microseconds); the rare healthy ops beyond it — writes that
+	// trigger GC pay an erase plus relocations — stay under the
+	// detector's 5% flag fraction, while a fail-slow window pushes
+	// ordinary writes past it in bulk.
+	slowSSDThreshold = 2 * sim.Millisecond
+	slowHDDThreshold = 100 * sim.Millisecond
+)
 
 // System is one storage configuration under test: the device stack plus
 // its clock and CPU accountant.
@@ -127,12 +125,8 @@ type System struct {
 
 	// Component handles for statistics; nil when absent. SSD is the
 	// baselines' single flash device.
-	SSD   *ssd.Device
-	HDDs  []*hdd.Device
-	LRUc  *baseline.LRUCache
-	Dedup *baseline.DedupCache
-	Pure  *baseline.PureSSD
-	RAID  *raid.Array0
+	SSD  *ssd.Device
+	HDDs []*hdd.Device
 
 	// Sharded is the I-CASH controller: one or more LBA-range shards,
 	// shard i over SSDs[i] and HDDs[i]. ShardCPUs holds one storage
@@ -166,6 +160,11 @@ type System struct {
 	Detector *fault.Detector
 
 	flush func() error
+	// resets zero one component's counters each and fills install the
+	// initial-content oracle on one each; Build registers them as it
+	// assembles the stack.
+	resets []func()
+	fills  []func(blockdev.FillFunc)
 }
 
 // Name returns the paper's label.
@@ -182,42 +181,8 @@ func (s *System) Flush() error {
 // ResetStats zeroes every statistics counter in the stack (after the
 // unmeasured populate phase) and restarts the CPU utilization window.
 func (s *System) ResetStats() {
-	if s.SSD != nil {
-		s.SSD.ResetStats()
-	}
-	for _, d := range s.SSDs {
-		d.ResetStats()
-	}
-	for _, h := range s.HDDs {
-		h.ResetStats()
-	}
-	if s.Sharded != nil {
-		s.Sharded.ResetStats()
-	}
-	if s.LRUc != nil {
-		s.LRUc.ResetStats()
-	}
-	if s.Dedup != nil {
-		s.Dedup.ResetStats()
-	}
-	if s.Pure != nil {
-		s.Pure.ResetStats()
-	}
-	if s.RAID != nil {
-		s.RAID.ResetStats()
-	}
-	if s.SSDFault != nil {
-		s.SSDFault.ResetStats()
-	}
-	if s.HDDFault != nil {
-		s.HDDFault.ResetStats()
-	}
-	for _, st := range s.Stations {
-		st.ResetStats()
-	}
-	s.CPU.Reset()
-	for _, c := range s.ShardCPUs {
-		c.Reset()
+	for _, reset := range s.resets {
+		reset()
 	}
 }
 
@@ -287,29 +252,23 @@ func (s *System) instrument(cfg BuildConfig) {
 		s.Detector.Watch(name, threshold)
 		srv.SetObserver(func(svc sim.Duration) { s.Detector.Observe(name, svc) })
 	}
-	ssdThreshold := cfg.SlowSSDThreshold
-	if ssdThreshold <= 0 {
-		ssdThreshold = 2 * sim.Millisecond
-	}
-	hddThreshold := cfg.SlowHDDThreshold
-	if hddThreshold <= 0 {
-		hddThreshold = 100 * sim.Millisecond
-	}
 	addSSD := func(dev *ssd.Device, name string) {
 		chans := make([]*event.Server, dev.Config().Channels)
 		for i := range chans {
 			chans[i] = event.NewServer(fmt.Sprintf("%s.ch%d", name, i), event.DefaultQueueCap)
 			chans[i].SetShaper(ssdPlan.Shaper(chans[i].Name()))
-			watch(chans[i], ssdThreshold)
+			watch(chans[i], slowSSDThreshold)
 			s.Stations = append(s.Stations, chans[i])
+			s.resets = append(s.resets, chans[i].ResetStats)
 		}
 		dev.Instrument(s.Tracer, chans)
 	}
 	addHDD := func(h *hdd.Device, name string) {
 		srv := event.NewServer(name, event.DefaultQueueCap)
 		srv.SetShaper(hddPlan.Shaper(srv.Name()))
-		watch(srv, hddThreshold)
+		watch(srv, slowHDDThreshold)
 		s.Stations = append(s.Stations, srv)
+		s.resets = append(s.resets, srv.ResetStats)
 		h.Instrument(s.Tracer, srv)
 	}
 	if s.SSD != nil {
@@ -352,23 +311,11 @@ func ShardStation(i, n int, name string) string {
 
 // SetFill installs the workload's initial-content oracle on every
 // device in the stack. An I-CASH shard's devices see shard-local LBAs,
-// so there the oracle is installed through the routing translation
+// so there the registered fill is SetShardFill's routing translation
 // (global = shard base + local).
 func (s *System) SetFill(f blockdev.FillFunc) {
-	if s.Sharded != nil {
-		for i := range s.SSDs {
-			s.SetShardFill(i, f)
-		}
-		return
-	}
-	if s.SSD != nil {
-		s.SSD.SetFill(f)
-	}
-	for _, h := range s.HDDs {
-		h.SetFill(f)
-	}
-	if s.RAID != nil {
-		s.RAID.SetFill(f)
+	for _, fill := range s.fills {
+		fill(f)
 	}
 }
 
@@ -383,17 +330,32 @@ func (s *System) SetShardFill(i int, f blockdev.FillFunc) {
 	s.HDDs[i].SetFill(tf)
 }
 
+// newSSD and newHDD create one device of a baseline stack and register
+// it with ResetStats and SetFill.
+func (s *System) newSSD(cfg ssd.Config) *ssd.Device {
+	s.SSD = ssd.New(cfg)
+	s.resets = append(s.resets, s.SSD.ResetStats)
+	s.fills = append(s.fills, s.SSD.SetFill)
+	return s.SSD
+}
+
+func (s *System) newHDD(blocks int64) *hdd.Device {
+	h := hdd.New(hdd.DefaultConfig(blocks))
+	s.HDDs = append(s.HDDs, h)
+	s.resets = append(s.resets, h.ResetStats)
+	s.fills = append(s.fills, h.SetFill)
+	return h
+}
+
 // Build constructs a system of the given kind.
 func Build(kind Kind, cfg BuildConfig) (*System, error) {
 	if cfg.DataBlocks <= 0 {
 		return nil, fmt.Errorf("harness: DataBlocks must be positive")
 	}
-	if cfg.RAIDDisks <= 0 {
-		cfg.RAIDDisks = 4
-	}
 	clock := sim.NewClock()
 	cpu := cpumodel.NewAccountant(clock)
 	s := &System{Kind: kind, Clock: clock, CPU: cpu}
+	s.resets = append(s.resets, cpu.Reset)
 
 	switch kind {
 	case FusionIO:
@@ -402,43 +364,39 @@ func Build(kind Kind, cfg BuildConfig) (*System, error) {
 		// mild garbage collection. 4x the data set preserves that.
 		devCfg := ssd.DefaultConfig(cfg.DataBlocks * 4)
 		devCfg.CapacityBlocks = cfg.DataBlocks * 4
-		s.SSD = ssd.New(devCfg)
-		s.Pure = baseline.NewPureSSD(s.SSD, cpu)
-		s.Dev = s.Pure
-		s.flush = s.Pure.Flush
+		pure := baseline.NewPureSSD(s.newSSD(devCfg), cpu)
+		s.resets = append(s.resets, pure.ResetStats)
+		s.Dev = pure
+		s.flush = pure.Flush
 
 	case RAID0:
 		const chunk = 32
-		stripe := int64(cfg.RAIDDisks) * chunk
+		const stripe = raidDisks * chunk
 		per := (cfg.DataBlocks + stripe - 1) / stripe * chunk
-		members := make([]blockdev.Device, cfg.RAIDDisks)
+		members := make([]blockdev.Device, raidDisks)
 		for i := range members {
-			h := hdd.New(hdd.DefaultConfig(per))
-			s.HDDs = append(s.HDDs, h)
-			members[i] = h
+			members[i] = s.newHDD(per)
 		}
 		arr, err := raid.NewArray0(members, chunk)
 		if err != nil {
 			return nil, err
 		}
-		s.RAID = arr
+		// Registered after the members' own fills, the array's replaces
+		// them: it translates each member's local addresses back to
+		// array addresses.
+		s.fills = append(s.fills, arr.SetFill)
+		s.resets = append(s.resets, arr.ResetStats)
 		s.Dev = arr
 
 	case Dedup:
-		s.SSD = ssd.New(cachePartitionConfig(cacheBlocks(cfg)))
-		h := hdd.New(hdd.DefaultConfig(cfg.DataBlocks))
-		s.HDDs = []*hdd.Device{h}
-		c := baseline.NewDedupCache(s.SSD, h, cpu)
-		s.Dedup = c
+		c := baseline.NewDedupCache(s.newSSD(cachePartitionConfig(cacheBlocks(cfg))), s.newHDD(cfg.DataBlocks), cpu)
+		s.resets = append(s.resets, c.ResetStats)
 		s.Dev = c
 		s.flush = c.Flush
 
 	case LRU:
-		s.SSD = ssd.New(cachePartitionConfig(cacheBlocks(cfg)))
-		h := hdd.New(hdd.DefaultConfig(cfg.DataBlocks))
-		s.HDDs = []*hdd.Device{h}
-		c := baseline.NewLRUCache(s.SSD, h, cpu)
-		s.LRUc = c
+		c := baseline.NewLRUCache(s.newSSD(cachePartitionConfig(cacheBlocks(cfg))), s.newHDD(cfg.DataBlocks), cpu)
+		s.resets = append(s.resets, c.ResetStats)
 		s.Dev = c
 		s.flush = c.Flush
 
@@ -556,6 +514,7 @@ func buildICASH(s *System, cfg BuildConfig) error {
 		h := hdd.New(hdd.DefaultConfig(per + ccfg.LogBlocks))
 		s.SSDs = append(s.SSDs, sdev)
 		s.HDDs = append(s.HDDs, h)
+		s.fills = append(s.fills, func(f blockdev.FillFunc) { s.SetShardFill(i, f) })
 		if cfg.Tune != nil {
 			cfg.Tune(&ccfg)
 		}
@@ -563,18 +522,20 @@ func buildICASH(s *System, cfg BuildConfig) error {
 		if i == 0 && cfg.FaultSSD != nil {
 			s.SSDFault = wrapFault(ssdDev, cfg.FaultSSD, s.Clock, ShardStation(0, nsh, "ssd"))
 			ssdDev = s.SSDFault
+			s.resets = append(s.resets, s.SSDFault.ResetStats)
 		}
 		if i == 0 && cfg.FaultHDD != nil {
 			s.HDDFault = wrapFault(hddDev, cfg.FaultHDD, s.Clock, ShardStation(0, nsh, "hdd0"))
 			hddDev = s.HDDFault
+			s.resets = append(s.resets, s.HDDFault.ResetStats)
 		}
 		shardCPU := cpumodel.NewAccountant(s.Clock)
 		s.ShardCPUs = append(s.ShardCPUs, shardCPU)
+		s.resets = append(s.resets, sdev.ResetStats, h.ResetStats, shardCPU.Reset)
 		ctrl, err := core.New(ccfg, ssdDev, hddDev, s.Clock, shardCPU)
 		if err != nil {
 			return fmt.Errorf("harness: shard %d: %w", i, err)
 		}
-		ctrl.SetScrub(cfg.Scrub)
 		shards[i] = ctrl
 	}
 	sc, err := core.NewSharded(shards)
@@ -583,6 +544,7 @@ func buildICASH(s *System, cfg BuildConfig) error {
 	}
 	s.Sharded = sc
 	s.Dev = sc
+	s.resets = append(s.resets, sc.ResetStats)
 	// Flush fans across the shards: each drains only shard-local state,
 	// results are index-gathered, and the first-index error wins — same
 	// determinism argument as every other ForEachPoint use.

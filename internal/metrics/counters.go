@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"icash/internal/core"
-	"icash/internal/fault"
 )
 
 // Counter is one named monotonic count, used to export fault, retry and
@@ -81,27 +80,6 @@ func IntegrityCounters(st *core.Stats) []Counter {
 		{"scrub_passes", st.ScrubPasses},
 		{"scrub_slot_checks", st.ScrubSlotChecks},
 		{"scrub_home_checks", st.ScrubHomeChecks},
-	}
-}
-
-// FaultCounters flattens a fault injector's accounting into an ordered
-// counter list.
-func FaultCounters(st *fault.Stats) []Counter {
-	return []Counter{
-		{"reads", st.Reads},
-		{"writes", st.Writes},
-		{"media_errors", st.MediaErrors},
-		{"transient_errors", st.TransientErrors},
-		{"lost_errors", st.LostErrors},
-		{"torn_writes", st.TornWrites},
-		{"healed_blocks", st.HealedBlocks},
-		{"slow_ops", st.SlowOps},
-		{"slow_time_ns", int64(st.SlowTime)},
-		// Silent-corruption injection (appended: the order above is
-		// frozen). These count injected lies, not detections.
-		{"bit_flips", st.BitFlips},
-		{"misdirected_writes", st.MisdirectedWrites},
-		{"lost_writes", st.LostWrites},
 	}
 }
 

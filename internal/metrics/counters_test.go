@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"icash/internal/core"
-	"icash/internal/fault"
 )
 
 func TestResilienceCountersComplete(t *testing.T) {
@@ -59,17 +58,6 @@ func TestJournalCountersComplete(t *testing.T) {
 	}
 	if cs[0].Name != "txns_committed" || cs[len(cs)-1].Name != "batch_>1MiB" {
 		t.Fatalf("counter order changed: first %q last %q", cs[0].Name, cs[len(cs)-1].Name)
-	}
-}
-
-func TestFaultCountersCarryValues(t *testing.T) {
-	st := fault.Stats{Reads: 10, TornWrites: 2}
-	seen := map[string]int64{}
-	for _, c := range FaultCounters(&st) {
-		seen[c.Name] = c.Value
-	}
-	if seen["reads"] != 10 || seen["torn_writes"] != 2 {
-		t.Fatalf("fault counters wrong: %v", seen)
 	}
 }
 

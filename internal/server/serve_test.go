@@ -67,7 +67,7 @@ func TestServedEqualsInproc(t *testing.T) {
 		for i := 0; i < par; i++ {
 			go func(i int) {
 				defer wg.Done()
-				sr, err := RunServed(p, opts, DefaultSimConfig())
+				sr, err := RunServed(p, opts)
 				if err != nil {
 					outs[i] = servedOut{err: err}
 					return
@@ -116,10 +116,8 @@ func TestServedEqualsInproc(t *testing.T) {
 // histograms — everything icash-inspect renders.
 func TestServedRunAccounting(t *testing.T) {
 	p := workload.TPCC5VM()
-	opts := workload.Options{Scale: 1.0 / 2048, MaxOps: 800, Seed: 7, StreamPerVM: true}
-	cfg := DefaultSimConfig()
-	cfg.Window = 4
-	sr, err := RunServed(p, opts, cfg)
+	opts := workload.Options{Scale: 1.0 / 2048, MaxOps: 800, Seed: 7, StreamPerVM: true, QueueDepth: 4}
+	sr, err := RunServed(p, opts)
 	if err != nil {
 		t.Fatalf("RunServed: %v", err)
 	}
@@ -185,15 +183,13 @@ func TestServedRunAccounting(t *testing.T) {
 // accounting — the determinism claim at its strictest.
 func TestServedDeterminism(t *testing.T) {
 	p := workload.SysBench()
-	opts := workload.Options{Scale: 1.0 / 1024, MaxOps: 600, Seed: 3}
-	cfg := DefaultSimConfig()
-	cfg.Window = 4
+	opts := workload.Options{Scale: 1.0 / 1024, MaxOps: 600, Seed: 3, QueueDepth: 4}
 
-	a, err := RunServed(p, opts, cfg)
+	a, err := RunServed(p, opts)
 	if err != nil {
 		t.Fatalf("first run: %v", err)
 	}
-	b, err := RunServed(p, opts, cfg)
+	b, err := RunServed(p, opts)
 	if err != nil {
 		t.Fatalf("second run: %v", err)
 	}
@@ -202,5 +198,25 @@ func TestServedDeterminism(t *testing.T) {
 	}
 	if a.Elapsed != b.Elapsed || a.Ops != b.Ops {
 		t.Fatalf("run identity diverged: %v/%d vs %v/%d", a.Elapsed, a.Ops, b.Elapsed, b.Ops)
+	}
+}
+
+// TestServedWindowFromQueueDepth pins where the served window comes
+// from: opts.QueueDepth, 8 when it is unset, MaxWindow when it is larger.
+func TestServedWindowFromQueueDepth(t *testing.T) {
+	p := workload.SysBench()
+	for _, tc := range []struct{ qd, want int }{
+		{0, 8},
+		{4, 4},
+		{MaxWindow + 1, MaxWindow},
+	} {
+		opts := workload.Options{Scale: 1.0 / 2048, MaxOps: 200, Seed: 5, QueueDepth: tc.qd}
+		sr, err := RunServed(p, opts)
+		if err != nil {
+			t.Fatalf("QueueDepth %d: %v", tc.qd, err)
+		}
+		if sr.Window != tc.want {
+			t.Fatalf("QueueDepth %d served at window %d, want %d", tc.qd, sr.Window, tc.want)
+		}
 	}
 }

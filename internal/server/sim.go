@@ -14,27 +14,13 @@ import (
 	"icash/internal/workload"
 )
 
-// SimConfig parameterizes a served simulation run.
-type SimConfig struct {
-	// System selects the array under the front-end (the sweep and the
-	// regression tests serve ICASH).
-	System harness.Kind
-	// Window is the per-session in-flight window. 0 falls back to the
-	// workload's QueueDepth, then to 8. Clamped to [1, MaxWindow].
-	Window int
-	// LinkBytesPerSec models the wire: frame bytes occupy the session's
-	// uplink station for len/rate. 0 picks 1 GiB/s.
-	LinkBytesPerSec int64
-	// FrameOverhead is the fixed per-frame cost (framing, interrupt,
-	// protocol handling). 0 picks 5us.
-	FrameOverhead sim.Duration
-}
-
-// DefaultSimConfig returns the served-run defaults: the I-CASH array
-// behind a 1 GiB/s link with 5us per-frame overhead.
-func DefaultSimConfig() SimConfig {
-	return SimConfig{System: harness.ICASH, LinkBytesPerSec: 1 << 30, FrameOverhead: 5 * sim.Microsecond}
-}
+// The simulated wire: a frame occupies its session's uplink station for
+// frameOverhead (framing, interrupt, protocol handling) plus its bytes
+// at linkBytesPerSec.
+const (
+	linkBytesPerSec = 1 << 30
+	frameOverhead   = 5 * sim.Microsecond
+)
 
 // SessionReport is one session's accounting in a ServeResult.
 type SessionReport struct {
@@ -72,7 +58,7 @@ type ServeResult struct {
 
 	// Stations is the device-station accounting under the served load.
 	Stations []metrics.StationStats
-	// Stats is the controller's accounting (I-CASH runs only).
+	// Stats is the controller's accounting.
 	Stats    *core.Stats
 	Degraded bool
 
@@ -163,20 +149,12 @@ type servedSession struct {
 // clock. Every reply is verified — CRC, id matching via the client
 // tracker, and read payloads against the workload's content oracle —
 // and every session ends with a graceful OpClose that drains the
-// journal. The run is bit-identical for a given (profile, opts, cfg)
-// regardless of the process's worker count: the engine is
-// single-goroutine and owns all time.
-func RunServed(p workload.Profile, opts workload.Options, cfg SimConfig) (*ServeResult, error) {
-	if cfg.LinkBytesPerSec <= 0 {
-		cfg.LinkBytesPerSec = 1 << 30
-	}
-	if cfg.FrameOverhead <= 0 {
-		cfg.FrameOverhead = 5 * sim.Microsecond
-	}
-	window := cfg.Window
-	if window <= 0 {
-		window = opts.QueueDepth
-	}
+// journal. The per-session in-flight window is opts.QueueDepth (0 falls
+// back to 8), clamped to MaxWindow. The run is bit-identical for a
+// given (profile, opts) regardless of the process's worker count: the
+// engine is single-goroutine and owns all time.
+func RunServed(p workload.Profile, opts workload.Options) (*ServeResult, error) {
+	window := opts.QueueDepth
 	if window <= 0 {
 		window = 8
 	}
@@ -184,7 +162,7 @@ func RunServed(p workload.Profile, opts workload.Options, cfg SimConfig) (*Serve
 		window = MaxWindow
 	}
 
-	sys, gen, err := harness.BuildPopulated(cfg.System, p, opts)
+	sys, gen, err := harness.BuildPopulated(harness.ICASH, p, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -193,10 +171,10 @@ func RunServed(p workload.Profile, opts workload.Options, cfg SimConfig) (*Serve
 
 	backend := &simBackend{sys: sys}
 	xfer := func(n int) sim.Duration {
-		return cfg.FrameOverhead + sim.Duration(int64(n)*int64(sim.Second)/cfg.LinkBytesPerSec)
+		return frameOverhead + sim.Duration(int64(n)*int64(sim.Second)/linkBytesPerSec)
 	}
 
-	res := &ServeResult{Profile: p, System: cfg.System, Window: window, Sys: sys}
+	res := &ServeResult{Profile: p, System: harness.ICASH, Window: window, Sys: sys}
 	clock := sys.Clock
 	sch := event.NewScheduler(clock)
 	start := clock.Now()
@@ -395,11 +373,9 @@ func RunServed(p workload.Profile, opts workload.Options, cfg SimConfig) (*Serve
 	for _, st := range sys.Stations {
 		res.Stations = append(res.Stations, st.Snapshot(res.Elapsed))
 	}
-	if sys.Sharded != nil {
-		st := sys.Sharded.Stats()
-		res.Stats = &st
-		res.Degraded = sys.Sharded.Degraded()
-	}
+	st := sys.Sharded.Stats()
+	res.Stats = &st
+	res.Degraded = sys.Sharded.Degraded()
 	return res, nil
 }
 

@@ -47,9 +47,7 @@ func ServeSweep(depths []int, opts workload.Options) (string, error) {
 		pt := servePoint{}
 		pt.direct, pt.err = harness.RunBenchmark(p, o, []harness.Kind{harness.ICASH})
 		if pt.err == nil {
-			cfg := DefaultSimConfig()
-			cfg.Window = depths[i]
-			pt.served, pt.err = RunServed(p, o, cfg)
+			pt.served, pt.err = RunServed(p, o)
 		}
 		points[i] = pt
 		return nil

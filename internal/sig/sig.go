@@ -62,8 +62,6 @@ func Compute(block []byte) Signature {
 // Heatmap is the S×Vs popularity table.
 type Heatmap struct {
 	pop [SubBlocks][Values]uint64
-	// accesses counts signatures recorded, for decay bookkeeping.
-	accesses uint64
 }
 
 // NewHeatmap returns a zeroed heatmap.
@@ -75,7 +73,6 @@ func (h *Heatmap) Record(s Signature) {
 	for i, v := range s {
 		h.pop[i][v]++
 	}
-	h.accesses++
 }
 
 // Popularity returns the block popularity of signature s: the sum of its
@@ -91,9 +88,6 @@ func (h *Heatmap) Popularity(s Signature) uint64 {
 // Value returns one counter (row = sub-block index, col = signature
 // value); exposed for tests and the inspection tool.
 func (h *Heatmap) Value(row int, col byte) uint64 { return h.pop[row][col] }
-
-// Accesses returns the number of Record calls.
-func (h *Heatmap) Accesses() uint64 { return h.accesses }
 
 // Decay halves every counter. Long-running systems call this
 // periodically so that stale popularity does not pin yesterday's hot

@@ -76,17 +76,6 @@ func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Perm returns a random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
 // Bytes fills b with random bytes: the little-endian bytes of
 // successive Uint64 draws, a final partial draw covering any tail. The
 // generator steps on four locals and stores a word at a time; stream

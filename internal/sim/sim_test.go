@@ -144,18 +144,6 @@ func TestRandBytesMatchesUint64(t *testing.T) {
 	}
 }
 
-func TestRandPerm(t *testing.T) {
-	r := NewRand(11)
-	p := r.Perm(100)
-	seen := make([]bool, 100)
-	for _, v := range p {
-		if v < 0 || v >= 100 || seen[v] {
-			t.Fatal("not a permutation")
-		}
-		seen[v] = true
-	}
-}
-
 func TestZipfSkewOrdering(t *testing.T) {
 	// Higher skew concentrates more mass on the top ranks.
 	mass := func(s float64) float64 {

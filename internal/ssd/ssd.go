@@ -68,11 +68,6 @@ type Config struct {
 	// WearWeight blends wear into GC victim selection: 0 = pure greedy
 	// (fewest valid pages), larger values prefer low-erase-count blocks.
 	WearWeight float64
-	// RetireWornBlocks removes erase blocks from circulation once they
-	// exceed EraseLimit instead of merely counting them. A device whose
-	// free pool runs dry then fails writes with blockdev.ErrMedia — the
-	// end-of-life behaviour the fault-injection tests exercise.
-	RetireWornBlocks bool
 }
 
 // DefaultConfig returns an SLC device in the spirit of the paper's
@@ -176,9 +171,6 @@ type Stats struct {
 	MapMisses int64
 	// WornBlocks counts erase blocks that exceeded the erase limit.
 	WornBlocks int64
-	// RetiredBlocks counts worn erase blocks removed from circulation
-	// (RetireWornBlocks).
-	RetiredBlocks int64
 }
 
 // Accumulate adds every counter of o into s — the aggregation the
@@ -197,7 +189,6 @@ func (s *Stats) Accumulate(o *Stats) {
 	s.ReadCacheHits += o.ReadCacheHits
 	s.MapMisses += o.MapMisses
 	s.WornBlocks += o.WornBlocks
-	s.RetiredBlocks += o.RetiredBlocks
 }
 
 // WriteAmplification returns physical programs per host write.
@@ -328,8 +319,8 @@ func (d *Device) WriteBlock(lba int64, buf []byte) (sim.Duration, error) {
 
 	// Program into the active block first; channel interleaving divides
 	// the program time seen by a stream of writes. When the device is
-	// out of programmable flash (worn blocks retired) the write fails as
-	// a program failure before any content or mapping state changes.
+	// out of programmable flash the write fails as a program failure
+	// before any content or mapping state changes.
 	loc, gcTime, err := d.allocPage(lba)
 	if err != nil {
 		lat += gcTime
@@ -385,9 +376,9 @@ func (d *Device) Instrument(tr *event.Tracer, chans []*event.Server) {
 
 // allocPage takes the next free physical page, opening a new active
 // block (and garbage-collecting) as needed, and records the logical
-// owner. It returns the location and any GC time incurred. With worn
-// blocks retired a device can genuinely run out of programmable flash;
-// that surfaces as blockdev.ErrMedia.
+// owner. It returns the location and any GC time incurred. An
+// over-committed device can run out of programmable flash; that
+// surfaces as blockdev.ErrMedia.
 func (d *Device) allocPage(lba int64) (pageLoc, sim.Duration, error) {
 	var gcTime sim.Duration
 	blk := &d.blocks[d.active]
@@ -423,9 +414,8 @@ func (d *Device) placeGC(lba int64) {
 }
 
 // popFree removes one erased block from the free list. An empty list
-// means the device has no programmable flash left — either genuinely
-// over-committed or worn down to nothing with RetireWornBlocks — and
-// the caller's write must fail rather than corrupt FTL state.
+// means the device has no programmable flash left, and the caller's
+// write must fail rather than corrupt FTL state.
 func (d *Device) popFree() (int32, error) {
 	if len(d.freeList) == 0 {
 		return 0, fmt.Errorf("ssd: out of programmable flash blocks: %w", blockdev.ErrMedia)
@@ -523,15 +513,8 @@ func (d *Device) collectOne() (sim.Duration, bool) {
 		d.Stats.PagesProgrammed++
 	}
 	if freedWhole {
-		if d.cfg.RetireWornBlocks && blk.erases > d.cfg.EraseLimit {
-			// End of endurance: the block leaves circulation instead of
-			// rejoining the free pool.
-			d.Stats.RetiredBlocks++
-			d.freePages -= int64(d.cfg.PagesPerBlock)
-		} else {
-			// Victim fully drained into the old destination: it is free.
-			d.freeList = append(d.freeList, victim)
-		}
+		// Victim fully drained into the old destination: it is free.
+		d.freeList = append(d.freeList, victim)
 	}
 	d.Stats.GCTime += t
 	return t, true
@@ -544,17 +527,6 @@ func (d *Device) EraseCounts() []int {
 		out[i] = d.blocks[i].erases
 	}
 	return out
-}
-
-// MaxErase returns the highest per-block erase count.
-func (d *Device) MaxErase() int {
-	max := 0
-	for i := range d.blocks {
-		if d.blocks[i].erases > max {
-			max = d.blocks[i].erases
-		}
-	}
-	return max
 }
 
 // CheckInvariants validates internal FTL consistency; tests call it

@@ -107,9 +107,6 @@ func TestWearLeveling(t *testing.T) {
 	if mean > 0 && float64(max) > 8*mean {
 		t.Fatalf("wear imbalance: max=%d mean=%.1f", max, mean)
 	}
-	if d.MaxErase() != max {
-		t.Fatalf("MaxErase = %d, want %d", d.MaxErase(), max)
-	}
 }
 
 func TestLatencyOrdering(t *testing.T) {
