@@ -1,9 +1,8 @@
 // Command icash-vet runs the repo-specific static analyzer suite
 // (internal/analysis) over the module: detclock, maporder, errclass,
-// poolreturn, verifyread, lockorder, goroutines and staleignore — the
-// compile-time enforcement of the determinism, error-handling,
-// data-integrity and concurrency invariants the simulation's
-// correctness rests on.
+// goroutines and staleignore — the compile-time enforcement of the
+// determinism, error-handling and concurrency-containment invariants
+// the simulation's correctness rests on.
 //
 // Usage:
 //

@@ -9,9 +9,8 @@
 //     build-tag runtime assertion in internal/sim);
 //   - error discipline: device errors are classified, wrapped with %w,
 //     and never silently discarded on I/O paths (errclass);
-//   - end-to-end integrity: the controller's device content fetch
-//     paths cannot return success without checksum-verifying the
-//     bytes (verifyread).
+//   - concurrency containment: simulation packages spawn goroutines
+//     only through harness.ForEachPoint and never select (goroutines).
 //
 // The suite is deliberately stdlib-only (go/ast, go/parser, go/types —
 // no golang.org/x/tools) so the module stays go.sum-free. The driver
@@ -47,11 +46,6 @@ type Analyzer struct {
 	Doc string
 	// Run inspects one package and reports findings on pass.
 	Run func(pass *Pass)
-	// Finish, if set, runs once after every package's Run, over the
-	// module-wide facts Run accumulated on the Program. lockorder uses
-	// it: acquisition-order cycles only exist across the whole edge
-	// set, never inside one package's view.
-	Finish func(prog *Program) []Finding
 }
 
 // Catalog returns every analyzer in the suite, in stable order.
@@ -60,9 +54,6 @@ func Catalog() []*Analyzer {
 		DetClock,
 		MapOrder,
 		ErrClass,
-		PoolReturn,
-		VerifyRead,
-		LockOrder,
 		Goroutines,
 		StaleIgnore,
 	}
@@ -80,9 +71,8 @@ type Pass struct {
 	// Info holds the type-checker's expression and identifier facts.
 	Info *types.Info
 	// Prog is the module-wide interprocedural view: per-function
-	// summaries, the call graph, and memoized transitive queries
-	// (summary.go). Analyzers use it to see one call past the package
-	// under analysis.
+	// summaries and the call graph (summary.go). errclass uses it to
+	// see past the package under analysis.
 	Prog *Program
 
 	findings *[]Finding
@@ -130,8 +120,7 @@ func sortFindings(fs []Finding) {
 
 // RunAnalyzers applies every analyzer in catalog to pkg and returns the
 // raw findings (suppressions not yet applied). prog is the shared
-// interprocedural view; the caller runs any Finish hooks itself once
-// every package has been analyzed.
+// interprocedural view.
 func RunAnalyzers(catalog []*Analyzer, pkg *Package, prog *Program) []Finding {
 	var findings []Finding
 	for _, a := range catalog {

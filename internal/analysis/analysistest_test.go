@@ -44,12 +44,7 @@ func runFixture(t *testing.T, a *Analyzer, name, asPath string) {
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", dir, err)
 	}
-	prog := NewProgram(l)
-	findings := RunAnalyzers([]*Analyzer{a}, pkg, prog)
-	if a.Finish != nil {
-		findings = append(findings, a.Finish(prog)...)
-	}
-	findings = applyIgnores(pkg, findings)
+	findings := applyIgnores(pkg, RunAnalyzers([]*Analyzer{a}, pkg, NewProgram(l)))
 	sortFindings(findings)
 
 	wants := parseWants(t, pkg.Fset, pkg)
@@ -119,8 +114,8 @@ func TestWantMarkersDoNotLeakIntoFindings(t *testing.T) {
 			t.Fatalf("catalog entry %+v incomplete", a)
 		}
 	}
-	if len(Catalog()) != 8 {
-		t.Fatalf("catalog has %d analyzers, want 8", len(Catalog()))
+	if len(Catalog()) != 5 {
+		t.Fatalf("catalog has %d analyzers, want 5", len(Catalog()))
 	}
 }
 

@@ -20,8 +20,8 @@ func TestJSONRoundTrip(t *testing.T) {
 		},
 		{
 			Pos:      token.Position{Filename: "/repo/internal/server/registry.go", Line: 40, Column: 2},
-			Analyzer: "lockorder",
-			Message:  "held across device call",
+			Analyzer: "goroutines",
+			Message:  "go statement outside the approved concurrency primitives",
 		},
 	}
 	out, err := MarshalFindings(root, findings)

@@ -251,10 +251,9 @@ func (li *loaderImporter) Import(path string) (*types.Package, error) {
 // Vet loads every package matching patterns under root, builds the
 // module-wide Program (summaries for the targets and every module
 // dependency the load pulled in), runs the full analyzer catalog over
-// each target, runs the Finish hooks over the accumulated module-wide
-// facts, applies //lint:ignore suppressions with usage tracking (stale
-// directives become staleignore findings), and returns the surviving
-// findings in stable order.
+// each target, applies //lint:ignore suppressions with usage tracking
+// (stale directives become staleignore findings), and returns the
+// surviving findings in stable order.
 func Vet(root string, patterns []string) ([]Finding, error) {
 	l, err := NewLoader(root)
 	if err != nil {
@@ -277,28 +276,17 @@ func Vet(root string, patterns []string) ([]Finding, error) {
 	for _, pkg := range pkgs {
 		findings = append(findings, RunAnalyzers(Catalog(), pkg, prog)...)
 	}
-	for _, a := range Catalog() {
-		if a.Finish != nil {
-			findings = append(findings, a.Finish(prog)...)
-		}
-	}
 	findings = applyIgnoresTracked(pkgs, findings)
 	sortFindings(findings)
 	return findings, nil
 }
 
-// VetPackage runs the full catalog (Finish hooks included) on one
-// loaded package, applies its //lint:ignore directives, and reports the
-// stale ones — the single-package version of Vet. The Program sees only
-// this package, so interprocedural facts stop at its boundary.
+// VetPackage runs the full catalog on one loaded package, applies its
+// //lint:ignore directives, and reports the stale ones — the
+// single-package version of Vet. The Program sees only this package, so
+// interprocedural facts stop at its boundary.
 func VetPackage(pkg *Package) []Finding {
 	prog := newProgram()
 	prog.addPackage(pkg)
-	findings := RunAnalyzers(Catalog(), pkg, prog)
-	for _, a := range Catalog() {
-		if a.Finish != nil {
-			findings = append(findings, a.Finish(prog)...)
-		}
-	}
-	return applyIgnoresTracked([]*Package{pkg}, findings)
+	return applyIgnoresTracked([]*Package{pkg}, RunAnalyzers(Catalog(), pkg, prog))
 }

@@ -78,76 +78,6 @@ func TestIgnoreDirectives(t *testing.T) {
 	}
 }
 
-// TestLockOrderGraphDeterministic dumps the repository's own lock
-// acquisition-order graph and pins it, so the lock hierarchy is
-// reviewed like code: a new edge in this list is a new lock-nesting
-// relationship and must be argued for in the PR that adds it. With the
-// shard router in place the expected graph is still a single self-edge
-// — lockmap.Acquire2 nests two acquisitions of one map under its
-// canonical-address-order contract. server.ShardRouter's own locking
-// contributes no edge: its read/write paths hold exactly one shard
-// address at a time, and its flush barrier's ascending loop-carried
-// nesting is below the lexical walker's resolution (the -race router
-// tests cover it dynamically). Notably there are still NO core.*
-// classes: each shard controller remains single-threaded and lock-free;
-// all cross-shard exclusion lives in the router's lockmap.
-func TestLockOrderGraphDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks the concurrency-bearing packages; skipped in -short")
-	}
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := NewLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	paths, err := l.Expand([]string{"./internal/core/...", "./internal/server/...", "./internal/lockmap", "./cmd/icash-serve"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pkgs []*Package
-	for _, p := range paths {
-		pkg, err := l.Load(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pkgs = append(pkgs, pkg)
-	}
-	prog := NewProgram(l)
-	for _, pkg := range pkgs {
-		RunAnalyzers([]*Analyzer{LockOrder}, pkg, prog)
-	}
-	// Cycle-freedom is the Finish-phase claim: no acquisition-order edge
-	// may lie on a cycle of the module-wide graph, and no class nests
-	// under itself — after the source's own //lint:ignore directives are
-	// honored (lockmap.Acquire2's canonical-order self-edge is the one
-	// excused nesting).
-	fin := finishLockOrder(prog)
-	for _, pkg := range pkgs {
-		fin = applyIgnores(pkg, fin)
-	}
-	for _, f := range fin {
-		t.Errorf("lock acquisition-order violation: %s: %s", f.Pos, f.Message)
-	}
-	got := prog.LockOrderGraph()
-	want := []string{"lockmap.LockMap -> lockmap.LockMap"}
-	if len(got) != len(want) {
-		t.Fatalf("lock acquisition-order graph changed:\n  got  %v\n  want %v\nnew edges must be argued for in the PR that adds them", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("lock acquisition-order graph changed:\n  got  %v\n  want %v", got, want)
-		}
-	}
-	for _, line := range got {
-		if strings.Contains(line, "core.") {
-			t.Errorf("core holds a lock (%s): the pre-sharding controller is contractually lock-free", line)
-		}
-	}
-}
-
 // TestExpandPatterns pins pattern expansion: ./... covers the module,
 // testdata stays invisible, and a direct package path resolves.
 func TestExpandPatterns(t *testing.T) {

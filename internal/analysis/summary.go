@@ -2,63 +2,41 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"sort"
 	"strings"
 )
 
 // This file is the interprocedural layer of the suite: a module-level
-// call-graph builder with one summary per function. Analyzers stay
-// per-package (each Run sees one Pass), but every Pass carries the
-// shared *Program, whose summaries let a check see one call past the
-// function it is walking — the wrapper level where, before this layer,
-// dropped error classifications, leaked pooled buffers, out-of-order
-// lock acquisitions and stray goroutines could hide.
+// call graph with one summary per function. Analyzers stay per-package
+// (each Run sees one Pass), but every Pass carries the shared *Program,
+// whose summaries let errclass see past the function it is walking — to
+// the wrapper level where a dropped device error could otherwise hide.
 //
-// A FuncSummary records the facts a caller needs about a callee without
-// re-walking its body: which module functions it calls, where it spawns
-// goroutines or selects, which lock classes it acquires and releases,
-// whether it performs blocking device/station calls, whether it mutates
-// the sim.Clock, whether an error it returns originates at the device
-// layer, and how pooled buffers flow through its parameters and
-// results. Derived facts that need the whole graph — "does this call
-// transitively reach a device?" — are memoized on the Program with a
-// cycle guard, so recursion costs nothing and cycles resolve to the
-// conservative answer.
+// A FuncSummary records what a caller needs to know about a callee
+// without re-walking its body: which functions it calls, whether it
+// performs a device/station call itself, and whether it returns an
+// error. The derived fact that needs the whole graph — "does the error
+// this function returns originate at a device?" — is memoized on the
+// Program with a cycle guard, so recursion costs nothing and cycles
+// resolve to the quiet answer.
 
 // Program is the module-wide state of one vet run: every loaded
-// package's function summaries, the call graph they induce, memoized
-// transitive queries, and the cross-package facts analyzers accumulate
-// for their Finish hooks (lockorder's acquisition-order edges).
+// package's function summaries and the memoized DeviceErrorSource
+// query over the call graph they induce.
 type Program struct {
-	// pkgs are the summarized packages by import path.
-	pkgs map[string]*Package
 	// funcs maps each declared function/method to its summary.
 	funcs map[*types.Func]*FuncSummary
-
-	// Tri-state memos for transitive queries: 0 unvisited, 1 true,
-	// 2 false, 3 in-progress (resolves conservative).
-	devMemo  map[*types.Func]uint8
-	errMemo  map[*types.Func]uint8
-	poolMemo map[*types.Func]uint8
-	sinkMemo map[*types.Func]map[int]uint8
-
-	// lockEdges is the module-wide lock acquisition-order graph the
-	// lockorder analyzer builds while running per package; its Finish
-	// hook turns cycles into findings.
-	lockEdges []lockEdge
+	// errMemo is DeviceErrorSource's tri-state memo: 0 unvisited,
+	// 1 true, 2 false, 3 in progress (resolves false).
+	errMemo map[*types.Func]uint8
 }
 
 // newProgram returns an empty Program.
 func newProgram() *Program {
 	return &Program{
-		pkgs:     make(map[string]*Package),
-		funcs:    make(map[*types.Func]*FuncSummary),
-		devMemo:  make(map[*types.Func]uint8),
-		errMemo:  make(map[*types.Func]uint8),
-		poolMemo: make(map[*types.Func]uint8),
-		sinkMemo: make(map[*types.Func]map[int]uint8),
+		funcs:   make(map[*types.Func]*FuncSummary),
+		errMemo: make(map[*types.Func]uint8),
 	}
 }
 
@@ -84,10 +62,6 @@ func (p *Program) addPackage(pkg *Package) {
 	if pkg == nil || pkg.Types == nil {
 		return
 	}
-	if _, seen := p.pkgs[pkg.Path]; seen {
-		return
-	}
-	p.pkgs[pkg.Path] = pkg
 	for _, file := range pkg.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -98,70 +72,31 @@ func (p *Program) addPackage(pkg *Package) {
 			if !ok {
 				continue
 			}
-			p.funcs[fn] = buildSummary(pkg, fd, fn)
+			p.funcs[fn] = buildSummary(pkg.Info, fd, fn)
 		}
 	}
-}
-
-// Summary returns fn's summary, or nil for functions outside the
-// summarized packages (standard library, func values, interface
-// methods without bodies).
-func (p *Program) Summary(fn *types.Func) *FuncSummary {
-	if fn == nil {
-		return nil
-	}
-	return p.funcs[fn]
-}
-
-// CallSite is one static call from a summarized function to a named
-// function (module-internal or not).
-type CallSite struct {
-	Fn  *types.Func
-	Pos token.Pos
-}
-
-// LockOp is one lock acquisition or release a function performs,
-// identified by lock class (see lockClass). Deferred marks releases
-// scheduled by defer: the lock stays held until the function returns.
-type LockOp struct {
-	Class    string
-	Acquire  bool
-	Deferred bool
-	Pos      token.Pos
 }
 
 // FuncSummary is the per-function fact sheet callers consult instead of
 // re-walking the callee's body.
 type FuncSummary struct {
-	Fn   *types.Func
-	Pkg  *Package
-	Decl *ast.FuncDecl
-
 	// Calls lists static callees in lexical order, module and stdlib
-	// alike; transitive queries filter to summarized ones.
-	Calls []CallSite
-	// Spawns are go-statement positions; Selects are select statements.
-	Spawns  []token.Pos
-	Selects []token.Pos
-	// ClockMutations are direct calls to the mutating sim.Clock methods.
-	ClockMutations []token.Pos
-	// DeviceCalls are direct blocking device/station calls (see
-	// isDirectDeviceCall).
-	DeviceCalls []token.Pos
-	// Locks are the function's lock operations in lexical order.
-	Locks []LockOp
+	// alike; DeviceErrorSource follows the summarized ones.
+	Calls []*types.Func
+	// DeviceCall reports a direct blocking device/station call (see
+	// isDirectDeviceCall) anywhere in the body.
+	DeviceCall bool
 	// ReturnsError reports whether the signature's results include the
 	// error interface.
 	ReturnsError bool
 }
 
-// buildSummary walks one function body once and records every fact the
-// interprocedural queries need. Function literals are included: a
-// closure's calls and locks belong to the enclosing function's footprint
-// (conservative for deferred or scheduled closures, which is the safe
-// direction for hazard detection).
-func buildSummary(pkg *Package, fd *ast.FuncDecl, fn *types.Func) *FuncSummary {
-	s := &FuncSummary{Fn: fn, Pkg: pkg, Decl: fd}
+// buildSummary walks one function body once. Function literals are
+// included: a closure's calls belong to the enclosing function's
+// footprint (conservative for deferred or scheduled closures, which is
+// the safe direction for hazard detection).
+func buildSummary(info *types.Info, fd *ast.FuncDecl, fn *types.Func) *FuncSummary {
+	s := &FuncSummary{}
 	if sig, ok := fn.Type().(*types.Signature); ok {
 		res := sig.Results()
 		for i := 0; i < res.Len(); i++ {
@@ -170,34 +105,16 @@ func buildSummary(pkg *Package, fd *ast.FuncDecl, fn *types.Func) *FuncSummary {
 			}
 		}
 	}
-	info := pkg.Info
-	deferred := make(map[*ast.CallExpr]bool)
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.GoStmt:
-			s.Spawns = append(s.Spawns, n.Pos())
-		case *ast.SelectStmt:
-			s.Selects = append(s.Selects, n.Pos())
-		case *ast.DeferStmt:
-			deferred[n.Call] = true
-		case *ast.CallExpr:
-			callee := calleeFunc(info, n)
-			if callee != nil {
-				s.Calls = append(s.Calls, CallSite{Fn: callee, Pos: n.Pos()})
-				if callee.Pkg() != nil && callee.Pkg().Path() == simPkgPath &&
-					clockMutators[callee.Name()] && recvIsSimClock(callee) {
-					s.ClockMutations = append(s.ClockMutations, n.Pos())
-				}
-			}
-			if isDirectDeviceCall(info, n) {
-				s.DeviceCalls = append(s.DeviceCalls, n.Pos())
-			}
-			for _, op := range lockOps(info, n) {
-				if deferred[n] && !op.Acquire {
-					op.Deferred = true
-				}
-				s.Locks = append(s.Locks, op)
-			}
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		if callee := calleeFunc(info, call); callee != nil {
+			s.Calls = append(s.Calls, callee)
+		}
+		if isDirectDeviceCall(info, call) {
+			s.DeviceCall = true
 		}
 		return true
 	})
@@ -207,8 +124,8 @@ func buildSummary(pkg *Package, fd *ast.FuncDecl, fn *types.Func) *FuncSummary {
 // --- blocking device/station calls ---
 
 // devicePkgs are the device-model packages: any call into them is a
-// (simulated) device operation, the thing no lock may be held across
-// and the origin that taints an error as a device error.
+// (simulated) device operation, the origin that taints an error as a
+// device error.
 var devicePkgs = map[string]bool{
 	"icash/internal/blockdev": true,
 	"icash/internal/ssd":      true,
@@ -261,50 +178,17 @@ func isDirectDeviceCall(info *types.Info, call *ast.CallExpr) bool {
 	return false
 }
 
-// PerformsDeviceCall reports whether fn — directly or through any chain
-// of summarized module functions — performs a blocking device/station
-// call. Unsummarized callees (stdlib, func values) are assumed not to.
-func (p *Program) PerformsDeviceCall(fn *types.Func) bool {
-	switch p.devMemo[fn] {
-	case 1:
-		return true
-	case 2:
-		return false
-	case 3:
-		return false // cycle: resolve quiet
-	}
-	s := p.funcs[fn]
-	if s == nil {
-		return false
-	}
-	p.devMemo[fn] = 3
-	ans := len(s.DeviceCalls) > 0
-	for _, c := range s.Calls {
-		if ans {
-			break
-		}
-		ans = p.PerformsDeviceCall(c.Fn)
-	}
-	if ans {
-		p.devMemo[fn] = 1
-	} else {
-		p.devMemo[fn] = 2
-	}
-	return ans
-}
-
 // DeviceErrorSource reports whether fn returns an error that (possibly
 // through summarized wrappers) originates at the device layer: it
 // returns error and its body reaches a device call. Dropping such a
 // function's error result is dropping a device error, wherever the
 // caller lives — the interprocedural extension of errclass.
+// Unsummarized callees (stdlib, func values) are assumed not to.
 func (p *Program) DeviceErrorSource(fn *types.Func) bool {
 	switch p.errMemo[fn] {
 	case 1:
 		return true
-	case 2:
-		return false
-	case 3:
+	case 2, 3:
 		return false
 	}
 	s := p.funcs[fn]
@@ -312,12 +196,12 @@ func (p *Program) DeviceErrorSource(fn *types.Func) bool {
 		return false
 	}
 	p.errMemo[fn] = 3
-	ans := len(s.DeviceCalls) > 0
+	ans := s.DeviceCall
 	for _, c := range s.Calls {
 		if ans {
 			break
 		}
-		ans = p.DeviceErrorSource(c.Fn)
+		ans = p.DeviceErrorSource(c)
 	}
 	if ans {
 		p.errMemo[fn] = 1
@@ -325,136 +209,4 @@ func (p *Program) DeviceErrorSource(fn *types.Func) bool {
 		p.errMemo[fn] = 2
 	}
 	return ans
-}
-
-// AcquiredClasses returns the lock classes fn — directly or through
-// summarized callees — acquires, sorted. Used by lockorder to extend
-// the acquisition-order graph one call past the function under analysis.
-func (p *Program) AcquiredClasses(fn *types.Func) []string {
-	seen := make(map[*types.Func]bool)
-	classes := make(map[string]bool)
-	var visit func(f *types.Func)
-	visit = func(f *types.Func) {
-		if f == nil || seen[f] {
-			return
-		}
-		seen[f] = true
-		s := p.funcs[f]
-		if s == nil {
-			return
-		}
-		for _, op := range s.Locks {
-			if op.Acquire {
-				classes[op.Class] = true
-			}
-		}
-		for _, c := range s.Calls {
-			visit(c.Fn)
-		}
-	}
-	visit(fn)
-	out := make([]string, 0, len(classes))
-	for c := range classes {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// --- lock classes ---
-
-// lockClass names the static lock a mutex operation touches, the node
-// identity in the acquisition-order graph. Two operations share a class
-// when they reach the same declared lock "slot":
-//
-//	x.mu.Lock()            -> "<pkg>.<TypeOf(x)>.mu"    (field mutex)
-//	s.Lock()               -> "<pkg>.<TypeOf(s)>"       (embedded mutex)
-//	pkgVar.Lock()          -> "<pkg>.pkgVar"            (package-level mutex)
-//	localMu.Lock()         -> "<pkg>.<func>.localMu"    (local mutex)
-//	lm.Acquire(addr)       -> "<pkg>.<TypeOf(lm)>.<field>" or type form
-//
-// Address-granular locks (lockmap.LockMap) collapse to one class per
-// declared map: the graph tracks the hierarchy between lock classes;
-// within a class, ordering is the Acquire2 canonical-order contract.
-func lockClass(info *types.Info, recv ast.Expr, declPkg string) (string, bool) {
-	short := func(path string) string {
-		if i := strings.LastIndex(path, "/"); i >= 0 {
-			return path[i+1:]
-		}
-		return path
-	}
-	e := ast.Unparen(recv)
-	if sel, ok := e.(*ast.SelectorExpr); ok {
-		if pkgPath, name, named := namedTypePath(info.TypeOf(sel.X)); named {
-			return short(pkgPath) + "." + name + "." + sel.Sel.Name, true
-		}
-		return short(declPkg) + "." + sel.Sel.Name, true
-	}
-	if id, ok := e.(*ast.Ident); ok {
-		if pkgPath, name, named := namedTypePath(info.TypeOf(id)); named && !isSyncMutexType(info.TypeOf(id)) {
-			// Embedded mutex or named lock type: class by the type.
-			return short(pkgPath) + "." + name, true
-		}
-		return short(declPkg) + "." + id.Name, true
-	}
-	return "", false
-}
-
-// isSyncMutexType reports whether t (pointers unwrapped) is
-// sync.Mutex or sync.RWMutex itself.
-func isSyncMutexType(t types.Type) bool {
-	pkgPath, name, ok := namedTypePath(t)
-	return ok && pkgPath == "sync" && (name == "Mutex" || name == "RWMutex")
-}
-
-// lockAcquireNames / lockReleaseNames are the sync mutex methods.
-var lockAcquireNames = map[string]bool{"Lock": true, "RLock": true, "TryLock": true, "TryRLock": true}
-var lockReleaseNames = map[string]bool{"Unlock": true, "RUnlock": true}
-
-// lockOps classifies call as zero or more lock operations: a
-// sync.Mutex/RWMutex method, or a lockmap.LockMap Acquire*/Release*/
-// With. Read and write locks share a class — the ordering discipline
-// does not distinguish them (an RLock-while-holding still orders the
-// classes). With is a bracketed acquire-and-release: both ops at the
-// call site, so anything acquired while a With is in flight still draws
-// its edge, but nothing after the call counts as nested under it.
-func lockOps(info *types.Info, call *ast.CallExpr) []LockOp {
-	fn := calleeFunc(info, call)
-	if fn == nil || fn.Pkg() == nil || !isMethod(fn) {
-		return nil
-	}
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return nil
-	}
-	declPkg := fn.Pkg().Path()
-	switch {
-	case declPkg == "sync" && (lockAcquireNames[fn.Name()] || lockReleaseNames[fn.Name()]):
-		sig := fn.Type().(*types.Signature)
-		if !isSyncMutexType(sig.Recv().Type()) {
-			return nil
-		}
-		class, ok := lockClass(info, sel.X, declPkg)
-		if !ok {
-			return nil
-		}
-		return []LockOp{{Class: class, Acquire: lockAcquireNames[fn.Name()], Pos: call.Pos()}}
-	case declPkg == "icash/internal/lockmap":
-		class, ok := lockClass(info, sel.X, declPkg)
-		if !ok {
-			return nil
-		}
-		switch fn.Name() {
-		case "Acquire", "Acquire2":
-			return []LockOp{{Class: class, Acquire: true, Pos: call.Pos()}}
-		case "Release", "Release2":
-			return []LockOp{{Class: class, Acquire: false, Pos: call.Pos()}}
-		case "With":
-			return []LockOp{
-				{Class: class, Acquire: true, Pos: call.Pos()},
-				{Class: class, Acquire: false, Pos: call.Pos()},
-			}
-		}
-	}
-	return nil
 }

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"go/types"
-	"reflect"
 	"testing"
 )
 
@@ -35,94 +34,56 @@ func lookupFunc(t *testing.T, pkg *Package, name string) *types.Func {
 	return fn
 }
 
-// TestSummaryDeviceReachability pins PerformsDeviceCall across a
-// three-deep call chain and DeviceErrorSource's taint propagation.
+// TestSummaryDeviceReachability pins DeviceErrorSource's taint
+// propagation across a three-deep call chain.
 func TestSummaryDeviceReachability(t *testing.T) {
 	pkg, prog := loadSummaryFixture(t)
 	for _, name := range []string{"leaf", "mid", "top"} {
-		fn := lookupFunc(t, pkg, name)
-		if !prog.PerformsDeviceCall(fn) {
-			t.Errorf("PerformsDeviceCall(%s) = false, want true", name)
-		}
-		if !prog.DeviceErrorSource(fn) {
+		if !prog.DeviceErrorSource(lookupFunc(t, pkg, name)) {
 			t.Errorf("DeviceErrorSource(%s) = false, want true", name)
 		}
 	}
-	for _, name := range []string{"pure", "locker", "spawner"} {
-		fn := lookupFunc(t, pkg, name)
-		if prog.PerformsDeviceCall(fn) {
-			t.Errorf("PerformsDeviceCall(%s) = true, want false", name)
-		}
-		if prog.DeviceErrorSource(fn) {
-			t.Errorf("DeviceErrorSource(%s) = true, want false", name)
-		}
+	if prog.DeviceErrorSource(lookupFunc(t, pkg, "pure")) {
+		t.Error("DeviceErrorSource(pure) = true, want false")
 	}
 }
 
-// TestSummaryCycleTermination proves the memoized transitive queries
-// terminate on mutual recursion and resolve to the quiet answer.
+// TestSummaryCycleTermination proves the memoized transitive query
+// terminates on mutual recursion and resolves to the quiet answer.
 func TestSummaryCycleTermination(t *testing.T) {
 	pkg, prog := loadSummaryFixture(t)
 	for _, name := range []string{"cyclic", "cyclic2"} {
 		fn := lookupFunc(t, pkg, name)
-		if prog.PerformsDeviceCall(fn) {
-			t.Errorf("PerformsDeviceCall(%s) = true, want false", name)
-		}
 		if prog.DeviceErrorSource(fn) {
 			t.Errorf("DeviceErrorSource(%s) = true, want false", name)
 		}
 	}
 }
 
-// TestSummaryFacts pins the per-function fact sheet: lock ops with
-// deferred releases, spawns and selects, call sites, error results.
+// TestSummaryFacts pins the per-function fact sheet: call sites, the
+// direct-device-call mark, error results.
 func TestSummaryFacts(t *testing.T) {
 	pkg, prog := loadSummaryFixture(t)
-
-	locker := prog.Summary(lookupFunc(t, pkg, "locker"))
-	if locker == nil {
-		t.Fatal("no summary for locker")
-	}
-	if len(locker.Locks) != 2 {
-		t.Fatalf("locker has %d lock ops, want 2: %+v", len(locker.Locks), locker.Locks)
-	}
-	if op := locker.Locks[0]; !op.Acquire || op.Class != "summaryfix.guarded.mu" {
-		t.Errorf("locker.Locks[0] = %+v, want acquire of summaryfix.guarded.mu", op)
-	}
-	if op := locker.Locks[1]; op.Acquire || !op.Deferred {
-		t.Errorf("locker.Locks[1] = %+v, want deferred release", op)
-	}
-	if got := prog.AcquiredClasses(locker.Fn); !reflect.DeepEqual(got, []string{"summaryfix.guarded.mu"}) {
-		t.Errorf("AcquiredClasses(locker) = %v", got)
-	}
-
-	spawner := prog.Summary(lookupFunc(t, pkg, "spawner"))
-	if len(spawner.Spawns) != 1 || len(spawner.Selects) != 1 {
-		t.Errorf("spawner records %d spawns, %d selects; want 1 and 1",
-			len(spawner.Spawns), len(spawner.Selects))
-	}
-
-	top := prog.Summary(lookupFunc(t, pkg, "top"))
-	foundMid := false
-	for _, c := range top.Calls {
-		if c.Fn.Name() == "mid" {
-			foundMid = true
+	summary := func(name string) *FuncSummary {
+		t.Helper()
+		s := prog.funcs[lookupFunc(t, pkg, name)]
+		if s == nil {
+			t.Fatalf("no summary for %s", name)
 		}
-	}
-	if !foundMid {
-		t.Errorf("top's call sites %v do not include mid", top.Calls)
-	}
-	if got := prog.AcquiredClasses(top.Fn); len(got) != 0 {
-		t.Errorf("AcquiredClasses(top) = %v, want none", got)
+		return s
 	}
 
-	if !prog.Summary(lookupFunc(t, pkg, "leaf")).ReturnsError {
-		t.Error("leaf.ReturnsError = false, want true")
+	top := summary("top")
+	if len(top.Calls) != 1 || top.Calls[0].Name() != "mid" {
+		t.Errorf("top's call sites %v, want [mid]", top.Calls)
 	}
-	if prog.Summary(lookupFunc(t, pkg, "pure")).ReturnsError {
-		t.Error("pure.ReturnsError = true, want false")
+	if top.DeviceCall {
+		t.Error("top.DeviceCall = true: only leaf touches the device directly")
 	}
-	if prog.Summary(nil) != nil {
-		t.Error("Summary(nil) != nil")
+	if leaf := summary("leaf"); !leaf.DeviceCall || !leaf.ReturnsError {
+		t.Errorf("leaf = %+v, want a direct device call and an error result", leaf)
+	}
+	if pure := summary("pure"); pure.DeviceCall || pure.ReturnsError || len(pure.Calls) != 0 {
+		t.Errorf("pure = %+v, want an empty fact sheet", pure)
 	}
 }

@@ -1,16 +1,12 @@
 // Package summary is the synthetic package the call-graph/summary unit
-// tests walk: a three-deep device-call chain, a pure function, a
-// deferred-unlock locker, a spawner, and a mutually-recursive pair that
-// pins termination of the memoized transitive queries.
+// tests walk: a three-deep device-call chain, a pure function, and a
+// mutually-recursive pair that pins termination of the memoized
+// transitive query.
 package summary
-
-import "sync"
 
 type dev struct{}
 
 func (dev) WriteBlock(lba int64, buf []byte) error { return nil }
-
-type guarded struct{ mu sync.Mutex }
 
 func leaf(d dev) error {
 	return d.WriteBlock(0, nil)
@@ -25,19 +21,6 @@ func top(d dev) error {
 }
 
 func pure() int { return 42 }
-
-func locker(g *guarded) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-}
-
-func spawner(ch chan int) {
-	go pure()
-	select {
-	case <-ch:
-	default:
-	}
-}
 
 func cyclic(n int) error {
 	if n > 0 {

@@ -207,6 +207,18 @@ func TestAllocGateWriteDeltaFloor(t *testing.T) {
 	}
 }
 
+// bytesPerOp reports the heap bytes op allocates per call, over runs
+// calls.
+func bytesPerOp(runs int, op func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		op()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
 // TestAllocGateWriteDeltaBytes bounds the bytes, not just the objects,
 // a steady-state delta write allocates: the encode runs in the
 // controller's reused buffer and only an exact-size copy is retained,
@@ -235,15 +247,19 @@ func TestAllocGateWriteDeltaBytes(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		write() // warm up: queues and maps reach their steady capacity
 	}
-	const runs = 1000
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		write()
-	}
-	runtime.ReadMemStats(&after)
-	if got := (after.TotalAlloc - before.TotalAlloc) / runs; got > 512 {
+	if got := bytesPerOp(1000, write); got > 512 {
 		t.Fatalf("delta WriteBlock allocated %d B/op, want <= 512 (exact-size retained delta + bookkeeping)", got)
+	}
+	// The same write committed at once instead of every FlushPeriodOps:
+	// the commit packs through a pooled buffer and adds nothing.
+	writeFlush := func() {
+		write()
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := bytesPerOp(1000, writeFlush); got > 512 {
+		t.Fatalf("delta WriteBlock + Flush allocated %d B/op, want <= 512 (the write's floor; the pack buffer is pooled)", got)
 	}
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -623,5 +639,101 @@ func TestAllocGateCommitScaling(t *testing.T) {
 	if small, large := best[0], best[1]; large > 2*small {
 		t.Fatalf("%d writes cost %v at %d virtual blocks, %v at %d: more than 2x",
 			perRound, large, scales[1], small, scales[0])
+	}
+}
+
+// TestAllocGateFirstTouchReadBytes gates the first read of an LBA the
+// controller has no record of: getOrLoad reads the home block through a
+// pooled buffer and caches a copy, evicting another block's. What may
+// remain per read is the new block's record and index growth; a 4 KB
+// buffer that does not come back to the pool does not fit under the gate.
+func TestAllocGateFirstTouchReadBytes(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	const warm, runs = 256, 1000
+	cfg := NewDefaultConfig(warm+runs, 64, 64<<10, 64*blockdev.BlockSize)
+	cfg.ScanPeriod = 1 << 30
+	cfg.FlushPeriodOps = 0
+	cfg.HeatmapDecayOps = 0
+	rig := newTestRig(t, cfg)
+	rig.hdd.SetFill(fillByLBA)
+	c := rig.c
+	buf := make([]byte, blockdev.BlockSize)
+	lba := int64(0)
+	read := func() {
+		if _, err := c.ReadBlock(lba, buf); err != nil {
+			t.Fatal(err)
+		}
+		lba++
+	}
+	for lba < warm {
+		read() // warm up: data RAM fills and replacement begins
+	}
+	misses := c.Stats.ReadHDDMisses
+	if got := bytesPerOp(runs, read); got > 1024 {
+		t.Fatalf("first-touch ReadBlock allocated %d B/op, want <= 1024 (the block's record + index growth)", got)
+	}
+	if got := c.Stats.ReadHDDMisses - misses; got != runs {
+		t.Fatalf("%d first-touch home reads in %d reads, want one each", got, runs)
+	}
+}
+
+// TestAllocGateLogLoadReadBytes gates the read of a block whose delta
+// lives only in the log while delta RAM has no room to keep it:
+// loadDeltaBlock reads the packed log block to prefetch, the prefetch is
+// refused, and deltaFromLog reads it again for the bytes — two pooled
+// buffers per read. What may remain is the two decodes' copies of the
+// one small record; a 4 KB buffer that does not come back to the pool
+// does not fit under the gate.
+func TestAllocGateLogLoadReadBytes(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	rig := newTestRig(t, smallConfig())
+	c := rig.c
+	base := genContent(sim.NewRand(88), 2, 0)
+	if _, err := c.WriteBlock(9, base); err != nil {
+		t.Fatal(err)
+	}
+	base[100]++
+	if _, err := c.WriteBlock(9, base); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	v := c.lbas[9].v
+	if v.deltaRAM == nil || v.deltaDirty || !c.deltaLogged(v) {
+		t.Fatalf("rig: want a clean delta with a durable log record, got deltaRAM=%v dirty=%v logged=%v",
+			v.deltaRAM != nil, v.deltaDirty, c.deltaLogged(v))
+	}
+	// Drop the RAM copies and leave delta RAM no room for a prefetch.
+	c.releaseDelta(v)
+	held := c.deltaBudget.Free()
+	c.deltaBudget.Reserve(held)
+	buf := make([]byte, blockdev.BlockSize)
+	read := func() {
+		c.releaseData(v)
+		if _, err := c.ReadBlock(9, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 50; i++ {
+		read()
+	}
+	loads := c.Stats.ReadLogLoads
+	if got := bytesPerOp(1000, read); got > 1024 {
+		t.Fatalf("log-load ReadBlock allocated %d B/op, want <= 1024 (two decodes of one small record)", got)
+	}
+	if n := c.Stats.ReadLogLoads - loads; n != 1000 || v.deltaRAM != nil {
+		t.Fatalf("rig: %d log loads in 1000 reads, prefetch kept=%v; want one each and every prefetch refused", n, v.deltaRAM != nil)
+	}
+	c.deltaBudget.Release(held)
+	if string(buf) != string(base) {
+		t.Fatal("log-load read returned wrong content")
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -162,10 +162,18 @@ func TestHomeRotPoisonAndOverwrite(t *testing.T) {
 		t.Fatalf("corrupt hdd: %v", err)
 	}
 
+	// The home read verifies at its own layer: the first mismatch is
+	// noted against the HDD block, not left to the host-boundary check
+	// (which every background consumer of a home read bypasses).
+	var noted []string
+	c.SetCorruptionHook(func(dev string, _ int64) { noted = append(noted, dev) })
 	buf := make([]byte, blockdev.BlockSize)
 	_, err := c.ReadBlock(lba, buf)
 	if err == nil {
 		t.Fatal("read of persistently rotted home block succeeded")
+	}
+	if len(noted) == 0 || noted[0] != "hdd" {
+		t.Fatalf("corruption noted at %v, want hdd first", noted)
 	}
 	if !errors.Is(err, blockdev.ErrCorruption) {
 		t.Fatalf("error does not wrap ErrCorruption: %v", err)

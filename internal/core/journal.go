@@ -621,14 +621,10 @@ func (c *Controller) compactStep(evict bool, inFlight map[int64]bool) (bool, err
 			continue
 		}
 		v := victim{txn: t}
-		for _, b := range t.blocks {
-			metas := c.logBlocks[b].metas
-			for i := range metas {
-				if m := &metas[i]; c.lbas[m.lba].rec.at(b, m.seq) {
-					v.bytes += recSize(m)
-				}
-			}
-		}
+		c.liveRecords(t, func(_ int64, m *entryMeta) bool {
+			v.bytes += recSize(m)
+			return true
+		})
 		vs = append(vs, v)
 	}
 	if len(vs) == 0 {
@@ -670,20 +666,7 @@ func (c *Controller) compactStep(evict bool, inFlight map[int64]bool) (bool, err
 	picked := vs[:0]
 	for _, v := range vs {
 		before, beforeUsed := blocksUsed, usedInBlock
-		ok := true
-		for _, b := range v.blocks {
-			metas := c.logBlocks[b].metas
-			for i := range metas {
-				if m := &metas[i]; c.lbas[m.lba].rec.at(b, m.seq) && !fits(int(recSize(m))) {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				break
-			}
-		}
-		if !ok {
+		if !c.liveRecords(v.txn, func(_ int64, m *entryMeta) bool { return fits(int(recSize(m))) }) {
 			blocksUsed, usedInBlock = before, beforeUsed
 			continue
 		}
@@ -806,41 +789,55 @@ func (c *Controller) compactEvictable(lba int64, slot int64, inFlight map[int64]
 	return v
 }
 
+// liveRecords calls yield for every record of t that is still the
+// newest durable record for its LBA, block by block in log order, until
+// yield returns false; it reports whether the walk ran to the end.
+// yield may clear or supersede records, its own included.
+func (c *Controller) liveRecords(t *txn, yield func(b int64, m *entryMeta) bool) bool {
+	for _, b := range t.blocks {
+		metas := c.logBlocks[b].metas
+		for i := range metas {
+			if m := &metas[i]; c.lbas[m.lba].rec.at(b, m.seq) && !yield(b, m) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // evictTxnDeltas displaces the evictable delta records of txn: content
 // goes to its HDD home, the vblock drops, and a tombstone is appended
 // to dst in place of the full rescue. Displaced LBAs are recorded so
 // the rescue pass skips them.
 func (c *Controller) evictTxnDeltas(t *txn, dst []logEntry, inFlight map[int64]bool, displaced map[int64]bool) ([]logEntry, error) {
-	for _, b := range t.blocks {
-		metas := c.logBlocks[b].metas
-		for i := range metas {
-			m := &metas[i]
-			if m.kind != entryDelta || !c.lbas[m.lba].rec.at(b, m.seq) {
-				continue
+	var err error
+	c.liveRecords(t, func(b int64, m *entryMeta) bool {
+		if m.kind != entryDelta {
+			return true
+		}
+		v := c.compactEvictable(m.lba, m.slot, inFlight)
+		if v == nil {
+			return true
+		}
+		if !v.hddHome || v.dataDirty {
+			var content []byte
+			if content, _, _, err = c.materialize(v, true); err != nil {
+				return false
 			}
-			v := c.compactEvictable(m.lba, m.slot, inFlight)
-			if v == nil {
-				continue
-			}
-			if !v.hddHome || v.dataDirty {
-				content, _, _, err := c.materialize(v, true)
-				if err != nil {
-					return dst, err
-				}
-				if err := c.writeHome(v, content); err != nil {
-					return dst, err
-				}
-			}
-			c.Stats.WritebacksHome++
-			c.dropVBlock(v)
-			dst = append(dst, logEntry{kind: entryTombstone, rescued: true, lba: m.lba})
-			displaced[m.lba] = true
-			if debugLBA >= 0 {
-				dbg(m.lba, "compact-evict txn=%d seq=%d block=%d", t.id, m.seq, b)
+			if err = c.writeHome(v, content); err != nil {
+				return false
 			}
 		}
-	}
-	return dst, nil
+		c.Stats.WritebacksHome++
+		c.dropVBlock(v)
+		dst = append(dst, logEntry{kind: entryTombstone, rescued: true, lba: m.lba})
+		displaced[m.lba] = true
+		if debugLBA >= 0 {
+			dbg(m.lba, "compact-evict txn=%d seq=%d block=%d", t.id, m.seq, b)
+		}
+		return true
+	})
+	return dst, err
 }
 
 // journalAsm assembles transactions from raw journal blocks. Crash
@@ -943,78 +940,75 @@ func (c *Controller) rescueTxn(t *txn, dst []logEntry, displaced map[int64]bool)
 	// Pooled: decodeLogBlock copies delta bytes out, so the rescued
 	// entries never alias blockData and the Put below is safe.
 	defer func() { blockdev.PutBlock(blockData) }()
-	for _, b := range t.blocks {
-		metas := c.logBlocks[b].metas
-		blockRead := false
-		var blockEntries []logEntry
-		for i := range metas {
-			m := &metas[i]
-			if !c.lbas[m.lba].rec.at(b, m.seq) {
-				continue // superseded: dead record
-			}
-			if displaced[m.lba] {
-				continue // evicted home; its tombstone already rides along
-			}
-			if debugLBA >= 0 {
-				dbg(m.lba, "rescue txn=%d kind=%d seq=%d block=%d", t.id, m.kind, m.seq, b)
-			}
-			switch m.kind {
-			case entryDelta:
-				// This is the newest DURABLE record for the LBA, so it
-				// must survive even when RAM says a newer version is
-				// coming (a dirty delta, a promotion): that newer
-				// version is not durable until its own record commits,
-				// and a crash in between must still find this one.
-				var bytes []byte
-				v := c.lbas[m.lba].v
-				if v != nil && v.slotRef != nil && v.slotRef.index == m.slot &&
-					!v.ssdCurrent && !v.deltaDirty && v.deltaRAM != nil {
-					bytes = v.deltaRAM
-				} else {
-					// RAM does not hold this exact delta version
-					// (evicted metadata, or a newer dirty delta in its
-					// place): read the logged bytes back from the block.
-					if !blockRead {
-						if blockData == nil {
-							blockData = blockdev.GetBlock()
-						}
-						d, err := c.hddRead(c.cfg.VirtualBlocks+b, blockData)
-						if err != nil {
-							return dst, fmt.Errorf("core: compaction read: %w", err)
-						}
-						c.Stats.BackgroundHDDTime += d
-						_, blockEntries, err = decodeLogBlock(blockData)
-						if err != nil {
-							return dst, fmt.Errorf("core: log block %d: %w", b, err)
-						}
-						blockRead = true
+	decoded := int64(-1) // the block blockEntries was decoded from
+	var blockEntries []logEntry
+	var err error
+	c.liveRecords(t, func(b int64, m *entryMeta) bool {
+		if displaced[m.lba] {
+			return true // evicted home; its tombstone already rides along
+		}
+		if debugLBA >= 0 {
+			dbg(m.lba, "rescue txn=%d kind=%d seq=%d block=%d", t.id, m.kind, m.seq, b)
+		}
+		switch m.kind {
+		case entryDelta:
+			// This is the newest DURABLE record for the LBA, so it
+			// must survive even when RAM says a newer version is
+			// coming (a dirty delta, a promotion): that newer
+			// version is not durable until its own record commits,
+			// and a crash in between must still find this one.
+			var bytes []byte
+			v := c.lbas[m.lba].v
+			if v != nil && v.slotRef != nil && v.slotRef.index == m.slot &&
+				!v.ssdCurrent && !v.deltaDirty && v.deltaRAM != nil {
+				bytes = v.deltaRAM
+			} else {
+				// RAM does not hold this exact delta version
+				// (evicted metadata, or a newer dirty delta in its
+				// place): read the logged bytes back from the block.
+				if decoded != b {
+					if blockData == nil {
+						blockData = blockdev.GetBlock()
 					}
-					for j := range blockEntries {
-						if blockEntries[j].seq == m.seq {
-							bytes = blockEntries[j].delta
-							break
-						}
+					var d sim.Duration
+					if d, err = c.hddRead(c.cfg.VirtualBlocks+b, blockData); err != nil {
+						err = fmt.Errorf("core: compaction read: %w", err)
+						return false
 					}
-					if bytes == nil {
-						return dst, fmt.Errorf("core: log block %d missing seq %d", b, m.seq)
+					c.Stats.BackgroundHDDTime += d
+					if _, blockEntries, err = decodeLogBlock(blockData); err != nil {
+						err = fmt.Errorf("core: log block %d: %w", b, err)
+						return false
+					}
+					decoded = b
+				}
+				for j := range blockEntries {
+					if blockEntries[j].seq == m.seq {
+						bytes = blockEntries[j].delta
+						break
 					}
 				}
-				dst = append(dst, logEntry{kind: entryDelta, flags: m.flags, rescued: true, lba: m.lba, slot: m.slot, delta: bytes})
-				c.Stats.DeltasRescued++
-			case entryPointer:
-				dst = append(dst, logEntry{kind: entryPointer, flags: m.flags, rescued: true, lba: m.lba, slot: m.slot})
-			case entryTombstone:
-				// Recovery replays the newest record per LBA, so a
-				// tombstone must outlive every older record for its LBA.
-				// Only when it is the last record anywhere may it drop:
-				// with no records at all, home is authoritative anyway.
-				if c.lbas[m.lba].durable > 1 {
-					dst = append(dst, logEntry{kind: entryTombstone, rescued: true, lba: m.lba})
-				} else {
-					c.clearLogIndex(m.lba)
+				if bytes == nil {
+					err = fmt.Errorf("core: log block %d missing seq %d", b, m.seq)
+					return false
 				}
+			}
+			dst = append(dst, logEntry{kind: entryDelta, flags: m.flags, rescued: true, lba: m.lba, slot: m.slot, delta: bytes})
+			c.Stats.DeltasRescued++
+		case entryPointer:
+			dst = append(dst, logEntry{kind: entryPointer, flags: m.flags, rescued: true, lba: m.lba, slot: m.slot})
+		case entryTombstone:
+			// Recovery replays the newest record per LBA, so a
+			// tombstone must outlive every older record for its LBA.
+			// Only when it is the last record anywhere may it drop:
+			// with no records at all, home is authoritative anyway.
+			if c.lbas[m.lba].durable > 1 {
+				dst = append(dst, logEntry{kind: entryTombstone, rescued: true, lba: m.lba})
+			} else {
+				c.clearLogIndex(m.lba)
 			}
 		}
-	}
-	return dst, nil
+		return true
+	})
+	return dst, err
 }

@@ -1,8 +1,6 @@
-// Package lockmap is a sharded per-address lock manager — the
-// fine-grained locking substrate for the sharded controller (ROADMAP
-// item 1), landed ahead of the sharding itself so the lock hierarchy is
-// machine-checked (icash-vet's lockorder analyzer) from the first diff
-// that uses it.
+// Package lockmap is a sharded per-address lock manager. The served
+// path's one user is server.ShardRouter, which holds a shard's address
+// while a request is inside that shard's single-threaded controller.
 //
 // The idiom is go-nfsd's addrlock/lockmap: a fixed array of buckets,
 // each a mutex-guarded set of held addresses with a condition variable
@@ -13,17 +11,9 @@
 // contend only for nanoseconds, and goroutines touching different
 // buckets never contend at all.
 //
-// Lock-order discipline (enforced statically by lockorder, dynamically
-// by the -race jobs):
-//
-//   - an address lock is a leaf: no bucket mutex and no other lock
-//     class may be acquired while holding one inside this package;
-//   - holders must not call into blocking device or station code with
-//     a bucket mutex held (the Acquire/Release fast path cannot — it
-//     only touches the map);
-//   - two addresses are only ever acquired together through Acquire2,
-//     which orders them canonically (ascending) so concurrent pairs
-//     cannot deadlock.
+// A caller that holds several addresses at once must take them in
+// ascending order (ShardRouter.Flush does), so concurrent holders cannot
+// deadlock; TestShardRouterSerializes runs that under -race.
 package lockmap
 
 import "sync"
@@ -36,8 +26,7 @@ const nBuckets = 64
 
 // LockMap provides mutual exclusion per uint64 address. The zero value
 // is ready to use. Addresses are a namespace the caller defines — LBAs,
-// slot indices, shard ids — and distinct LockMaps are distinct lock
-// classes to the lockorder analyzer.
+// slot indices, shard ids.
 type LockMap struct {
 	buckets [nBuckets]bucket
 }
@@ -89,48 +78,4 @@ func (lm *LockMap) Release(addr uint64) {
 	delete(b.held, addr)
 	b.cond.Broadcast()
 	b.mu.Unlock()
-}
-
-// Held reports whether addr is currently held by someone. It is a
-// test/assertion helper: the answer is stale the moment it returns.
-func (lm *LockMap) Held(addr uint64) bool {
-	b := lm.bucket(addr)
-	b.mu.Lock()
-	_, taken := b.held[addr]
-	b.mu.Unlock()
-	return taken
-}
-
-// Acquire2 acquires two addresses in canonical (ascending) order, so
-// concurrent pairs can never deadlock against each other. Equal
-// addresses are acquired once.
-func (lm *LockMap) Acquire2(a, b uint64) {
-	if a == b {
-		lm.Acquire(a)
-		return
-	}
-	if a > b {
-		a, b = b, a
-	}
-	lm.Acquire(a)
-	//lint:ignore lockorder same-class nesting is safe here: the addresses are distinct and acquired in canonical ascending order, so concurrent pairs cannot form an ABBA cycle
-	lm.Acquire(b)
-}
-
-// Release2 releases a pair taken by Acquire2 (any argument order).
-func (lm *LockMap) Release2(a, b uint64) {
-	if a == b {
-		lm.Release(a)
-		return
-	}
-	lm.Release(a)
-	lm.Release(b)
-}
-
-// With runs fn while holding addr. The release is deferred, so fn may
-// panic without wedging the address.
-func (lm *LockMap) With(addr uint64, fn func()) {
-	lm.Acquire(addr)
-	defer lm.Release(addr)
-	fn()
 }

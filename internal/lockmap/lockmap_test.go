@@ -54,22 +54,6 @@ func TestSameBucketIndependence(t *testing.T) {
 	lm.Release(3)
 }
 
-// TestHeld pins the assertion helper.
-func TestHeld(t *testing.T) {
-	var lm LockMap
-	if lm.Held(7) {
-		t.Fatal("fresh map reports address held")
-	}
-	lm.Acquire(7)
-	if !lm.Held(7) {
-		t.Fatal("acquired address not reported held")
-	}
-	lm.Release(7)
-	if lm.Held(7) {
-		t.Fatal("released address still reported held")
-	}
-}
-
 // TestReleaseNotHeldPanics pins the double-release guard.
 func TestReleaseNotHeldPanics(t *testing.T) {
 	var lm LockMap
@@ -81,71 +65,4 @@ func TestReleaseNotHeldPanics(t *testing.T) {
 		}
 	}()
 	lm.Release(1)
-}
-
-// TestAcquire2 pins the pair primitive: canonical order, equal-address
-// dedupe, and release in either order.
-func TestAcquire2(t *testing.T) {
-	var lm LockMap
-	lm.Acquire2(9, 4)
-	if !lm.Held(9) || !lm.Held(4) {
-		t.Fatal("Acquire2 did not take both addresses")
-	}
-	lm.Release2(4, 9)
-	if lm.Held(9) || lm.Held(4) {
-		t.Fatal("Release2 did not free both addresses")
-	}
-
-	lm.Acquire2(5, 5)
-	if !lm.Held(5) {
-		t.Fatal("Acquire2 with equal addresses did not take the address")
-	}
-	lm.Release2(5, 5)
-	if lm.Held(5) {
-		t.Fatal("Release2 with equal addresses did not free the address")
-	}
-}
-
-// TestAcquire2NoDeadlock runs opposing pairs concurrently: without
-// canonical ordering this livelocks/deadlocks almost immediately.
-func TestAcquire2NoDeadlock(t *testing.T) {
-	var lm LockMap
-	var wg sync.WaitGroup
-	wg.Add(2)
-	for g := 0; g < 2; g++ {
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				a, b := uint64(1), uint64(2)
-				if g == 1 {
-					a, b = b, a
-				}
-				lm.Acquire2(a, b)
-				lm.Release2(a, b)
-			}
-		}(g)
-	}
-	wg.Wait()
-}
-
-// TestWith pins the closure helper, including release on panic.
-func TestWith(t *testing.T) {
-	var lm LockMap
-	ran := false
-	lm.With(11, func() {
-		ran = true
-		if !lm.Held(11) {
-			t.Error("With body ran without holding the address")
-		}
-	})
-	if !ran {
-		t.Fatal("With did not run the body")
-	}
-	func() {
-		defer func() { recover() }()
-		lm.With(11, func() { panic("boom") })
-	}()
-	if lm.Held(11) {
-		t.Fatal("address still held after panic inside With")
-	}
 }

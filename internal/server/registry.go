@@ -101,12 +101,13 @@ func (r *Registry) sortedIDs() []uint64 {
 // flushed so every write any session acknowledged is durable before the
 // listener reports the service stopped.
 //
-// The flush runs outside r.mu: it is a blocking device call (the
-// lockorder analyzer's held-across-device rule), and holding the
-// registry lock across it would wedge every connection teardown —
-// Remove blocks on r.mu — behind the slowest device in the array. The
-// draining flag is already set when the lock drops, so the snapshot
-// stays exact: no session can register between capture and flush.
+// The flush runs outside r.mu: it is a blocking device call, and
+// holding the registry lock across it would wedge every connection
+// teardown — Remove blocks on r.mu — behind the slowest device in the
+// array (TestRegistryDrainFlushesUnlocked). The draining flag is
+// already set when the lock drops, so no session can register between
+// capture and flush; a session still being fed counts as of its last
+// completed Feed.
 func (r *Registry) Drain(backend Backend) (SessionStats, error) {
 	r.mu.Lock()
 	r.draining = true

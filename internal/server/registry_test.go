@@ -2,8 +2,10 @@ package server
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"icash/internal/sim"
@@ -114,6 +116,93 @@ func TestRegistryDrain(t *testing.T) {
 		t.Fatal("Add after Drain succeeded; want refusal")
 	} else if !strings.Contains(err.Error(), "draining") {
 		t.Fatalf("Add after Drain: unexpected error %v", err)
+	}
+}
+
+// unlockedFlushBackend fails the test when Flush runs while the
+// registry's lock is held.
+type unlockedFlushBackend struct {
+	flushCountBackend
+	t *testing.T
+	r *Registry
+}
+
+func (b *unlockedFlushBackend) Flush() error {
+	if !b.r.mu.TryLock() {
+		b.t.Error("Drain holds the registry lock across the backend flush")
+	} else {
+		b.r.mu.Unlock()
+	}
+	return b.flushCountBackend.Flush()
+}
+
+// TestRegistryDrainFlushesUnlocked pins that Drain releases r.mu before
+// the blocking flush: holding it would wedge every connection teardown
+// (Remove takes r.mu) behind the slowest device in the array.
+func TestRegistryDrainFlushesUnlocked(t *testing.T) {
+	r := NewRegistry()
+	b := &unlockedFlushBackend{t: t, r: r}
+	if _, err := r.Add(newServingSession(t, "a", b)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Drain(b); err != nil {
+		t.Fatal(err)
+	}
+	if b.flushes != 1 {
+		t.Fatalf("drain flushed %d times, want 1", b.flushes)
+	}
+}
+
+// TestRegistryDrainDuringTraffic sums and drains the registry from the
+// test goroutine while a connection goroutine is feeding reads through
+// a router: the aggregate must be readable mid-traffic without a data
+// race (run under -race), and once the feeder stops it is exact.
+func TestRegistryDrainDuringTraffic(t *testing.T) {
+	router, err := NewShardRouter([]Backend{&recordBackend{}, &recordBackend{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRegistry()
+	s := newServingSession(t, "conn", router)
+	if _, err := r.Add(s); err != nil {
+		t.Fatal(err)
+	}
+	var stop atomic.Bool
+	fed := make(chan int64, 1) // the feeder's final request count
+	go func() {
+		n := int64(0)
+		defer func() { fed <- n }()
+		for ; !stop.Load(); n++ {
+			req := AppendRequest(nil, Request{Op: OpRead, ID: uint64(n), LBA: uint64(n % 128), Blocks: 1})
+			if _, err := s.Feed(req); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	// Poll until the sum shows the feeder well under way, so the reads
+	// here and the drain below overlap its Feeds.
+	var mid SessionStats
+	for mid.Reads < 100 {
+		select {
+		case n := <-fed:
+			t.Fatalf("feeder stopped after %d requests", n)
+		default:
+			runtime.Gosched()
+		}
+		mid = r.Stats()
+	}
+	drained, err := r.Drain(router)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop.Store(true)
+	n := <-fed
+	if mid.Reads > drained.Reads || drained.Reads > n {
+		t.Fatalf("reads seen mid-traffic %d, at drain %d, fed %d: want mid <= drained <= fed", mid.Reads, drained.Reads, n)
+	}
+	if got := r.Stats().Reads; got != n {
+		t.Fatalf("aggregate Reads after the feeder stopped = %d, want %d", got, n)
 	}
 }
 

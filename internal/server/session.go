@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"sync"
 
 	"icash/internal/blockdev"
 	"icash/internal/sim"
@@ -79,7 +80,9 @@ type SessionOptions struct {
 // Session is the server-side state machine for one connection. It is a
 // pure byte machine — no clock, no goroutines, no I/O of its own — so
 // the same code serves simulated event-driven clients and real TCP
-// connections. Not safe for concurrent use.
+// connections. Not safe for concurrent use, Stats excepted: the
+// goroutine that feeds the session owns it, and a Registry on another
+// goroutine sees only the accounting published after each Feed.
 type Session struct {
 	name    string
 	backend Backend
@@ -101,7 +104,13 @@ type Session struct {
 	// the in-flight set is exactly the burst.
 	burstIDs map[uint64]struct{}
 
-	stats   SessionStats
+	stats SessionStats
+	// published is stats as of the last completed Feed, the copy other
+	// goroutines read. The lock is per session and taken once per Feed,
+	// so connections share nothing on the request path.
+	pubMu     sync.Mutex
+	published SessionStats
+
 	block   [blockdev.BlockSize]byte
 	payload []byte // read-reply staging, reused across requests
 }
@@ -131,8 +140,14 @@ func (s *Session) Window() int { return s.window }
 // Partition returns the negotiated LBA range (after handshake).
 func (s *Session) Partition() (first, blocks int64) { return s.first, s.blocks }
 
-// Stats returns a copy of the accounting.
-func (s *Session) Stats() SessionStats { return s.stats }
+// Stats returns a copy of the accounting as of the last completed Feed.
+// It is the one method safe to call from a goroutine other than the
+// session's owner.
+func (s *Session) Stats() SessionStats {
+	s.pubMu.Lock()
+	defer s.pubMu.Unlock()
+	return s.published
+}
 
 // fail marks the session dead and returns err.
 func (s *Session) fail(err error) ([]byte, error) {
@@ -146,6 +161,14 @@ func (s *Session) fail(err error) ([]byte, error) {
 // violations, or a wrapped backend error for an unrecoverable device
 // failure (absorbed device errors become StatusIO replies instead).
 func (s *Session) Feed(p []byte) ([]byte, error) {
+	out, err := s.feed(p)
+	s.pubMu.Lock()
+	s.published = s.stats
+	s.pubMu.Unlock()
+	return out, err
+}
+
+func (s *Session) feed(p []byte) ([]byte, error) {
 	s.out = s.out[:0]
 	s.stats.BytesIn += int64(len(p))
 	s.dec.Feed(p)

@@ -62,7 +62,10 @@ func (r *ShardRouter) route(lba int64) (int, int64, error) {
 	return int(lba / r.shardBlocks), lba % r.shardBlocks, nil
 }
 
-// ReadBlock serializes a read onto the owning shard.
+// ReadBlock serializes a read onto the owning shard. The shard address
+// is the per-shard exclusion token: holding it across the device call
+// serializes only this shard's single-threaded controller — other
+// shards keep serving.
 func (r *ShardRouter) ReadBlock(lba int64, buf []byte) (sim.Duration, error) {
 	shard, local, err := r.route(lba)
 	if err != nil {
@@ -70,7 +73,6 @@ func (r *ShardRouter) ReadBlock(lba int64, buf []byte) (sim.Duration, error) {
 	}
 	r.locks.Acquire(uint64(shard))
 	defer r.locks.Release(uint64(shard))
-	//lint:ignore lockorder the shard address IS the per-shard exclusion token: holding it across the device call serializes only this shard's single-threaded controller, which is the sharded design's contract — other shards keep serving
 	return r.shards[shard].ReadBlock(local, buf)
 }
 
@@ -82,7 +84,6 @@ func (r *ShardRouter) WriteBlock(lba int64, buf []byte) (sim.Duration, error) {
 	}
 	r.locks.Acquire(uint64(shard))
 	defer r.locks.Release(uint64(shard))
-	//lint:ignore lockorder the shard address IS the per-shard exclusion token: holding it across the device call serializes only this shard's single-threaded controller, which is the sharded design's contract — other shards keep serving
 	return r.shards[shard].WriteBlock(local, buf)
 }
 
@@ -92,14 +93,11 @@ func (r *ShardRouter) WriteBlock(lba int64, buf []byte) (sim.Duration, error) {
 // quiesces the array, which is exactly what a flush barrier — drain,
 // registry shutdown, crash-consistency checkpoints — asks for.
 //
-// The nesting is the Acquire2 canonical-order argument generalized to
-// n addresses: distinct addresses of one class taken in ascending
-// index order cannot form an ABBA cycle against a concurrent flush,
-// and the per-shard device work runs under that shard's own exclusion
-// token, same as the read/write paths. The lockorder analyzer's
-// lexical held-set does not carry holds across loop iterations, so
-// this discipline is covered by TestShardRouterSerializes under -race
-// rather than by a directive.
+// Distinct addresses taken in ascending index order cannot form an
+// ABBA cycle against a concurrent flush, and the per-shard device work
+// runs under that shard's own exclusion token, same as the read/write
+// paths. TestShardRouterSerializes runs concurrent writers and flushers
+// through the barrier under -race.
 func (r *ShardRouter) Flush() error {
 	for i := range r.shards {
 		r.locks.Acquire(uint64(i))
