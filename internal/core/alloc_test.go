@@ -574,6 +574,84 @@ func TestAllocGateSlotWalksScaling(t *testing.T) {
 	}
 }
 
+// scanWindows are the scan windows BenchmarkScanIdleWindow and its gate
+// compare.
+var scanWindows = []int64{256, 4096}
+
+// newIdleScanRig is a probe rig whose scan window is its whole LRU:
+// every tracked block is a write-through with a slot of its own, the
+// state a scan finds on a workload whose working set is attached.
+func newIdleScanRig(tb testing.TB, window int64) *testRig {
+	rig := newProbeRig(tb, window)
+	rig.c.cfg.ScanWindow = int(window)
+	if n := rig.c.lru.len(); int64(n) != window || !rig.c.scanWindowIdle() {
+		tb.Fatalf("window=%d: %d blocks tracked, idle=%v", window, n, rig.c.scanWindowIdle())
+	}
+	return rig
+}
+
+// idleScans runs n scans, none of which has anything to attach.
+func (rig *testRig) idleScans(tb testing.TB, n int) {
+	for i := 0; i < n; i++ {
+		if err := rig.c.scan(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkScanIdleWindow reports the host cost of a scan over a fully
+// attached window. The modelled controller examines the window (the
+// candidates and the storage-CPU charge grow with it); the host answers
+// from the unattached count, so ns/op must not
+// (TestAllocGateScanIdle holds it to 2x across 16x).
+func BenchmarkScanIdleWindow(b *testing.B) {
+	for _, window := range scanWindows {
+		rig := newIdleScanRig(b, window)
+		b.Run(fmt.Sprintf("window=%d", window), func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			rig.idleScans(b, b.N)
+		})
+	}
+}
+
+// TestAllocGateScanIdle is the gate on that benchmark: an idle scan
+// allocates nothing and still accounts for its whole window; with
+// -timing-gates, it costs at most twice as much at window 4096 as at
+// 256 (collecting, grouping and sorting the window grew with it).
+func TestAllocGateScanIdle(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts and timings are inflated under the race detector")
+	}
+	const perRound = 2000000
+	var runs []func()
+	for _, window := range scanWindows {
+		rig := newIdleScanRig(t, window)
+		before, cpu := rig.c.Stats, rig.c.cpu.StorageTime
+		if allocs := testing.AllocsPerRun(10, func() { rig.idleScans(t, 100) }); allocs != 0 {
+			t.Errorf("window=%d: %v allocations per 100 idle scans, want 0", window, allocs)
+		}
+		after := rig.c.Stats
+		if scans := after.Scans - before.Scans; scans != 1100 || after.ScanCandidates-before.ScanCandidates != scans*window ||
+			rig.c.cpu.StorageTime-cpu != rig.c.costs.ScanPerBlock*sim.Duration(scans*window) {
+			t.Fatalf("window=%d: %d scans examined %d candidates for %v of storage CPU, want 1100 scans of the whole window",
+				window, scans, after.ScanCandidates-before.ScanCandidates, rig.c.cpu.StorageTime-cpu)
+		}
+		runs = append(runs, func() { rig.idleScans(t, perRound) })
+	}
+	if !*timingGates {
+		return
+	}
+	best := bestOfRounds(runs)
+	for i, window := range scanWindows {
+		t.Logf("window=%d: %.1f ns per idle scan", window, float64(best[i])/perRound)
+	}
+	if small, large := best[0], best[1]; large > 2*small {
+		t.Fatalf("%d idle scans cost %v at window %d, %v at %d: more than 2x",
+			perRound, large, scanWindows[1], small, scanWindows[0])
+	}
+}
+
 // newCommitRig builds a controller with a 128-block log over a virtual
 // disk of the given size and wraps the log a few times with writes to
 // the first 2048 LBAs, so commits run against a full log that the
@@ -639,6 +717,58 @@ func TestAllocGateCommitScaling(t *testing.T) {
 	if small, large := best[0], best[1]; large > 2*small {
 		t.Fatalf("%d writes cost %v at %d virtual blocks, %v at %d: more than 2x",
 			perRound, large, scales[1], small, scales[0])
+	}
+}
+
+// TestAllocGateCompactingWriteBytes gates a write loop whose log is full
+// and mostly dead: 2 Ki blocks rewrite three 16-byte fields at random
+// over a 256-block log, with delta RAM for a quarter of them, so the
+// cleaner runs at every commit on victims whose records are mostly
+// superseded, and a live one whose delta left RAM has to be read back
+// from the victim's own block. rescueTxn parses that block in place and
+// copies the one delta it keeps; copying every record's delta to use
+// one (217 B/op here) does not fit under the gate.
+func TestAllocGateCompactingWriteBytes(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	cfg := NewDefaultConfig(1<<12, 256, 32<<10, 256<<10)
+	cfg.LogBlocks = 256
+	cfg.MetadataBlocks = 4096
+	cfg.ScanPeriod = 100
+	cfg.ScanWindow = 400
+	cfg.FlushPeriodOps = 32
+	rig, r := newTestRig(t, cfg), sim.NewRand(5)
+	c := rig.c
+	var families [4][]byte
+	for i := range families {
+		families[i] = genContent(r, i, 0)
+	}
+	write := func() {
+		lba := int64(r.Intn(2048))
+		b := families[lba%4]
+		field := []int{100, 1700, 3900}[r.Intn(3)]
+		for i := 0; i < 16; i++ {
+			b[field+i] = byte(r.Uint64())
+		}
+		if _, err := c.WriteBlock(lba, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 40000; i++ {
+		write() // wrap the log, reach steady capacities
+	}
+	const runs = 20000
+	cleans, rescued := c.Stats.LogCleanerRuns, c.Stats.DeltasRescued
+	got := bytesPerOp(runs, write)
+	if cl, re := c.Stats.LogCleanerRuns-cleans, c.Stats.DeltasRescued-rescued; cl < runs/64 || re < runs/8 {
+		t.Fatalf("%d compactions rescuing %d deltas in %d writes: the log is not under pressure", cl, re, runs)
+	}
+	if got > 185 {
+		t.Fatalf("compacting WriteBlock allocated %d B/op, want <= 185 (retained delta, bookkeeping, one copy per rescued record)", got)
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 //   - the write-through sublist is the LRU filtered on slotRef != nil
 //     && kind == Independent (same order, each member owning its slot
 //     through refSlot.wt, no links and no owner on any other slot);
+//   - the unattached count is the number of LRU blocks with no slot;
 //   - slot reference counts equal the number of attached blocks, and
 //     every live slot is the slot table's entry at its index;
 //   - slotOrder lists every live slot exactly once, and holds a dead
@@ -40,7 +41,7 @@ func (c *Controller) CheckInvariants() error {
 	resident := 0
 	var lastStamp uint64
 	lastResident, nextResident := (*vblock)(nil), c.lru.dhead
-	writeThroughs := 0
+	writeThroughs, unattached := 0, 0
 	lastWT, nextWT := (*refSlot)(nil), c.lru.whead
 	for v := c.lru.head; v != nil; v = v.next {
 		if v.dead {
@@ -59,6 +60,9 @@ func (c *Controller) CheckInvariants() error {
 			resident++
 		} else if v.dprev != nil || v.dnext != nil {
 			return fmt.Errorf("core: non-resident block %d linked into the data sublist", v.lba)
+		}
+		if v.slotRef == nil {
+			unattached++
 		}
 		if s := v.slotRef; s != nil && v.kind == Independent {
 			if s != nextWT || s.wt != v || s.wprev != lastWT {
@@ -82,6 +86,9 @@ func (c *Controller) CheckInvariants() error {
 	}
 	if nextWT != nil || c.lru.wtail != lastWT {
 		return fmt.Errorf("core: write-through sublist runs past the LRU's %d write-through blocks", writeThroughs)
+	}
+	if unattached != c.lru.unattached {
+		return fmt.Errorf("core: unattached count says %d, the LRU holds %d blocks with no slot", c.lru.unattached, unattached)
 	}
 	if used := int64(resident) * blockdev.BlockSize; used != c.dataBudget.Used() {
 		return fmt.Errorf("core: data budget says %d, %d sublist blocks make %d",

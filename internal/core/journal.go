@@ -937,8 +937,9 @@ func (t *asmTxn) complete() bool {
 // the rescue supersedes them only when its transaction commits.
 func (c *Controller) rescueTxn(t *txn, dst []logEntry, displaced map[int64]bool) ([]logEntry, error) {
 	var blockData []byte // lazily read only if delta bytes are needed
-	// Pooled: decodeLogBlock copies delta bytes out, so the rescued
-	// entries never alias blockData and the Put below is safe.
+	// Pooled: blockEntries alias blockData, and a rescued entry takes its
+	// own copy of the one delta it keeps before the next read or the Put
+	// below reuses the buffer.
 	defer func() { blockdev.PutBlock(blockData) }()
 	decoded := int64(-1) // the block blockEntries was decoded from
 	var blockEntries []logEntry
@@ -976,7 +977,7 @@ func (c *Controller) rescueTxn(t *txn, dst []logEntry, displaced map[int64]bool)
 						return false
 					}
 					c.Stats.BackgroundHDDTime += d
-					if _, blockEntries, err = decodeLogBlock(blockData); err != nil {
+					if _, blockEntries, err = parseLogBlock(blockData); err != nil {
 						err = fmt.Errorf("core: log block %d: %w", b, err)
 						return false
 					}
@@ -984,7 +985,7 @@ func (c *Controller) rescueTxn(t *txn, dst []logEntry, displaced map[int64]bool)
 				}
 				for j := range blockEntries {
 					if blockEntries[j].seq == m.seq {
-						bytes = blockEntries[j].delta
+						bytes = exactCopy(blockEntries[j].delta)
 						break
 					}
 				}

@@ -282,12 +282,26 @@ func encodeLogBlock(buf []byte, hdr blockHeader, entries []logEntry) {
 	binary.LittleEndian.PutUint32(buf[6:10], logBlockCRC(buf))
 }
 
-// decodeLogBlock parses one commit-record part; a block that never held
+// decodeLogBlock parses one commit-record part into entries that own
+// their delta bytes, so buf may go back to the pool.
+func decodeLogBlock(buf []byte) (blockHeader, []logEntry, error) {
+	hdr, entries, err := parseLogBlock(buf)
+	for i := range entries {
+		if e := &entries[i]; e.delta != nil {
+			e.delta = exactCopy(e.delta)
+		}
+	}
+	return hdr, entries, err
+}
+
+// parseLogBlock parses one commit-record part; a block that never held
 // journal data (no magic) yields no entries and a zero header. A block
 // whose magic is present but whose checksum, framing, or record
 // structure fails returns ErrCorruptLogBlock — the torn-write
-// signature, which voids the block's whole transaction on replay.
-func decodeLogBlock(buf []byte) (blockHeader, []logEntry, error) {
+// signature, which voids the block's whole transaction on replay. The
+// entries' delta bytes alias buf: a caller that keeps one past buf's
+// next use copies it (decodeLogBlock copies them all).
+func parseLogBlock(buf []byte) (blockHeader, []logEntry, error) {
 	var hdr blockHeader
 	if string(buf[0:4]) != logMagic {
 		return hdr, nil, nil
@@ -335,7 +349,7 @@ func decodeLogBlock(buf []byte) (blockHeader, []logEntry, error) {
 			return hdr, nil, fmt.Errorf("%w: record %d delta overruns block", ErrCorruptLogBlock, i)
 		}
 		if dlen > 0 {
-			e.delta = exactCopy(buf[off : off+dlen])
+			e.delta = buf[off : off+dlen : off+dlen]
 			off += dlen
 		}
 		switch e.kind {

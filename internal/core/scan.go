@@ -25,6 +25,11 @@ const maxSlotProbe = 256
 // delta-attaches the remaining similar blocks to references. The
 // association between reference and delta blocks is reorganized at the
 // end of each scanning phase.
+//
+// scan itself is the accounting: the modelled controller examines the
+// window on every scan, so the count, the candidates and the storage-CPU
+// charge are taken whatever the window holds. The host runs scanBody
+// only when the window has a block it could act on.
 func (c *Controller) scan() error {
 	if c.ssdSidelined() {
 		// HDD-only degraded mode (nowhere to install references), or a
@@ -32,7 +37,41 @@ func (c *Controller) scan() error {
 		return nil
 	}
 	c.Stats.Scans++
+	n := min(c.lru.len(), c.cfg.ScanWindow)
+	if n == 0 {
+		return nil
+	}
+	c.Stats.ScanCandidates += int64(n)
+	c.cpu.ChargeStorage(c.costs.ScanPerBlock * sim.Duration(n))
+	if c.scanWindowIdle() {
+		return nil
+	}
+	return c.scanBody()
+}
 
+// scanWindowIdle reports whether every block in the scan window is
+// already attached to a slot. scanBody acts only on blocks with no slot
+// (every other candidate is skipped before anything is changed, and the
+// demotion valve needs a failed install), so on an idle window it is a
+// no-op. The list's unattached count answers for the whole LRU in O(1);
+// when unattached blocks exist somewhere, one walk of the window finds
+// whether any of them is inside it.
+func (c *Controller) scanWindowIdle() bool {
+	if c.lru.unattached == 0 {
+		return true
+	}
+	for v, n := c.lru.head, 0; v != nil && n < c.cfg.ScanWindow; v, n = v.next, n+1 {
+		if v.slotRef == nil {
+			return false
+		}
+	}
+	return true
+}
+
+// scanBody is the scan's work on the non-empty window scan has
+// accounted for: rank it by popularity, then attach or promote its
+// unattached blocks.
+func (c *Controller) scanBody() error {
 	// Popularity of every block in the scan window (the LRU head), and
 	// identical-signature groups: two blocks sharing an exact signature
 	// are the strongest similarity signal and always justify a
@@ -51,11 +90,6 @@ func (c *Controller) scan() error {
 		popSum += p
 		sigGroup[v.sigv]++
 	}
-	if len(cands) == 0 {
-		return nil
-	}
-	c.Stats.ScanCandidates += int64(len(cands))
-	c.cpu.ChargeStorage(c.costs.ScanPerBlock * sim.Duration(len(cands)))
 	popBar := 2 * popSum / uint64(len(cands)) // twice the window mean
 
 	// Most popular first; ties broken by LBA for determinism (a total

@@ -2,9 +2,12 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"testing"
 
 	"icash/internal/blockdev"
+	"icash/internal/sig"
 	"icash/internal/sim"
 )
 
@@ -234,5 +237,190 @@ func TestLRUListOps(t *testing.T) {
 	l.remove(b)
 	if l.len() != 0 || l.head != nil || l.tail != nil {
 		t.Fatal("list not empty")
+	}
+}
+
+// scanFootprint is everything a scan can change, by value: the counters,
+// the storage-CPU charge, the heatmap, every live slot, slotOrder, each
+// LRU block in order with the fields a scan rebinds, and the commit
+// buffer (dirty queue and pending control records).
+type scanFootprint struct {
+	stats    Stats
+	cpu      sim.Duration
+	heat     sig.Heatmap
+	slots    []refSlot
+	order    []*refSlot
+	blocks   []blockFootprint
+	dirtyQ   []*vblock
+	dirty    int64
+	controls int
+	free     []int64
+	quar     []int64
+}
+
+type blockFootprint struct {
+	v                               *vblock
+	slot                            *refSlot
+	sigv                            sig.Signature
+	kind                            Kind
+	resident, delta                 bool
+	dataDirty, deltaDirty, ssdFresh bool
+}
+
+func takeScanFootprint(c *Controller) scanFootprint {
+	f := scanFootprint{
+		stats:    c.Stats,
+		cpu:      c.cpu.StorageTime,
+		heat:     *c.heat,
+		order:    slices.Clone(c.slotOrder),
+		dirtyQ:   slices.Clone(c.dirtyQ),
+		dirty:    c.dirtyBytes,
+		controls: len(c.control),
+		free:     slices.Clone(c.freeSlots),
+		quar:     slices.Clone(c.quarantine),
+	}
+	for _, s := range c.slotTab {
+		if s == nil {
+			s = &refSlot{}
+		}
+		f.slots = append(f.slots, *s)
+	}
+	for v := c.lru.head; v != nil; v = v.next {
+		f.blocks = append(f.blocks, blockFootprint{v, v.slotRef, v.sigv, v.kind,
+			v.dataRAM != nil, v.deltaRAM != nil, v.dataDirty, v.deltaDirty, v.ssdCurrent})
+	}
+	return f
+}
+
+// diff names the first part of the footprint that differs, "" if none.
+func (f scanFootprint) diff(g scanFootprint) string {
+	switch {
+	case f.stats != g.stats:
+		return fmt.Sprintf("Stats: %+v, was %+v", g.stats, f.stats)
+	case f.cpu != g.cpu:
+		return fmt.Sprintf("StorageCPUTime: %v, was %v", g.cpu, f.cpu)
+	case f.heat != g.heat:
+		return "the heatmap"
+	case !slices.Equal(f.slots, g.slots):
+		return "the slot table"
+	case !slices.Equal(f.order, g.order):
+		return "slotOrder"
+	case !slices.Equal(f.blocks, g.blocks):
+		return "the LRU (order, attachment, kind, signature or residency)"
+	case !slices.Equal(f.dirtyQ, g.dirtyQ) || f.dirty != g.dirty || f.controls != g.controls:
+		return "the commit buffer"
+	case !slices.Equal(f.free, g.free) || !slices.Equal(f.quar, g.quar):
+		return "the free or quarantined slots"
+	}
+	return ""
+}
+
+// TestIdleScanBodyIsNoOp is the proof that skipping the scan body on an
+// attached window is exact: run directly on such a window — with no
+// unattached block anywhere, and with the only ones outside the window —
+// the body changes nothing a scan can change, so the gated scan differs
+// from it by the accounting alone. The mirror case: orphan one window
+// block and the next scan runs the body and attaches it again.
+func TestIdleScanBodyIsNoOp(t *testing.T) {
+	cfg := smallConfig()
+	cfg.ScanPeriod = 1 << 30 // scans happen where the test calls them
+	rig := newTestRig(t, cfg)
+	c := rig.c
+	writeSimilarSet(t, c, 300, 77)
+	if err := c.scan(); err != nil {
+		t.Fatal(err)
+	}
+	// What the scan left unattached writes through with unrelated
+	// content, so every tracked block has a slot.
+	buf := make([]byte, blockdev.BlockSize)
+	for lba := int64(0); lba < 300; lba++ {
+		if c.lbas[lba].v.slotRef == nil {
+			fillByLBA(lba, buf)
+			if _, err := c.WriteBlock(lba, buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	k := c.KindCounts()
+	if c.lru.unattached != 0 || k.Associate < 100 || k.Reference == 0 {
+		t.Fatalf("rig: %d unattached blocks, kinds %+v; want a fully attached LRU of references and associates", c.lru.unattached, k)
+	}
+
+	idle := func(name string) {
+		t.Helper()
+		if !c.scanWindowIdle() {
+			t.Fatalf("%s: window not idle", name)
+		}
+		before := takeScanFootprint(c)
+		if err := c.scanBody(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if d := before.diff(takeScanFootprint(c)); d != "" {
+			t.Fatalf("%s: the scan body on an attached window changed %s", name, d)
+		}
+		if len(c.scanSigGroup) != 0 || len(c.scanCands) != 0 {
+			t.Fatalf("%s: the scan body left %d signature groups and %d candidates behind", name, len(c.scanSigGroup), len(c.scanCands))
+		}
+		// The gated scan: the accounting and nothing else.
+		n := min(c.lru.len(), c.cfg.ScanWindow)
+		if err := c.scan(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		before.stats.Scans++
+		before.stats.ScanCandidates += int64(n)
+		before.cpu += c.costs.ScanPerBlock * sim.Duration(n)
+		if d := before.diff(takeScanFootprint(c)); d != "" {
+			t.Fatalf("%s: past its accounting, an idle scan changed %s", name, d)
+		}
+	}
+	idle("nothing unattached")
+
+	// Unattached blocks, all colder than the window: the count is no
+	// longer zero and the window walk answers.
+	c.cfg.ScanWindow = 100
+	for lba := int64(1000); lba < 1005; lba++ {
+		if _, err := c.ReadBlock(lba, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for lba := int64(0); lba < 150; lba++ { // bury them under attached blocks
+		if _, err := c.ReadBlock(lba, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c.lru.unattached == 0 {
+		t.Fatal("rig: the cold reads left nothing unattached")
+	}
+	idle("unattached blocks outside the window")
+
+	// The mirror: one window block loses its slot, and the next scan has
+	// work. Its content is a family member's, so the body re-attaches it.
+	var v *vblock
+	for b := c.lru.head; b != nil; b = b.next {
+		if b.kind == Associate && b.dataRAM != nil {
+			v = b
+			break
+		}
+	}
+	if v == nil {
+		t.Fatal("rig: no resident associate in the window")
+	}
+	if err := c.writeHome(v, v.dataRAM); err != nil {
+		t.Fatal(err)
+	}
+	c.orphanFromSlot(v)
+	if c.scanWindowIdle() {
+		t.Fatal("an orphaned window block left the window idle")
+	}
+	formed := c.Stats.AssocFormed
+	if err := c.scan(); err != nil {
+		t.Fatal(err)
+	}
+	if v.slotRef == nil || v.kind != Associate || c.Stats.AssocFormed != formed+1 {
+		t.Fatalf("the scan after an orphaning did not run its body: lba %d is %v with slot %v, %d associations formed",
+			v.lba, v.kind, v.slotRef, c.Stats.AssocFormed-formed)
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

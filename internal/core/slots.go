@@ -98,6 +98,9 @@ func (c *Controller) attachSlot(v *vblock, s *refSlot) {
 	}
 	v.slotRef = s
 	s.refcnt++
+	if v.stamp != 0 {
+		c.lru.unattached--
+	}
 }
 
 // setKind reclassifies v. It is the one place a linked block's kind
@@ -131,6 +134,9 @@ func (c *Controller) detachSlot(v *vblock) {
 	}
 	if s.wt == v {
 		c.lru.wtUnlink(s)
+	}
+	if v.stamp != 0 {
+		c.lru.unattached++
 	}
 	s.refcnt--
 	if s.refcnt <= 0 {

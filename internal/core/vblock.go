@@ -138,9 +138,15 @@ type lbaState struct {
 // has at most one such block (refSlot.wt), so this one is threaded
 // through the blocks' slots. Its membership edges are setKind and
 // detachSlot.
+//
+// unattached counts the listed blocks with slotRef == nil, the only
+// ones a similarity scan can act on: zero lets a scan skip its body
+// without looking at the window. pushFront and remove move it with the
+// node, attachSlot and detachSlot with the slot.
 type lruList struct {
 	head, tail *vblock
 	n          int
+	unattached int
 
 	dhead, dtail *vblock
 	whead, wtail *refSlot
@@ -165,6 +171,9 @@ func (l *lruList) pushFront(v *vblock) {
 		l.tail = v
 	}
 	l.n++
+	if v.slotRef == nil {
+		l.unattached++
+	}
 	if v.dataRAM != nil {
 		l.dataInsertBefore(v, l.dhead)
 	}
@@ -194,6 +203,9 @@ func (l *lruList) remove(v *vblock) {
 	v.prev, v.next = nil, nil
 	v.stamp = 0
 	l.n--
+	if v.slotRef == nil {
+		l.unattached--
+	}
 }
 
 // moveToFront marks v most recently used.

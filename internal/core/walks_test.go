@@ -10,10 +10,11 @@ import (
 	"icash/internal/sim"
 )
 
-// The walks that the similarity probe and write-through reclaim used to
-// be, kept as the oracles for the maintained state that answers them
-// now (the compacted-on-death slotOrder, the write-through sublist).
-// None of them changes the controller.
+// The walks that the similarity probe, write-through reclaim and the
+// scan's candidate filter used to be, kept as the oracles for the
+// maintained state that answers them now (the compacted-on-death
+// slotOrder, the write-through sublist, the unattached count). None of
+// them changes the controller.
 
 // findSimilarSlotWalk is the probe over a freshly filtered slotOrder:
 // liveness is decided per entry, with the slots-map lookup, and the
@@ -73,6 +74,20 @@ func (c *Controller) canReclaimSlotWalk() bool {
 	return false
 }
 
+// scanWindowUnattachedWalk counts what the scan's candidate loop would
+// not skip: the blocks with no slot among the first ScanWindow LRU
+// nodes, every one of them visited.
+func (c *Controller) scanWindowUnattachedWalk() int {
+	n, unattached := 0, 0
+	for v := c.lru.head; v != nil && n < c.cfg.ScanWindow; v = v.next {
+		if v.slotRef == nil {
+			unattached++
+		}
+		n++
+	}
+	return unattached
+}
+
 // TestMaintainedStateMatchesWalks drives a seeded mix through every way
 // a slot comes to life, dies or is resurrected and a block becomes or
 // stops being a write-through — similar and incompressible writes,
@@ -82,7 +97,8 @@ func (c *Controller) canReclaimSlotWalk() bool {
 // tight enough that attaches cascade into evictions, and after every
 // step holds each answer from maintained state to the walk it replaced,
 // with nothing pinned, with the sublist's coldest and hottest owners
-// pinned, and for probe signatures near and far from the slots'.
+// pinned, for probe signatures near and far from the slots', and for
+// scan windows from one block to the whole list.
 func TestMaintainedStateMatchesWalks(t *testing.T) {
 	cfg := smallConfig()
 	cfg.SSDBlocks = 64
@@ -100,8 +116,33 @@ func TestMaintainedStateMatchesWalks(t *testing.T) {
 
 	r := sim.NewRand(2024)
 	var victims, pinnedSkips, matches, compactions int
+	var idleByCount, idleByWalk, busy int
 	check := func(op int) {
 		t.Helper()
+		// The scan gate: the O(1) answer against the whole list, the
+		// window answer against a plain walk of each window.
+		window := c.cfg.ScanWindow
+		c.cfg.ScanWindow = c.lru.len()
+		if got, want := c.lru.unattached, c.scanWindowUnattachedWalk(); got != want {
+			t.Fatalf("op %d: unattached count says %d, the LRU holds %d blocks with no slot", op, got, want)
+		}
+		for _, w := range []int{1, 8, 64, window} {
+			c.cfg.ScanWindow = w
+			got, want := c.scanWindowIdle(), c.scanWindowUnattachedWalk() == 0
+			if got != want {
+				t.Fatalf("op %d, window %d: scanWindowIdle says %v, the walk %v", op, w, got, want)
+			}
+			switch {
+			case !got:
+				busy++
+			case c.lru.unattached == 0:
+				idleByCount++
+			default:
+				idleByWalk++
+			}
+		}
+		c.cfg.ScanWindow = window
+
 		pins := []*vblock{nil, c.lru.head}
 		if s := c.lru.wtail; s != nil {
 			pins = append(pins, s.wt)
@@ -227,8 +268,11 @@ func TestMaintainedStateMatchesWalks(t *testing.T) {
 		t.Fatalf("mix too tame: %d victims, %d with the coldest pinned, %d probe matches, %d compactions, %d slots retired",
 			victims, pinnedSkips, matches, compactions, c.Stats.SlotsRetired)
 	}
-	t.Logf("%d victims checked (%d with the coldest pinned), %d probe matches, %d compactions, %d slots retired",
-		victims, pinnedSkips, matches, compactions, c.Stats.SlotsRetired)
+	if idleByCount < 40 || idleByWalk < 1000 || busy < 1000 {
+		t.Fatalf("mix too tame for the scan gate: %d windows idle by count, %d idle by walk, %d with work", idleByCount, idleByWalk, busy)
+	}
+	t.Logf("%d victims checked (%d with the coldest pinned), %d probe matches, %d compactions, %d slots retired; scan windows: %d idle by count, %d idle by walk, %d with work",
+		victims, pinnedSkips, matches, compactions, c.Stats.SlotsRetired, idleByCount, idleByWalk, busy)
 }
 
 // TestResurrectedSlotListedOnce pins the duplicate-entry bug: a slot

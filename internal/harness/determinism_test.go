@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"icash/internal/race"
 	"icash/internal/workload"
 )
 
@@ -60,5 +61,48 @@ func TestDeterminismAcrossGOMAXPROCS(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestScanOutcomePinned holds what the similarity scan counted and did
+// on an oltp-shaped, a randread-shaped and a mail-shaped run (the repo
+// benchmark's sizes, seed 42) to constants captured at the commit before
+// the scan learned to skip its body on an attached window. A scan that
+// stopped accounting for a window it did not walk, or skipped a window
+// that had work, moves one of them.
+func TestScanOutcomePinned(t *testing.T) {
+	if race.Enabled {
+		t.Skip("one goroutine's counters; the plain suite pins them at a tenth of the time")
+	}
+	type outcome struct {
+		Scans, ScanCandidates, ScanDeltaRejects, AssocFormed, RefsSelected, RefsDemoted int64
+	}
+	randread := workload.RandRead()
+	randread.VMs = 64
+	for _, tc := range []struct {
+		name string
+		p    workload.Profile
+		opts workload.Options
+		want outcome
+	}{
+		{"oltp", workload.SysBench(),
+			workload.Options{Scale: 1.0 / 24, Seed: 42},
+			outcome{Scans: 13, ScanCandidates: 52000, ScanDeltaRejects: 697}},
+		{"randread", randread,
+			workload.Options{Scale: 1.0 / 20, Seed: 42, QueueDepth: 8, StreamPerVM: true, Shards: 4},
+			outcome{Scans: 44, ScanCandidates: 135168}},
+		{"mail", workload.LoadSim(),
+			workload.Options{Scale: 1.0 / 1024, Seed: 42},
+			outcome{Scans: 13, ScanCandidates: 38402, ScanDeltaRejects: 73}},
+	} {
+		br, err := RunBenchmark(tc.p, tc.opts, []Kind{ICASH})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		st := br.Results[ICASH].ICASHStats
+		got := outcome{st.Scans, st.ScanCandidates, st.ScanDeltaRejects, st.AssocFormed, st.RefsSelected, st.RefsDemoted}
+		if got != tc.want {
+			t.Errorf("%s: scan outcome %+v, want %+v", tc.name, got, tc.want)
+		}
 	}
 }

@@ -361,8 +361,9 @@ func mutate(buf []byte, posSeed, valSeed uint64, frac float64) {
 	if n <= 0 {
 		n = 1
 	}
-	pr := sim.NewRand(posSeed)
-	vr := sim.NewRand(valSeed)
+	var pr, vr sim.Rand // on the stack: two per call, several calls per block
+	pr.Seed(posSeed)
+	vr.Seed(valSeed)
 	for n > 0 {
 		run := 16 + pr.Intn(49)
 		if run > n {
@@ -406,14 +407,16 @@ func (g *Generator) contentAt(lba int64, version, anchor uint32, buf []byte) {
 	if anchor > 0 {
 		// The block was wholly rewritten at the anchor version: new,
 		// family-independent content.
-		r := sim.NewRand(g.opts.Seed ^ uint64(lba)*6700417 ^ uint64(anchor)*7879)
+		var r sim.Rand
+		r.Seed(g.opts.Seed ^ uint64(lba)*6700417 ^ uint64(anchor)*7879)
 		r.Bytes(buf)
 	} else {
 		fam := g.familyOf(lba)
 		copy(buf, g.base(fam))
 		// Per-block personalization: all but DupFrac of blocks differ
 		// from the family base by MutFrac of bytes.
-		perBlock := sim.NewRand(g.opts.Seed ^ uint64(off)*0x9E3779B97F4A7C15)
+		var perBlock sim.Rand
+		perBlock.Seed(g.opts.Seed ^ uint64(off)*0x9E3779B97F4A7C15)
 		if perBlock.Float64() >= g.p.DupFrac {
 			seed := g.opts.Seed ^ uint64(off)*7919 + 13
 			mutate(buf, seed, seed, g.p.MutFrac)

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"icash/internal/blockdev"
+	"icash/internal/race"
 	"icash/internal/sim"
 )
 
@@ -309,6 +310,33 @@ func TestMutateMatchesReference(t *testing.T) {
 					t.Fatalf("size %d seed %d frac %v: mutate diverges from the reference loop", size, seed, frac)
 				}
 			}
+		}
+	}
+}
+
+// TestAllocGateContent: once a block's family base is cached and its
+// version entry exists, producing its content allocates nothing. Every
+// branch of contentAt seeds its own short-lived RNGs (a fresh rewrite,
+// the per-block personalization, VM divergence, two mutate calls per
+// written version), and each of those used to be a heap object: seven
+// per block on a multi-VM profile.
+func TestAllocGateContent(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	for _, p := range []Profile{SysBench(), LoadSim(), TPCC5VM()} {
+		g := NewGenerator(p, Options{Scale: 1.0 / 256, Seed: 3})
+		buf := make([]byte, blockdev.BlockSize)
+		lbas := []int64{0, 7, g.DataBlocks() / 2, g.DataBlocks() - 1}
+		op := func() {
+			for _, lba := range lbas {
+				g.Fill(lba, buf)
+				g.WriteContent(lba, buf)
+			}
+		}
+		op() // cache the family bases, create the version entries
+		if allocs := testing.AllocsPerRun(50, op); allocs != 0 {
+			t.Errorf("%s: %v allocations per %d Fill+WriteContent pairs, want 0", p.Name, allocs, len(lbas))
 		}
 	}
 }
