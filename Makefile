@@ -1,8 +1,8 @@
 GO ?= go
 # The non-test source line count (`make loc`) may not pass this.
-LOC_CEILING = 19773
+LOC_CEILING = 20144
 
-.PHONY: help check build vet lint vet-json fmt-check test golden loc loc-check benchmark-smoke race bench bench-smoke bench-profile alloc-gate fuzz-smoke clockcheck chaos chaos-smoke crash-sweep serve-smoke scrub-smoke shard-smoke examples
+.PHONY: help check build vet lint vet-json fmt-check test golden loc loc-check benchmark-smoke race bench bench-smoke bench-profile alloc-gate fuzz-smoke clockcheck chaos chaos-smoke crash-sweep serve-smoke scrub-smoke shard-smoke examples bench-record
 
 help: ## list targets (static analysis lives in lint = icash-vet)
 	@awk -F':.*## ' '/^[a-z-]+:.*## /{printf "%-12s %s\n", $$1, $$2}' Makefile
@@ -75,8 +75,8 @@ crash-sweep: ## crash-point recovery sweeps (fail-stop + fail-slow, journal-audi
 serve-smoke: ## block-service battery under -race: conformance, served-vs-inproc, crash sweep
 	$(GO) test -race -count=1 ./internal/server/
 
-clockcheck: ## sim tests with the runtime clock-ownership assertion
-	$(GO) test -tags clockcheck ./internal/sim/
+clockcheck: ## sim and harness tests with the runtime clock-ownership assertion (a shard group's clock, and the frozen system clock, each have one mutating goroutine)
+	$(GO) test -tags clockcheck ./internal/sim/ ./internal/harness/
 
 chaos: ## 20-seed chaos soak (fail-slow + fail-stop, oracle-checked)
 	$(GO) run ./cmd/icash-bench -chaos
@@ -88,10 +88,21 @@ scrub-smoke: ## seeded silent-corruption battery under -race: checksums, scrubbe
 chaos-smoke: ## fixed-seed chaos battery under the race detector
 	$(GO) test -race -count=1 -run 'TestChaos|TestDetector|TestSchedule' ./internal/fault/...
 
-shard-smoke: ## sharded-controller battery under -race: routing, scoreboard equality across worker counts, shard-scoped chaos, scaling sweep
-	$(GO) test -race -count=1 -run 'TestShard|TestRunBenchmarkSharded|TestBuildSharded|TestStatsAccumulate' ./internal/core/ ./internal/harness/
+shard-smoke: ## sharded-controller battery under -race: routing, shard groups pinned to the one-loop run, scoreboard equality across worker counts, shard-scoped chaos, scaling sweep
+	$(GO) test -race -count=1 -run 'TestShard|TestRunGroups|TestRunBenchmarkSharded|TestBuildSharded|TestStatsAccumulate' ./internal/core/ ./internal/harness/
 	$(GO) test -race -count=1 -run 'TestShardRouter|TestChaosShard' ./internal/server/ ./internal/fault/chaos/
 	$(GO) run ./cmd/icash-bench -shardsweep -ops 4000
+
+# bench-record compares the working tree against BASE (extracted from
+# git into a temporary directory) on the repo benchmark.
+BASE ?= HEAD
+SEED ?= 42
+BENCH_OUT ?= BENCH_26.json
+
+bench-record: ## ten alternating 15 s parent/change pairs of every repo-benchmark workload, -trace 0 (BASE=HEAD SEED=42), merged into $(BENCH_OUT)
+	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	git archive $(BASE) | tar -x -C "$$dir"; \
+	$(GO) run ./cmd/bench-record -base "$$dir" -base-rev "$$(git rev-parse $(BASE))" -seed $(SEED) -out $(BENCH_OUT)
 
 examples: ## run all five narrated demos
 	$(GO) run ./examples/quickstart

@@ -39,6 +39,10 @@ func (c *Controller) SetScrub(cfg ScrubConfig) {
 	c.scrubArmed = false
 }
 
+// Scrubbing reports whether a scrubber schedule is installed: the one
+// thing on the request path that reads the clock.
+func (c *Controller) Scrubbing() bool { return c.scrub.Interval > 0 }
+
 // ScrubPoll runs any scrub batches whose schedule has come due. The
 // request path calls this from periodic(); harness drivers may also
 // call it directly between requests.

@@ -22,10 +22,13 @@ import (
 // extended to request routing.
 //
 // Like Controller, ShardedController is not itself safe for concurrent
-// use on one shard; callers that want cross-shard concurrency must hold
-// a per-shard exclusion token (see server.ShardRouter). Two goroutines
-// inside two *different* shards are safe by construction: the only
-// cross-shard state is this struct's immutable routing table.
+// use on one shard; callers that want cross-shard concurrency give each
+// shard one goroutine at a time — the block service holds a per-shard
+// exclusion token (server.ShardRouter), harness.Run drives each shard's
+// streams from one goroutine (a shard group). Two goroutines inside two
+// *different* shards are safe by construction: the only cross-shard
+// state is this struct's immutable routing table, and the clock, which
+// a shard reads only while its scrubber is armed (Scrubbing).
 type ShardedController struct {
 	shards      []*Controller
 	shardBlocks int64

@@ -208,49 +208,58 @@ func TestTracedOpFailureTakesAndReplays(t *testing.T) {
 	if _, err := inner.ReadBlock(8, buf); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(sys.Tracer.Take()); n != 1 {
+	if n := len(sys.Tracers[0].Take()); n != 1 {
 		t.Fatalf("tracer holds %d segments after an untraced walk, want the failed op's 1: the failure left it active", n)
 	}
 }
 
-// TestVMStreamsPartition checks the per-VM generators stay inside their
-// own image partitions and split the request budget exactly.
+// TestVMStreamsPartition checks the per-VM generators start every
+// request inside their own image partition, keep every block inside
+// their Span, and split the request budget exactly — on images larger
+// and smaller than the longest request.
 func TestVMStreamsPartition(t *testing.T) {
 	p := workload.TPCC5VM()
-	opts := workload.Options{Scale: 1.0 / 256, MaxOps: 5000, Seed: 7}
-	if one := workload.NewGenerator(p, opts); len(one.Streams()) != 1 || one.Streams()[0] != one {
-		t.Fatal("without StreamPerVM the generator is not its own single stream")
-	}
-	opts.StreamPerVM = true
-	gen := workload.NewGenerator(p, opts)
-	streams := gen.Streams()
-	if len(streams) != 5 {
-		t.Fatalf("stream count %d, want 5", len(streams))
-	}
-	total := 0
-	img := gen.ImageBlocks()
-	for vi, s := range streams {
-		if s.VM() != vi {
-			t.Fatalf("stream %d pinned to VM %d", vi, s.VM())
+	for _, scale := range []float64{1.0 / 256, 1e-6} {
+		opts := workload.Options{Scale: scale, MaxOps: 5000, Seed: 7}
+		if one := workload.NewGenerator(p, opts); len(one.Streams()) != 1 || one.Streams()[0] != one {
+			t.Fatal("without StreamPerVM the generator is not its own single stream")
 		}
-		n := 0
-		for {
-			req, ok := s.Next()
-			if !ok {
-				break
+		opts.StreamPerVM = true
+		gen := workload.NewGenerator(p, opts)
+		streams := gen.Streams()
+		if len(streams) != 5 {
+			t.Fatalf("stream count %d, want 5", len(streams))
+		}
+		total := 0
+		img := gen.ImageBlocks()
+		for vi, s := range streams {
+			if s.VM() != vi {
+				t.Fatalf("stream %d pinned to VM %d", vi, s.VM())
 			}
-			n++
-			lo, hi := int64(vi)*img, int64(vi+1)*img
-			if req.LBA < lo || req.LBA >= hi {
-				t.Fatalf("stream %d request lba %d outside partition [%d, %d)", vi, req.LBA, lo, hi)
+			slo, shi := s.Span()
+			n := 0
+			for {
+				req, ok := s.Next()
+				if !ok {
+					break
+				}
+				n++
+				lo, hi := int64(vi)*img, int64(vi+1)*img
+				if req.LBA < lo || req.LBA >= hi {
+					t.Fatalf("stream %d request lba %d outside partition [%d, %d)", vi, req.LBA, lo, hi)
+				}
+				if req.LBA < slo || req.LBA+int64(req.Blocks) > shi {
+					t.Fatalf("scale %g stream %d request [%d, %d) outside span [%d, %d)",
+						scale, vi, req.LBA, req.LBA+int64(req.Blocks), slo, shi)
+				}
 			}
+			if n != s.NumOps() {
+				t.Fatalf("stream %d emitted %d of %d", vi, n, s.NumOps())
+			}
+			total += n
 		}
-		if n != s.NumOps() {
-			t.Fatalf("stream %d emitted %d of %d", vi, n, s.NumOps())
+		if total != gen.NumOps() {
+			t.Fatalf("streams emitted %d total, want %d", total, gen.NumOps())
 		}
-		total += n
-	}
-	if total != gen.NumOps() {
-		t.Fatalf("streams emitted %d total, want %d", total, gen.NumOps())
 	}
 }

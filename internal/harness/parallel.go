@@ -10,12 +10,13 @@ import (
 // points — one (profile, system-kind, queue-depth) combination each —
 // share no mutable state: every point builds its own System (fresh
 // clock, devices, controller, CPU accountant) and its own workload
-// generator, and the simulation inside a point is single-threaded as
-// ever. Fanning points out across a worker pool therefore changes
+// generator. Fanning points out across a worker pool therefore changes
 // wall-clock time only; every simulated number is produced by exactly
 // the same code on exactly the same inputs, and results are gathered
-// back in submission order. Parallel across runs, never within a run
-// (DESIGN.md §11).
+// back in submission order. Within a run the only fans are over an
+// array's shards: the populate and flush fans under a frozen clock, and
+// Run's shard groups, each on a private clock with its own partial
+// results (DESIGN.md §11).
 
 // ForEachPoint runs fn(0..n-1), fanning across min(workers, n) workers
 // (workers <= 0 means GOMAXPROCS). Results must be gathered by index

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"icash/internal/blockdev"
 	"icash/internal/core"
@@ -190,32 +191,47 @@ func (s *System) blockOp(write bool, lba int64, buf []byte) (sim.Duration, error
 // exerts. A failing walk is taken and replayed like any other: its
 // visits so far are charged to their stations and the tracer is left
 // idle, so a later untraced walk cannot append to a dead trace.
+//
+// The tracer is the one of the shard lba routes to: a walk touches only
+// that shard's devices, so it collects what one shared tracer would, and
+// two shard groups of a run (Run) never note into the same one.
 func (s *System) TracedOp(write bool, lba int64, buf []byte, arrival sim.Time) (svc, wait sim.Duration, err error) {
-	s.Tracer.Begin()
+	tr := s.Tracers[0]
+	if sc := s.Sharded; sc != nil && lba >= 0 && lba < sc.Blocks() {
+		i, _ := sc.Route(lba)
+		tr = s.Tracers[i]
+	}
+	tr.Begin()
 	svc, err = s.blockOp(write, lba, buf)
-	wait = event.Replay(s.Tracer.Take(), arrival)
+	wait = event.Replay(tr.Take(), arrival)
 	s.PollDetector()
 	return svc, wait, err
 }
 
 // Pump runs a closed loop of streams x tokens issue tokens on the
-// discrete-event engine. A token calls step(stream) at the current
-// instant; step performs one request and returns the instant it
-// completes, and the token issues again then — the scheduler
-// interleaves all tokens of all streams by virtual completion time.
-// Tokens are primed at the current instant, stream by stream for
-// fairness. A step that returns io.EOF retires its token (the stream is
-// drained); any other error stops every token and is returned. On
-// return the clock stands at the last completion.
+// discrete-event engine, on the system clock. A token calls
+// step(stream) at the current instant; step performs one request and
+// returns the instant it completes, and the token issues again then —
+// the scheduler interleaves all tokens of all streams by virtual
+// completion time. Tokens are primed at the current instant, stream by
+// stream for fairness. A step that returns io.EOF retires its token
+// (the stream is drained); any other error stops every token and is
+// returned. On return the clock stands at the last completion.
 //
-// Determinism: everything runs on the calling goroutine, the scheduler
+// Determinism: the loop runs on the calling goroutine, the scheduler
 // breaks timestamp ties in schedule order, and stack state mutates in
 // event order — same seed, same results, regardless of GOMAXPROCS. Each
 // stream reuses one closure, so scheduling a completion allocates
 // nothing.
 func (s *System) Pump(streams, tokens int, step func(stream int) (sim.Time, error)) error {
-	sch := event.NewScheduler(s.Clock)
-	last := s.Clock.Now()
+	return pump(s.Clock, streams, tokens, step)
+}
+
+// pump is Pump's loop on a given clock: the system clock, or the
+// private clock of one of Run's shard groups.
+func pump(clock *sim.Clock, streams, tokens int, step func(stream int) (sim.Time, error)) error {
+	sch := event.NewScheduler(clock)
+	last := clock.Now()
 	var failed error
 	issuers := make([]func(), streams)
 	for si := range issuers {
@@ -245,7 +261,7 @@ func (s *System) Pump(streams, tokens int, step func(stream int) (sim.Time, erro
 	if failed != nil {
 		return failed
 	}
-	s.Clock.AdvanceTo(last) // the last events are issues, not completions
+	clock.AdvanceTo(last) // the last events are issues, not completions
 	return nil
 }
 
@@ -254,22 +270,34 @@ func (s *System) Pump(streams, tokens int, step func(stream int) (sim.Time, erro
 // Populate is normally called first.
 //
 // The issue mode comes from the generator's options: QueueDepth issue
-// tokens per stream on the Pump, one stream per VM under StreamPerVM.
+// tokens per stream on the pump, one stream per VM under StreamPerVM.
 // A request's blocks issue back to back, each as seen from the
 // completion of the one before, and the request completes when its last
 // block does. Overlapping requests go through TracedOp. One token on
 // one stream never overlaps anything, so such a run does not trace: no
 // station visit is replayed, no queue wait recorded, and the result
 // carries no station table.
+//
+// The streams run in shard groups (runGroups). Where a group is one
+// shard's streams, no event of another group ever reaches it: a token's
+// next issue is scheduled only by its own completion, and a step
+// touches only its streams, its shard's controller, devices, stations
+// and tracer, its group's partial results and its group's clock. So
+// each group runs the same pump and step on a private clock that starts
+// at the run's instant, the groups fan across Options.Workers, and the
+// partials merge in group order: within a group, events keep their
+// (time, seq) order under a per-group sequence number, and the result is
+// the one loop's to the byte. The system clock stays frozen during the
+// fan and advances once after the join to the latest completion, the
+// argument Populate makes. A failing group stops only its own tokens;
+// Run returns the lowest-index group's error. A run that cannot split is
+// one group on the system clock.
 func Run(sys *System, gen *workload.Generator) (*Result, error) {
-	qd := gen.Options().QueueDepth
-	if qd < 1 {
-		qd = 1
-	}
+	p, opts := gen.Profile(), gen.Options()
+	qd := max(opts.QueueDepth, 1)
 	streams := gen.Streams()
 	trace := qd > 1 || len(streams) > 1
 
-	p := gen.Profile()
 	res := &Result{
 		System: sys.Name(), Benchmark: p.Name,
 		QueueDepth: qd, Streams: len(streams),
@@ -292,61 +320,88 @@ func Run(sys *System, gen *workload.Generator) (*Result, error) {
 	}
 
 	start := sys.Clock.Now()
-	buf := blockdev.GetBlock()
-	defer blockdev.PutBlock(buf)
+	groups := runGroups(sys, streams)
+	err := ForEachPoint(opts.Workers, len(groups), func(gi int) error {
+		grp := &groups[gi]
+		clock := sys.Clock
+		if len(groups) > 1 {
+			// Fill memoizes, so the shard's devices get a clone of the
+			// oracle, the way Populate's fan does.
+			clock = sim.NewClock()
+			clock.AdvanceTo(start)
+			sys.SetShardFill(grp.shard, workload.NewGenerator(p, opts).Fill)
+		}
+		grp.clock = clock
+		buf := blockdev.GetBlock()
+		defer blockdev.PutBlock(buf)
 
-	err := sys.Pump(len(streams), qd, func(si int) (sim.Time, error) {
-		g, pc := streams[si], caches[si]
-		req, ok := g.Next()
-		if !ok {
-			return 0, io.EOF
-		}
-		res.Ops++
-		sys.CPU.ChargeApp(p.AppCPU)
-		arrival := sys.Clock.Now().Add(p.AppCPU)
-		for i := 0; i < req.Blocks; i++ {
-			lba := req.LBA + int64(i)
-			if lba >= sys.Dev.Blocks() {
-				break
+		return pump(clock, len(grp.streams), qd, func(k int) (sim.Time, error) {
+			si := grp.streams[k]
+			g, pc := streams[si], caches[si]
+			req, ok := g.Next()
+			if !ok {
+				return 0, io.EOF
 			}
-			if !req.Write && pc.lookup(lba) {
-				res.ReadHist.Record(pageCacheHitLatency)
-				arrival = arrival.Add(pageCacheHitLatency)
-				continue
+			grp.ops++
+			arrival := clock.Now().Add(p.AppCPU)
+			for i := 0; i < req.Blocks; i++ {
+				lba := req.LBA + int64(i)
+				if lba >= sys.Dev.Blocks() {
+					break
+				}
+				if !req.Write && pc.lookup(lba) {
+					grp.read.Record(pageCacheHitLatency)
+					arrival = arrival.Add(pageCacheHitLatency)
+					continue
+				}
+				op := "read"
+				if req.Write {
+					op = "write"
+					g.WriteContent(lba, buf)
+				}
+				var d sim.Duration
+				var err error
+				if trace {
+					var wait sim.Duration
+					d, wait, err = sys.TracedOp(req.Write, lba, buf, arrival)
+					grp.wait.Record(wait)
+					d += wait
+				} else {
+					d, err = sys.blockOp(req.Write, lba, buf)
+				}
+				if err != nil {
+					return 0, fmt.Errorf("harness: %s %s lba %d: %w", sys.Name(), op, lba, err)
+				}
+				pc.insert(lba)
+				if req.Write {
+					grp.writes++
+					grp.write.Record(d)
+				} else {
+					grp.reads++
+					grp.read.Record(d)
+				}
+				arrival = arrival.Add(d)
 			}
-			op := "read"
-			if req.Write {
-				op = "write"
-				g.WriteContent(lba, buf)
-			}
-			var d sim.Duration
-			var err error
-			if trace {
-				var wait sim.Duration
-				d, wait, err = sys.TracedOp(req.Write, lba, buf, arrival)
-				res.QueueWait.Record(wait)
-				d += wait
-			} else {
-				d, err = sys.blockOp(req.Write, lba, buf)
-			}
-			if err != nil {
-				return 0, fmt.Errorf("harness: %s %s lba %d: %w", sys.Name(), op, lba, err)
-			}
-			pc.insert(lba)
-			if req.Write {
-				res.Writes++
-				res.WriteHist.Record(d)
-			} else {
-				res.Reads++
-				res.ReadHist.Record(d)
-			}
-			arrival = arrival.Add(d)
-		}
-		return arrival, nil
+			return arrival, nil
+		})
 	})
 	if err != nil {
 		return nil, err
 	}
+	if len(groups) > 1 {
+		sys.SetFill(gen.Fill)
+	}
+	for i := range groups {
+		grp := &groups[i]
+		res.Ops += grp.ops
+		res.Reads += grp.reads
+		res.Writes += grp.writes
+		res.ReadHist.Merge(&grp.read)
+		res.WriteHist.Merge(&grp.write)
+		res.QueueWait.Merge(&grp.wait)
+		sys.Clock.AdvanceTo(grp.clock.Now())
+	}
+	sys.CPU.ChargeApp(sim.Duration(res.Ops) * p.AppCPU)
 	if err := sys.Flush(); err != nil {
 		return nil, fmt.Errorf("harness: %s flush: %w", sys.Name(), err)
 	}
@@ -366,6 +421,61 @@ func Run(sys *System, gen *workload.Generator) (*Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// runGroup is one independent slice of a run: the streams it drives,
+// the clock they run on, and what they accumulate.
+type runGroup struct {
+	shard   int   // the shard every stream lies in, on a split run
+	streams []int // indices into the run's streams, ascending
+	clock   *sim.Clock
+
+	ops, reads, writes int64
+	read, write, wait  metrics.Histogram
+}
+
+// runGroups partitions a run's streams into shard groups, one per shard
+// that owns a stream, in shard order. A run splits only when:
+//   - the system is a sharded array driven through its own device
+//     surface (a caller's wrapper around sys.Dev may share state across
+//     shards);
+//   - every stream's Span lies inside one shard;
+//   - nothing on the request path reads the shared clock or feeds a
+//     shared watch: no armed scrubber, no fault injector, no
+//     slow-device detector.
+//
+// Otherwise the run is one group of every stream.
+func runGroups(sys *System, streams []*workload.Generator) []runGroup {
+	one := []runGroup{{streams: make([]int, len(streams))}}
+	for i := range one[0].streams {
+		one[0].streams[i] = i
+	}
+	sc := sys.Sharded
+	if sc == nil || len(streams) < 2 || sys.Dev != blockdev.Device(sc) ||
+		sys.SSDFault != nil || sys.HDDFault != nil || sys.Detector != nil ||
+		slices.ContainsFunc(sc.Shards(), (*core.Controller).Scrubbing) {
+		return one
+	}
+	byShard := make([][]int, sc.NumShards())
+	for si, g := range streams {
+		lo, hi := g.Span()
+		hi = min(hi, sc.Blocks())
+		if lo >= hi {
+			return one
+		}
+		first, _ := sc.Route(lo)
+		if last, _ := sc.Route(hi - 1); last != first {
+			return one
+		}
+		byShard[first] = append(byShard[first], si)
+	}
+	var groups []runGroup
+	for i, ids := range byShard {
+		if len(ids) > 0 {
+			groups = append(groups, runGroup{shard: i, streams: ids})
+		}
+	}
+	return groups
 }
 
 // finalize computes the derived measurements of a finished run (rates,

@@ -146,12 +146,14 @@ type System struct {
 	SSDFault *fault.Device
 	HDDFault *fault.Device
 
-	// Tracer and Stations are the concurrency-engine hookup: every SSD
+	// Tracers and Stations are the concurrency-engine hookup: every SSD
 	// channel and HDD actuator is a service station, and devices note
-	// their per-request service times through the tracer. A QD=1
-	// single-stream run never begins a trace, so the stations stay idle
-	// there.
-	Tracer   *event.Tracer
+	// their per-request service times through a tracer — shard i's
+	// devices through Tracers[i] on an I-CASH array, so two shard groups
+	// of a run never share one; a baseline stack's through Tracers[0]. A
+	// QD=1 single-stream run never begins a trace, so the stations stay
+	// idle there.
+	Tracers  []*event.Tracer
 	Stations []*event.Server
 
 	// Detector, when the build enabled it, watches station service
@@ -227,13 +229,17 @@ func (s *System) CPUBusy() sim.Duration {
 
 // instrument builds one service station per independently serving unit
 // — each SSD channel, each HDD actuator — and connects the devices to
-// the shared tracer. Called once at the end of Build. Fault plans from
-// the build config become station shapers (a fail-slow window inflates
-// station occupancy, not just the controller-visible latency), and the
-// optional slow-device detector observes every station's shaped
+// their shard's tracer. Called once at the end of Build. Fault plans
+// from the build config become station shapers (a fail-slow window
+// inflates station occupancy, not just the controller-visible latency),
+// and the optional slow-device detector observes every station's shaped
 // service times.
 func (s *System) instrument(cfg BuildConfig) {
-	s.Tracer = event.NewTracer()
+	n := len(s.SSDs)
+	s.Tracers = make([]*event.Tracer, max(n, 1))
+	for i := range s.Tracers {
+		s.Tracers[i] = event.NewTracer()
+	}
 	var ssdPlan, hddPlan *fault.Schedule
 	if cfg.FaultSSD != nil {
 		ssdPlan = cfg.FaultSSD.Plan
@@ -252,7 +258,7 @@ func (s *System) instrument(cfg BuildConfig) {
 		s.Detector.Watch(name, threshold)
 		srv.SetObserver(func(svc sim.Duration) { s.Detector.Observe(name, svc) })
 	}
-	addSSD := func(dev *ssd.Device, name string) {
+	addSSD := func(dev *ssd.Device, name string, tr *event.Tracer) {
 		chans := make([]*event.Server, dev.Config().Channels)
 		for i := range chans {
 			chans[i] = event.NewServer(fmt.Sprintf("%s.ch%d", name, i), event.DefaultQueueCap)
@@ -261,35 +267,34 @@ func (s *System) instrument(cfg BuildConfig) {
 			s.Stations = append(s.Stations, chans[i])
 			s.resets = append(s.resets, chans[i].ResetStats)
 		}
-		dev.Instrument(s.Tracer, chans)
+		dev.Instrument(tr, chans)
 	}
-	addHDD := func(h *hdd.Device, name string) {
+	addHDD := func(h *hdd.Device, name string, tr *event.Tracer) {
 		srv := event.NewServer(name, event.DefaultQueueCap)
 		srv.SetShaper(hddPlan.Shaper(srv.Name()))
 		watch(srv, slowHDDThreshold)
 		s.Stations = append(s.Stations, srv)
 		s.resets = append(s.resets, srv.ResetStats)
-		h.Instrument(s.Tracer, srv)
+		h.Instrument(tr, srv)
 	}
 	if s.SSD != nil {
-		addSSD(s.SSD, "ssd")
+		addSSD(s.SSD, "ssd", s.Tracers[0])
 	}
 	// I-CASH: shard i's stations live under ShardStation's namespace, so
 	// a fault window or detector verdict scoped to "s0.ssd" touches
 	// exactly one shard's channels (the schedule and detector both match
 	// dotted prefixes).
-	n := len(s.SSDs)
 	for i, dev := range s.SSDs {
 		name := ShardStation(i, n, "ssd")
 		s.shardSSDNames = append(s.shardSSDNames, name)
-		addSSD(dev, name)
+		addSSD(dev, name, s.Tracers[i])
 	}
 	for i, h := range s.HDDs {
-		name := fmt.Sprintf("hdd%d", i)
+		name, tr := fmt.Sprintf("hdd%d", i), s.Tracers[0]
 		if s.Sharded != nil {
-			name = ShardStation(i, n, "hdd0")
+			name, tr = ShardStation(i, n, "hdd0"), s.Tracers[i]
 		}
-		addHDD(h, name)
+		addHDD(h, name, tr)
 	}
 }
 

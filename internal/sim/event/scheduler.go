@@ -8,10 +8,12 @@
 // The engine is what lets a 4-disk RAID0 array genuinely serve four
 // seeks in parallel, an SSD overlap channel reads with HDD log appends,
 // and five VM streams interleave by virtual arrival time — while
-// remaining bit-for-bit deterministic: everything runs on one
-// goroutine, events with equal timestamps dequeue in schedule order
-// (stable tie-breaking by sequence number), and no wall-clock or map
-// iteration order ever leaks into results.
+// remaining bit-for-bit deterministic: each scheduler and the clock it
+// drives belong to one goroutine, events with equal timestamps dequeue
+// in schedule order (stable tie-breaking by sequence number), and no
+// wall-clock or map iteration order ever leaks into results. Two
+// schedulers run side by side only over disjoint state (a sharded run's
+// shard groups, each on a private clock).
 package event
 
 import (
@@ -43,8 +45,8 @@ func (e *event) before(o *event) bool {
 // advances the shared simulation clock to the event's timestamp, so
 // simulated time is always the time of the event being processed.
 //
-// Scheduler is not safe for concurrent use; the whole simulation is
-// single-goroutine by design (see the sim.Clock single-owner rule).
+// Scheduler is not safe for concurrent use; a scheduler and its clock
+// are driven by one goroutine (see the sim.Clock single-owner rule).
 type Scheduler struct {
 	clock *sim.Clock
 	heap  []event

@@ -44,9 +44,10 @@ type Options struct {
 	// shard). Ignored by the generator itself.
 	Shards int
 	// Workers, when run through the experiment harness, is the number of
-	// independent experiment points, and populate units of one point,
-	// that run concurrently (<= 0 = GOMAXPROCS). Output is identical at
-	// every count. Ignored by the generator itself.
+	// independent experiment points, and of populate units and shard
+	// groups of one point, that run concurrently (<= 0 = GOMAXPROCS).
+	// Output is identical at every count. Ignored by the generator
+	// itself.
 	Workers int
 }
 
@@ -140,6 +141,23 @@ func (g *Generator) Streams() []*Generator {
 	return streams
 }
 
+// Span returns the half-open LBA range [lo, hi) that every block of
+// every request of g lies in: the pinned VM's image, or the whole data
+// set. A request longer than its image starts at the image's base, so
+// on a profile that issues multi-block requests the span reaches at
+// least maxReqBlocks.
+func (g *Generator) Span() (lo, hi int64) {
+	reach := g.imageBlocks
+	if g.p.AvgReadBytes > blockdev.BlockSize || g.p.AvgWriteBytes > blockdev.BlockSize {
+		reach = max(reach, maxReqBlocks)
+	}
+	if g.vmPin < 0 {
+		return 0, g.dataBlocks - g.imageBlocks + reach
+	}
+	lo = int64(g.vmPin) * g.imageBlocks
+	return lo, lo + reach
+}
+
 // DataBlocks returns the scaled data-set size in blocks.
 func (g *Generator) DataBlocks() int64 { return g.dataBlocks }
 
@@ -202,8 +220,12 @@ func (g *Generator) Reset() {
 	}
 }
 
+// maxReqBlocks is the longest request reqBlocks draws.
+const maxReqBlocks = 64
+
 // reqBlocks samples a request length around the profile's mean using a
-// geometric-ish distribution clamped to [1, 64].
+// geometric-ish distribution clamped to [1, maxReqBlocks]; a mean of at
+// most one block always draws 1.
 func (g *Generator) reqBlocks(avgBytes int) int {
 	mean := float64(avgBytes) / blockdev.BlockSize
 	if mean <= 1 {
@@ -212,7 +234,7 @@ func (g *Generator) reqBlocks(avgBytes int) int {
 	// Geometric with the right mean: P(continue) = 1 - 1/mean.
 	n := 1
 	pCont := 1 - 1/mean
-	for n < 64 && g.rng.Float64() < pCont {
+	for n < maxReqBlocks && g.rng.Float64() < pCont {
 		n++
 	}
 	return n
@@ -467,11 +489,4 @@ func (g *Generator) Summary() string {
 	return fmt.Sprintf("%s: %d ops over %s (scale %.4g, %d VMs)",
 		g.p.Name, g.numOps, ByteSize(g.dataBlocks*blockdev.BlockSize),
 		g.opts.Scale, max(1, g.p.VMs))
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
