@@ -56,7 +56,7 @@ type Controller struct {
 	heat *sig.Heatmap
 	// lbas holds one record per LBA of the virtual disk: the tracked
 	// vblock, the newest durable log record, the content checksum.
-	lbas []lbaState
+	lbas []lbaEntry
 	lru  lruList
 
 	deltaBudget *ram.Budget
@@ -221,7 +221,7 @@ func New(cfg Config, ssdDev, hddDev blockdev.Device, clock *sim.Clock, cpu *cpum
 		ssd:           ssdDev,
 		hdd:           hddDev,
 		heat:          sig.NewHeatmap(),
-		lbas:          make([]lbaState, cfg.VirtualBlocks),
+		lbas:          make([]lbaEntry, cfg.VirtualBlocks),
 		deltaBudget:   ram.NewBudget(cfg.DeltaRAMBytes),
 		dataBudget:    ram.NewBudget(cfg.DataRAMBytes),
 		slotTab:       make([]*refSlot, cfg.SSDBlocks),

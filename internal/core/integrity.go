@@ -8,7 +8,7 @@ import (
 )
 
 // This file is the controller's end-to-end integrity layer (DESIGN.md
-// §14): a per-LBA content checksum (lbaState.sum) maintained on the
+// §14): a per-LBA content checksum (lbaEntry.sum) maintained on the
 // host write path and verified at every layer crossing — SSD reference
 // fetch (slots.go), HDD home read (below), delta apply (iopath.go),
 // journal load (log.go) — so a device that lies and returns success

@@ -116,7 +116,7 @@ type entryMeta struct {
 	size  int32 // packed size including header
 }
 
-// logRec is lbaState.rec: where the newest durable record for an LBA
+// logRec is lbaEntry.rec: where the newest durable record for an LBA
 // lives.
 type logRec struct {
 	block int64

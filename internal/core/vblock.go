@@ -38,7 +38,7 @@ func (k Kind) String() string {
 // vblock is the per-LBA metadata record ("virtual block", paper §4.3):
 // the LBA, the content signature, the reference association, and
 // pointers to cached data and delta bytes. What outlives the vblock (the
-// newest durable log record, the content checksum) is in lbaState.
+// newest durable log record, the content checksum) is in lbaEntry.
 //
 // Field order is deliberate: the small fields share one 16-byte tail so
 // the record stays inside the 128-byte malloc size class
@@ -95,11 +95,11 @@ type vblock struct {
 	dead bool
 }
 
-// lbaState is the controller's record of one LBA of the virtual disk;
+// lbaEntry is the controller's record of one LBA of the virtual disk;
 // Controller.lbas holds one per LBA, so the zero value is an LBA the
 // controller knows nothing about (home location authoritative and
 // unverified).
-type lbaState struct {
+type lbaEntry struct {
 	// v is the tracked virtual block, nil when metadata replacement
 	// dropped it (or the LBA was never touched).
 	v *vblock

@@ -1,20 +1,19 @@
 // Package chaos is the deterministic chaos-soak harness: randomized
 // but fully seeded fail-slow and fail-stop fault schedules driven
-// against the I-CASH stack at queue depth > 1, with an independent
-// content oracle checking every read. One seed reproduces one
-// byte-identical run — fault windows, request stream, quarantine
-// flips and all — so a failing seed is a unit test, not a flake.
+// against the I-CASH stack at queue depth > 1, with the spec checking
+// every read. One seed reproduces one byte-identical run — fault
+// windows, request stream, quarantine flips and all — so a failing seed
+// is a unit test, not a flake.
 //
 // A soak passes when the stack survives the schedule with its
 // invariants intact and *no silent data loss*: every read either
-// returns the content the oracle expects, or the mismatch is covered
-// by the controller's own loss accounting (scrub losses, degraded
-// losses, dropped log records). Data the stack lost and admitted to
-// losing is a handled fault; data it lost quietly is a bug.
+// returns content the spec (internal/spec) accepts, or the mismatch is
+// covered by the controller's own loss accounting (scrub losses,
+// degraded losses, dropped log records). Data the stack lost and
+// admitted to losing is a handled fault; data it lost quietly is a bug.
 package chaos
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -25,6 +24,7 @@ import (
 	"icash/internal/harness"
 	"icash/internal/metrics"
 	"icash/internal/sim"
+	"icash/internal/spec"
 )
 
 // Config parameterizes one soak run. The zero value of every field is
@@ -88,12 +88,12 @@ type Result struct {
 	Reads  int64
 	Writes int64
 	// OpErrors counts operations the stack gave up on (deadline
-	// give-ups, unhealed faults). The op failed loudly; the oracle
-	// does not advance for failed writes.
+	// give-ups, unhealed faults). The op failed loudly; a failed write
+	// only widens what the spec accepts for its block.
 	OpErrors int64
-	// WrongReads counts successful reads whose content did not match
-	// any oracle-acceptable version; WrongLBAs is the number of
-	// distinct blocks affected (the unit the loss counters speak in).
+	// WrongReads counts successful reads whose content the spec
+	// rejected; WrongLBAs is the number of distinct blocks affected
+	// (the unit the loss counters speak in).
 	WrongReads int64
 	WrongLBAs  int64
 	// AccountedLoss is the controller's own admitted data loss:
@@ -128,17 +128,6 @@ type Result struct {
 	// Quarantined reports whether the run *ended* with the SSD still
 	// quarantined (Stats.QuarantineEvents counts the flips).
 	Quarantined bool
-}
-
-// oracle state for one block: the exact content the last successful
-// write installed, plus (after a failed write) the content that may or
-// may not have landed — an errored write leaves the block in one of
-// two legitimate states, exactly like a real torn command. Full
-// byte-for-byte copies, so the verifier catches any corruption, not
-// just header swaps.
-type lbaState struct {
-	current []byte
-	maybe   []byte // nil = none
 }
 
 // fillBlock writes the deterministic content of (lba, version). The
@@ -298,8 +287,9 @@ func Run(cfg Config) (*Result, error) {
 	// plan has no windows yet and the probabilistic rates are armed
 	// only after the stats reset below — a populate-phase fault would
 	// leave damaged state whose loss accounting ResetStats erases,
-	// turning an accounted loss into an apparent silent one).
-	oracle := make([]lbaState, cfg.LBASpace)
+	// turning an accounted loss into an apparent silent one). Version 1
+	// is the spec's initial content.
+	disk := spec.New(func(lba int64, b []byte) { fillBlock(b, lba, 1) })
 	buf := make([]byte, blockdev.BlockSize)
 	// sweep visits every block once on a one-token pump, serially and
 	// untraced: each visit issues when the one before, d long, completes.
@@ -319,7 +309,6 @@ func Run(cfg Config) (*Result, error) {
 		if _, err := sys.Dev.WriteBlock(lba, buf); err != nil {
 			return 0, fmt.Errorf("chaos: populate lba %d: %w", lba, err)
 		}
-		oracle[lba] = lbaState{current: append([]byte(nil), buf...)}
 		return 10 * sim.Microsecond, nil
 	})
 	if err != nil {
@@ -376,7 +365,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	// Measured phase: QueueDepth issue tokens on the harness pump, every
-	// block a traced op, with every read checked against the oracle at
+	// block a traced op, with every read checked against the spec at
 	// execution time (the stack runs in deterministic event order, so
 	// "current version" is well-defined even with overlapping requests).
 	res := &Result{Seed: cfg.Seed}
@@ -409,16 +398,6 @@ func Run(cfg Config) (*Result, error) {
 
 	rng := sim.NewRand(cfg.Seed ^ 0x5eed_0fca_0c4a_0001)
 	version := uint64(1) // global version counter: unique per write
-	wrong := make(map[int64]bool)
-
-	verify := func(lba int64, b []byte) {
-		st := &oracle[lba]
-		if bytes.Equal(b, st.current) || (st.maybe != nil && bytes.Equal(b, st.maybe)) {
-			return
-		}
-		res.WrongReads++
-		wrong[lba] = true
-	}
 
 	// A failed op is a loud failure, counted here and judged by the
 	// invariant and loss checks below; it does not stop the pump.
@@ -440,20 +419,12 @@ func Run(cfg Config) (*Result, error) {
 			res.OpErrors++
 		}
 		if write {
-			st := &oracle[lba]
-			if err != nil {
-				// The write failed loudly; the block now legitimately
-				// holds either the old or the new content.
-				st.maybe = append([]byte(nil), buf...)
-			} else {
-				st.current = append([]byte(nil), buf...)
-				st.maybe = nil
-			}
+			disk.Write(lba, buf, err == nil)
 			res.Writes++
 			res.WriteHist.Record(d)
 		} else {
-			if err == nil {
-				verify(lba, buf)
+			if err == nil && disk.Check(lba, buf) != nil {
+				res.WrongReads++
 			}
 			res.Reads++
 			res.ReadHist.Record(d)
@@ -474,8 +445,8 @@ func Run(cfg Config) (*Result, error) {
 		d, err := sys.Dev.ReadBlock(lba, buf)
 		if err != nil {
 			res.OpErrors++
-		} else {
-			verify(lba, buf)
+		} else if disk.Check(lba, buf) != nil {
+			res.WrongReads++
 		}
 		return d, nil
 	})
@@ -498,7 +469,7 @@ func Run(cfg Config) (*Result, error) {
 		res.SlowTime += st.SlowTime
 		res.Stations = append(res.Stations, st)
 	}
-	res.WrongLBAs = int64(len(wrong))
+	res.WrongLBAs = int64(disk.WrongLBAs())
 	res.AccountedLoss = res.Stats.ScrubDataLoss + res.Stats.DegradedDataLoss +
 		res.Stats.DroppedLogRecs
 	res.SilentUncaught = int64(sys.SSDFault.SilentOutstanding() + sys.HDDFault.SilentOutstanding())

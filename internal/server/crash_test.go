@@ -9,6 +9,7 @@ import (
 	"icash/internal/fault"
 	"icash/internal/fault/crashtest"
 	"icash/internal/sim"
+	"icash/internal/spec"
 )
 
 // The crash sweep's deterministic frame workload. The same seed always
@@ -63,13 +64,14 @@ func genBlock(rnd *sim.Rand) []byte {
 }
 
 // runServedCrashWorkload replays the deterministic frame script against
-// the rig's session, keeping the durability oracle in sync with what
-// the wire acknowledged: a write joins the history when its reply is
-// seen, the floor rises when a flush reply is seen. A power cut fires
-// inside Feed — after frame decode, before that request's reply is
-// emitted — so the replies already in the returned buffer identify
-// exactly which requests of the burst completed.
-func runServedCrashWorkload(t *testing.T, rig *serveRig, o *crashtest.Oracle) (crashed bool) {
+// the rig's session, keeping the spec in step with what the wire
+// acknowledged: a write is acknowledged when its reply is seen, the
+// durable floor rises when a flush reply is seen, and a read reply must
+// hold content the spec accepts. A power cut fires inside Feed — after
+// frame decode, before that request's reply is emitted — so the replies
+// already in the returned buffer identify exactly which requests of the
+// burst completed.
+func runServedCrashWorkload(t *testing.T, rig *serveRig, disk *spec.Disk) (crashed bool) {
 	t.Helper()
 	if _, err := rig.sess.Feed(AppendHello(nil, Hello{Version: ProtocolVersion, WantWindow: 8, VM: AnyVM})); err != nil {
 		t.Fatalf("handshake: %v", err)
@@ -120,9 +122,13 @@ func runServedCrashWorkload(t *testing.T, rig *serveRig, o *crashtest.Oracle) (c
 			if rep.Status == StatusOK {
 				switch s.op {
 				case OpWrite:
-					o.NoteWrite(s.lba, s.content)
+					disk.Write(s.lba, s.content, true)
 				case OpFlush:
-					o.NoteFlush()
+					disk.Flush()
+				case OpRead:
+					if err := disk.Check(s.lba, rep.Payload); err != nil {
+						t.Fatalf("read %d: %v", rep.ID, err)
+					}
 				}
 			}
 			acked++
@@ -134,11 +140,10 @@ func runServedCrashWorkload(t *testing.T, rig *serveRig, o *crashtest.Oracle) (c
 			}
 			// The request the cut interrupted is burst[acked]: decoded,
 			// executing, reply never emitted. An interrupted write may
-			// still surface after recovery if its log record landed, so
-			// it joins the history without raising the durable floor. An
+			// still surface after recovery if its log record landed; an
 			// interrupted flush was never acknowledged: no floor raise.
 			if acked < len(burst) && burst[acked].op == OpWrite {
-				o.NoteWrite(burst[acked].lba, burst[acked].content)
+				disk.Write(burst[acked].lba, burst[acked].content, false)
 			}
 			return true
 		}
@@ -151,12 +156,12 @@ func runServedCrashWorkload(t *testing.T, rig *serveRig, o *crashtest.Oracle) (c
 
 // TestServedCrashSweep cuts power at log writes reached through the
 // block-service path — mid-burst, between frame decode and reply
-// emission — then recovers and holds the array to the wire's promises:
-// no write the server acknowledged as durable (flush/close reply) may
-// be lost, no recovered block may hold content never written, the
-// journal audit must agree with recovery's discard count, and the
-// controller invariants must hold. This is the served twin of the
-// in-process crashtest sweep.
+// emission — then powers the array back on (crashtest.PowerOn) and
+// holds it to the wire's promises: no write the server acknowledged as
+// durable (flush/close reply) may be lost, no recovered block may hold
+// content never written, the journal audit must agree with recovery's
+// discard count, and the controller invariants must hold. This is the
+// served twin of the in-process crashtest sweep.
 func TestServedCrashSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash sweep is not a -short test")
@@ -166,7 +171,7 @@ func TestServedCrashSweep(t *testing.T) {
 	// counts landing in the delta-log region.
 	dry := buildServeRig(t)
 	dry.hddF.TraceWrites = true
-	if crashed := runServedCrashWorkload(t, dry, crashtest.NewOracle()); crashed {
+	if crashed := runServedCrashWorkload(t, dry, spec.New(nil)); crashed {
 		t.Fatal("dry run crashed with nothing armed")
 	}
 	if err := dry.sess.CloseStream(); err != nil {
@@ -193,42 +198,17 @@ func TestServedCrashSweep(t *testing.T) {
 
 	for _, point := range picks {
 		for _, tear := range torn {
-			o := crashtest.NewOracle()
+			d := spec.New(nil)
 			rig := buildServeRig(t)
 			rig.hddF.SetCrashAfterWrites(point, tear)
-			if crashed := runServedCrashWorkload(t, rig, o); !crashed {
+			if crashed := runServedCrashWorkload(t, rig, d); !crashed {
 				t.Fatalf("point %d tear %d: armed crash never fired (saw %d writes)",
 					point, tear, rig.hddF.WritesSeen())
 			}
-
-			// Power-on: RAM gone, media (torn block included) survives.
 			rig.hddF.Restore()
-			clock := sim.NewClock()
-			cpu := cpumodel.NewAccountant(clock)
-			rc, err := core.Recover(rig.cfg, rig.ssd, rig.hddF, clock, cpu)
-			if err != nil {
-				t.Fatalf("point %d tear %d: recover: %v", point, tear, err)
-			}
-			if err := rc.CheckInvariants(); err != nil {
-				t.Fatalf("point %d tear %d: post-recovery invariants: %v", point, tear, err)
-			}
-			incomplete, err := rc.AuditJournal()
-			if err != nil {
-				t.Fatalf("point %d tear %d: journal audit: %v", point, tear, err)
-			}
-			if int64(incomplete) != rc.Stats.TxnsDiscardedOnReplay {
-				t.Fatalf("point %d tear %d: %d incomplete transactions on disk, recovery discarded %d",
-					point, tear, incomplete, rc.Stats.TxnsDiscardedOnReplay)
-			}
-
-			buf := make([]byte, blockdev.BlockSize)
-			for lba := int64(0); lba < crashLBASpace; lba++ {
-				if _, err := rc.ReadBlock(lba, buf); err != nil {
-					t.Fatalf("point %d tear %d: read-back lba %d: %v", point, tear, lba, err)
-				}
-				if err := o.Check(lba, buf); err != nil {
-					t.Fatalf("point %d tear %d: %v", point, tear, err)
-				}
+			media := []crashtest.Media{{SSD: rig.ssd, HDD: rig.hddF}}
+			if _, err := crashtest.PowerOn(rig.cfg, media, crashLBASpace, d); err != nil {
+				t.Fatalf("point %d tear %d: %v", point, tear, err)
 			}
 		}
 	}

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"fmt"
 	"strings"
 
@@ -11,6 +10,7 @@ import (
 	"icash/internal/metrics"
 	"icash/internal/sim"
 	"icash/internal/sim/event"
+	"icash/internal/spec"
 	"icash/internal/workload"
 )
 
@@ -138,7 +138,6 @@ type servedSession struct {
 
 	readLat   metrics.Histogram
 	writeLat  metrics.Histogram
-	pending   map[uint64][]byte // read id -> expected payload (content oracle)
 	issueTime map[uint64]sim.Time
 }
 
@@ -147,8 +146,8 @@ type servedSession struct {
 // StreamPerVM), each with its own uplink station and a closed-loop
 // window of in-flight requests, all composed under the system's single
 // clock. Every reply is verified — CRC, id matching via the client
-// tracker, and read payloads against the workload's content oracle —
-// and every session ends with a graceful OpClose that drains the
+// tracker, and read payloads against the spec (internal/spec) — and
+// every session ends with a graceful OpClose that drains the
 // journal. The per-session in-flight window is opts.QueueDepth (0 falls
 // back to 8), clamped to MaxWindow. The run is bit-identical for a
 // given (profile, opts) regardless of the process's worker count: the
@@ -168,6 +167,10 @@ func RunServed(p workload.Profile, opts workload.Options) (*ServeResult, error) 
 	}
 	streams := gen.Streams()
 	imageBlocks := gen.ImageBlocks()
+	// One spec for the whole disk: VM sessions own disjoint partitions,
+	// and each session's uplink is FIFO, so a read executes after every
+	// write its session issued before it and before any issued after.
+	disk := spec.New(gen.Fill)
 
 	backend := &simBackend{sys: sys}
 	xfer := func(n int) sim.Duration {
@@ -186,7 +189,6 @@ func RunServed(p workload.Profile, opts workload.Options) (*ServeResult, error) 
 			vm:        sgen.VM(),
 			gen:       sgen,
 			tokens:    window,
-			pending:   make(map[uint64][]byte),
 			issueTime: make(map[uint64]sim.Time),
 		}
 		opt := SessionOptions{MaxWindow: window}
@@ -234,12 +236,14 @@ func RunServed(p workload.Profile, opts workload.Options) (*ServeResult, error) 
 	}
 
 	// send frames one client request through the wire: uplink station,
-	// delivery, execution against the array, reply verification, and
-	// the next issue for the token that carried it.
-	var send func(ss *servedSession, frame []byte, onDone func(rdone sim.Time))
+	// delivery, execution against the array, reply verification (its
+	// payload against the spec), and the next issue for the token that
+	// carried it.
+	var send func(ss *servedSession, req Request, onDone func(rdone sim.Time))
 	var issue func(ss *servedSession)
 
-	send = func(ss *servedSession, frame []byte, onDone func(rdone sim.Time)) {
+	send = func(ss *servedSession, req Request, onDone func(rdone sim.Time)) {
+		frame := AppendRequest(nil, req)
 		arrival := clock.Now().Add(p.AppCPU)
 		sys.CPU.ChargeApp(p.AppCPU)
 		_, done := ss.station.Admit(arrival, xfer(len(frame)))
@@ -263,7 +267,7 @@ func RunServed(p workload.Profile, opts workload.Options) (*ServeResult, error) 
 			}
 			rdone := complete.Add(xfer(len(out)))
 			for i := range replies {
-				if err := ss.verify(&replies[i], rdone); err != nil {
+				if err := ss.complete(disk, &req, &replies[i], rdone); err != nil {
 					fail(err)
 					return
 				}
@@ -294,8 +298,7 @@ func RunServed(p workload.Profile, opts workload.Options) (*ServeResult, error) 
 				fail(fmt.Errorf("server: %s: %w", ss.name, err))
 				return
 			}
-			frame := AppendRequest(nil, Request{Op: OpClose, ID: id})
-			send(ss, frame, func(sim.Time) {})
+			send(ss, Request{Op: OpClose, ID: id}, func(sim.Time) {})
 			return
 		}
 		res.Ops++
@@ -323,17 +326,8 @@ func RunServed(p workload.Profile, opts workload.Options) (*ServeResult, error) 
 			wire.Payload = payload
 		} else {
 			res.Reads++
-			// Snapshot the expected content now: the session's uplink
-			// is FIFO, so every write issued before this read lands
-			// before it, and none issued after can overtake it.
-			expect := make([]byte, req.Blocks*blockdev.BlockSize)
-			for i := 0; i < req.Blocks; i++ {
-				ss.gen.CurrentContent(req.LBA+int64(i), expect[i*blockdev.BlockSize:(i+1)*blockdev.BlockSize])
-			}
-			ss.pending[id] = expect
 		}
-		frame := AppendRequest(nil, wire)
-		send(ss, frame, func(sim.Time) { issue(ss) })
+		send(ss, wire, func(sim.Time) { issue(ss) })
 	}
 
 	for t := 0; t < window; t++ {
@@ -379,9 +373,10 @@ func RunServed(p workload.Profile, opts workload.Options) (*ServeResult, error) 
 	return res, nil
 }
 
-// verify checks one completion: status, and for reads the payload
-// against the workload's content oracle.
-func (ss *servedSession) verify(rep *Reply, rdone sim.Time) error {
+// complete checks one reply to req: its status, its latency, and its
+// payload against the spec. An acknowledged write's blocks become the
+// acceptable content; a read's must be it.
+func (ss *servedSession) complete(disk *spec.Disk, req *Request, rep *Reply, rdone sim.Time) error {
 	issued, ok := ss.issueTime[rep.ID]
 	if ok {
 		delete(ss.issueTime, rep.ID)
@@ -395,14 +390,16 @@ func (ss *servedSession) verify(rep *Reply, rdone sim.Time) error {
 	if rep.Status != StatusOK {
 		return fmt.Errorf("server: %s: request %d (op %d) failed with status %d", ss.name, rep.ID, rep.Op, rep.Status)
 	}
-	if rep.Op == OpRead {
-		expect := ss.pending[rep.ID]
-		delete(ss.pending, rep.ID)
-		if expect == nil {
-			return fmt.Errorf("server: %s: read reply %d has no pending oracle entry", ss.name, rep.ID)
-		}
-		if !bytes.Equal(rep.Payload, expect) {
-			return fmt.Errorf("server: %s: read %d returned content diverging from the oracle", ss.name, rep.ID)
+	for i := 0; i < int(req.Blocks); i++ {
+		lba := int64(req.LBA) + int64(i)
+		off := i * blockdev.BlockSize
+		switch rep.Op {
+		case OpWrite:
+			disk.Write(lba, req.Payload[off:off+blockdev.BlockSize], true)
+		case OpRead:
+			if err := disk.Check(lba, rep.Payload[off:off+blockdev.BlockSize]); err != nil {
+				return fmt.Errorf("server: %s: read %d: %w", ss.name, rep.ID, err)
+			}
 		}
 	}
 	return nil
