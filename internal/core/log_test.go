@@ -265,7 +265,10 @@ func TestCrashAtRandomPoints(t *testing.T) {
 }
 
 // TestQuarantineBlocksSlotReuse: a freed slot must not be reused before
-// the flush that commits its dependents' tombstones.
+// the flush that commits its dependents' tombstones. That includes the
+// slot an attached block leaves when it writes through: a durable delta
+// may still decode against it, so the new content always lands in
+// another slot, even when finding one took a commit.
 func TestQuarantineBlocksSlotReuse(t *testing.T) {
 	cfg := smallConfig()
 	cfg.SSDBlocks = 8 // tiny SSD: slot churn guaranteed
@@ -276,13 +279,27 @@ func TestQuarantineBlocksSlotReuse(t *testing.T) {
 	r := sim.NewRand(41)
 	buf := make([]byte, blockdev.BlockSize)
 	model := map[int64][]byte{}
+	moved := 0
 	for op := 0; op < 3000; op++ {
 		lba := int64(r.Intn(100))
 		content := genContent(r, op%50, 0.4) // diverse content: write-through pressure
+		prev, old, throughs := c.lbas[lba].v, int64(-1), c.Stats.WriteThroughSSD
+		if prev != nil && prev.slotRef != nil {
+			old = prev.slotRef.index
+		}
 		if _, err := c.WriteBlock(lba, content); err != nil {
 			t.Fatalf("op %d: %v", op, err)
 		}
+		if v := c.lbas[lba].v; old >= 0 && v == prev && c.Stats.WriteThroughSSD > throughs {
+			moved++
+			if v.slotRef.index == old {
+				t.Fatalf("op %d: lba %d wrote through over its own slot %d", op, lba, old)
+			}
+		}
 		model[lba] = content
+	}
+	if moved == 0 {
+		t.Fatal("no attached block wrote through")
 	}
 	for lba, want := range model {
 		c.ReadBlock(lba, buf)

@@ -338,42 +338,36 @@ func (c *Controller) slotContent(s *refSlot, background bool) ([]byte, sim.Durat
 }
 
 // writeThroughSSD handles an oversized delta (paper §5.3): the new
-// content is written directly to an SSD slot, releasing delta-buffer
-// space. The write is synchronous (it is the request's data path), so
-// its latency is returned. Falls back to a dirty RAM block when no slot
-// can be allocated.
+// content is written directly to a fresh SSD slot, releasing
+// delta-buffer space. A slot is never reprogrammed in place, because a
+// durable delta may still decode against v's old slot. v leaves that
+// slot only once the new one is allocated (the allocation may commit,
+// and a commit hands quarantined slots back), so the old slot stays
+// quarantined until the commit that carries v's new pointer. The write
+// is synchronous (it is the request's data path), so its latency is
+// returned. Falls back to a dirty RAM block when no slot can be
+// allocated.
 func (c *Controller) writeThroughSSD(v *vblock, content []byte) (sim.Duration, error) {
-	var s *refSlot
-	if v.slotRef != nil && v.slotRef.refcnt == 1 {
-		// Sole occupant: overwrite the same slot in place.
-		s = v.slotRef
-		if s.donor != v.lba && s.donor >= 0 {
-			// Slot content belonged to another (departed) donor; it is
-			// ours alone now.
-			s.donor = v.lba
-		}
-	} else {
-		if v.slotRef != nil {
-			c.detachSlot(v)
+	s := c.allocSlot()
+	if s == nil && len(c.quarantine) > 0 {
+		// Freed slots are waiting on a flush to commit their
+		// tombstones; commit now (cheap sequential log writes) and
+		// retry.
+		if err := c.commitJournal(); err != nil {
+			return 0, err
 		}
 		s = c.allocSlot()
-		if s == nil && len(c.quarantine) > 0 {
-			// Freed slots are waiting on a flush to commit their
-			// tombstones; commit now (cheap sequential log writes) and
-			// retry.
-			if err := c.commitJournal(); err != nil {
-				return 0, err
-			}
-			s = c.allocSlot()
+	}
+	if s == nil {
+		// Recycle the coldest previous write-through block; its
+		// content moves to its home location in the background.
+		if err := c.reclaimWriteThrough(); err != nil {
+			return 0, err
 		}
-		if s == nil {
-			// Recycle the coldest previous write-through block; its
-			// content moves to its home location in the background.
-			if err := c.reclaimWriteThrough(); err != nil {
-				return 0, err
-			}
-			s = c.allocSlot()
-		}
+		s = c.allocSlot()
+	}
+	if v.slotRef != nil {
+		c.detachSlot(v)
 	}
 	if s == nil {
 		// SSD fully pinned by shared references: keep the block dirty
@@ -401,15 +395,7 @@ func (c *Controller) writeThroughSSD(v *vblock, content []byte) (sim.Duration, e
 		// whose content didn't land, then keep the write in RAM (same
 		// fallback as a fully pinned SSD). A media-class failure retires
 		// the flash block; anything else quarantines it for reuse.
-		retire := blockdev.Classify(err) == blockdev.ClassMedia
-		if v.slotRef == s {
-			c.detachSlot(v) // quarantines s: refcnt hits zero
-			if retire {
-				c.retireQuarantined(s.index)
-			}
-		} else {
-			c.discardSlot(s, retire)
-		}
+		c.discardSlot(s, blockdev.Classify(err) == blockdev.ClassMedia)
 		c.releaseDelta(v)
 		c.setKind(v, Independent)
 		v.hddHome = false
@@ -423,9 +409,7 @@ func (c *Controller) writeThroughSSD(v *vblock, content []byte) (sim.Duration, e
 		c.Stats.WriteRAMFallback++
 		return ram.AccessLatency, nil
 	}
-	if v.slotRef != s {
-		c.attachSlot(v, s)
-	}
+	c.attachSlot(v, s)
 	s.donor = v.lba
 	s.sigv = v.sigv
 	s.crc = contentCRC(content)

@@ -238,7 +238,7 @@ func TestMaintainedStateMatchesWalks(t *testing.T) {
 			_, _ = c.WriteBlock(lba, genContent(r, int(lba%6), 0.05))
 		case p < 0.90:
 			// Unrelated content: no reference accepts it, so it writes
-			// through (or rewrites its write-through slot in place).
+			// through to a fresh slot.
 			fillByLBA(int64(r.Uint64()>>1), buf)
 			_, _ = c.WriteBlock(lba, buf)
 		case p < 0.92:
