@@ -93,7 +93,7 @@ func TestScanOutcomePinned(t *testing.T) {
 			outcome{Scans: 44, ScanCandidates: 135168}},
 		{"mail", workload.LoadSim(),
 			workload.Options{Scale: 1.0 / 1024, Seed: 42},
-			outcome{Scans: 13, ScanCandidates: 38402, ScanDeltaRejects: 73}},
+			outcome{Scans: 13, ScanCandidates: 38400, ScanDeltaRejects: 73}},
 	} {
 		br, err := RunBenchmark(tc.p, tc.opts, []Kind{ICASH})
 		if err != nil {

@@ -73,11 +73,11 @@ func groupCases() []struct {
 				Stats: 0x56224894cedac58c, Stations: 0xc8d243350ce7fd51}},
 		{"tpcc5vm-shards4", workload.TPCC5VM(),
 			workload.Options{Scale: 1.0 / 256, MaxOps: 2000, Seed: 42, QueueDepth: 8, StreamPerVM: true, Shards: 4},
-			runPin{Ops: 1597, Reads: 1883, Writes: 3536, Elapsed: 155872883,
-				Read: histPin{5589, 917270974, 3932160}, Write: histPin{3536, 1953197068, 15728640},
-				Wait:  histPin{5419, 2664046447, 15728640},
-				Kinds: core.KindCounts{Reference: 331, Associate: 4852, Independent: 29},
-				Stats: 0x46a720c3647eb277, Stations: 0xb8a327dbb89b9632}},
+			runPin{Ops: 1597, Reads: 1883, Writes: 3536, Elapsed: 159307342,
+				Read: histPin{5589, 969256643, 5767168}, Write: histPin{3536, 1959177537, 15728640},
+				Wait:  histPin{5419, 2718177506, 15728640},
+				Kinds: core.KindCounts{Reference: 332, Associate: 4852, Independent: 27},
+				Stats: 0xe2ec5f9fa227de72, Stations: 0x386e68bbdc6f0d35}},
 	}
 }
 
