@@ -1,13 +1,13 @@
 GO ?= go
 # The non-test source line count (`make loc`) may not pass this.
-LOC_CEILING = 19990
+LOC_CEILING = 19952
 
 .PHONY: help check build vet lint vet-json fmt-check test golden loc loc-check benchmark-smoke race bench bench-smoke bench-profile alloc-gate fuzz-smoke clockcheck chaos chaos-smoke crash-sweep serve-smoke scrub-smoke shard-smoke examples bench-record
 
 help: ## list targets (static analysis lives in lint = icash-vet)
 	@awk -F':.*## ' '/^[a-z-]+:.*## /{printf "%-12s %s\n", $$1, $$2}' Makefile
 
-check: fmt-check vet lint build loc-check golden race clockcheck bench-smoke benchmark-smoke alloc-gate crash-sweep serve-smoke scrub-smoke shard-smoke ## everything CI's check job runs
+check: fmt-check vet lint build loc-check golden race clockcheck bench-smoke benchmark-smoke alloc-gate crash-sweep serve-smoke scrub-smoke shard-smoke examples ## everything CI's check job runs
 
 build: ## go build ./...
 	$(GO) build ./...

@@ -2,12 +2,14 @@ package core
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"icash/internal/blockdev"
 	"icash/internal/cpumodel"
 	"icash/internal/fault"
 	"icash/internal/sim"
+	"icash/internal/spec"
 )
 
 // faultRig is a controller whose devices sit behind fault wrappers.
@@ -182,6 +184,108 @@ func TestSlotCorruptionScrubRepair(t *testing.T) {
 	}
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatalf("invariants after scrub storm: %v", err)
+	}
+}
+
+// TestScrubSlotUnrewritable drives scrubSlot's repaired-but-unrewritable
+// branch: every live slot's content is recovered (donor RAM or the
+// CRC-valid HDD home backup) but the flash block refuses the heal
+// write. Each such slot must be retired and every dependent rebuilt —
+// from its RAM data, the recovered base (write-through), or the base
+// plus its delta from RAM or the log — and written home, so no read
+// disagrees with the spec and ScrubDataLoss counts nothing there. Slots
+// with no valid repair source take the salvage-and-count branch; their
+// wrong reads must all be accounted as loss.
+func TestScrubSlotUnrewritable(t *testing.T) {
+	cfg := smallConfig()
+	cfg.DeltaRAMBytes = 64 << 10 // deltas spill: some live only in the log
+	cfg.DataRAMBytes = 16 * blockdev.BlockSize
+	clock := sim.NewClock()
+	stuck := make(map[int64]bool)
+	ssd := &badWriteDevice{
+		MemDevice: blockdev.NewMemDevice(cfg.SSDBlocks, 10*sim.Microsecond),
+		bad:       func(lba int64) bool { return stuck[lba] },
+	}
+	hdd := blockdev.NewMemDevice(cfg.VirtualBlocks+cfg.LogBlocks, 100*sim.Microsecond)
+	c, err := New(cfg, ssd, hdd, clock, cpumodel.NewAccountant(clock))
+	if err != nil {
+		t.Fatal(err)
+	}
+	disk := spec.New(nil)
+	r := sim.NewRand(7)
+	buf := make([]byte, blockdev.BlockSize)
+	const span = 1024
+	for op := 0; op < 8000; op++ {
+		lba := int64(r.Intn(span))
+		if r.Float64() < 0.3 {
+			content := genContent(r, int(lba%7), 0.02)
+			if _, err := c.WriteBlock(lba, content); err != nil {
+				t.Fatalf("op %d: write: %v", op, err)
+			}
+			disk.Write(lba, content, true)
+		} else if _, err := c.ReadBlock(lba, buf); err != nil {
+			t.Fatalf("op %d: read: %v", op, err)
+		}
+	}
+
+	// Which source each dependent's content must come from.
+	var fromData, fromBase, fromRAMDelta, fromLogDelta int
+	repaired := make(map[int64]bool) // dependents of slots taking the branch
+	slots := append([]*refSlot(nil), c.liveSlots()...)
+	for _, s := range slots {
+		deps := c.slotDependents(s)
+		var data, base, ramDelta, logDelta int
+		for _, v := range deps {
+			switch {
+			case v.dataRAM != nil:
+				data++
+			case v.ssdCurrent:
+				base++
+			case v.deltaRAM != nil:
+				ramDelta++
+			case c.deltaLogged(v):
+				logDelta++
+			}
+		}
+		stuck[s.index] = true
+		retired, faults, loss := c.Stats.SlotsRetired, c.Stats.SSDWriteFaults, c.Stats.ScrubDataLoss
+		if _, err := c.scrubSlot(s); err == nil {
+			t.Fatalf("slot %d: scrub succeeded over an unwritable block", s.index)
+		}
+		if c.Stats.SlotsRetired != retired+1 || !slices.Contains(c.retiredSlots, s.index) {
+			t.Fatalf("slot %d: SlotsRetired %d -> %d, want it retired", s.index, retired, c.Stats.SlotsRetired)
+		}
+		if c.Stats.SSDWriteFaults == faults {
+			continue // no repair source validated: salvageSlot's branch
+		}
+		if got := c.Stats.ScrubDataLoss - loss; got != 0 {
+			t.Fatalf("slot %d: repaired content, yet %d of %d dependents counted lost", s.index, got, len(deps))
+		}
+		for _, v := range deps {
+			repaired[v.lba] = true
+		}
+		fromData += data
+		fromBase += base
+		fromRAMDelta += ramDelta
+		fromLogDelta += logDelta
+	}
+	if fromData == 0 || fromBase == 0 || fromRAMDelta == 0 || fromLogDelta == 0 {
+		t.Fatalf("repaired slots' dependents rebuilt from RAM data %d, base %d, RAM delta %d, log delta %d: want every source",
+			fromData, fromBase, fromRAMDelta, fromLogDelta)
+	}
+	for lba := int64(0); lba < span; lba++ {
+		if _, err := c.ReadBlock(lba, buf); err != nil {
+			t.Fatalf("read lba %d after the scrubs: %v", lba, err)
+		}
+		if err := disk.Check(lba, buf); err != nil && repaired[lba] {
+			t.Errorf("dependent of a repaired slot: %v", err)
+		}
+	}
+	if wrong := int64(disk.WrongLBAs()); wrong > c.Stats.ScrubDataLoss {
+		t.Errorf("%d wrong reads but only %d accounted as scrub data loss", wrong, c.Stats.ScrubDataLoss)
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatalf("invariants after the scrubs: %v", err)
 	}
 }
 

@@ -29,9 +29,10 @@ func TestQDScalingRAID0(t *testing.T) {
 	}
 }
 
-// TestQDStations checks the per-station accounting of a concurrent run:
-// every member disk serves work, utilizations rise with queue depth,
-// and queue waits appear only when requests actually overlap.
+// TestQDStations checks the per-station accounting of a RAID0 run:
+// every run carries one station per member disk, and queue waits appear
+// only when requests actually overlap — RAID0 leaves no background work
+// on its disks, so a QD=1 run traces every block and waits for nothing.
 func TestQDStations(t *testing.T) {
 	p := workload.RandRead()
 	run := func(qd int) *Result {
@@ -44,11 +45,18 @@ func TestQDStations(t *testing.T) {
 	}
 	r1, r8 := run(1), run(8)
 
-	if r1.Stations != nil {
-		t.Fatalf("QD=1 run has station snapshots: %v", r1.Stations)
+	if len(r1.Stations) != 4 {
+		t.Fatalf("QD=1 station count %d, want 4 (one per member disk)", len(r1.Stations))
 	}
-	if r1.QueueWait.Count() != 0 {
-		t.Fatalf("QD=1 run recorded %d queue waits", r1.QueueWait.Count())
+	for _, st := range r1.Stations {
+		if st.Ops == 0 || st.Wait.Count() != st.Ops || st.Wait.Max() != 0 {
+			t.Fatalf("QD=1 station %s: %d ops, %d waits, max wait %v; want every op traced, none waiting",
+				st.Name, st.Ops, st.Wait.Count(), st.Wait.Max())
+		}
+	}
+	if blocks := r1.Reads + r1.Writes; r1.QueueWait.Count() != blocks || r1.QueueWait.Max() != 0 {
+		t.Fatalf("QD=1 run recorded %d queue waits (max %v) for %d blocks, want one zero wait each",
+			r1.QueueWait.Count(), r1.QueueWait.Max(), blocks)
 	}
 	if r8.QueueDepth != 8 || r8.Streams != 1 {
 		t.Fatalf("qd/streams = %d/%d, want 8/1", r8.QueueDepth, r8.Streams)
@@ -73,63 +81,6 @@ func TestQDStations(t *testing.T) {
 	}
 	if r8.QueueWait.Count() == 0 || r8.QueueWait.Mean() == 0 {
 		t.Fatalf("QD=8 run recorded no queueing (%d waits)", r8.QueueWait.Count())
-	}
-}
-
-// TestQD1DoesNotTrace pins the one thing the run loop decides from its
-// input rather than from an option: one token on one stream cannot
-// overlap anything, so the run never begins a trace — no station is
-// ever admitted to, no queue wait is recorded, no station table is
-// returned — while the same system at QD=2 traces every block. This is
-// what keeps every QD=1 figure (and the qd=1 row of the sweeps) at the
-// value the one-request-at-a-time model gives.
-func TestQD1DoesNotTrace(t *testing.T) {
-	p := workload.RandWrite()
-	run := func(qd int) (*System, *Result) {
-		opts := workload.Options{Scale: QDSweepScale, MaxOps: 1000, Seed: 42, QueueDepth: qd}
-		sys, err := Build(ICASH, ConfigForProfile(p, opts))
-		if err != nil {
-			t.Fatal(err)
-		}
-		gen := workload.NewGenerator(p, opts)
-		if err := Populate(sys, gen); err != nil {
-			t.Fatal(err)
-		}
-		res, err := Run(sys, gen)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sys, res
-	}
-	stationOps := func(sys *System) (n int64) {
-		for _, st := range sys.Stations {
-			n += st.Snapshot(0).Ops
-		}
-		return n
-	}
-
-	sys, r1 := run(1)
-	if r1.QueueDepth != 1 || r1.Streams != 1 {
-		t.Fatalf("qd/streams = %d/%d, want 1/1", r1.QueueDepth, r1.Streams)
-	}
-	if r1.Stations != nil || r1.QueueWait.Count() != 0 {
-		t.Fatalf("QD=1 run reported %d stations and %d queue waits, want none",
-			len(r1.Stations), r1.QueueWait.Count())
-	}
-	if n := stationOps(sys); n != 0 {
-		t.Fatalf("QD=1 run admitted %d ops to stations: a trace was begun", n)
-	}
-	if r1.Writes == 0 || r1.WriteHist.Count() != r1.Writes {
-		t.Fatalf("QD=1 run recorded %d latencies for %d writes", r1.WriteHist.Count(), r1.Writes)
-	}
-
-	sys, r2 := run(2)
-	if len(r2.Stations) != len(sys.Stations) || r2.QueueWait.Count() != r2.Writes {
-		t.Fatalf("QD=2 run reported %d stations and %d queue waits for %d writes",
-			len(r2.Stations), r2.QueueWait.Count(), r2.Writes)
-	}
-	if stationOps(sys) == 0 {
-		t.Fatal("QD=2 run admitted nothing to the stations")
 	}
 }
 

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"icash/internal/workload"
@@ -13,7 +14,7 @@ import (
 // paper's reported values are embedded so every rendering shows
 // measured-vs-paper side by side.
 type Experiment struct {
-	// ID is the figure/table identifier, e.g. "fig6a", "table6".
+	// ID is the figure/table identifier, e.g. "fig6a", "table6-tpcc".
 	ID string
 	// Title is the paper's caption, abbreviated.
 	Title string
@@ -304,7 +305,8 @@ func ExperimentByID(id string) (Experiment, bool) {
 
 // RunExperiments executes the benchmark for the named experiment IDs
 // ("all" = every experiment), sharing one benchmark run across all the
-// figures it feeds, and returns the rendered report.
+// figures it feeds, and returns the rendered report. An ID that names no
+// experiment fails the call before anything runs.
 //
 // The work is flattened into one RunPoints grid of (profile, system)
 // points — finer-grained than fanning whole benchmarks, so a
@@ -317,11 +319,22 @@ func ExperimentByID(id string) (Experiment, bool) {
 func RunExperiments(ids []string, opts workload.Options) (string, error) {
 	want := make(map[string]bool)
 	all := len(ids) == 0
+	var unknown []string
 	for _, id := range ids {
 		if id == "all" {
 			all = true
+		} else if _, ok := ExperimentByID(id); !ok {
+			unknown = append(unknown, strconv.Quote(id))
 		}
 		want[id] = true
+	}
+	if unknown != nil {
+		valid := make([]string, len(Experiments))
+		for i, e := range Experiments {
+			valid[i] = e.ID
+		}
+		return "", fmt.Errorf("harness: unknown experiment %s (valid: all, %s)",
+			strings.Join(unknown, ", "), strings.Join(valid, ", "))
 	}
 	// Group experiments by benchmark.
 	benchNeeded := map[string]bool{}

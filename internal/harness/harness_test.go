@@ -151,6 +151,28 @@ func TestExperimentRegistry(t *testing.T) {
 	}
 }
 
+// TestRunExperimentsRejectsUnknown checks that an ID naming no
+// experiment fails the whole call up front: nothing is run or rendered
+// (not even the valid fig6a beside it), and the error names every
+// unknown ID and the valid list.
+func TestRunExperimentsRejectsUnknown(t *testing.T) {
+	out, err := RunExperiments([]string{"fig6a", "fig99", "table5"}, testOpts)
+	if err == nil {
+		t.Fatal("unknown experiment IDs accepted")
+	}
+	if out != "" {
+		t.Fatalf("rendered a report despite unknown IDs:\n%s", out)
+	}
+	for _, want := range []string{`"fig99"`, `"table5"`, "table5-hadoop", "fig16"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %s", err, want)
+		}
+	}
+	if strings.Contains(err.Error(), `"fig6a"`) {
+		t.Errorf("error %q names the valid fig6a as unknown", err)
+	}
+}
+
 // TestRunExperimentsRenders runs one benchmark's experiments end to end
 // through the public entry point.
 func TestRunExperimentsRenders(t *testing.T) {

@@ -49,11 +49,12 @@ type Result struct {
 	// per-VM streams.
 	QueueDepth int
 	Streams    int
-	// QueueWait is the per-block device queueing delay distribution
-	// (empty at QD=1 on one stream: one request never queues).
+	// QueueWait is the per-block device queueing delay distribution:
+	// the wait behind other requests and behind background device work
+	// (log appends, writebacks, destages).
 	QueueWait metrics.Histogram
 	// Stations is the per-station utilization/queue accounting from the
-	// concurrency engine; nil at QD=1 on one stream.
+	// concurrency engine, one entry per device station.
 	Stations []metrics.StationStats
 
 	// SSD wear metrics (Table 6 and §5.3).
@@ -166,24 +167,15 @@ func BuildPopulated(k Kind, p workload.Profile, opts workload.Options) (*System,
 	return sys, gen, nil
 }
 
-// blockOp walks one block read or write synchronously through the
-// device stack and returns its uncontended service time.
-func (s *System) blockOp(write bool, lba int64, buf []byte) (sim.Duration, error) {
-	if write {
-		return s.Dev.WriteBlock(lba, buf)
-	}
-	return s.Dev.ReadBlock(lba, buf)
-}
-
 // TracedOp issues one block read or write as seen from arrival — the
-// one trace-and-replay step every overlapping run shares. The block
-// walks the device stack synchronously (the stack is ordinary
-// sequential code) while the devices note every station visit (SSD
-// channel, HDD actuator) with its service time; the visits are then
-// replayed onto the station timelines from arrival to discover the
-// queueing delay concurrent requests inflict on each other, and the
-// slow-device detector is polled on what the stations just observed.
-// The block's response time is svc + wait.
+// one trace-and-replay step every run shares. The block walks the
+// device stack synchronously (the stack is ordinary sequential code)
+// while the devices note every station visit (SSD channel, HDD
+// actuator) with its service time; the visits are then replayed onto
+// the station timelines from arrival to discover the queueing delay
+// concurrent requests inflict on each other, and the slow-device
+// detector is polled on what the stations just observed. The block's
+// response time is svc + wait.
 //
 // Background device work the op triggers (I-CASH log appends, destages)
 // occupies its stations just like foreground work: later requests on
@@ -202,7 +194,11 @@ func (s *System) TracedOp(write bool, lba int64, buf []byte, arrival sim.Time) (
 		tr = s.Tracers[i]
 	}
 	tr.Begin()
-	svc, err = s.blockOp(write, lba, buf)
+	if write {
+		svc, err = s.Dev.WriteBlock(lba, buf)
+	} else {
+		svc, err = s.Dev.ReadBlock(lba, buf)
+	}
 	wait = event.Replay(tr.Take(), arrival)
 	s.PollDetector()
 	return svc, wait, err
@@ -273,10 +269,9 @@ func pump(clock *sim.Clock, streams, tokens int, step func(stream int) (sim.Time
 // tokens per stream on the pump, one stream per VM under StreamPerVM.
 // A request's blocks issue back to back, each as seen from the
 // completion of the one before, and the request completes when its last
-// block does. Overlapping requests go through TracedOp. One token on
-// one stream never overlaps anything, so such a run does not trace: no
-// station visit is replayed, no queue wait recorded, and the result
-// carries no station table.
+// block does. Every block goes through TracedOp, so even one token on
+// one stream waits behind the background device work earlier requests
+// left on the stations.
 //
 // The streams run in shard groups (runGroups). Where a group is one
 // shard's streams, no event of another group ever reaches it: a token's
@@ -296,7 +291,6 @@ func Run(sys *System, gen *workload.Generator) (*Result, error) {
 	p, opts := gen.Profile(), gen.Options()
 	qd := max(opts.QueueDepth, 1)
 	streams := gen.Streams()
-	trace := qd > 1 || len(streams) > 1
 
 	res := &Result{
 		System: sys.Name(), Benchmark: p.Name,
@@ -359,16 +353,9 @@ func Run(sys *System, gen *workload.Generator) (*Result, error) {
 					op = "write"
 					g.WriteContent(lba, buf)
 				}
-				var d sim.Duration
-				var err error
-				if trace {
-					var wait sim.Duration
-					d, wait, err = sys.TracedOp(req.Write, lba, buf, arrival)
-					grp.wait.Record(wait)
-					d += wait
-				} else {
-					d, err = sys.blockOp(req.Write, lba, buf)
-				}
+				d, wait, err := sys.TracedOp(req.Write, lba, buf, arrival)
+				grp.wait.Record(wait)
+				d += wait
 				if err != nil {
 					return 0, fmt.Errorf("harness: %s %s lba %d: %w", sys.Name(), op, lba, err)
 				}
@@ -415,10 +402,8 @@ func Run(sys *System, gen *workload.Generator) (*Result, error) {
 		res.PageCacheHitRatio = hits / total
 	}
 	finalize(sys, res, p, start)
-	if trace {
-		for _, st := range sys.Stations {
-			res.Stations = append(res.Stations, st.Snapshot(res.Elapsed))
-		}
+	for _, st := range sys.Stations {
+		res.Stations = append(res.Stations, st.Snapshot(res.Elapsed))
 	}
 	return res, nil
 }

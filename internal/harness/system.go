@@ -91,7 +91,7 @@ type BuildConfig struct {
 	// serving. Their Clock and default Station names are filled in by
 	// Build; a Plan on either config is additionally installed as a
 	// station shaper, so fail-slow windows inflate both the
-	// controller-visible latency and the station occupancy under QD>1.
+	// controller-visible latency and the station occupancy.
 	FaultSSD *fault.Config
 	FaultHDD *fault.Config
 
@@ -150,9 +150,7 @@ type System struct {
 	// channel and HDD actuator is a service station, and devices note
 	// their per-request service times through a tracer — shard i's
 	// devices through Tracers[i] on an I-CASH array, so two shard groups
-	// of a run never share one; a baseline stack's through Tracers[0]. A
-	// QD=1 single-stream run never begins a trace, so the stations stay
-	// idle there.
+	// of a run never share one; a baseline stack's through Tracers[0].
 	Tracers  []*event.Tracer
 	Stations []*event.Server
 

@@ -73,32 +73,8 @@ func (a *Array0) noteError(m int, err error) {
 	}
 }
 
-// FailedMembers returns the indices of members declared failed.
-func (a *Array0) FailedMembers() []int {
-	var out []int
-	for m, f := range a.failed {
-		if f {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
-// Healthy reports whether every member is still in service.
-func (a *Array0) Healthy() bool {
-	for _, f := range a.failed {
-		if f {
-			return false
-		}
-	}
-	return true
-}
-
 // Blocks returns the array capacity in blocks.
 func (a *Array0) Blocks() int64 { return a.blocks }
-
-// Members returns the backing devices (for stats collection).
-func (a *Array0) Members() []blockdev.Device { return a.members }
 
 // locate maps an array LBA to (member, member LBA) using chunked
 // round-robin striping.

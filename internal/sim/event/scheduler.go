@@ -51,21 +51,12 @@ type Scheduler struct {
 	clock *sim.Clock
 	heap  []event
 	seq   uint64
-
-	// Dispatched counts events processed (diagnostics).
-	Dispatched int64
 }
 
 // NewScheduler returns an empty scheduler driving clock.
 func NewScheduler(clock *sim.Clock) *Scheduler {
 	return &Scheduler{clock: clock}
 }
-
-// Now returns the current simulated instant.
-func (s *Scheduler) Now() sim.Time { return s.clock.Now() }
-
-// Len returns the number of pending events.
-func (s *Scheduler) Len() int { return len(s.heap) }
 
 // At schedules fn at instant t. Scheduling into the past is a
 // programming error: the clock never runs backwards.
@@ -100,7 +91,6 @@ func (s *Scheduler) Step() bool {
 		s.down(0)
 	}
 	s.clock.AdvanceTo(e.at)
-	s.Dispatched++
 	e.fn()
 	return true
 }
