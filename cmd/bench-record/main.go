@@ -13,7 +13,7 @@
 // median, quartiles and runs, and the number of pairs the change won
 // (strictly better in the metric's declared direction). A second seed
 // recorded into the same file replaces that seed's record and keeps the
-// others.
+// others; a file recorded against a different parent is refused.
 package main
 
 import (
@@ -206,12 +206,16 @@ func summarize(runs []float64) side {
 }
 
 // write merges rec into the trajectory file at out, replacing any
-// record of the same seed.
+// record of the same seed. Every record of one file is measured against
+// one parent, so a file whose base is not baseRev is an error.
 func write(out, baseRev string, rec record) error {
 	var t trajectory
 	if raw, err := os.ReadFile(out); err == nil {
 		if err := json.Unmarshal(raw, &t); err != nil {
 			return fmt.Errorf("%s: %w", out, err)
+		}
+		if t.Base != baseRev {
+			return fmt.Errorf("%s holds records against base %q, not %q: record into a new file", out, t.Base, baseRev)
 		}
 	}
 	desc, err := exec.Command("git", "describe", "--always", "--dirty").Output()

@@ -10,8 +10,9 @@ import (
 // not hand-roll concurrency. Byte-identical results at any -parallel
 // count hold because exactly one place is allowed to spawn goroutines,
 // with a reviewed determinism argument: harness.ForEachPoint, the
-// blessed fan-out primitive — parallel across experiment points, never
-// within a run, results delivered into pre-sized slots (DESIGN.md §8).
+// blessed fan-out primitive — parallel across experiment points, and
+// within one run only across its shard groups or through its stream
+// stage, results delivered into pre-sized slots (DESIGN.md §8, §11).
 //
 // Everywhere else under icash/internal/, a go statement or a select is
 // a finding: a worker pool beside the harness re-introduces completion-
@@ -51,7 +52,7 @@ func runGoroutines(pass *Pass) {
 				switch n := n.(type) {
 				case *ast.GoStmt:
 					pass.Reportf(n.Pos(),
-						"go statement outside the approved concurrency primitives: route fan-out through harness.ForEachPoint (parallel across runs, never within a run) or model it as events")
+						"go statement outside the approved concurrency primitives: route fan-out through harness.ForEachPoint (parallel across runs; within a run, shard groups and the stream stage only) or model it as events")
 				case *ast.SelectStmt:
 					pass.Reportf(n.Pos(),
 						"select in a simulation package: two ready cases resolve in scheduler order, which is nondeterministic — use the event engine's ordered queue instead")

@@ -13,10 +13,12 @@ import (
 // generator. Fanning points out across a worker pool therefore changes
 // wall-clock time only; every simulated number is produced by exactly
 // the same code on exactly the same inputs, and results are gathered
-// back in submission order. Within a run the only fans are over an
-// array's shards: the populate and flush fans under a frozen clock, and
-// Run's shard groups, each on a private clock with its own partial
-// results (DESIGN.md §11).
+// back in submission order. Within a run, the populate and flush fans
+// over an array's shards run under a frozen clock, and Run may hold one
+// of two fans: its shard groups, each on a private clock with its own
+// partial results, or its stream stage, which draws a single stream's
+// requests and write content on a second core ahead of the pump
+// (DESIGN.md §11).
 
 // ForEachPoint runs fn(0..n-1), fanning across min(workers, n) workers
 // (workers <= 0 means GOMAXPROCS). Results must be gathered by index
@@ -25,7 +27,10 @@ import (
 // (the same one a serial loop would hit first), so error reporting is
 // deterministic too. With one worker the calling goroutine runs every
 // point itself in submission order, stopping at the first failure
-// exactly like the historical serial harness.
+// exactly like the historical serial harness. With more, the calling
+// goroutine runs point 0 itself and then pulls points like the other
+// workers, so a point that drives a clock the caller already owns (the
+// stream stage's pump) keeps that clock on one goroutine.
 //
 // This is the module's blessed fan-out primitive: every package that
 // wants experiment-point parallelism routes through it (the goroutines
@@ -33,13 +38,7 @@ import (
 // determinism argument — independent points, index-gathered results,
 // lowest-index error — lives in exactly one place.
 func ForEachPoint(workers, n int, fn func(int) error) error {
-	p := workers
-	if p <= 0 {
-		p = runtime.GOMAXPROCS(0)
-	}
-	if p > n {
-		p = n
-	}
+	p := min(resolveWorkers(workers), n)
 	if p <= 1 {
 		for i := 0; i < n; i++ {
 			if err := fn(i); err != nil {
@@ -50,20 +49,26 @@ func ForEachPoint(workers, n int, fn func(int) error) error {
 	}
 	errs := make([]error, n)
 	var next atomic.Int64
+	next.Store(1) // point 0 is the caller's
+	work := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			errs[i] = fn(i)
+		}
+	}
 	var wg sync.WaitGroup
-	wg.Add(p)
-	for w := 0; w < p; w++ {
+	wg.Add(p - 1)
+	for w := 1; w < p; w++ {
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				errs[i] = fn(i)
-			}
+			work()
 		}()
 	}
+	errs[0] = fn(0)
+	work()
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
@@ -71,4 +76,13 @@ func ForEachPoint(workers, n int, fn func(int) error) error {
 		}
 	}
 	return nil
+}
+
+// resolveWorkers is the worker count a workers option stands for:
+// itself, or GOMAXPROCS when it is <= 0.
+func resolveWorkers(workers int) int {
+	if workers <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return workers
 }

@@ -287,6 +287,11 @@ func pump(clock *sim.Clock, streams, tokens int, step func(stream int) (sim.Time
 // argument Populate makes. A failing group stops only its own tokens;
 // Run returns the lowest-index group's error. A run that cannot split is
 // one group on the system clock.
+//
+// A run of one stream on two or more workers is one group whose stream
+// is drawn on a second core: the stream stage (runStaged) generates its
+// requests and write contents ahead of the pump, which consumes them in
+// stream order, so the result is the inline loop's to the byte.
 func Run(sys *System, gen *workload.Generator) (*Result, error) {
 	p, opts := gen.Profile(), gen.Options()
 	qd := max(opts.QueueDepth, 1)
@@ -315,63 +320,29 @@ func Run(sys *System, gen *workload.Generator) (*Result, error) {
 
 	start := sys.Clock.Now()
 	groups := runGroups(sys, streams)
-	err := ForEachPoint(opts.Workers, len(groups), func(gi int) error {
-		grp := &groups[gi]
-		clock := sys.Clock
-		if len(groups) > 1 {
-			// Fill memoizes, so the shard's devices get a clone of the
-			// oracle, the way Populate's fan does.
-			clock = sim.NewClock()
-			clock.AdvanceTo(start)
-			sys.SetShardFill(grp.shard, workload.NewGenerator(p, opts).Fill)
-		}
-		grp.clock = clock
-		buf := blockdev.GetBlock()
-		defer blockdev.PutBlock(buf)
-
-		return pump(clock, len(grp.streams), qd, func(k int) (sim.Time, error) {
-			si := grp.streams[k]
-			g, pc := streams[si], caches[si]
-			req, ok := g.Next()
-			if !ok {
-				return 0, io.EOF
+	var err error
+	if len(streams) == 1 && resolveWorkers(opts.Workers) >= 2 {
+		err = runStaged(sys, &groups[0], gen, qd, caches)
+	} else {
+		err = ForEachPoint(opts.Workers, len(groups), func(gi int) error {
+			grp := &groups[gi]
+			grp.clock = sys.Clock
+			if len(groups) > 1 {
+				// Fill memoizes, so the shard's devices get a clone of the
+				// oracle, the way Populate's fan does.
+				grp.clock = sim.NewClock()
+				grp.clock.AdvanceTo(start)
+				sys.SetShardFill(grp.shard, workload.NewGenerator(p, opts).Fill)
 			}
-			grp.ops++
-			arrival := clock.Now().Add(p.AppCPU)
-			for i := 0; i < req.Blocks; i++ {
-				lba := req.LBA + int64(i)
-				if lba >= sys.Dev.Blocks() {
-					break
-				}
-				if !req.Write && pc.lookup(lba) {
-					grp.read.Record(pageCacheHitLatency)
-					arrival = arrival.Add(pageCacheHitLatency)
-					continue
-				}
-				op := "read"
-				if req.Write {
-					op = "write"
-					g.WriteContent(lba, buf)
-				}
-				d, wait, err := sys.TracedOp(req.Write, lba, buf, arrival)
-				grp.wait.Record(wait)
-				d += wait
-				if err != nil {
-					return 0, fmt.Errorf("harness: %s %s lba %d: %w", sys.Name(), op, lba, err)
-				}
-				pc.insert(lba)
-				if req.Write {
-					grp.writes++
-					grp.write.Record(d)
-				} else {
-					grp.reads++
-					grp.read.Record(d)
-				}
-				arrival = arrival.Add(d)
+			buf := blockdev.GetBlock()
+			defer blockdev.PutBlock(buf)
+			srcs := make([]source, len(grp.streams))
+			for k, si := range grp.streams {
+				srcs[k] = &inline{streams[si], buf}
 			}
-			return arrival, nil
+			return grp.drive(sys, p, qd, srcs, caches, buf)
 		})
-	})
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -417,6 +388,53 @@ type runGroup struct {
 
 	ops, reads, writes int64
 	read, write, wait  metrics.Histogram
+}
+
+// drive pumps the group's streams on its clock, qd tokens each, drawing
+// stream k's requests and write contents from srcs[k] and reading into
+// buf.
+func (grp *runGroup) drive(sys *System, p workload.Profile, qd int, srcs []source, caches []*pageCache, buf []byte) error {
+	clock := grp.clock
+	return pump(clock, len(grp.streams), qd, func(k int) (sim.Time, error) {
+		src, pc := srcs[k], caches[grp.streams[k]]
+		req, ok := src.Next()
+		if !ok {
+			return 0, io.EOF
+		}
+		grp.ops++
+		arrival := clock.Now().Add(p.AppCPU)
+		for i := 0; i < req.Blocks; i++ {
+			lba := req.LBA + int64(i)
+			if lba >= sys.Dev.Blocks() {
+				break
+			}
+			if !req.Write && pc.lookup(lba) {
+				grp.read.Record(pageCacheHitLatency)
+				arrival = arrival.Add(pageCacheHitLatency)
+				continue
+			}
+			op, b := "read", buf
+			if req.Write {
+				op, b = "write", src.content(lba)
+			}
+			d, wait, err := sys.TracedOp(req.Write, lba, b, arrival)
+			grp.wait.Record(wait)
+			d += wait
+			if err != nil {
+				return 0, fmt.Errorf("harness: %s %s lba %d: %w", sys.Name(), op, lba, err)
+			}
+			pc.insert(lba)
+			if req.Write {
+				grp.writes++
+				grp.write.Record(d)
+			} else {
+				grp.reads++
+				grp.read.Record(d)
+			}
+			arrival = arrival.Add(d)
+		}
+		return arrival, nil
+	})
 }
 
 // runGroups partitions a run's streams into shard groups, one per shard

@@ -102,6 +102,24 @@ func (r *Rand) Bytes(b []byte) {
 	}
 }
 
+// LowBytes sets each b[i] to the low byte of a successive Uint64 draw,
+// one draw per byte. Like Bytes it steps on four locals; bytes and end
+// state are exactly those of calling Uint64 in a loop.
+func (r *Rand) LowBytes(b []byte) {
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for i := range b {
+		b[i] = byte(rotl(s1*5, 7) * 9)
+		t := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = rotl(s3, 45)
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
+}
+
 // Zipf draws from a bounded Zipf-like distribution over [0, n) with
 // exponent s > 0 using rejection-inversion. Larger s skews harder toward
 // small values. It is the standard model for block-level temporal

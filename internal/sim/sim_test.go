@@ -144,6 +144,29 @@ func TestRandBytesMatchesUint64(t *testing.T) {
 	}
 }
 
+// TestRandLowBytesMatchesUint64 pins LowBytes to its definition: byte i
+// is the low byte of the i-th Uint64 draw, and the generator ends where
+// those draws leave it.
+func TestRandLowBytesMatchesUint64(t *testing.T) {
+	lengths := []int{4096}
+	for n := 0; n <= 17; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, n := range lengths {
+		got, want := NewRand(uint64(n)+5), NewRand(uint64(n)+5)
+		b := make([]byte, n)
+		got.LowBytes(b)
+		for i := range b {
+			if w := byte(want.Uint64()); b[i] != w {
+				t.Fatalf("LowBytes(%d): byte %d = %#x, Uint64 stream has %#x", n, i, b[i], w)
+			}
+		}
+		if g, w := got.Uint64(), want.Uint64(); g != w {
+			t.Fatalf("LowBytes(%d): next Uint64 = %#x, want %#x", n, g, w)
+		}
+	}
+}
+
 func TestZipfSkewOrdering(t *testing.T) {
 	// Higher skew concentrates more mass on the top ranks.
 	mass := func(s float64) float64 {

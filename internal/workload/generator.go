@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"icash/internal/blockdev"
 	"icash/internal/core"
@@ -60,7 +61,12 @@ const DefaultScale = 1.0 / 64
 // profile. It also serves as the content oracle for the initial data
 // set (install via blockdev.Filler on every device under test).
 //
-// A Generator is not safe for concurrent use.
+// The stream methods (Next, WriteContent, CurrentContent, Reset) need
+// one owning goroutine. Fill reads only the profile, the options and
+// the family-base memo, so it is safe to call from another goroutine
+// while the owner draws the stream: the harness's stream stage draws
+// requests and write content on one core while the devices under test
+// consult Fill on the other.
 type Generator struct {
 	p    Profile
 	opts Options
@@ -92,8 +98,11 @@ type Generator struct {
 	// from that anchor instead of the original base.
 	freshAnchor map[int64]uint32
 
-	// familyBase caches the base content of each family.
-	familyBase map[int][]byte
+	// familyBase memoizes the base content of each family, one slot per
+	// family, each set once by CAS. Base content depends only on the
+	// seed and the family, so Reset keeps the memo and per-VM streams
+	// share their parent's.
+	familyBase []atomic.Pointer[[blockdev.BlockSize]byte]
 }
 
 // NewGenerator builds a generator for p with the given options.
@@ -134,7 +143,7 @@ func (g *Generator) Streams() []*Generator {
 		if i < total%vms {
 			share++
 		}
-		s := &Generator{p: g.p, opts: g.opts, vmPin: i, opsOverride: share}
+		s := &Generator{p: g.p, opts: g.opts, vmPin: i, opsOverride: share, familyBase: g.familyBase}
 		s.Reset()
 		streams[i] = s
 	}
@@ -212,7 +221,9 @@ func (g *Generator) Reset() {
 	g.seqRemain = 0
 	g.version = make(map[int64]uint32)
 	g.freshAnchor = make(map[int64]uint32)
-	g.familyBase = make(map[int][]byte)
+	if g.familyBase == nil {
+		g.familyBase = make([]atomic.Pointer[[blockdev.BlockSize]byte], max(p.Families, 1))
+	}
 	if p.Skew > 0 {
 		g.zipf = sim.NewZipf(g.rng, int(imageBlocks), p.Skew)
 	} else {
@@ -356,16 +367,22 @@ func (g *Generator) familyOf(lba int64) int {
 	return int((uint64(off) * 0x9E3779B97F4A7C15 >> 32) % uint64(fams))
 }
 
-// base returns (caching) the family base content.
+// base returns (memoizing) the family base content. Two goroutines
+// that miss on one family at once compute the same bytes; the first
+// CAS wins and both return its copy.
 func (g *Generator) base(family int) []byte {
-	if b, ok := g.familyBase[family]; ok {
-		return b
+	slot := &g.familyBase[family]
+	if b := slot.Load(); b != nil {
+		return b[:]
 	}
-	b := make([]byte, blockdev.BlockSize)
-	r := sim.NewRand(g.opts.Seed*31 + uint64(family)*977 + 5)
-	r.Bytes(b)
-	g.familyBase[family] = b
-	return b
+	b := new([blockdev.BlockSize]byte)
+	var r sim.Rand
+	r.Seed(g.opts.Seed*31 + uint64(family)*977 + 5)
+	r.Bytes(b[:])
+	if !slot.CompareAndSwap(nil, b) {
+		b = slot.Load()
+	}
+	return b[:]
 }
 
 // mutate overwrites frac of buf's bytes. Changes come in contiguous
@@ -400,9 +417,7 @@ func mutate(buf []byte, posSeed, valSeed uint64, frac float64) {
 			if len(span) > run {
 				span = span[:run]
 			}
-			for i := range span {
-				span[i] = byte(vr.Uint64())
-			}
+			vr.LowBytes(span)
 			run -= len(span)
 			pos = 0
 		}

@@ -2,7 +2,9 @@ package workload
 
 import (
 	"bytes"
+	"hash/fnv"
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -174,6 +176,49 @@ func TestCurrentContentTracksWrites(t *testing.T) {
 		if !bytes.Equal(w, c) {
 			t.Fatalf("CurrentContent diverges at version %d", i+1)
 		}
+	}
+}
+
+// TestFillConcurrentWithStream calls Fill on one goroutine while
+// another draws the stream (Next and WriteContent) from the same cold
+// generator, the way the harness's stream stage shares it with the
+// devices' oracle. Both sides must see what a lone generator gives them
+// (and, under -race, share the family-base memo without a race).
+func TestFillConcurrentWithStream(t *testing.T) {
+	p, opts := LoadSim(), Options{Scale: 1.0 / 1024, MaxOps: 3000, Seed: 11}
+	stream := func(g *Generator) uint64 {
+		h := fnv.New64a()
+		buf := make([]byte, blockdev.BlockSize)
+		for req, ok := g.Next(); ok; req, ok = g.Next() {
+			if req.Write {
+				for lba := req.LBA; lba < req.LBA+int64(req.Blocks) && lba < g.DataBlocks(); lba++ {
+					g.WriteContent(lba, buf)
+					h.Write(buf)
+				}
+			}
+		}
+		return h.Sum64()
+	}
+	fills := func(g *Generator) uint64 {
+		h := fnv.New64a()
+		buf := make([]byte, blockdev.BlockSize)
+		for lba := int64(0); lba < g.DataBlocks(); lba++ {
+			g.Fill(lba, buf)
+			h.Write(buf)
+		}
+		return h.Sum64()
+	}
+	wantStream, wantFills := stream(NewGenerator(p, opts)), fills(NewGenerator(p, opts))
+
+	g := NewGenerator(p, opts)
+	var gotStream, gotFills uint64
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { defer wg.Done(); gotStream = stream(g) }()
+	go func() { defer wg.Done(); gotFills = fills(g) }()
+	wg.Wait()
+	if gotStream != wantStream || gotFills != wantFills {
+		t.Fatalf("concurrent stream %#x fills %#x, lone generator %#x and %#x", gotStream, gotFills, wantStream, wantFills)
 	}
 }
 
