@@ -400,8 +400,8 @@ var slotScales = []int64{256, 4 << 10, 32 << 10}
 // slots of unrelated content, the shape a does-not-fit workload leaves.
 // Scans, flushes and heatmap decay are pushed out of reach.
 func newProbeRig(tb testing.TB, slots int64) *testRig {
-	cfg := NewDefaultConfig(slots+1024, slots, 64<<10, 64*blockdev.BlockSize)
-	cfg.MetadataBlocks = int(slots) + 1024
+	cfg := NewDefaultConfig(slots+8<<10, slots, 64<<10, 64*blockdev.BlockSize)
+	cfg.MetadataBlocks = int(slots) + 8<<10
 	cfg.ScanPeriod = 1 << 30
 	cfg.FlushPeriodOps = 0
 	cfg.HeatmapDecayOps = 0
@@ -444,6 +444,99 @@ func BenchmarkSimilarProbe(b *testing.B) {
 			b.ResetTimer()
 			rig.probes(b.N, sim.NewRand(1))
 		})
+	}
+}
+
+// scanProbeWindow is the scan window of the scan-probe rig, about the
+// unattached share of a `mail` scan.
+const scanProbeWindow = 4000
+
+// newScanProbeRig is a probe rig of maxSlotProbe write-through slots
+// with scanProbeWindow slot-less blocks of unrelated content read in
+// after them: a scan's whole window is unattached, no candidate is
+// similar to a slot or popular enough to promote, so every scan probes
+// scanProbeWindow times and changes nothing.
+func newScanProbeRig(tb testing.TB) *testRig {
+	rig := newProbeRig(tb, maxSlotProbe)
+	rig.hdd.SetFill(fillByLBA)
+	buf := make([]byte, blockdev.BlockSize)
+	for lba := int64(maxSlotProbe); lba < maxSlotProbe+scanProbeWindow; lba++ {
+		if _, err := rig.c.ReadBlock(lba, buf); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	rig.c.cfg.ScanWindow = scanProbeWindow
+	if n := rig.c.scanWindowUnattachedWalk(); n != scanProbeWindow {
+		tb.Fatalf("%d unattached blocks in a %d-block window", n, scanProbeWindow)
+	}
+	return rig
+}
+
+// scans runs n scans.
+func (rig *testRig) scans(tb testing.TB, n int) {
+	for i := 0; i < n; i++ {
+		if err := rig.c.scan(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkScanProbe reports the host cost of one scan of that rig: the
+// scan `mail` runs, its probes answered by the probe index.
+func BenchmarkScanProbe(b *testing.B) {
+	rig := newScanProbeRig(b)
+	rig.scans(b, 1) // builds the probe index, grows the scan's scratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	rig.scans(b, b.N)
+}
+
+// TestAllocGateScanProbe is the gate on that benchmark: once the first
+// scan has built the probe index, a scan allocates nothing, changes no
+// slot and leaves the index fresh; with -timing-gates, the window's
+// probes through the index cost at most a quarter of the same probes
+// through findSimilarSlot. The gate times the probes alone: sorting the
+// window, the rest of the scan, costs more than that quarter on its own.
+func TestAllocGateScanProbe(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts and timings are inflated under the race detector")
+	}
+	const perRound = 20
+	rig := newScanProbeRig(t)
+	c := rig.c
+	rig.scans(t, 1)
+	before := c.Stats
+	if allocs := testing.AllocsPerRun(10, func() { rig.scans(t, 1) }); allocs != 0 {
+		t.Errorf("%v allocations per scan, want 0", allocs)
+	}
+	if after := c.Stats; after.AssocFormed != before.AssocFormed || after.RefsSelected != before.RefsSelected ||
+		c.scanWindowUnattachedWalk() != scanProbeWindow || !c.probe.fresh {
+		t.Fatalf("scans changed the rig: %d attached, %d installed, probe index fresh %v",
+			after.AssocFormed-before.AssocFormed, after.RefsSelected-before.RefsSelected, c.probe.fresh)
+	}
+	if !*timingGates {
+		return
+	}
+	var window []sig.Signature
+	for v, n := c.lru.head, 0; n < scanProbeWindow; v, n = v.next, n+1 {
+		window = append(window, v.sigv)
+	}
+	probeWindow := func(probe func(sig.Signature) *refSlot) func() {
+		return func() {
+			for i := 0; i < perRound; i++ {
+				for _, sigv := range window {
+					probeSink = probe(sigv)
+				}
+			}
+		}
+	}
+	best := bestOfRounds([]func(){probeWindow(c.scanSimilarSlot), probeWindow(c.findSimilarSlot), func() { rig.scans(t, perRound) }})
+	t.Logf("%d-block window over %d slots: %d ns per indexed probe, %d ns per linear probe, %d us per scan",
+		scanProbeWindow, maxSlotProbe, int64(best[0])/(perRound*scanProbeWindow),
+		int64(best[1])/(perRound*scanProbeWindow), best[2].Microseconds()/perRound)
+	if indexed, linear := best[0], best[1]; 4*indexed > linear {
+		t.Fatalf("%d windows of probes cost %v through the probe index, %v through findSimilarSlot: more than a quarter",
+			perRound, indexed, linear)
 	}
 }
 

@@ -74,6 +74,9 @@ type Controller struct {
 	slotOrder  []*refSlot
 	slotsStale bool
 	freeSlots  []int64
+	// probe indexes slotOrder's probe prefix for the scan (probe.go);
+	// nil until the first scan that probes.
+	probe *probeIndex
 	// quarantine holds freed SSD slots that may not be reused until the
 	// next log flush commits the tombstones that detached them.
 	quarantine []int64

@@ -25,6 +25,8 @@ import (
 //     every live slot is the slot table's entry at its index;
 //   - slotOrder lists every live slot exactly once, and holds a dead
 //     entry only while slotsStale says so;
+//   - a probe index marked fresh equals one rebuilt from the probe
+//     prefix of slotOrder (which then holds no dead entry);
 //   - free, quarantined and live slots partition the SSD exactly;
 //   - the delta budget equals the segment-rounded sum of resident
 //     deltas;
@@ -122,6 +124,16 @@ func (c *Controller) CheckInvariants() error {
 		}
 		if s.refcnt > 0 && c.slotTab[s.index] != s {
 			return fmt.Errorf("core: slotOrder entry for slot %d is not the live slot", s.index)
+		}
+	}
+	if x := c.probe; x != nil && x.fresh {
+		if c.slotsStale {
+			return fmt.Errorf("core: probe index fresh across a slot death")
+		}
+		var want probeIndex
+		want.build(c.slotOrder[:min(len(c.slotOrder), maxSlotProbe)])
+		if *x != want {
+			return fmt.Errorf("core: probe index fresh but not the index of the probe prefix")
 		}
 	}
 	used := make(map[int64]string)

@@ -111,7 +111,7 @@ func (c *Controller) scanBody() error {
 			continue // already a reference, associate or write-through
 		}
 		// Find the closest existing reference slot by signature.
-		best := c.findSimilarSlot(v.sigv)
+		best := c.scanSimilarSlot(v.sigv)
 		if best != nil {
 			if ok, err := c.tryAttach(v, best); err != nil {
 				if blockdev.Classify(err) == blockdev.ClassMedia {
@@ -168,7 +168,8 @@ func (c *Controller) scanBody() error {
 // findSimilarSlot returns the live reference slot whose content
 // signature is closest to sigv (within MaxSigDistance), or nil. The
 // probe count is bounded so per-request similarity detection stays
-// cheap.
+// cheap. It is the write path's probe and the definition the scan's
+// probe index (scanSimilarSlot) answers to.
 func (c *Controller) findSimilarSlot(sigv sig.Signature) *refSlot {
 	var best *refSlot
 	bestDist := c.cfg.MaxSigDistance + 1

@@ -95,6 +95,12 @@ func (c *Controller) attachSlot(v *vblock, s *refSlot) {
 	if !s.listed {
 		s.listed = true
 		c.slotOrder = append(c.slotOrder, s)
+		// The new entry is in the probe prefix if the list, all live
+		// unless slotsStale (whose death already marked the index
+		// stale), was shorter than the prefix.
+		if len(c.slotOrder) <= maxSlotProbe {
+			c.probePrefixChanged()
+		}
 	}
 	v.slotRef = s
 	s.refcnt++
@@ -143,6 +149,7 @@ func (c *Controller) detachSlot(v *vblock) {
 		c.clearSlot(s)
 		c.quarantine = append(c.quarantine, s.index)
 		c.slotsStale = true
+		c.probePrefixChanged()
 	}
 }
 
@@ -409,9 +416,9 @@ func (c *Controller) writeThroughSSD(v *vblock, content []byte) (sim.Duration, e
 		c.Stats.WriteRAMFallback++
 		return ram.AccessLatency, nil
 	}
+	s.sigv = v.sigv
 	c.attachSlot(v, s)
 	s.donor = v.lba
-	s.sigv = v.sigv
 	s.crc = contentCRC(content)
 	s.homeLBA = -1 // write-throughs have no home backup (home is stale)
 	c.releaseDelta(v)
@@ -466,9 +473,9 @@ func (c *Controller) installReference(v *vblock, content []byte) (*refSlot, erro
 	if v.slotRef != nil {
 		c.detachSlot(v)
 	}
+	s.sigv = v.sigv
 	c.attachSlot(v, s)
 	s.donor = v.lba
-	s.sigv = v.sigv
 	c.setKind(v, Reference)
 	v.ssdCurrent = true
 	v.dataDirty = false // the SSD slot is now a durable current copy

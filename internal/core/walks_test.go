@@ -1,6 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
+	"math/bits"
+	"slices"
 	"testing"
 
 	"icash/internal/blockdev"
@@ -97,8 +100,9 @@ func (c *Controller) scanWindowUnattachedWalk() int {
 // tight enough that attaches cascade into evictions, and after every
 // step holds each answer from maintained state to the walk it replaced,
 // with nothing pinned, with the sublist's coldest and hottest owners
-// pinned, for probe signatures near and far from the slots', and for
-// scan windows from one block to the whole list.
+// pinned, for probe signatures near and far from the slots' (through
+// the linear probe and the scan's probe index), and for scan windows
+// from one block to the whole list.
 func TestMaintainedStateMatchesWalks(t *testing.T) {
 	cfg := smallConfig()
 	cfg.SSDBlocks = 64
@@ -193,6 +197,9 @@ func TestMaintainedStateMatchesWalks(t *testing.T) {
 			want := c.findSimilarSlotWalk(p)
 			if got := c.findSimilarSlot(p); got != want {
 				t.Fatalf("op %d: probe %x found slot %v, the walk %v", op, p, got, want)
+			}
+			if got := c.scanSimilarSlot(p); got != want {
+				t.Fatalf("op %d: probe index answers %x with slot %v, the walk %v", op, p, got, want)
 			}
 			if want != nil {
 				matches++
@@ -382,5 +389,181 @@ func TestWriteThroughSublistRank(t *testing.T) {
 			}
 		}
 		check(step)
+	}
+}
+
+// writeWithSig writes unrelated content whose signature is sigv to a
+// fresh LBA. No slot accepts its delta, so it writes through to a slot
+// of its own, which it returns.
+func writeWithSig(tb testing.TB, c *Controller, lba int64, sigv sig.Signature) *refSlot {
+	tb.Helper()
+	buf := make([]byte, blockdev.BlockSize)
+	fillByLBA(lba, buf)
+	cur := sig.Compute(buf)
+	for p := range sigv {
+		buf[p*sig.SubBlockSize] += sigv[p] - cur[p] // the first byte of a sub-block is sampled
+	}
+	if _, err := c.WriteBlock(lba, buf); err != nil {
+		tb.Fatal(err)
+	}
+	v := c.lbas[lba].v
+	if v == nil || v.slotRef == nil || v.kind != Independent || v.slotRef.sigv != sigv {
+		tb.Fatalf("lba %d did not write through with signature %x", lba, sigv)
+	}
+	return v.slotRef
+}
+
+// TestScanProbeIndexMatchesWalk holds the scan's probe index to the
+// walk on a rig of up to 300 write-through slots: at live-slot counts
+// on either side of a 64-slot bitmap word and of the probe prefix, at
+// MaxSigDistance 0, 4 and 8, over duplicate signatures (the lowest
+// position wins), and across a slot listed inside the prefix and one
+// dying there, each between two probes. A slot listed past the prefix
+// leaves the index fresh.
+func TestScanProbeIndexMatchesWalk(t *testing.T) {
+	cfg := NewDefaultConfig(4096, 400, 64<<10, 64*blockdev.BlockSize)
+	cfg.MetadataBlocks = 4096
+	cfg.ScanPeriod = 1 << 30
+	cfg.FlushPeriodOps = 0
+	cfg.HeatmapDecayOps = 0
+	c := newTestRig(t, cfg).c
+	r := sim.NewRand(31)
+	randSig := func() (s sig.Signature) {
+		binary.LittleEndian.PutUint64(s[:], r.Uint64())
+		return s
+	}
+
+	// Slot signatures: each one of ten families' with up to six
+	// sub-signatures changed, and every seventh a copy of an earlier one.
+	var families [10]sig.Signature
+	for i := range families {
+		families[i] = randSig()
+	}
+	sigs := make([]sig.Signature, 300)
+	for i := range sigs {
+		if i%7 == 6 {
+			sigs[i] = sigs[r.Intn(i)]
+			continue
+		}
+		sigs[i] = families[r.Intn(len(families))]
+		for n := r.Intn(7); n > 0; n-- {
+			sigs[i][r.Intn(sig.SubBlocks)] = byte(r.Uint64())
+		}
+	}
+	for i, sv := range sigs {
+		if i >= maxSlotProbe-1 {
+			c.scanSimilarSlot(sv) // build over the list as it stands
+		}
+		writeWithSig(t, c, int64(i), sv)
+		if inPrefix := i < maxSlotProbe; c.probe != nil && c.probe.fresh == inPrefix {
+			t.Fatalf("listing slot %d (in the prefix: %v) left the probe index fresh=%v", i, inPrefix, c.probe.fresh)
+		}
+	}
+
+	var matches [sig.SubBlocks + 1]int
+	dups := 0
+	for _, n := range []int{300, 256, 255, 65, 64, 63, 1, 0} {
+		for live := c.liveSlots(); len(live) > n; live = c.liveSlots() {
+			if err := c.evictToHome(live[len(live)-1].wt); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, dist := range []int{0, 4, 8} {
+			c.cfg.MaxSigDistance = dist
+			for i := 0; i < 300; i++ {
+				p := randSig()
+				if i > 0 {
+					p = sigs[r.Intn(len(sigs))]
+					for k := r.Intn(sig.SubBlocks + 1); k > 0; k-- {
+						p[r.Intn(sig.SubBlocks)] ^= 1 << r.Intn(8)
+					}
+				}
+				want := c.findSimilarSlotWalk(p)
+				if got := c.scanSimilarSlot(p); got != want {
+					t.Fatalf("%d live, MaxSigDistance %d: probe index answers %x with %v, the walk %v", n, dist, p, got, want)
+				}
+				if want != nil {
+					matches[sig.Distance(p, want.sigv)]++
+				}
+			}
+		}
+		c.cfg.MaxSigDistance = 4
+		live := c.liveSlots()
+		for j, s := range live[:min(len(live), maxSlotProbe)] {
+			first := slices.IndexFunc(live, func(o *refSlot) bool { return o.sigv == s.sigv })
+			if got := c.scanSimilarSlot(s.sigv); got != live[first] {
+				t.Fatalf("%d live: slot %d's own signature finds %v, want position %d", n, j, got, first)
+			}
+			if first < j {
+				dups++
+			}
+		}
+		if err := c.CheckInvariants(); err != nil {
+			t.Fatalf("%d live: %v", n, err)
+		}
+	}
+	if slices.Contains(matches[:], 0) || dups == 0 {
+		t.Fatalf("too tame: matches by distance %v, %d duplicate signatures", matches, dups)
+	}
+
+	// Between two probes: a slot listed while fewer than maxSlotProbe
+	// are live, then a slot dying inside the prefix.
+	for i := 0; i < 100; i++ {
+		writeWithSig(t, c, int64(1000+i), randSig())
+	}
+	fresh := randSig()
+	if got := c.scanSimilarSlot(fresh); got != nil {
+		t.Fatalf("unrelated signature found %v", got)
+	}
+	added := writeWithSig(t, c, 2000, fresh)
+	if c.probe.fresh {
+		t.Fatal("listing a slot inside the prefix left the probe index fresh")
+	}
+	if got := c.scanSimilarSlot(fresh); got != added {
+		t.Fatalf("a slot listed between two probes: found %v, want %v", got, added)
+	}
+	victim := c.liveSlots()[40]
+	if got := c.scanSimilarSlot(victim.sigv); got != victim {
+		t.Fatalf("slot %d's own signature found %v", victim.index, got)
+	}
+	if err := c.evictToHome(victim.wt); err != nil {
+		t.Fatal(err)
+	}
+	if c.probe.fresh {
+		t.Fatal("a slot dying inside the prefix left the probe index fresh")
+	}
+	want := c.findSimilarSlotWalk(victim.sigv)
+	if got := c.scanSimilarSlot(victim.sigv); got != want || got == victim {
+		t.Fatalf("a slot died between two probes: found %v, the walk %v", got, want)
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestProbeCountThreshold holds the probe index's bit-sliced adder and
+// threshold to a popcount over every pattern of equal sub-signatures:
+// a loose filter would hide behind the distance check and only cost
+// time.
+func TestProbeCountThreshold(t *testing.T) {
+	for pat := 0; pat < 1<<sig.SubBlocks; pat++ {
+		var eq [sig.SubBlocks]uint64
+		for p := range eq {
+			eq[p] = uint64(pat>>p&1) << 63
+		}
+		cnt := count8(&eq)
+		got := 0
+		for k, plane := range cnt {
+			got |= int(plane>>63) << k
+		}
+		want := bits.OnesCount8(uint8(pat))
+		if got != want {
+			t.Fatalf("pattern %08b: count8 says %d (planes %x), want %d", pat, got, cnt, want)
+		}
+		for need := -1; need <= sig.SubBlocks+1; need++ {
+			if got, want := atLeast(cnt, need)>>63 == 1, want >= need; got != want {
+				t.Fatalf("pattern %08b, need %d: atLeast says %v", pat, need, got)
+			}
+		}
 	}
 }

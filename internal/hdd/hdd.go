@@ -35,9 +35,9 @@ type Config struct {
 	MaxSeek sim.Duration
 	// TransferRate is the sustained media rate in bytes per second.
 	TransferRate int64
-	// WriteCacheBlocks sets the volatile on-drive write buffer: up to
-	// this many consecutive sequential writes complete at buffer speed
-	// before the model charges media time. 0 disables write caching.
+	// WriteCacheBlocks sets the on-drive write buffer: up to this many
+	// non-sequential writes in a row complete at buffer speed, and the
+	// next access that reaches the media empties it. 0 disables it.
 	WriteCacheBlocks int
 	// BufferLatency is the service time for a buffered (cached) write.
 	BufferLatency sim.Duration
