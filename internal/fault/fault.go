@@ -321,13 +321,13 @@ func (d *Device) tearAndDie(lba int64, buf []byte) error {
 		if _, err := d.inner.ReadBlock(lba, old); err == nil {
 			copy(old[:d.tornBytes], buf[:d.tornBytes])
 			// Bypass wrapper accounting: this is the physical tail of
-			// the dying write, not a new host request.
+			// the dying write, not a new host request. The device is
+			// dying mid-write: the torn tail is best-effort and there is
+			// no caller to surface its failure to.
 			if p, ok := d.inner.(blockdev.Preloader); ok {
-				//lint:ignore errclass the device is dying mid-write; the torn tail is best-effort and there is no caller to surface a failure to
-				p.Preload(lba, old)
+				_ = p.Preload(lba, old)
 			} else {
-				//lint:ignore errclass the device is dying mid-write; the torn tail is best-effort and there is no caller to surface a failure to
-				d.inner.WriteBlock(lba, old)
+				_, _ = d.inner.WriteBlock(lba, old)
 			}
 		}
 	}

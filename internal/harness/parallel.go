@@ -33,9 +33,9 @@ import (
 // stream stage's pump) keeps that clock on one goroutine.
 //
 // This is the module's blessed fan-out primitive: every package that
-// wants experiment-point parallelism routes through it (the goroutines
-// analyzer rejects hand-rolled worker pools in internal/), so the
-// determinism argument — independent points, index-gathered results,
+// wants experiment-point parallelism routes through it (under
+// internal/, TestConcurrencyContained rejects a go statement anywhere
+// else), so the determinism argument — independent points, index-gathered results,
 // lowest-index error — lives in exactly one place.
 func ForEachPoint(workers, n int, fn func(int) error) error {
 	p := min(resolveWorkers(workers), n)

@@ -15,15 +15,13 @@ import (
 // path in normal builds and the Clock struct layout identical across
 // build modes.
 //
-// This runtime assertion is one of two enforcement layers for the
-// single-owner rule. The other is static: the detclock analyzer
-// (internal/analysis/detclock.go, run by icash-vet / `make lint`)
-// rejects any diff in which a package outside the run-driving set
-// calls a mutating Clock method at all. The analyzer cannot see
-// dynamic ownership hand-offs between goroutines; this assertion
-// cannot see code paths tests never execute — keep both, and when the
-// set of run-driving packages changes, update detclock's
-// clockOwnerPkgs and DESIGN.md §10 together with this comment.
+// This runtime assertion owns the single-owner rule: it catches a clock
+// mutated from a second goroutine. A mutation from a package outside
+// the run-driving set (sim, sim/event, harness) on the owning goroutine
+// moves the timeline instead, which the golden reports and the event
+// scheduler's "scheduling before now" panic catch. When the set of
+// run-driving packages changes, update DESIGN.md §8 and §10 together
+// with this comment.
 var clockOwners sync.Map // *Clock -> uint64 goroutine id
 
 // goid parses the current goroutine's id from its stack header. Slow,
