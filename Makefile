@@ -1,8 +1,8 @@
 GO ?= go
 # The non-test source line count (`make loc`) may not pass this.
-LOC_CEILING = 18515
+LOC_CEILING = 18413
 
-.PHONY: help check build vet fmt-check test golden loc loc-check benchmark-smoke race bench bench-smoke bench-profile alloc-gate fuzz-smoke clockcheck chaos chaos-smoke crash-sweep serve-smoke scrub-smoke shard-smoke examples bench-record
+.PHONY: help check build vet fmt-check test golden loc loc-check benchmark-smoke race bench bench-smoke bench-profile alloc-gate fuzz-smoke clockcheck chaos chaos-smoke crash-sweep serve-smoke scrub-smoke shard-smoke examples bench-record identical
 
 help: ## list targets
 	@awk -F':.*## ' '/^[a-z-]+:.*## /{printf "%-12s %s\n", $$1, $$2}' Makefile
@@ -49,7 +49,7 @@ bench-profile: ## full figure suite with CPU + heap profiles (cpu.prof, mem.prof
 	@echo "profiles written: cpu.prof mem.prof (inspect with: go tool pprof cpu.prof)"
 
 alloc-gate: ## hot-path allocation gates + allocs/op and B/op benchmarks (codec MB/s per shape, write path) + miss-and-evict, similarity-probe, write-through-reclaim and idle-scan scaling + the scan's probe index against the linear probe (must run WITHOUT -race)
-	$(GO) test -run 'TestAllocGate' -count=1 ./internal/delta/ ./internal/blockdev/ ./internal/workload/
+	$(GO) test -run 'TestAllocGate' -count=1 ./internal/delta/ ./internal/blockdev/ ./internal/workload/ ./internal/harness/
 	$(GO) test -run 'TestAllocGate' -count=1 ./internal/core/ -args -timing-gates
 	$(GO) test -bench 'AppendEncode|AppendDecode|Size' -benchtime 1000x -benchmem -run '^$$' ./internal/delta/
 	$(GO) test -bench 'ReadMissEvict|WriteDelta|SimilarProbe|WriteThroughReclaim|ScanIdleWindow' -benchtime 20000x -benchmem -run '^$$' ./internal/core/
@@ -99,6 +99,23 @@ bench-record: ## ten alternating 15 s parent/change pairs of every repo-benchmar
 	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	git archive $(BASE) | tar -x -C "$$dir"; \
 	$(GO) run ./cmd/bench-record -base "$$dir" -base-rev "$$(git rev-parse $(BASE))" -seed $(SEED) -out $(BENCH_OUT)
+
+# identical builds icash-bench from BASE and from the working tree and
+# compares their reports byte for byte. CI checks out one commit, so it
+# is a local target only.
+IDENTICAL_RUNS = "-run all -parallel 1" "-run all -parallel 2" -qdsweep -wsweep -shardsweep -serve
+
+identical: ## cmp icash-bench -run all (-parallel 1, 2), -qdsweep, -wsweep, -shardsweep and -serve of BASE (default HEAD) against the working tree
+	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	git archive $(BASE) | tar -x -C "$$dir"; \
+	(cd "$$dir" && $(GO) build -o "$$dir/bench-base" ./cmd/icash-bench); \
+	$(GO) build -o "$$dir/bench-work" ./cmd/icash-bench; \
+	fail=0; for args in $(IDENTICAL_RUNS); do \
+		"$$dir/bench-base" $$args >"$$dir/base.out"; \
+		"$$dir/bench-work" $$args >"$$dir/work.out"; \
+		if cmp -s "$$dir/base.out" "$$dir/work.out"; then echo "identical: icash-bench $$args"; \
+		else echo "DIFFERS:   icash-bench $$args"; fail=1; fi; \
+	done; exit $$fail
 
 examples: ## run all five narrated demos
 	$(GO) run ./examples/quickstart

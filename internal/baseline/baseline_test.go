@@ -2,6 +2,8 @@ package baseline
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"testing"
 
 	"icash/internal/blockdev"
@@ -35,8 +37,9 @@ func fill(tag byte) []byte {
 }
 
 // shadowCheck drives dev with a random mixed workload, verifying reads
-// against a model and returning after flush-verify.
-func shadowCheck(t *testing.T, dev blockdev.Device, flush func() error, hdd *blockdev.MemDevice, seed uint64, ops int) {
+// against a model and returning after flush-verify. A non-nil check
+// runs after every op.
+func shadowCheck(t *testing.T, dev blockdev.Device, flush func() error, check func() error, hdd *blockdev.MemDevice, seed uint64, ops int) {
 	t.Helper()
 	r := sim.NewRand(seed)
 	model := map[int64][]byte{}
@@ -62,6 +65,11 @@ func shadowCheck(t *testing.T, dev blockdev.Device, flush func() error, hdd *blo
 				t.Fatalf("op %d: lba %d content mismatch", i, lba)
 			}
 		}
+		if check != nil {
+			if err := check(); err != nil {
+				t.Fatalf("op %d: %v", i, err)
+			}
+		}
 	}
 	if err := flush(); err != nil {
 		t.Fatalf("flush: %v", err)
@@ -80,7 +88,7 @@ func shadowCheck(t *testing.T, dev blockdev.Device, flush func() error, hdd *blo
 func TestLRUCacheShadow(t *testing.T) {
 	rg := newRig(32, 512)
 	c := NewLRUCache(rg.ssd, rg.hdd, rg.cpu)
-	shadowCheck(t, c, c.Flush, rg.hdd, 11, 5000)
+	shadowCheck(t, c, c.Flush, nil, rg.hdd, 11, 5000)
 	if c.Stats.Evictions == 0 || c.Stats.Writebacks == 0 {
 		t.Errorf("expected evictions and writebacks: %+v", c.Stats)
 	}
@@ -92,10 +100,42 @@ func TestLRUCacheShadow(t *testing.T) {
 func TestDedupCacheShadow(t *testing.T) {
 	rg := newRig(32, 512)
 	c := NewDedupCache(rg.ssd, rg.hdd, rg.cpu)
-	shadowCheck(t, c, c.Flush, rg.hdd, 13, 5000)
+	shadowCheck(t, c, c.Flush, c.checkLinks, rg.hdd, 13, 5000)
 	if c.Stats.Evictions == 0 {
 		t.Errorf("expected evictions: %+v", c.Stats)
 	}
+}
+
+// checkLinks verifies the dedup cache's two-way LBA links: every listed
+// node is indexed by its hash and lists its LBAs ascending, each of
+// them mapping back to it, and every cached LBA is listed by its node.
+func (c *DedupCache) checkLinks() error {
+	nodes, listed := 0, 0
+	for n := c.recency.Front(); n != nil; n = n.Next() {
+		v := &n.Value
+		nodes++
+		listed += len(v.lbas)
+		if c.byHash[v.hash] != n {
+			return fmt.Errorf("node %x is not indexed by its hash", v.hash)
+		}
+		if len(v.lbas) == 0 || !slices.IsSorted(v.lbas) {
+			return fmt.Errorf("node %x lists LBAs %v, want a non-empty ascending list", v.hash, v.lbas)
+		}
+		for _, lba := range v.lbas {
+			if c.lbaTo[lba].node != n {
+				return fmt.Errorf("node %x lists lba %d, which maps elsewhere", v.hash, lba)
+			}
+		}
+	}
+	for lba, ref := range c.lbaTo {
+		if _, found := slices.BinarySearch(ref.node.Value.lbas, lba); !found {
+			return fmt.Errorf("lba %d is not listed by its node", lba)
+		}
+	}
+	if nodes != len(c.byHash) || listed != len(c.lbaTo) {
+		return fmt.Errorf("%d nodes list %d LBAs; byHash has %d, lbaTo %d", nodes, listed, len(c.byHash), len(c.lbaTo))
+	}
+	return nil
 }
 
 func TestLRUHitFasterThanMiss(t *testing.T) {

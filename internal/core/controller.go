@@ -666,7 +666,6 @@ func (c *Controller) evictToHome(v *vblock) error {
 	// A tombstone tells recovery the home location is authoritative,
 	// superseding any durable or pending delta/pointer record.
 	rec := c.lbas[v.lba].rec
-	dbg(v.lba, "evictToHome kind=%v ssdCur=%v recKind=%d dirty=%v", v.kind, v.ssdCurrent, rec.kind, v.deltaDirty)
 	if (rec.kind != entryNone && rec.kind != entryTombstone) || v.ssdCurrent || v.deltaDirty || v.inDirty {
 		c.queueControl(logEntry{kind: entryTombstone, lba: v.lba})
 	}
@@ -685,16 +684,6 @@ func (c *Controller) writeHome(v *vblock, content []byte) error {
 	v.hddHome = true
 	v.dataDirty = false
 	return nil
-}
-
-// debugLBA enables targeted tracing of one LBA's state transitions in
-// tests; -1 disables.
-var debugLBA int64 = -1
-
-func dbg(lba int64, format string, args ...interface{}) {
-	if lba == debugLBA {
-		fmt.Printf("[dbg %d] "+format+"\n", append([]interface{}{lba}, args...)...)
-	}
 }
 
 // ResetStats zeroes the controller's accumulated statistics; internal

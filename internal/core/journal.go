@@ -525,9 +525,6 @@ func (c *Controller) writeTxn(entries []logEntry, blockCap int64) (int, error) {
 			lb.metas = append(lb.metas, entryMeta{kind: e.kind, flags: e.flags, lba: e.lba, seq: e.seq, slot: e.slot, size: int32(sz)})
 			payload += sz
 			c.lbas[e.lba].durable++
-			if debugLBA >= 0 {
-				dbg(e.lba, "commit txn=%d kind=%d seq=%d block=%d", id, e.kind, e.seq, p.block)
-			}
 			c.setLogIndex(e.lba, logRec{block: p.block, seq: e.seq, kind: e.kind, size: int32(sz)})
 			if e.kind == entryDelta {
 				c.Stats.DeltasPacked++
@@ -832,9 +829,6 @@ func (c *Controller) evictTxnDeltas(t *txn, dst []logEntry, inFlight map[int64]b
 		c.dropVBlock(v)
 		dst = append(dst, logEntry{kind: entryTombstone, rescued: true, lba: m.lba})
 		displaced[m.lba] = true
-		if debugLBA >= 0 {
-			dbg(m.lba, "compact-evict txn=%d seq=%d block=%d", t.id, m.seq, b)
-		}
 		return true
 	})
 	return dst, err
@@ -947,9 +941,6 @@ func (c *Controller) rescueTxn(t *txn, dst []logEntry, displaced map[int64]bool)
 	c.liveRecords(t, func(b int64, m *entryMeta) bool {
 		if displaced[m.lba] {
 			return true // evicted home; its tombstone already rides along
-		}
-		if debugLBA >= 0 {
-			dbg(m.lba, "rescue txn=%d kind=%d seq=%d block=%d", t.id, m.kind, m.seq, b)
 		}
 		switch m.kind {
 		case entryDelta:

@@ -338,9 +338,9 @@ func (c *Controller) degradeSSD() {
 	}
 	// Commit the tombstones: after this flush the HDD alone describes
 	// every surviving block, so a later crash recovers cleanly without
-	// the SSD. On flush failure they stay queued for the next attempt.
+	// the SSD.
 	if err := c.commitJournal(); err != nil {
-		dbg(-2, "degrade flush failed: %v", err)
+		return // the tombstones stay queued for the next attempt
 	}
 }
 

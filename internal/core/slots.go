@@ -131,7 +131,6 @@ func removeIndex(list []int64, idx int64) []int64 {
 // record (tombstone / pointer / new delta) that supersedes v's durable
 // state before the next flush.
 func (c *Controller) detachSlot(v *vblock) {
-	dbg(v.lba, "detachSlot kind=%v ssdCur=%v", v.kind, v.ssdCurrent)
 	s := v.slotRef
 	v.slotRef = nil
 	v.ssdCurrent = false
@@ -428,7 +427,6 @@ func (c *Controller) writeThroughSSD(v *vblock, content []byte) (sim.Duration, e
 	if err := c.cacheData(v, content, false); err != nil {
 		return 0, err
 	}
-	dbg(v.lba, "writeThroughSSD pointer slot=%d", s.index)
 	c.queueControl(logEntry{kind: entryPointer, flags: flagDonor, lba: v.lba, slot: s.index})
 	c.Stats.WriteThroughSSD++
 	return d, nil
@@ -481,7 +479,6 @@ func (c *Controller) installReference(v *vblock, content []byte) (*refSlot, erro
 	v.dataDirty = false // the SSD slot is now a durable current copy
 	c.releaseDelta(v)
 	v.deltaDirty = false
-	dbg(v.lba, "installReference pointer slot=%d", s.index)
 	c.queueControl(logEntry{kind: entryPointer, flags: flagDonor | flagReference, lba: v.lba, slot: s.index})
 	c.Stats.RefsSelected++
 	return s, nil

@@ -1,24 +1,18 @@
 package fault
 
-import (
-	"errors"
-	"fmt"
-
-	"icash/internal/blockdev"
-)
+import "fmt"
 
 // Error is the typed error every injected fault carries: the failed
-// operation, its target block, and the fault class. Callers that only
-// need the class use Classify; callers that need the details use
-// errors.As — both survive arbitrary fmt.Errorf("...: %w", err)
+// operation, its target block, and the sentinel that names the fault
+// class. Callers that only need the class use blockdev.Classify, which
+// reaches the sentinel through Unwrap; callers that need the details
+// use errors.As. Both survive arbitrary fmt.Errorf("...: %w", err)
 // wrapping by the retry and request paths.
 type Error struct {
 	// Op is "read" or "write".
 	Op string
 	// LBA is the target block of the failed operation.
 	LBA int64
-	// Class is the fault taxonomy entry.
-	Class blockdev.ErrorClass
 	// Err is the underlying sentinel (blockdev.ErrMedia, ErrTransient,
 	// ErrDeviceLost) or a detail error wrapping one.
 	Err error
@@ -34,22 +28,5 @@ func (e *Error) Unwrap() error { return e.Err }
 
 // injectErr builds the injector's typed error for one fault.
 func injectErr(op string, lba int64, sentinel error) error {
-	return &Error{Op: op, LBA: lba, Class: blockdev.Classify(sentinel), Err: sentinel}
-}
-
-// Classify resolves the fault class of err, however deeply wrapped. It
-// prefers the typed *fault.Error anywhere in the chain (errors.As),
-// falling back to sentinel matching (errors.Is, via blockdev.Classify)
-// for errors that did not originate in this package — so a transient
-// timeout wrapped three layers deep by the retry path still classifies
-// as transient instead of falling through to unknown.
-func Classify(err error) blockdev.ErrorClass {
-	if err == nil {
-		return blockdev.ClassNone
-	}
-	var fe *Error
-	if errors.As(err, &fe) {
-		return fe.Class
-	}
-	return blockdev.Classify(err)
+	return &Error{Op: op, LBA: lba, Err: sentinel}
 }

@@ -24,8 +24,8 @@ func TestClassifySurvivesWrapping(t *testing.T) {
 	}
 	wrapped := fmt.Errorf("request: %w", fmt.Errorf("retry 2: %w", err))
 
-	if got := Classify(wrapped); got != blockdev.ClassMedia {
-		t.Fatalf("Classify(wrapped) = %v, want media", got)
+	if got := blockdev.Classify(wrapped); got != blockdev.ClassMedia {
+		t.Fatalf("blockdev.Classify(wrapped) = %v, want media", got)
 	}
 	if !errors.Is(wrapped, blockdev.ErrMedia) {
 		t.Fatal("errors.Is(wrapped, ErrMedia) = false")
@@ -34,13 +34,13 @@ func TestClassifySurvivesWrapping(t *testing.T) {
 	if !errors.As(wrapped, &fe) {
 		t.Fatal("errors.As(wrapped, *fault.Error) = false")
 	}
-	if fe.Op != "read" || fe.LBA != 3 || fe.Class != blockdev.ClassMedia {
-		t.Fatalf("typed error details = %q/%d/%v, want read/3/media", fe.Op, fe.LBA, fe.Class)
+	if fe.Op != "read" || fe.LBA != 3 || blockdev.Classify(fe) != blockdev.ClassMedia {
+		t.Fatalf("typed error details = %q/%d/%v, want read/3/media", fe.Op, fe.LBA, blockdev.Classify(fe))
 	}
 }
 
 // TestClassifyFallsBackToSentinels: errors that did not originate in
-// this package classify via the blockdev sentinel chain, and unknown
+// this package classify by their sentinel chain, and unknown
 // errors land in ClassOther instead of panicking or misclassifying.
 func TestClassifyFallsBackToSentinels(t *testing.T) {
 	cases := []struct {
@@ -53,8 +53,8 @@ func TestClassifyFallsBackToSentinels(t *testing.T) {
 		{errors.New("mystery"), blockdev.ClassOther},
 	}
 	for _, tc := range cases {
-		if got := Classify(tc.err); got != tc.want {
-			t.Errorf("Classify(%v) = %v, want %v", tc.err, got, tc.want)
+		if got := blockdev.Classify(tc.err); got != tc.want {
+			t.Errorf("blockdev.Classify(%v) = %v, want %v", tc.err, got, tc.want)
 		}
 	}
 }

@@ -331,7 +331,7 @@ func (d *Device) tearAndDie(lba int64, buf []byte) error {
 			}
 		}
 	}
-	return &Error{Op: "write", LBA: lba, Class: blockdev.ClassDeviceLost,
+	return &Error{Op: "write", LBA: lba,
 		Err: fmt.Errorf("power cut at crash point (%d bytes applied): %w",
 			d.tornBytes, blockdev.ErrDeviceLost)}
 }

@@ -170,8 +170,8 @@ func TestScheduleValidate(t *testing.T) {
 
 // TestClassifyUnwrapsNestedErrors: the typed *fault.Error classifies
 // through arbitrary wrapping — fmt.Errorf chains from the retry path,
-// double wrapping, errors.Join — and plain sentinel chains still
-// classify via the blockdev fallback.
+// double wrapping, errors.Join — because its Unwrap exposes the
+// sentinel, and plain sentinel chains classify the same way.
 func TestClassifyUnwrapsNestedErrors(t *testing.T) {
 	base := injectErr("read", 42, blockdev.ErrTransient)
 	cases := []struct {
@@ -190,12 +190,11 @@ func TestClassifyUnwrapsNestedErrors(t *testing.T) {
 		{"unknown", errors.New("who knows"), blockdev.ClassOther},
 	}
 	for _, tc := range cases {
-		if got := Classify(tc.err); got != tc.want {
+		if got := blockdev.Classify(tc.err); got != tc.want {
 			t.Errorf("%s: Classify = %v, want %v", tc.name, got, tc.want)
 		}
 	}
-	// The typed error also satisfies the old sentinel interface, so
-	// pre-existing blockdev.Classify call sites keep working.
+	// A typed error wrapped once more still reaches its sentinel.
 	if got := blockdev.Classify(fmt.Errorf("w: %w", base)); got != blockdev.ClassTransient {
 		t.Errorf("blockdev.Classify on typed error = %v", got)
 	}
@@ -235,7 +234,7 @@ func TestDeviceFailSlowPlan(t *testing.T) {
 	// Injected error latencies are shaped too.
 	d.InjectBad(5)
 	lat, err := d.ReadBlock(5, buf)
-	if Classify(err) != blockdev.ClassMedia {
+	if blockdev.Classify(err) != blockdev.ClassMedia {
 		t.Fatalf("expected media error, got %v", err)
 	}
 	if want := errorLatency * 100; lat != want {

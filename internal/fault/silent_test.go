@@ -238,7 +238,7 @@ func TestCorruptionClassDistinct(t *testing.T) {
 	if !errors.Is(wrapped, blockdev.ErrCorruption) {
 		t.Fatal("errors.Is(wrapped, ErrCorruption) = false")
 	}
-	if got := Classify(wrapped); got != blockdev.ClassCorruption {
+	if got := blockdev.Classify(wrapped); got != blockdev.ClassCorruption {
 		t.Fatalf("Classify = %v, want ClassCorruption", got)
 	}
 	if errors.Is(wrapped, blockdev.ErrMedia) {

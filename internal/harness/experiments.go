@@ -227,11 +227,10 @@ var Experiments = []Experiment{
 
 // renderTable6 renders SSD write counts. The paper's Table 6 has no
 // RAID row (no SSD); measured counts are scaled back to paper scale for
-// an apples-to-apples magnitude comparison.
+// an apples-to-apples magnitude comparison, each row by its own op count.
 func renderTable6(paper paperFig) func(*BenchmarkRun) string {
 	return func(br *BenchmarkRun) string {
 		var b strings.Builder
-		scale := float64(br.Profile.PaperOps()) / float64(opsOf(br))
 		fmt.Fprintf(&b, "%-10s %14s %18s %14s\n", "System", "measured", "scaled-to-paper", "paper")
 		for i, k := range AllKinds() {
 			if k == RAID0 {
@@ -241,6 +240,7 @@ func renderTable6(paper paperFig) func(*BenchmarkRun) string {
 			if r == nil {
 				continue
 			}
+			scale := float64(br.Profile.PaperOps()) / float64(r.Ops)
 			fmt.Fprintf(&b, "%-10s %14d %18.0f %14.0f\n",
 				k.String(), r.SSDHostWrites, float64(r.SSDHostWrites)*scale, paper[i])
 		}
@@ -282,15 +282,6 @@ func loadSimScore(r *Result) float64 {
 		return 0
 	}
 	return float64(reqLat) / float64(n) / 10_000
-}
-
-func opsOf(br *BenchmarkRun) int64 {
-	for _, r := range br.Results {
-		if r != nil {
-			return r.Ops
-		}
-	}
-	return 1
 }
 
 // ExperimentByID looks up one experiment.

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"icash/internal/race"
 	"icash/internal/workload"
 )
 
@@ -216,6 +217,37 @@ func TestPageCache(t *testing.T) {
 	off.insert(5)
 	if off.lookup(5) {
 		t.Fatal("zero-capacity cache must never hit")
+	}
+}
+
+// TestAllocGatePageCache: once the page cache is full, lookups and
+// inserts allocate nothing, because an insert recycles the evicted
+// victim's node.
+func TestAllocGatePageCache(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	const capacity = 64
+	pc := newPageCache(capacity)
+	next := int64(0)
+	for ; next < capacity; next++ {
+		pc.insert(next)
+	}
+	op := func() {
+		pc.lookup(next - 1)        // hit at the front
+		pc.lookup(next - capacity) // hit at the back
+		pc.insert(next - 1)        // already cached
+		if pc.lookup(next) {       // miss, then evict and recycle
+			t.Fatalf("lba %d hit before its insert", next)
+		}
+		pc.insert(next)
+		next++
+	}
+	if got := testing.AllocsPerRun(1000, op); got != 0 {
+		t.Fatalf("warm lookup+insert allocated %v objects/op, want 0", got)
+	}
+	if pc.hits == 0 || len(pc.index) != capacity {
+		t.Fatalf("%d hits, %d cached; want hits and a full cache", pc.hits, len(pc.index))
 	}
 }
 

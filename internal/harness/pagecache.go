@@ -1,5 +1,7 @@
 package harness
 
+import "icash/internal/lru"
+
 // pageCache models the guest operating system's page cache, which sits
 // above the virtual disk in the paper's KVM prototype (§4.1). Every
 // system under test gets an identical instance sized from the
@@ -11,59 +13,21 @@ package harness
 // write-through (databases and file servers issue synchronous writes).
 type pageCache struct {
 	capacity int
-	index    map[int64]*pcEntry
-	head     *pcEntry
-	tail     *pcEntry
+	index    map[int64]*lru.Node[int64]
+	recency  lru.List[int64]
 
 	hits, misses int64
 }
 
-type pcEntry struct {
-	lba        int64
-	prev, next *pcEntry
-}
-
 func newPageCache(capacity int) *pageCache {
-	return &pageCache{capacity: capacity, index: make(map[int64]*pcEntry, capacity)}
-}
-
-func (p *pageCache) pushFront(e *pcEntry) {
-	e.prev = nil
-	e.next = p.head
-	if p.head != nil {
-		p.head.prev = e
-	}
-	p.head = e
-	if p.tail == nil {
-		p.tail = e
-	}
-}
-
-func (p *pageCache) unlink(e *pcEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		p.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		p.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
+	return &pageCache{capacity: capacity, index: make(map[int64]*lru.Node[int64], capacity)}
 }
 
 // lookup reports whether lba is cached, updating recency and counters.
+// A cache of no capacity never inserts, so it always misses.
 func (p *pageCache) lookup(lba int64) bool {
-	if p.capacity <= 0 {
-		p.misses++
-		return false
-	}
 	if e, ok := p.index[lba]; ok {
-		if p.head != e {
-			p.unlink(e)
-			p.pushFront(e)
-		}
+		p.recency.Touch(e)
 		p.hits++
 		return true
 	}
@@ -77,24 +41,21 @@ func (p *pageCache) insert(lba int64) {
 		return
 	}
 	if e, ok := p.index[lba]; ok {
-		if p.head != e {
-			p.unlink(e)
-			p.pushFront(e)
-		}
+		p.recency.Touch(e)
 		return
 	}
 	if len(p.index) >= p.capacity {
 		// Recycle the evicted entry in place of a fresh allocation: once
 		// the cache is warm, steady-state inserts allocate nothing.
-		victim := p.tail
-		p.unlink(victim)
-		delete(p.index, victim.lba)
-		victim.lba = lba
+		victim := p.recency.Back()
+		p.recency.Remove(victim)
+		delete(p.index, victim.Value)
+		victim.Value = lba
 		p.index[lba] = victim
-		p.pushFront(victim)
+		p.recency.PushFront(victim)
 		return
 	}
-	e := &pcEntry{lba: lba}
+	e := &lru.Node[int64]{Value: lba}
 	p.index[lba] = e
-	p.pushFront(e)
+	p.recency.PushFront(e)
 }
