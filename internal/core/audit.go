@@ -84,11 +84,16 @@ func (c *Controller) AuditJournal() (int, error) {
 	}
 
 	// Every transaction the reuse bookkeeping still tracks with live
-	// records must be wholly on the media.
+	// records must be wholly on the media. The lowest-id violator is the
+	// one reported, whatever the map order.
+	var bad *txn
 	for id, t := range c.txns {
-		if at := asm.txns[id]; t.live > 0 && (at == nil || !at.complete()) {
-			return incomplete, fmt.Errorf("core: audit: txn %d has %d live records but is not complete on disk", id, t.live)
+		if at := asm.txns[id]; t.live > 0 && (at == nil || !at.complete()) && (bad == nil || id < bad.id) {
+			bad = t
 		}
+	}
+	if bad != nil {
+		return incomplete, fmt.Errorf("core: audit: txn %d has %d live records but is not complete on disk", bad.id, bad.live)
 	}
 	return incomplete, nil
 }

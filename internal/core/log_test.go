@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -309,5 +311,35 @@ func TestQuarantineBlocksSlotReuse(t *testing.T) {
 	}
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAuditReportsLowestTxn plants two tracked transactions with live
+// records that never reached the media: every audit must name the lower
+// id, not whichever the map range yields first.
+func TestAuditReportsLowestTxn(t *testing.T) {
+	rig := newTestRig(t, smallConfig())
+	c := rig.c
+	r := sim.NewRand(5)
+	for lba := int64(0); lba < 64; lba++ {
+		if _, err := c.WriteBlock(lba, genContent(r, int(lba%3), 0.03)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.AuditJournal(); err != nil {
+		t.Fatalf("clean controller fails its audit: %v", err)
+	}
+	const lo = 1 << 40
+	for _, id := range []uint64{lo + 1, lo} {
+		c.txns[id] = &txn{id: id, live: 1}
+	}
+	want := fmt.Sprintf("txn %d has 1 live records", uint64(lo))
+	for i := 0; i < 20; i++ {
+		if _, err := c.AuditJournal(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("call %d: audit returned %v, want %q", i, err, want)
+		}
 	}
 }

@@ -47,10 +47,11 @@ func pinRun(r *Result) runPin {
 	}
 }
 
-// groupCases are the two sharded multi-stream points the split is
+// groupCases are the multi-stream points the split and the feed are
 // pinned on: a randread-shards4-shaped run (64 per-VM streams at QD 8
-// over 4 shards, four groups) and Fig 15's TPC-C VMs as streams over 4
-// shards (three non-empty groups).
+// over 4 shards, four groups), Fig 15's TPC-C VMs as streams over 4
+// shards (three non-empty groups), and the same VMs on one shard (one
+// group of five streams, which gets a producer from two workers up).
 func groupCases() []struct {
 	name string
 	p    workload.Profile
@@ -78,11 +79,19 @@ func groupCases() []struct {
 				Wait:  histPin{5419, 2718177506, 15728640},
 				Kinds: core.KindCounts{Reference: 332, Associate: 4852, Independent: 27},
 				Stats: 0xe2ec5f9fa227de72, Stations: 0x386e68bbdc6f0d35}},
+		{"tpcc5vm-shards1", workload.TPCC5VM(),
+			workload.Options{Scale: 1.0 / 256, MaxOps: 2000, Seed: 42, QueueDepth: 8, StreamPerVM: true, Shards: 1},
+			runPin{Ops: 1597, Reads: 1883, Writes: 3536, Elapsed: 65730370,
+				Read: histPin{5589, 132938688, 720896}, Write: histPin{3536, 207664782, 1179648},
+				Wait:  histPin{5419, 284672470, 1179648},
+				Kinds: core.KindCounts{Reference: 196, Associate: 5023, Independent: 101},
+				Stats: 0x7a6f120360138139, Stations: 0x6fc8eb061c7e1cbd}},
 	}
 }
 
-// TestShardGroupsMatchParent holds both points to constants captured
-// before runs were split into shard groups, at every worker count: the
+// TestShardGroupsMatchParent holds every point to constants captured
+// before runs were split into shard groups (the one-shard point: before
+// a multi-stream group had a producer), at every worker count: the
 // groups' histories, merged in group order, are the one loop's history.
 func TestShardGroupsMatchParent(t *testing.T) {
 	for _, tc := range groupCases() {

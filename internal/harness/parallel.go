@@ -13,12 +13,12 @@ import (
 // generator. Fanning points out across a worker pool therefore changes
 // wall-clock time only; every simulated number is produced by exactly
 // the same code on exactly the same inputs, and results are gathered
-// back in submission order. Within a run, the populate and flush fans
-// over an array's shards run under a frozen clock, and Run may hold one
-// of two fans: its shard groups, each on a private clock with its own
-// partial results, or its stream stage, which draws a single stream's
-// requests and write content on a second core ahead of the pump
-// (DESIGN.md §11).
+// back in submission order. A worker count is a budget: RunPoints gives
+// each point an equal share of it, and within a point the populate and
+// flush fans over an array's shards run under a frozen clock, and Run
+// fans its groups, each on a private clock with its own partial
+// results; a run of one group whose streams write spends a second
+// worker of its share on a stream-stage producer (DESIGN.md §11).
 
 // ForEachPoint runs fn(0..n-1), fanning across min(workers, n) workers
 // (workers <= 0 means GOMAXPROCS). Results must be gathered by index

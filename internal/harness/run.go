@@ -102,28 +102,19 @@ type Result struct {
 //     path reads it, and the scrubber — the controller's only clock
 //     reader — cannot fire at a frozen instant); the load's simulated
 //     duration (10 µs per block) is applied once after the join;
-//   - workers running side by side each use a fresh generator clone:
-//     Fill is deterministic per (profile, options, lba) but memoizes
-//     family bases, so clones keep the oracle race-free, and each
-//     unit's devices get the clone's fill. A lone unit loads through
-//     gen itself, which leaves gen's memo warm for the run.
+//   - every unit loads through gen: Fill is deterministic per lba and
+//     safe to share (its family memo is set by compare-and-swap).
 func Populate(sys *System, gen *workload.Generator) error {
 	n := gen.DataBlocks()
 	if n > sys.Dev.Blocks() {
 		n = sys.Dev.Blocks()
 	}
 	units, per := 1, n
-	setFill := func(_ int, f blockdev.FillFunc) { sys.SetFill(f) }
 	if sc := sys.Sharded; sc != nil {
-		units, per, setFill = sc.NumShards(), sc.ShardBlocks(), sys.SetShardFill
+		units, per = sc.NumShards(), sc.ShardBlocks()
 	}
-	p, opts := gen.Profile(), gen.Options()
-	err := ForEachPoint(opts.Workers, units, func(i int) error {
-		g := gen
-		if units > 1 {
-			g = workload.NewGenerator(p, opts)
-		}
-		setFill(i, g.Fill)
+	sys.SetFill(gen.Fill)
+	err := ForEachPoint(gen.Options().Workers, units, func(i int) error {
 		lo, hi := int64(i)*per, int64(i+1)*per
 		if hi > n {
 			hi = n
@@ -131,7 +122,7 @@ func Populate(sys *System, gen *workload.Generator) error {
 		buf := blockdev.GetBlock()
 		defer blockdev.PutBlock(buf)
 		for lba := lo; lba < hi; lba++ {
-			g.Fill(lba, buf)
+			gen.Fill(lba, buf)
 			if _, err := sys.Dev.WriteBlock(lba, buf); err != nil {
 				return fmt.Errorf("harness: %s populate lba %d: %w", sys.Name(), lba, err)
 			}
@@ -286,12 +277,12 @@ func pump(clock *sim.Clock, streams, tokens int, step func(stream int) (sim.Time
 // fan and advances once after the join to the latest completion, the
 // argument Populate makes. A failing group stops only its own tokens;
 // Run returns the lowest-index group's error. A run that cannot split is
-// one group on the system clock.
+// one group on the system clock, pumped on the calling goroutine.
 //
-// A run of one stream on two or more workers is one group whose stream
-// is drawn on a second core: the stream stage (runStaged) generates its
-// requests and write contents ahead of the pump, which consumes them in
-// stream order, so the result is the inline loop's to the byte.
+// Every group draws its streams' requests and write contents from one
+// stream stage (streamStage). A run of one group whose streams write
+// has a producer on a second worker, when Options.Workers leaves it
+// one; the result is the same to the byte however the stage is fed.
 func Run(sys *System, gen *workload.Generator) (*Result, error) {
 	p, opts := gen.Profile(), gen.Options()
 	qd := max(opts.QueueDepth, 1)
@@ -320,34 +311,34 @@ func Run(sys *System, gen *workload.Generator) (*Result, error) {
 
 	start := sys.Clock.Now()
 	groups := runGroups(sys, streams)
-	var err error
-	if len(streams) == 1 && resolveWorkers(opts.Workers) >= 2 {
-		err = runStaged(sys, &groups[0], gen, qd, caches)
-	} else {
-		err = ForEachPoint(opts.Workers, len(groups), func(gi int) error {
-			grp := &groups[gi]
-			grp.clock = sys.Clock
-			if len(groups) > 1 {
-				// Fill memoizes, so the shard's devices get a clone of the
-				// oracle, the way Populate's fan does.
-				grp.clock = sim.NewClock()
-				grp.clock.AdvanceTo(start)
-				sys.SetShardFill(grp.shard, workload.NewGenerator(p, opts).Fill)
-			}
-			buf := blockdev.GetBlock()
-			defer blockdev.PutBlock(buf)
-			srcs := make([]source, len(grp.streams))
-			for k, si := range grp.streams {
-				srcs[k] = &inline{streams[si], buf}
-			}
-			return grp.drive(sys, p, qd, srcs, caches, buf)
-		})
+	// A producer pays where it takes write content off the pump. Drawing
+	// only reads ahead, its hand-overs cost the pump as much as the draws
+	// they save; several groups at once it has not been measured on.
+	roles := 1
+	if len(groups) == 1 && p.ReadFraction() < 1 && resolveWorkers(opts.Workers) >= 2 {
+		roles = 2
 	}
+	devBlocks := sys.Dev.Blocks()
+	err := ForEachPoint(opts.Workers, len(groups), func(gi int) error {
+		grp := &groups[gi]
+		grp.clock = sys.Clock
+		if len(groups) > 1 {
+			grp.clock = sim.NewClock()
+			grp.clock.AdvanceTo(start)
+		}
+		st := newStreamStage(streams, grp.streams, roles == 2)
+		defer st.release()
+		return ForEachPoint(roles, roles, func(role int) error {
+			if role == 1 {
+				st.produce(devBlocks)
+				return nil
+			}
+			defer st.stop()
+			return grp.drive(sys, p, qd, st, caches)
+		})
+	})
 	if err != nil {
 		return nil, err
-	}
-	if len(groups) > 1 {
-		sys.SetFill(gen.Fill)
 	}
 	for i := range groups {
 		grp := &groups[i]
@@ -382,7 +373,6 @@ func Run(sys *System, gen *workload.Generator) (*Result, error) {
 // runGroup is one independent slice of a run: the streams it drives,
 // the clock they run on, and what they accumulate.
 type runGroup struct {
-	shard   int   // the shard every stream lies in, on a split run
 	streams []int // indices into the run's streams, ascending
 	clock   *sim.Clock
 
@@ -391,13 +381,14 @@ type runGroup struct {
 }
 
 // drive pumps the group's streams on its clock, qd tokens each, drawing
-// stream k's requests and write contents from srcs[k] and reading into
-// buf.
-func (grp *runGroup) drive(sys *System, p workload.Profile, qd int, srcs []source, caches []*pageCache, buf []byte) error {
+// stream k's requests and write contents from st's stream k.
+func (grp *runGroup) drive(sys *System, p workload.Profile, qd int, st *streamStage, caches []*pageCache) error {
 	clock := grp.clock
+	buf := blockdev.GetBlock()
+	defer blockdev.PutBlock(buf)
 	return pump(clock, len(grp.streams), qd, func(k int) (sim.Time, error) {
-		src, pc := srcs[k], caches[grp.streams[k]]
-		req, ok := src.Next()
+		pc := caches[grp.streams[k]]
+		req, ok := st.next(k)
 		if !ok {
 			return 0, io.EOF
 		}
@@ -415,7 +406,7 @@ func (grp *runGroup) drive(sys *System, p workload.Profile, qd int, srcs []sourc
 			}
 			op, b := "read", buf
 			if req.Write {
-				op, b = "write", src.content(lba)
+				op, b = "write", st.content(k, lba, buf)
 			}
 			d, wait, err := sys.TracedOp(req.Write, lba, b, arrival)
 			grp.wait.Record(wait)
@@ -473,9 +464,9 @@ func runGroups(sys *System, streams []*workload.Generator) []runGroup {
 		byShard[first] = append(byShard[first], si)
 	}
 	var groups []runGroup
-	for i, ids := range byShard {
+	for _, ids := range byShard {
 		if len(ids) > 0 {
-			groups = append(groups, runGroup{shard: i, streams: ids})
+			groups = append(groups, runGroup{streams: ids})
 		}
 	}
 	return groups
@@ -600,14 +591,19 @@ type PointResult struct {
 // RunPoints executes every point in full isolation — a fresh system
 // build and a fresh workload generator each, so concurrent points share
 // nothing mutable — fanned across workers, and returns the results
-// gathered by index. On failure it returns the lowest-index error (the
-// one a serial loop would hit first) with the results of the points
-// before it, so a caller renders exactly what the serial harness would
-// have finished, whatever the worker count.
+// gathered by index. The workers are a budget: each point runs with an
+// equal share of it (at least one) as its Opts.Workers, so the fans
+// inside a point (Populate, Run, the flush) add no goroutines beyond
+// it. On failure it returns the lowest-index error (the one a serial
+// loop would hit first) with the results of the points before it, so a
+// caller renders exactly what the serial harness would have finished,
+// whatever the worker count.
 func RunPoints(workers int, pts []Point) ([]PointResult, error) {
 	out := make([]PointResult, len(pts))
+	share := max(1, resolveWorkers(workers)/max(1, len(pts)))
 	err := ForEachPoint(workers, len(pts), func(i int) error {
 		pt := pts[i]
+		pt.Opts.Workers = share
 		sys, gen, err := BuildPopulated(pt.Kind, pt.Profile, pt.Opts)
 		if err == nil {
 			out[i].Res, err = Run(sys, gen)

@@ -8,34 +8,13 @@ import (
 	"icash/internal/workload"
 )
 
-// source is where a run draws one stream's requests and the content of
-// their written blocks, in stream order: the stream's generator itself
-// (inline), or the stream stage.
-type source interface {
-	Next() (workload.Request, bool)
-	// content returns a block holding the next write's content for lba.
-	content(lba int64) []byte
-}
-
-// inline draws a stream straight from its generator, generating each
-// write's content into the group's block buffer.
-type inline struct {
-	*workload.Generator
-	buf []byte
-}
-
-func (s *inline) content(lba int64) []byte {
-	s.WriteContent(lba, s.buf)
-	return s.buf
-}
-
-// Stream-stage sizes: the stage hands over up to batchReqs requests,
+// Stream-stage sizes: a producer hands over up to batchReqs requests,
 // or batchBlocks blocks of their write content, at a time, through
-// stageBatches batches in rotation; a side that finds its channel empty
+// stageBatches batches per stream; a side that finds its channel empty
 // yields up to maxSpins times before it parks. The spinning, not the
-// batch size, is what keeps hand-overs cheap, so batches stay small:
-// every run takes the stage's blocks afresh, and nine are 1.6 % of the
-// bytes a LoadSim run of 4 900 requests allocates.
+// batch size, keeps hand-overs cheap, so batches stay small, and a
+// group of n streams splits each batch size n ways (at least one), so
+// its batches hold about what one stream's do.
 const (
 	stageBatches = 3
 	batchReqs    = 32
@@ -43,73 +22,102 @@ const (
 	maxSpins     = 10000
 )
 
-// streamBatch is one hand-over of the stream stage: requests and the
-// content of their written blocks, in stream order. A request's content
-// may continue at the head of the next batch.
+// streamBatch is one hand-over of a stream: requests and the content of
+// their written blocks, in stream order, and the pump's place in them.
+// A request's content may continue at the head of the stream's next
+// batch. Content blocks come from the block pool on first use, so a
+// stream that never writes takes none.
 type streamBatch struct {
+	stream int
 	reqs   []workload.Request
-	blocks [batchBlocks][]byte
+	blocks [][]byte
 	nblk   int
 	eof    bool // the stream ended after reqs
+	ri, bi int  // the pump's next request and content block
 }
 
-// streamStage is the producer/consumer pair behind a single-stream run
-// on two or more workers. The producer owns the stream's generator for
-// the run: it calls Next and WriteContent, and touches no clock, device
-// or station. The consumer (the pump) takes the same requests and
-// contents in the same order from the batches, so the run is the inline
-// run to the byte.
+// streamStage is the one feed a run group draws its streams' requests
+// and write contents from, each stream in its own order. Without a
+// producer the pump draws them straight from the streams' generators.
+// With one, the producer owns the generators for the run and touches no
+// clock, device or station: it fills each stream's batches ahead of the
+// pump, which takes the same requests and contents in the same order,
+// so the run is the same to the byte.
 //
-// Batches circulate over two channels whose capacity is the batch
-// count, so no send ever blocks and neither side needs a select: the
-// producer receives an empty batch from free, fills it and sends it on
-// full; the consumer returns each batch it has used up to free.
+// Batches carry their stream and circulate over one free channel, which
+// the producer drains, and one full channel per stream, which the pump
+// drains. Each channel holds every batch that can reach it, so no send
+// blocks and neither side needs a select.
 type streamStage struct {
-	batches    [stageBatches]streamBatch
-	free, full chan *streamBatch
-	stopped    atomic.Bool
-
-	cur    *streamBatch // the consumer's batch
-	ri, bi int          // next request and content block in cur
+	streams []*workload.Generator // the run's streams
+	ids     []int                 // stream k of the stage is streams[ids[k]]
+	cur     []*streamBatch        // the pump's batch of each stream
+	batches []streamBatch
+	free    chan *streamBatch // nil without a producer
+	full    []chan *streamBatch
+	stopped atomic.Bool
 }
 
-func newStreamStage() *streamStage {
-	st := &streamStage{
-		free: make(chan *streamBatch, stageBatches),
-		full: make(chan *streamBatch, stageBatches),
+// newStreamStage builds the feed of streams[ids[k]] as its stream k,
+// with a producer when produced is set. Each stream then starts on an
+// empty batch, and its other batches wait in free.
+func newStreamStage(streams []*workload.Generator, ids []int, produced bool) *streamStage {
+	st := &streamStage{streams: streams, ids: ids}
+	if !produced {
+		return st
 	}
+	n := len(ids)
+	nr, nb := max(1, batchReqs/n), max(1, batchBlocks/n)
+	st.cur = make([]*streamBatch, n)
+	st.batches = make([]streamBatch, n*stageBatches)
+	st.free = make(chan *streamBatch, len(st.batches))
+	st.full = make([]chan *streamBatch, n)
+	reqs := make([]workload.Request, len(st.batches)*nr)
+	blocks := make([][]byte, len(st.batches)*nb)
 	for i := range st.batches {
 		b := &st.batches[i]
-		b.reqs = make([]workload.Request, 0, batchReqs)
-		for k := range b.blocks {
-			b.blocks[k] = blockdev.GetBlock()
+		b.stream = i % n
+		b.reqs = reqs[i*nr : i*nr : (i+1)*nr]
+		b.blocks = blocks[i*nb : (i+1)*nb]
+		if i < n {
+			st.cur[i] = b
+			st.full[i] = make(chan *streamBatch, stageBatches)
+		} else {
+			st.free <- b
 		}
-		st.free <- b
 	}
 	return st
 }
 
-// produce draws gen to the end of its stream, or until the consumer
-// stops the stage. Writes are clipped at devBlocks, as the pump clips
-// them.
-func (st *streamStage) produce(gen *workload.Generator, devBlocks int64) {
-	var lba int64
-	left := 0 // blocks of the last write whose content is still due
+// produce refills the batches the pump hands back, each from its own
+// stream, until the pump stops the stage; a stream that has ended
+// refills as another end. Writes are clipped at devBlocks, as the pump
+// clips them.
+func (st *streamStage) produce(devBlocks int64) {
+	type due struct {
+		lba  int64
+		left int // blocks of the stream's last write whose content is still due
+	}
+	dues := make([]due, len(st.ids))
 	for {
 		b := await(st.free)
 		if st.stopped.Load() {
 			return
 		}
-		b.reqs, b.nblk = b.reqs[:0], 0
-		for b.nblk < batchBlocks {
-			if left > 0 {
-				gen.WriteContent(lba, b.blocks[b.nblk])
+		gen, d := st.streams[st.ids[b.stream]], &dues[b.stream]
+		b.reqs, b.nblk, b.ri, b.bi = b.reqs[:0], 0, 0, 0
+		for b.nblk < len(b.blocks) {
+			if d.left > 0 {
+				if b.blocks[b.nblk] == nil {
+					b.blocks[b.nblk] = blockdev.GetBlock()
+				}
+				gen.WriteContent(d.lba, b.blocks[b.nblk])
 				b.nblk++
-				lba++
-				left--
+				d.lba++
+				d.left--
 				continue
 			}
-			if len(b.reqs) == batchReqs {
+			if len(b.reqs) == cap(b.reqs) {
 				break
 			}
 			req, ok := gen.Next()
@@ -119,20 +127,18 @@ func (st *streamStage) produce(gen *workload.Generator, devBlocks int64) {
 			}
 			b.reqs = append(b.reqs, req)
 			if req.Write {
-				lba, left = req.LBA, int(max(0, min(int64(req.Blocks), devBlocks-req.LBA)))
+				d.lba, d.left = req.LBA, int(max(0, min(int64(req.Blocks), devBlocks-req.LBA)))
 			}
 		}
-		st.full <- b
-		if b.eof {
-			return
-		}
+		st.full[b.stream] <- b
 	}
 }
 
-// advance hands the used-up batch back and takes the next one.
-func (st *streamStage) advance() {
-	st.free <- st.cur
-	st.cur, st.ri, st.bi = await(st.full), 0, 0
+// advance hands stream k's used-up batch back and takes its next one.
+func (st *streamStage) advance(k int) *streamBatch {
+	st.free <- st.cur[k]
+	st.cur[k] = await(st.full[k])
+	return st.cur[k]
 }
 
 // await receives from ch, first yielding while it is empty. Handing a
@@ -146,56 +152,49 @@ func await(ch chan *streamBatch) *streamBatch {
 	return <-ch
 }
 
-// Next is the consumer's Generator.Next.
-func (st *streamStage) Next() (workload.Request, bool) {
-	for st.ri == len(st.cur.reqs) {
-		if st.cur.eof {
+// next is stream k's Generator.Next.
+func (st *streamStage) next(k int) (workload.Request, bool) {
+	if st.free == nil {
+		return st.streams[st.ids[k]].Next()
+	}
+	b := st.cur[k]
+	for b.ri == len(b.reqs) {
+		if b.eof {
 			return workload.Request{}, false
 		}
-		st.advance()
+		b = st.advance(k)
 	}
-	st.ri++
-	return st.cur.reqs[st.ri-1], true
+	b.ri++
+	return b.reqs[b.ri-1], true
 }
 
-// content returns the block the producer generated for the next
-// written block; it is lba's because both sides walk the same requests.
-func (st *streamStage) content(int64) []byte {
-	for st.bi == st.cur.nblk {
-		st.advance()
+// content returns a block holding stream k's next written block, lba:
+// generated into buf without a producer, the producer's block with one
+// (it is lba's because both sides walk the same requests).
+func (st *streamStage) content(k int, lba int64, buf []byte) []byte {
+	if st.free == nil {
+		st.streams[st.ids[k]].WriteContent(lba, buf)
+		return buf
 	}
-	st.bi++
-	return st.cur.blocks[st.bi-1]
+	b := st.cur[k]
+	for b.bi == b.nblk {
+		b = st.advance(k)
+	}
+	b.bi++
+	return b.blocks[b.bi-1]
 }
 
-// runStaged drives grp, the run's one group of one stream, through a
-// stream stage: ForEachPoint's point 0, on the calling goroutine, is
-// the pump on the system clock, and point 1 the producer. However the
-// pump ends, it then stops the producer: it raises the flag and hands
-// back its batch, which wakes a producer waiting for one.
-func runStaged(sys *System, grp *runGroup, gen *workload.Generator, qd int, caches []*pageCache) error {
-	grp.clock = sys.Clock
-	st := newStreamStage()
-	defer st.release()
-	devBlocks := sys.Dev.Blocks()
-	return ForEachPoint(2, 2, func(point int) error {
-		if point == 1 {
-			st.produce(gen, devBlocks)
-			return nil
-		}
-		buf := blockdev.GetBlock()
-		defer blockdev.PutBlock(buf)
-		st.cur = await(st.full)
-		defer func() {
-			st.stopped.Store(true)
-			st.free <- st.cur
-		}()
-		return grp.drive(sys, gen.Profile(), qd, []source{st}, caches, buf)
-	})
+// stop ends a producer, however the pump ended: it raises the flag and
+// hands back a batch, which wakes a producer waiting for one.
+func (st *streamStage) stop() {
+	if st.free != nil {
+		st.stopped.Store(true)
+		st.free <- st.cur[0]
+	}
 }
 
-// release returns the stage's blocks to the pool, once both sides are
-// done.
+// release returns the stage's content blocks to the pool, once both
+// sides are done.
 func (st *streamStage) release() {
 	for i := range st.batches {
 		for _, b := range st.batches[i].blocks {

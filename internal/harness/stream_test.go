@@ -80,25 +80,37 @@ func (f *failingDev) WriteBlock(lba int64, buf []byte) (sim.Duration, error) {
 }
 
 // TestStreamStageStopsOnError fails a write early, mid-run and late in
-// the stream: Run must return that error, and the producer must have
-// returned, however far ahead of the pump it was.
+// the stream, on one SysBench stream at QD 1 and 8 and on the five
+// TPC-C streams of one shard (one producer feeding five streams): Run
+// must return that error, and the producer must have returned, however
+// far ahead of the pump it was.
 func TestStreamStageStopsOnError(t *testing.T) {
 	base := runtime.NumGoroutine()
-	for _, qd := range []int{1, 8} {
+	vms := groupCases()[2] // tpcc5vm-shards1
+	for _, tc := range []struct {
+		name string
+		p    workload.Profile
+		opts workload.Options
+	}{
+		{"sysbench-qd1", workload.SysBench(), workload.Options{Scale: 1.0 / 256, MaxOps: 2000, Seed: 7, QueueDepth: 1}},
+		{"sysbench-qd8", workload.SysBench(), workload.Options{Scale: 1.0 / 256, MaxOps: 2000, Seed: 7, QueueDepth: 8}},
+		{vms.name, vms.p, vms.opts},
+	} {
 		for _, k := range []int{1, 7, 500} {
-			opts := workload.Options{Scale: 1.0 / 256, MaxOps: 2000, Seed: 7, QueueDepth: qd, Workers: 2}
-			sys, gen, err := BuildPopulated(ICASH, workload.SysBench(), opts)
+			opts := tc.opts
+			opts.Workers = 2
+			sys, gen, err := BuildPopulated(ICASH, tc.p, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			sys.Dev = &failingDev{Device: sys.Dev, k: k}
 			if _, err := Run(sys, gen); !errors.Is(err, errKthWrite) {
-				t.Fatalf("QD %d write %d: Run returned %v, want the injected failure", qd, k, err)
+				t.Fatalf("%s write %d: Run returned %v, want the injected failure", tc.name, k, err)
 			}
 			deadline := time.Now().Add(5 * time.Second)
 			for runtime.NumGoroutine() > base {
 				if time.Now().After(deadline) {
-					t.Fatalf("QD %d write %d: %d goroutines after Run, %d before", qd, k, runtime.NumGoroutine(), base)
+					t.Fatalf("%s write %d: %d goroutines after Run, %d before", tc.name, k, runtime.NumGoroutine(), base)
 				}
 				time.Sleep(time.Millisecond)
 			}

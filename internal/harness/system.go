@@ -314,23 +314,12 @@ func ShardStation(i, n int, name string) string {
 
 // SetFill installs the workload's initial-content oracle on every
 // device in the stack. An I-CASH shard's devices see shard-local LBAs,
-// so there the registered fill is SetShardFill's routing translation
-// (global = shard base + local).
+// so there the registered fill translates them (global = shard base +
+// local).
 func (s *System) SetFill(f blockdev.FillFunc) {
 	for _, fill := range s.fills {
 		fill(f)
 	}
-}
-
-// SetShardFill installs f — an oracle over *global* LBAs — on shard
-// i's devices, translated to the shard's local address space. The
-// populate fan uses it with one generator per shard, so no two workers
-// ever share the (non-thread-safe) oracle.
-func (s *System) SetShardFill(i int, f blockdev.FillFunc) {
-	base := int64(i) * s.Sharded.ShardBlocks()
-	tf := func(lba int64, buf []byte) { f(base+lba, buf) }
-	s.SSDs[i].SetFill(tf)
-	s.HDDs[i].SetFill(tf)
 }
 
 // newSSD and newHDD create one device of a baseline stack and register
@@ -517,7 +506,12 @@ func buildICASH(s *System, cfg BuildConfig) error {
 		h := hdd.New(hdd.DefaultConfig(per + ccfg.LogBlocks))
 		s.SSDs = append(s.SSDs, sdev)
 		s.HDDs = append(s.HDDs, h)
-		s.fills = append(s.fills, func(f blockdev.FillFunc) { s.SetShardFill(i, f) })
+		base := int64(i) * per
+		s.fills = append(s.fills, func(f blockdev.FillFunc) {
+			tf := func(lba int64, buf []byte) { f(base+lba, buf) }
+			sdev.SetFill(tf)
+			h.SetFill(tf)
+		})
 		if cfg.Tune != nil {
 			cfg.Tune(&ccfg)
 		}

@@ -44,11 +44,11 @@ type Options struct {
 	// I-CASH controller into that many LBA-range shards (0 or 1 = one
 	// shard). Ignored by the generator itself.
 	Shards int
-	// Workers, when run through the experiment harness, is the number of
-	// independent experiment points, and of populate units and shard
-	// groups of one point, that run concurrently (<= 0 = GOMAXPROCS).
-	// Output is identical at every count. Ignored by the generator
-	// itself.
+	// Workers, when run through the experiment harness, is the budget of
+	// goroutines its fans may keep busy (<= 0 = GOMAXPROCS): experiment
+	// points share it, and one point spends its share on populate units,
+	// shard groups and stream-stage producers. Output is identical at
+	// every count. Ignored by the generator itself.
 	Workers int
 }
 
