@@ -29,7 +29,6 @@ import (
 	"icash/internal/harness"
 	"icash/internal/metrics"
 	"icash/internal/server"
-	"icash/internal/ssd"
 	"icash/internal/workload"
 )
 
@@ -60,11 +59,10 @@ func main() {
 		}
 		fmt.Print(sr.Report())
 		fmt.Println()
-		dumpController(sr.Sys.Sharded, sr.Stats, sr.Degraded)
-		st := ssdTotals(sr.Sys)
+		dumpController(sr.Sys.Sharded, sr.ICASHStats, sr.Degraded)
 		fmt.Printf("\ndevices: SSD %s (%d host writes, %d erases, WA %.2f)\n",
-			workload.ByteSize(st.HostWrites*blockdev.BlockSize),
-			st.HostWrites, st.Erases, st.WriteAmplification())
+			workload.ByteSize(sr.SSDHostWrites*blockdev.BlockSize),
+			sr.SSDHostWrites, sr.SSDErases, sr.SSDWriteAmp)
 		return
 	}
 
@@ -97,15 +95,6 @@ func heatValue(sc *core.ShardedController, row int, col byte) uint64 {
 		total += sh.Heatmap().Value(row, col)
 	}
 	return total
-}
-
-// ssdTotals aggregates flash accounting across the per-shard SSDs.
-func ssdTotals(sys *harness.System) *ssd.Stats {
-	var total ssd.Stats
-	for _, dev := range sys.SSDs {
-		total.Accumulate(&dev.Stats)
-	}
-	return &total
 }
 
 // dumpController renders the controller-internal sections shared by the

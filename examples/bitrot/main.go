@@ -38,7 +38,7 @@ func main() {
 	cfg.ScanPeriod = 200
 	cfg.ScanWindow = 800
 	clock := sim.NewClock()
-	cpu := cpumodel.NewAccountant(clock)
+	cpu := cpumodel.NewAccountant()
 	flash := ssd.New(ssd.DefaultConfig(cfg.SSDBlocks))
 	disk := hdd.New(hdd.DefaultConfig(cfg.VirtualBlocks + cfg.LogBlocks))
 	ctrl, err := core.New(cfg, flash, disk, clock, cpu)

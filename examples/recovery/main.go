@@ -114,7 +114,7 @@ func tornLogCrash(content func(int64, int) []byte) {
 	cfg.FlushPeriodOps = 0
 	cfg.FlushDirtyBytes = 1 << 30 // flush only when asked
 	clock := sim.NewClock()
-	cpu := cpumodel.NewAccountant(clock)
+	cpu := cpumodel.NewAccountant()
 	ssd := blockdev.NewMemDevice(cfg.SSDBlocks, 10*sim.Microsecond)
 	hddF := fault.Wrap(blockdev.NewMemDevice(cfg.VirtualBlocks+cfg.LogBlocks, 100*sim.Microsecond),
 		fault.Config{Seed: 1})
@@ -144,7 +144,7 @@ func tornLogCrash(content func(int64, int) []byte) {
 	fmt.Printf("power cut mid log write: %d torn write on media\n", hddF.Stats.TornWrites)
 
 	hddF.Restore() // power-on: media intact, torn block included
-	rctrl, err := core.Recover(cfg, ssd, hddF, sim.NewClock(), cpumodel.NewAccountant(sim.NewClock()))
+	rctrl, err := core.Recover(cfg, ssd, hddF, sim.NewClock(), cpumodel.NewAccountant())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -41,6 +41,16 @@ func TestGolden(t *testing.T) {
 		{"serve", func() (string, error) {
 			return server.ServeSweep(nil, workload.Options{Seed: 42})
 		}},
+		// Five VM sessions of eight tokens over five shards: interleaved
+		// sessions, each ending in OpClose.
+		{"serve-vms", func() (string, error) {
+			sr, err := server.RunServed(workload.TPCC5VM(), workload.Options{
+				Scale: 1.0 / 1024, Seed: 42, StreamPerVM: true, QueueDepth: 8, Shards: 5})
+			if err != nil {
+				return "", err
+			}
+			return sr.Report(), nil
+		}},
 		{"figs-qd1", func() (string, error) {
 			return harness.RunExperiments(figs, workload.Options{Scale: 1.0 / 1024, Seed: 42})
 		}},

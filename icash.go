@@ -110,7 +110,7 @@ func New(cfg Config) (*Array, error) {
 		}
 	}
 	clock := sim.NewClock()
-	cpu := cpumodel.NewAccountant(clock)
+	cpu := cpumodel.NewAccountant()
 	ssdDev := ssd.New(ssd.DefaultConfig(cfg.SSDBlocks))
 	hddDev := hdd.New(hdd.DefaultConfig(cfg.DataBlocks + cfg.LogBlocks))
 
@@ -206,7 +206,7 @@ func (a *Array) InjectHDDLatentError(lba int64) { a.hdd.InjectLatentError(lba) }
 func (a *Array) Crash() (*Array, error) {
 	cfg := a.ctrl.Config()
 	clock := sim.NewClock()
-	cpu := cpumodel.NewAccountant(clock)
+	cpu := cpumodel.NewAccountant()
 	ctrl, err := core.Recover(cfg, a.ssd, a.hdd, clock, cpu)
 	if err != nil {
 		return nil, err

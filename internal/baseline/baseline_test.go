@@ -24,7 +24,7 @@ func newRig(ssdBlocks, hddBlocks int64) *rig {
 		ssd:   blockdev.NewMemDevice(ssdBlocks, 10*sim.Microsecond),
 		hdd:   blockdev.NewMemDevice(hddBlocks, 5*sim.Millisecond),
 		clock: clock,
-		cpu:   cpumodel.NewAccountant(clock),
+		cpu:   cpumodel.NewAccountant(),
 	}
 }
 
@@ -230,8 +230,7 @@ func TestDedupCapacityAdvantage(t *testing.T) {
 }
 
 func TestPureSSD(t *testing.T) {
-	clock := sim.NewClock()
-	cpu := cpumodel.NewAccountant(clock)
+	cpu := cpumodel.NewAccountant()
 	ssd := blockdev.NewMemDevice(128, 20*sim.Microsecond)
 	p := NewPureSSD(ssd, cpu)
 	if p.Blocks() != 128 {

@@ -24,7 +24,7 @@ type testRig struct {
 func newTestRig(t testing.TB, cfg Config) *testRig {
 	t.Helper()
 	clock := sim.NewClock()
-	cpu := cpumodel.NewAccountant(clock)
+	cpu := cpumodel.NewAccountant()
 	ssd := blockdev.NewMemDevice(cfg.SSDBlocks, 10*sim.Microsecond)
 	hdd := blockdev.NewMemDevice(cfg.VirtualBlocks+cfg.LogBlocks, 100*sim.Microsecond)
 	c, err := New(cfg, ssd, hdd, clock, cpu)
@@ -178,7 +178,7 @@ func TestRecovery(t *testing.T) {
 
 	// Crash: rebuild from devices only.
 	clock := sim.NewClock()
-	cpu := cpumodel.NewAccountant(clock)
+	cpu := cpumodel.NewAccountant()
 	rc, err := Recover(cfg, rig.ssd, rig.hdd, clock, cpu)
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
@@ -222,7 +222,7 @@ func TestRecoveryAfterMoreActivity(t *testing.T) {
 		t.Fatalf("flush: %v", err)
 	}
 	clock := sim.NewClock()
-	rc, err := Recover(cfg, rig.ssd, rig.hdd, clock, cpumodel.NewAccountant(clock))
+	rc, err := Recover(cfg, rig.ssd, rig.hdd, clock, cpumodel.NewAccountant())
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
@@ -435,7 +435,7 @@ func TestEvictionMatchesReferenceWalk(t *testing.T) {
 	cfg.SSDBlocks = 32
 	cfg.MetadataBlocks = 300
 	clock := sim.NewClock()
-	cpu := cpumodel.NewAccountant(clock)
+	cpu := cpumodel.NewAccountant()
 	ssd := blockdev.NewMemDevice(cfg.SSDBlocks, 10*sim.Microsecond)
 	// While armed, a fifth of the home locations cannot be written, so
 	// dirty victims there cannot be evicted.
@@ -493,7 +493,7 @@ func TestEvictionMatchesReferenceWalk(t *testing.T) {
 				t.Fatalf("op %d: %v", op, err)
 			}
 			clock = sim.NewClock()
-			if c, err = Recover(cfg, ssd, hdd, clock, cpumodel.NewAccountant(clock)); err != nil {
+			if c, err = Recover(cfg, ssd, hdd, clock, cpumodel.NewAccountant()); err != nil {
 				t.Fatalf("op %d: recover: %v", op, err)
 			}
 			watch(c)
@@ -606,7 +606,7 @@ func TestFreeLogBlockCountTracksLap(t *testing.T) {
 		MemDevice: blockdev.NewMemDevice(cfg.VirtualBlocks+cfg.LogBlocks, 100*sim.Microsecond),
 		bad:       func(lba int64) bool { b := lba - cfg.VirtualBlocks; return b == 3 || b == 11 },
 	}
-	c, err := New(cfg, ssd, hdd, clock, cpumodel.NewAccountant(clock))
+	c, err := New(cfg, ssd, hdd, clock, cpumodel.NewAccountant())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -651,7 +651,7 @@ func TestFreeLogBlockCountTracksLap(t *testing.T) {
 	unreadable := fault.Wrap(hdd, fault.Config{})
 	unreadable.InjectBad(cfg.VirtualBlocks + 6)
 	clock = sim.NewClock()
-	rc, err := Recover(cfg, ssd, unreadable, clock, cpumodel.NewAccountant(clock))
+	rc, err := Recover(cfg, ssd, unreadable, clock, cpumodel.NewAccountant())
 	if err != nil {
 		t.Fatal(err)
 	}

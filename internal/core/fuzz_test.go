@@ -228,7 +228,7 @@ func recoverRegion(tb testing.TB, cfg Config, region []byte, seal bool) (*Contro
 		}
 	}
 	clock := sim.NewClock()
-	return Recover(cfg, ssd, hdd, clock, cpumodel.NewAccountant(clock))
+	return Recover(cfg, ssd, hdd, clock, cpumodel.NewAccountant())
 }
 
 // FuzzRecover drives arbitrary log regions through the whole of crash

@@ -395,7 +395,7 @@ func TestReplayDiscardsCorruptJournalTxn(t *testing.T) {
 	}
 
 	clock2 := sim.NewClock()
-	rc, err := Recover(cfg, rig.ssd, rig.hdd, clock2, cpumodel.NewAccountant(clock2))
+	rc, err := Recover(cfg, rig.ssd, rig.hdd, clock2, cpumodel.NewAccountant())
 	if err != nil {
 		t.Fatalf("recovery over corrupt journal: %v", err)
 	}

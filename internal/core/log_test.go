@@ -187,12 +187,12 @@ func TestRecoveryIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	clock := sim.NewClock()
-	r1, err := Recover(cfg, rig.ssd, rig.hdd, clock, cpumodel.NewAccountant(clock))
+	r1, err := Recover(cfg, rig.ssd, rig.hdd, clock, cpumodel.NewAccountant())
 	if err != nil {
 		t.Fatal(err)
 	}
 	clock2 := sim.NewClock()
-	r2, err := Recover(cfg, rig.ssd, rig.hdd, clock2, cpumodel.NewAccountant(clock2))
+	r2, err := Recover(cfg, rig.ssd, rig.hdd, clock2, cpumodel.NewAccountant())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestCrashAtRandomPoints(t *testing.T) {
 	f := func(seed uint64) bool {
 		cfg := smallConfig()
 		clock := sim.NewClock()
-		cpu := cpumodel.NewAccountant(clock)
+		cpu := cpumodel.NewAccountant()
 		ssd := blockdev.NewMemDevice(cfg.SSDBlocks, 10*sim.Microsecond)
 		hdd := blockdev.NewMemDevice(cfg.VirtualBlocks+cfg.LogBlocks, 100*sim.Microsecond)
 		c, err := New(cfg, ssd, hdd, clock, cpu)
@@ -243,7 +243,7 @@ func TestCrashAtRandomPoints(t *testing.T) {
 			}
 		}
 		clock2 := sim.NewClock()
-		rc, err := Recover(cfg, ssd, hdd, clock2, cpumodel.NewAccountant(clock2))
+		rc, err := Recover(cfg, ssd, hdd, clock2, cpumodel.NewAccountant())
 		if err != nil {
 			return false
 		}

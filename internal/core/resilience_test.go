@@ -22,7 +22,7 @@ type faultRig struct {
 func newFaultRig(t *testing.T, cfg Config, ssdCfg, hddCfg fault.Config) *faultRig {
 	t.Helper()
 	clock := sim.NewClock()
-	cpu := cpumodel.NewAccountant(clock)
+	cpu := cpumodel.NewAccountant()
 	ssd := blockdev.NewMemDevice(cfg.SSDBlocks, 10*sim.Microsecond)
 	hdd := blockdev.NewMemDevice(cfg.VirtualBlocks+cfg.LogBlocks, 100*sim.Microsecond)
 	ssdF := fault.Wrap(ssd, ssdCfg)
@@ -207,7 +207,7 @@ func TestScrubSlotUnrewritable(t *testing.T) {
 		bad:       func(lba int64) bool { return stuck[lba] },
 	}
 	hdd := blockdev.NewMemDevice(cfg.VirtualBlocks+cfg.LogBlocks, 100*sim.Microsecond)
-	c, err := New(cfg, ssd, hdd, clock, cpumodel.NewAccountant(clock))
+	c, err := New(cfg, ssd, hdd, clock, cpumodel.NewAccountant())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +394,7 @@ func TestDeterministicFaultReplay(t *testing.T) {
 func TestHedgedReadCutsSlowSSD(t *testing.T) {
 	cfg := smallConfig()
 	clock := sim.NewClock()
-	cpu := cpumodel.NewAccountant(clock)
+	cpu := cpumodel.NewAccountant()
 	ssd := blockdev.NewMemDevice(cfg.SSDBlocks, 10*sim.Microsecond)
 	hdd := blockdev.NewMemDevice(cfg.VirtualBlocks+cfg.LogBlocks, 100*sim.Microsecond)
 	plan := &fault.Schedule{Seed: 1}

@@ -15,7 +15,7 @@ import (
 func newShardedRig(t testing.TB, n int, cfg Config) (*ShardedController, *sim.Clock) {
 	t.Helper()
 	clock := sim.NewClock()
-	cpu := cpumodel.NewAccountant(clock)
+	cpu := cpumodel.NewAccountant()
 	shards := make([]*Controller, n)
 	for i := range shards {
 		ssd := blockdev.NewMemDevice(cfg.SSDBlocks, 10*sim.Microsecond)

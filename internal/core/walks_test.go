@@ -113,7 +113,7 @@ func TestMaintainedStateMatchesWalks(t *testing.T) {
 	ssd := fault.Wrap(blockdev.NewMemDevice(cfg.SSDBlocks, 10*sim.Microsecond),
 		fault.Config{Seed: 7, Rates: fault.Rates{WriteMedia: 0.002, ReadMedia: 0.002}})
 	hdd := blockdev.NewMemDevice(cfg.VirtualBlocks+cfg.LogBlocks, 100*sim.Microsecond)
-	c, err := New(cfg, ssd, hdd, clock, cpumodel.NewAccountant(clock))
+	c, err := New(cfg, ssd, hdd, clock, cpumodel.NewAccountant())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestMaintainedStateMatchesWalks(t *testing.T) {
 				t.Fatalf("op %d: flush before crash: %v", op, err)
 			}
 			clock = sim.NewClock()
-			if c, err = Recover(cfg, ssd, hdd, clock, cpumodel.NewAccountant(clock)); err != nil {
+			if c, err = Recover(cfg, ssd, hdd, clock, cpumodel.NewAccountant()); err != nil {
 				t.Fatalf("op %d: recover: %v", op, err)
 			}
 		}

@@ -6,8 +6,8 @@
 //
 // The model splits CPU busy time into application work (charged by the
 // workload generator per request) and storage-stack work (charged by the
-// storage system under test). Utilization is busy time over elapsed
-// simulated time.
+// storage system under test). The harness turns the storage share into
+// utilization over a run's elapsed simulated time.
 package cpumodel
 
 import "icash/internal/sim"
@@ -48,11 +48,8 @@ func DefaultCosts() Costs {
 	}
 }
 
-// Accountant accumulates busy time against a shared simulated clock.
+// Accountant accumulates CPU busy time.
 type Accountant struct {
-	clock *sim.Clock
-	start sim.Time
-
 	// AppTime is CPU time charged by the application/workload model.
 	AppTime sim.Duration
 	// StorageTime is CPU time charged by the storage system (delta
@@ -60,11 +57,8 @@ type Accountant struct {
 	StorageTime sim.Duration
 }
 
-// NewAccountant returns an accountant over clock, with the utilization
-// window starting now.
-func NewAccountant(clock *sim.Clock) *Accountant {
-	return &Accountant{clock: clock, start: clock.Now()}
-}
+// NewAccountant returns an accountant with nothing charged.
+func NewAccountant() *Accountant { return &Accountant{} }
 
 // ChargeApp adds application CPU time.
 func (a *Accountant) ChargeApp(d sim.Duration) { a.AppTime += d }
@@ -75,27 +69,8 @@ func (a *Accountant) ChargeStorage(d sim.Duration) { a.StorageTime += d }
 // Busy returns total CPU busy time.
 func (a *Accountant) Busy() sim.Duration { return a.AppTime + a.StorageTime }
 
-// Elapsed returns the simulated time covered so far.
-func (a *Accountant) Elapsed() sim.Duration { return a.clock.Now().Sub(a.start) }
-
-// Utilization returns busy/elapsed in [0,1]; 0 before any time passes.
-// A multi-core host is modeled by the caller dividing by core count.
-func (a *Accountant) Utilization() float64 {
-	e := a.Elapsed()
-	if e <= 0 {
-		return 0
-	}
-	u := float64(a.Busy()) / float64(e)
-	if u > 1 {
-		u = 1
-	}
-	return u
-}
-
-// Reset zeroes accumulated busy time and restarts the utilization
-// window at the clock's current instant.
+// Reset zeroes accumulated busy time.
 func (a *Accountant) Reset() {
-	a.start = a.clock.Now()
 	a.AppTime = 0
 	a.StorageTime = 0
 }

@@ -7,48 +7,24 @@ import (
 )
 
 func TestAccountant(t *testing.T) {
-	clock := sim.NewClock()
-	a := NewAccountant(clock)
-	if a.Utilization() != 0 {
-		t.Fatal("utilization before any time passes")
-	}
+	a := NewAccountant()
 	a.ChargeApp(30 * sim.Millisecond)
 	a.ChargeStorage(10 * sim.Millisecond)
-	clock.Advance(100 * sim.Millisecond)
 	if a.Busy() != 40*sim.Millisecond {
 		t.Fatalf("busy = %v", a.Busy())
-	}
-	if got := a.Utilization(); got != 0.4 {
-		t.Fatalf("utilization = %f, want 0.4", got)
-	}
-	if a.Elapsed() != 100*sim.Millisecond {
-		t.Fatalf("elapsed = %v", a.Elapsed())
-	}
-}
-
-func TestUtilizationClamped(t *testing.T) {
-	clock := sim.NewClock()
-	a := NewAccountant(clock)
-	a.ChargeApp(10 * sim.Second)
-	clock.Advance(1 * sim.Second)
-	if a.Utilization() != 1 {
-		t.Fatalf("utilization = %f, want clamp at 1", a.Utilization())
 	}
 }
 
 func TestReset(t *testing.T) {
-	clock := sim.NewClock()
-	a := NewAccountant(clock)
+	a := NewAccountant()
 	a.ChargeApp(5 * sim.Millisecond)
-	clock.Advance(20 * sim.Millisecond)
 	a.Reset()
-	if a.Busy() != 0 || a.Elapsed() != 0 {
+	if a.Busy() != 0 {
 		t.Fatal("reset did not clear state")
 	}
 	a.ChargeStorage(1 * sim.Millisecond)
-	clock.Advance(10 * sim.Millisecond)
-	if got := a.Utilization(); got != 0.1 {
-		t.Fatalf("post-reset utilization = %f", got)
+	if a.Busy() != 1*sim.Millisecond || a.AppTime != 0 {
+		t.Fatalf("post-reset busy = %v, app %v", a.Busy(), a.AppTime)
 	}
 }
 

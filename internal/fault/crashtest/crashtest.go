@@ -29,7 +29,7 @@ type Media struct{ SSD, HDD blockdev.Device }
 func PowerOn(cfg core.Config, media []Media, lbas int64, d *spec.Disk) (*core.ShardedController, error) {
 	d.Crash()
 	clock := sim.NewClock()
-	cpu := cpumodel.NewAccountant(clock)
+	cpu := cpumodel.NewAccountant()
 	shards := make([]*core.Controller, len(media))
 	for i, m := range media {
 		rc, err := core.Recover(cfg, m.SSD, m.HDD, clock, cpu) // checks invariants too

@@ -60,7 +60,7 @@ type rig struct {
 
 func buildRig(cfg Config) (*rig, error) {
 	clock := sim.NewClock()
-	cpu := cpumodel.NewAccountant(clock)
+	cpu := cpumodel.NewAccountant()
 	ssd := blockdev.NewMemDevice(cfg.Core.SSDBlocks, 10*sim.Microsecond)
 	hdd := blockdev.NewMemDevice(cfg.Core.VirtualBlocks+cfg.Core.LogBlocks, 100*sim.Microsecond)
 	hddF := fault.Wrap(hdd, fault.Config{Seed: cfg.Seed, Plan: cfg.Plan, Clock: clock, Station: "hdd"})

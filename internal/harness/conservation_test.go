@@ -43,7 +43,7 @@ func TestLatencyConservation(t *testing.T) {
 		writes = 1300
 	)
 	clock := sim.NewClock()
-	cpu := cpumodel.NewAccountant(clock)
+	cpu := cpumodel.NewAccountant()
 	newSSD := func() *ssd.Device { return ssd.New(ssd.DefaultConfig(blocks)) }
 	newHDD := func() *hdd.Device { return hdd.New(hdd.DefaultConfig(blocks)) }
 

@@ -86,3 +86,9 @@ func resolveWorkers(workers int) int {
 	}
 	return workers
 }
+
+// WorkerShare is the worker count each of points gets from a budget of
+// workers fanned over them: an equal share, at least one.
+func WorkerShare(workers, points int) int {
+	return max(1, resolveWorkers(workers)/max(1, points))
+}

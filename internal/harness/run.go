@@ -363,10 +363,7 @@ func Run(sys *System, gen *workload.Generator) (*Result, error) {
 	if total > 0 {
 		res.PageCacheHitRatio = hits / total
 	}
-	finalize(sys, res, p, start)
-	for _, st := range sys.Stations {
-		res.Stations = append(res.Stations, st.Snapshot(res.Elapsed))
-	}
+	Finish(sys, res, p, start)
 	return res, nil
 }
 
@@ -472,10 +469,12 @@ func runGroups(sys *System, streams []*workload.Generator) []runGroup {
 	return groups
 }
 
-// finalize computes the derived measurements of a finished run (rates,
-// CPU utilization, device and power accounting) from the system's
-// current state.
-func finalize(sys *System, res *Result, p workload.Profile, start sim.Time) {
+// Finish computes the derived measurements of a run that started at
+// start and has just finished (rates, CPU utilization, device station
+// snapshots, device, power and controller accounting) from the system's
+// current state and the op counts in res. Every run driver ends with
+// it: Run, and the served simulation (server.RunServed).
+func Finish(sys *System, res *Result, p workload.Profile, start sim.Time) {
 	clock := sys.Clock
 	res.Elapsed = clock.Now().Sub(start)
 	secs := res.Elapsed.Seconds()
@@ -518,6 +517,9 @@ func finalize(sys *System, res *Result, p workload.Profile, start sim.Time) {
 	}
 	usage.HDDBusy = res.HDDBusy
 	res.WattHours = power.DefaultModel().WattHours(usage)
+	for _, st := range sys.Stations {
+		res.Stations = append(res.Stations, st.Snapshot(res.Elapsed))
+	}
 
 	if sys.Sharded != nil {
 		st := sys.Sharded.Stats()
@@ -600,7 +602,7 @@ type PointResult struct {
 // whatever the worker count.
 func RunPoints(workers int, pts []Point) ([]PointResult, error) {
 	out := make([]PointResult, len(pts))
-	share := max(1, resolveWorkers(workers)/max(1, len(pts)))
+	share := WorkerShare(workers, len(pts))
 	err := ForEachPoint(workers, len(pts), func(i int) error {
 		pt := pts[i]
 		pt.Opts.Workers = share

@@ -179,7 +179,7 @@ func (s *System) Flush() error {
 }
 
 // ResetStats zeroes every statistics counter in the stack (after the
-// unmeasured populate phase) and restarts the CPU utilization window.
+// unmeasured populate phase), the CPU accountants included.
 func (s *System) ResetStats() {
 	for _, reset := range s.resets {
 		reset()
@@ -345,7 +345,7 @@ func Build(kind Kind, cfg BuildConfig) (*System, error) {
 		return nil, fmt.Errorf("harness: DataBlocks must be positive")
 	}
 	clock := sim.NewClock()
-	cpu := cpumodel.NewAccountant(clock)
+	cpu := cpumodel.NewAccountant()
 	s := &System{Kind: kind, Clock: clock, CPU: cpu}
 	s.resets = append(s.resets, cpu.Reset)
 
@@ -526,7 +526,7 @@ func buildICASH(s *System, cfg BuildConfig) error {
 			hddDev = s.HDDFault
 			s.resets = append(s.resets, s.HDDFault.ResetStats)
 		}
-		shardCPU := cpumodel.NewAccountant(s.Clock)
+		shardCPU := cpumodel.NewAccountant()
 		s.ShardCPUs = append(s.ShardCPUs, shardCPU)
 		s.resets = append(s.resets, sdev.ResetStats, h.ResetStats, shardCPU.Reset)
 		ctrl, err := core.New(ccfg, ssdDev, hddDev, s.Clock, shardCPU)

@@ -32,7 +32,7 @@ func newConfEnv(t *testing.T, opt SessionOptions) *confEnv {
 	cfg.FlushPeriodOps = 0
 	cfg.FlushDirtyBytes = 1 << 30
 	clock := sim.NewClock()
-	cpu := cpumodel.NewAccountant(clock)
+	cpu := cpumodel.NewAccountant()
 	ssd := blockdev.NewMemDevice(cfg.SSDBlocks, 10*sim.Microsecond)
 	hdd := blockdev.NewMemDevice(cfg.VirtualBlocks+cfg.LogBlocks, 100*sim.Microsecond)
 	ctrl, err := core.New(cfg, ssd, hdd, clock, cpu)
@@ -342,7 +342,7 @@ func TestConformance(t *testing.T) {
 		// power cycle. Model one — fresh controller recovered from the
 		// same media — and read the block back.
 		clock := sim.NewClock()
-		cpu := cpumodel.NewAccountant(clock)
+		cpu := cpumodel.NewAccountant()
 		rc, err := core.Recover(e.cfg, e.ssd, e.hdd, clock, cpu)
 		if err != nil {
 			t.Fatalf("recover after close: %v", err)

@@ -44,7 +44,7 @@ func buildServeRig(t *testing.T) *serveRig {
 	cfg.FlushPeriodOps = 0
 	cfg.FlushDirtyBytes = 1 << 30
 	clock := sim.NewClock()
-	cpu := cpumodel.NewAccountant(clock)
+	cpu := cpumodel.NewAccountant()
 	ssd := blockdev.NewMemDevice(cfg.SSDBlocks, 10*sim.Microsecond)
 	hdd := blockdev.NewMemDevice(cfg.VirtualBlocks+cfg.LogBlocks, 100*sim.Microsecond)
 	hddF := fault.Wrap(hdd, fault.Config{Seed: crashSeed, Clock: clock, Station: "hdd"})

@@ -90,7 +90,7 @@ func TestServedEqualsInproc(t *testing.T) {
 				if outs[i].err != nil {
 					return
 				}
-				outs[i] = servedOut{fp: fp, res: resilienceString(sr.Stats)}
+				outs[i] = servedOut{fp: fp, res: resilienceString(sr.ICASHStats)}
 			}(i)
 		}
 		wg.Wait()
@@ -170,7 +170,7 @@ func TestServedRunAccounting(t *testing.T) {
 	if sr.Elapsed <= 0 || sr.ReqPerSec <= 0 {
 		t.Fatalf("elapsed %v, %f req/s — timeline did not advance", sr.Elapsed, sr.ReqPerSec)
 	}
-	if sr.Stats == nil || sr.Stats.TxnsCommitted == 0 {
+	if sr.ICASHStats == nil || sr.ICASHStats.TxnsCommitted == 0 {
 		t.Fatal("controller stats missing or no journal transactions committed")
 	}
 	if sr.Report() == "" {
@@ -215,8 +215,8 @@ func TestServedWindowFromQueueDepth(t *testing.T) {
 		if err != nil {
 			t.Fatalf("QueueDepth %d: %v", tc.qd, err)
 		}
-		if sr.Window != tc.want {
-			t.Fatalf("QueueDepth %d served at window %d, want %d", tc.qd, sr.Window, tc.want)
+		if sr.QueueDepth != tc.want {
+			t.Fatalf("QueueDepth %d served at window %d, want %d", tc.qd, sr.QueueDepth, tc.want)
 		}
 	}
 }

@@ -137,9 +137,6 @@ func (s *Session) State() SessionState { return s.state }
 // Window returns the granted in-flight window (0 before handshake).
 func (s *Session) Window() int { return s.window }
 
-// Partition returns the negotiated LBA range (after handshake).
-func (s *Session) Partition() (first, blocks int64) { return s.first, s.blocks }
-
 // Stats returns a copy of the accounting as of the last completed Feed.
 // It is the one method safe to call from a goroutine other than the
 // session's owner.

@@ -2,10 +2,10 @@ package server
 
 import (
 	"fmt"
+	"io"
 	"strings"
 
 	"icash/internal/blockdev"
-	"icash/internal/core"
 	"icash/internal/harness"
 	"icash/internal/metrics"
 	"icash/internal/sim"
@@ -37,30 +37,15 @@ type SessionReport struct {
 	WriteHist metrics.Histogram
 }
 
-// ServeResult is one served simulation run.
+// ServeResult is one served simulation run: a harness.Result plus one
+// report per session. In the Result, QueueDepth is the per-session
+// window, Ops/Reads/Writes count client requests (closes excluded),
+// ReadHist/WriteHist merge every session's end-to-end latencies, and
+// the rates, device Stations, ICASHStats and Degraded are
+// harness.Finish's.
 type ServeResult struct {
-	Profile  workload.Profile
-	System   harness.Kind
-	Window   int
+	harness.Result
 	Sessions []SessionReport
-
-	// Ops counts client requests; Reads/Writes split them.
-	Ops    int64
-	Reads  int64
-	Writes int64
-
-	// ReadHist/WriteHist merge every session's end-to-end latencies.
-	ReadHist  metrics.Histogram
-	WriteHist metrics.Histogram
-
-	Elapsed   sim.Duration
-	ReqPerSec float64
-
-	// Stations is the device-station accounting under the served load.
-	Stations []metrics.StationStats
-	// Stats is the controller's accounting.
-	Stats    *core.Stats
-	Degraded bool
 
 	// Sys keeps the system handle for inspection tools.
 	Sys *harness.System
@@ -70,7 +55,7 @@ type ServeResult struct {
 func (r *ServeResult) Report() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "served %s on %s: %d sessions, window %d\n",
-		r.Profile.Name, r.System, len(r.Sessions), r.Window)
+		r.Benchmark, r.System, len(r.Sessions), r.QueueDepth)
 	fmt.Fprintf(&b, "elapsed %v — %.1f req/s (%d ops: %d reads, %d writes)\n",
 		r.Elapsed, r.ReqPerSec, r.Ops, r.Reads, r.Writes)
 	if r.ReadHist.Count() > 0 {
@@ -136,22 +121,37 @@ type servedSession struct {
 	nextID uint64
 	closed bool
 
-	readLat   metrics.Histogram
-	writeLat  metrics.Histogram
-	issueTime map[uint64]sim.Time
+	readLat  metrics.Histogram
+	writeLat metrics.Histogram
 }
 
-// RunServed drives profile p through framed sessions on the
-// discrete-event engine: one session per workload stream (per VM under
-// StreamPerVM), each with its own uplink station and a closed-loop
-// window of in-flight requests, all composed under the system's single
-// clock. Every reply is verified — CRC, id matching via the client
-// tracker, and read payloads against the spec (internal/spec) — and
-// every session ends with a graceful OpClose that drains the
-// journal. The per-session in-flight window is opts.QueueDepth (0 falls
-// back to 8), clamped to MaxWindow. The run is bit-identical for a
-// given (profile, opts) regardless of the process's worker count: the
-// engine is single-goroutine and owns all time.
+// servedToken is one in-flight request slot of a session. From its
+// issue until the frame has arrived and executed it holds the request,
+// the request's frame and the instant it was issued.
+type servedToken struct {
+	req    Request
+	frame  []byte
+	issued sim.Time
+	held   bool
+}
+
+// RunServed drives profile p through framed sessions on the system's
+// pump: one session per workload stream (per VM under StreamPerVM),
+// each with its own uplink station and a closed-loop window of
+// in-flight requests, all composed under the system's single clock.
+// Token t of session s is pump stream t*len(sessions)+s with one token,
+// so the pump primes the tokens token-major, session-minor. A token's
+// call either issues its session's next request (charging the app CPU
+// and admitting the frame on the uplink) and returns the frame's
+// arrival, or executes the request it holds from that instant and
+// returns the reply's arrival. Every reply is verified — CRC, id
+// matching via the client tracker, and read payloads against the spec
+// (internal/spec) — and every session ends with a graceful OpClose that
+// drains the journal. The per-session in-flight window is
+// opts.QueueDepth (0 falls back to 8), clamped to MaxWindow. The run is
+// bit-identical for a given (profile, opts) regardless of the process's
+// worker count: the pump runs on the calling goroutine and owns all
+// time.
 func RunServed(p workload.Profile, opts workload.Options) (*ServeResult, error) {
 	window := opts.QueueDepth
 	if window <= 0 {
@@ -177,19 +177,18 @@ func RunServed(p workload.Profile, opts workload.Options) (*ServeResult, error) 
 		return frameOverhead + sim.Duration(int64(n)*int64(sim.Second)/linkBytesPerSec)
 	}
 
-	res := &ServeResult{Profile: p, System: harness.ICASH, Window: window, Sys: sys}
+	res := &ServeResult{Sys: sys, Result: harness.Result{
+		System: sys.Name(), Benchmark: p.Name, QueueDepth: window}}
 	clock := sys.Clock
-	sch := event.NewScheduler(clock)
 	start := clock.Now()
 
 	sessions := make([]*servedSession, len(streams))
 	for i, sgen := range streams {
 		ss := &servedSession{
-			name:      fmt.Sprintf("sess%d", i),
-			vm:        sgen.VM(),
-			gen:       sgen,
-			tokens:    window,
-			issueTime: make(map[uint64]sim.Time),
+			name:   fmt.Sprintf("sess%d", i),
+			vm:     sgen.VM(),
+			gen:    sgen,
+			tokens: window,
 		}
 		opt := SessionOptions{MaxWindow: window}
 		if ss.vm >= 0 {
@@ -228,123 +227,49 @@ func RunServed(p workload.Profile, opts workload.Options) (*ServeResult, error) 
 		}
 	}
 
-	var runErr error
-	fail := func(err error) {
-		if runErr == nil {
-			runErr = err
-		}
-	}
-
-	// send frames one client request through the wire: uplink station,
-	// delivery, execution against the array, reply verification (its
-	// payload against the spec), and the next issue for the token that
-	// carried it.
-	var send func(ss *servedSession, req Request, onDone func(rdone sim.Time))
-	var issue func(ss *servedSession)
-
-	send = func(ss *servedSession, req Request, onDone func(rdone sim.Time)) {
-		frame := AppendRequest(nil, req)
-		arrival := clock.Now().Add(p.AppCPU)
-		sys.CPU.ChargeApp(p.AppCPU)
-		_, done := ss.station.Admit(arrival, xfer(len(frame)))
-		sch.At(done, func() {
-			if runErr != nil {
-				return
-			}
+	// Stream k is token k/len(sessions) of session k%len(sessions).
+	tokens := make([]servedToken, len(sessions)*window)
+	err = sys.Pump(len(tokens), 1, func(k int) (sim.Time, error) {
+		tok, ss := &tokens[k], sessions[k%len(sessions)]
+		now := clock.Now()
+		if tok.held {
 			// The frame has fully arrived; the array sees its blocks
 			// from this instant.
-			backend.arrival = done
-			out, err := ss.sess.Feed(frame)
+			tok.held = false
+			backend.arrival = now
+			out, err := ss.sess.Feed(tok.frame)
 			if err != nil {
-				fail(fmt.Errorf("server: %s: %w", ss.name, err))
-				return
+				return 0, fmt.Errorf("server: %s: %w", ss.name, err)
 			}
-			complete := backend.arrival
+			rdone := backend.arrival.Add(xfer(len(out)))
 			replies, err := ss.tracker.Feed(out)
 			if err != nil {
-				fail(fmt.Errorf("server: %s: %w", ss.name, err))
-				return
+				return 0, fmt.Errorf("server: %s: %w", ss.name, err)
 			}
-			rdone := complete.Add(xfer(len(out)))
 			for i := range replies {
-				if err := ss.complete(disk, &req, &replies[i], rdone); err != nil {
-					fail(err)
-					return
+				if err := ss.complete(disk, tok, &replies[i], rdone); err != nil {
+					return 0, err
 				}
 			}
-			if rdone < clock.Now() {
-				rdone = clock.Now()
-			}
-			sch.At(rdone, func() { onDone(rdone) })
-		})
-	}
-
-	issue = func(ss *servedSession) {
-		if runErr != nil {
-			return
+			return max(rdone, now), nil
 		}
-		req, ok := ss.gen.Next()
+		req, ok := ss.next(&res.Result)
 		if !ok {
-			ss.tokens--
-			if ss.tokens > 0 || ss.closed {
-				return
-			}
-			// Last token out: graceful shutdown. The close reply
-			// acknowledges the journal drain.
-			ss.closed = true
-			id := ss.nextID
-			ss.nextID++
-			if err := ss.tracker.Issue(id, OpClose); err != nil {
-				fail(fmt.Errorf("server: %s: %w", ss.name, err))
-				return
-			}
-			send(ss, Request{Op: OpClose, ID: id}, func(sim.Time) {})
-			return
+			return 0, io.EOF
 		}
-		res.Ops++
-		id := ss.nextID
-		ss.nextID++
-		op := OpRead
-		if req.Write {
-			op = OpWrite
+		if err := ss.tracker.Issue(req.ID, req.Op); err != nil {
+			return 0, fmt.Errorf("server: %s: %w", ss.name, err)
 		}
-		if err := ss.tracker.Issue(id, op); err != nil {
-			fail(fmt.Errorf("server: %s: %w", ss.name, err))
-			return
-		}
-		ss.issueTime[id] = clock.Now()
-		wire := Request{Op: op, ID: id, LBA: uint64(req.LBA), Blocks: uint32(req.Blocks)}
-		if req.Write {
-			res.Writes++
-			// The content model advances at issue time, in stream
-			// order — the same discipline as the in-process harness,
-			// which is what makes the final data set byte-identical.
-			payload := make([]byte, req.Blocks*blockdev.BlockSize)
-			for i := 0; i < req.Blocks; i++ {
-				ss.gen.WriteContent(req.LBA+int64(i), payload[i*blockdev.BlockSize:(i+1)*blockdev.BlockSize])
-			}
-			wire.Payload = payload
-		} else {
-			res.Reads++
-		}
-		send(ss, wire, func(sim.Time) { issue(ss) })
+		*tok = servedToken{req: req, frame: AppendRequest(nil, req), issued: now, held: true}
+		sys.CPU.ChargeApp(p.AppCPU)
+		_, done := ss.station.Admit(now.Add(p.AppCPU), xfer(len(tok.frame)))
+		return done, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
-	for t := 0; t < window; t++ {
-		for _, ss := range sessions {
-			ss := ss
-			sch.After(0, func() { issue(ss) })
-		}
-	}
-	sch.Run()
-	if runErr != nil {
-		return nil, runErr
-	}
-
-	res.Elapsed = clock.Now().Sub(start)
-	if secs := res.Elapsed.Seconds(); secs > 0 {
-		res.ReqPerSec = float64(res.Ops) / secs
-	}
+	harness.Finish(sys, &res.Result, p, start)
 	for _, ss := range sessions {
 		if ss.sess.State() != StateClosed {
 			return nil, fmt.Errorf("server: %s ended in state %s, want closed", ss.name, ss.sess.State())
@@ -364,28 +289,58 @@ func RunServed(p workload.Profile, opts workload.Options) (*ServeResult, error) 
 		res.ReadHist.Merge(&ss.readLat)
 		res.WriteHist.Merge(&ss.writeLat)
 	}
-	for _, st := range sys.Stations {
-		res.Stations = append(res.Stations, st.Snapshot(res.Elapsed))
-	}
-	st := sys.Sharded.Stats()
-	res.Stats = &st
-	res.Degraded = sys.Sharded.Degraded()
 	return res, nil
 }
 
-// complete checks one reply to req: its status, its latency, and its
-// payload against the spec. An acknowledged write's blocks become the
-// acceptable content; a read's must be it.
-func (ss *servedSession) complete(disk *spec.Disk, req *Request, rep *Reply, rdone sim.Time) error {
-	issued, ok := ss.issueTime[rep.ID]
-	if ok {
-		delete(ss.issueTime, rep.ID)
-		lat := rdone.Sub(issued)
-		if rep.Op == OpRead {
-			ss.readLat.Record(lat)
-		} else if rep.Op == OpWrite {
-			ss.writeLat.Record(lat)
+// next returns the request a token of ss issues next and counts it in
+// res: the stream's next request, the session's OpClose when the token
+// is the last to find the stream drained, or false when the token
+// retires.
+func (ss *servedSession) next(res *harness.Result) (Request, bool) {
+	if ss.closed {
+		return Request{}, false
+	}
+	id := ss.nextID
+	req, ok := ss.gen.Next()
+	if !ok {
+		ss.tokens--
+		if ss.tokens > 0 {
+			return Request{}, false
 		}
+		// Last token out: graceful shutdown. The close reply
+		// acknowledges the journal drain.
+		ss.closed = true
+		ss.nextID++
+		return Request{Op: OpClose, ID: id}, true
+	}
+	ss.nextID++
+	res.Ops++
+	wire := Request{Op: OpRead, ID: id, LBA: uint64(req.LBA), Blocks: uint32(req.Blocks)}
+	if !req.Write {
+		res.Reads++
+		return wire, true
+	}
+	res.Writes++
+	// The content model advances at issue time, in stream order — the
+	// same discipline as the in-process harness, which is what makes
+	// the final data set byte-identical.
+	wire.Op = OpWrite
+	wire.Payload = make([]byte, req.Blocks*blockdev.BlockSize)
+	for i := 0; i < req.Blocks; i++ {
+		ss.gen.WriteContent(req.LBA+int64(i), wire.Payload[i*blockdev.BlockSize:(i+1)*blockdev.BlockSize])
+	}
+	return wire, true
+}
+
+// complete checks one reply to the request tok holds: its status, its
+// latency, and its payload against the spec. An acknowledged write's
+// blocks become the acceptable content; a read's must be it.
+func (ss *servedSession) complete(disk *spec.Disk, tok *servedToken, rep *Reply, rdone sim.Time) error {
+	req := &tok.req
+	if rep.Op == OpRead {
+		ss.readLat.Record(rdone.Sub(tok.issued))
+	} else if rep.Op == OpWrite {
+		ss.writeLat.Record(rdone.Sub(tok.issued))
 	}
 	if rep.Status != StatusOK {
 		return fmt.Errorf("server: %s: request %d (op %d) failed with status %d", ss.name, rep.ID, rep.Op, rep.Status)

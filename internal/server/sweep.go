@@ -20,9 +20,10 @@ type servePoint struct {
 // ServeSweep measures the cost of the wire: the RandRead
 // microbenchmark on I-CASH, in-process versus served through framed
 // sessions, across in-flight windows. Each depth is two independent
-// simulations (direct and served), fanned across opts.Workers workers;
-// the table is rendered in depth order, so the report is byte-identical
-// at every worker count.
+// simulations (direct and served), fanned across opts.Workers workers,
+// each depth running on its harness.WorkerShare of them; the table is
+// rendered in depth order, so the report is byte-identical at every
+// worker count.
 func ServeSweep(depths []int, opts workload.Options) (string, error) {
 	if len(depths) == 0 {
 		depths = []int{1, 2, 4, 8, 16}
@@ -39,11 +40,12 @@ func ServeSweep(depths []int, opts workload.Options) (string, error) {
 		p.Name, opts.Scale, opts.MaxOps)
 
 	points := make([]servePoint, len(depths))
+	share := harness.WorkerShare(opts.Workers, len(depths))
 	// Per-point failures are kept in the point (the table renders FAILED
 	// rows), so the fan-out itself never errors.
 	if err := harness.ForEachPoint(opts.Workers, len(depths), func(i int) error {
 		o := opts
-		o.QueueDepth = depths[i]
+		o.QueueDepth, o.Workers = depths[i], share
 		pt := servePoint{}
 		pt.direct, pt.err = harness.RunBenchmark(p, o, []harness.Kind{harness.ICASH})
 		if pt.err == nil {
