@@ -190,9 +190,15 @@ type Controller struct {
 	evictProbe func(keep, victim *vblock, steps int)
 
 	// scratch holds the pooled buffers handed out by getScratch during
-	// the current host request; recycled wholesale at the next request
-	// entry (see scratch.go).
+	// the current host request, oldest first; background loops release
+	// them per item and the next request entry releases the rest (see
+	// scratch.go).
 	scratch [][]byte
+	// scratchPeak is the most scratch buffers ever out at once. When
+	// poisonScratch is set, releaseScratch overwrites what it returns,
+	// so a slice used after its release reads wrong bytes. Tests only.
+	scratchPeak   int
+	poisonScratch bool
 
 	// encBuf is the buffer every delta encode runs in (encodeDelta). Its
 	// contents are dead once encodeDelta returns; nothing retains it.
@@ -654,14 +660,8 @@ func (c *Controller) ensureMetadata() error {
 // location, appends a tombstone so recovery ignores stale log entries,
 // and drops the block's metadata.
 func (c *Controller) evictToHome(v *vblock) error {
-	if !v.hddHome || v.dataDirty {
-		content, _, _, err := c.materialize(v, true)
-		if err != nil {
-			return err
-		}
-		if err := c.writeHome(v, content); err != nil {
-			return err
-		}
+	if err := c.writeBackHome(v); err != nil {
+		return err
 	}
 	// A tombstone tells recovery the home location is authoritative,
 	// superseding any durable or pending delta/pointer record.
@@ -672,6 +672,24 @@ func (c *Controller) evictToHome(v *vblock) error {
 	c.Stats.WritebacksHome++
 	c.dropVBlock(v)
 	return nil
+}
+
+// writeBackHome makes v's current content durable at its HDD home
+// location when the home copy is stale. hddWrite copies the content, so
+// the scratch it was materialized into goes back before the return:
+// every eviction loop (a log shed, a compaction, metadata and delta-RAM
+// reclamation, the scan's demotions) holds one victim's worth at a time.
+func (c *Controller) writeBackHome(v *vblock) error {
+	if v.hddHome && !v.dataDirty {
+		return nil
+	}
+	mark := c.scratchMark()
+	defer c.releaseScratch(mark)
+	content, _, _, err := c.materialize(v, true)
+	if err != nil {
+		return err
+	}
+	return c.writeHome(v, content)
 }
 
 // writeHome writes content to v's HDD home location (background time).

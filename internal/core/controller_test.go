@@ -31,6 +31,7 @@ func newTestRig(t testing.TB, cfg Config) *testRig {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
+	c.poisonScratch = true // a scratch slice used after its release reads garbage
 	return &testRig{c: c, ssd: ssd, hdd: hdd, clock: clock}
 }
 

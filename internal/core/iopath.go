@@ -192,7 +192,7 @@ func (c *Controller) ReadBlock(lba int64, buf []byte) (sim.Duration, error) {
 	if l.poison {
 		return 0, errPoisoned(lba)
 	}
-	c.recycleScratch() // previous request's scratch buffers are dead now
+	c.releaseScratch(0) // previous request's scratch buffers are dead now
 	if err := c.periodic(); err != nil {
 		// Whole-SSD loss surfacing from background work (scan, flush)
 		// degrades the array but does not fail the host request.
@@ -288,7 +288,7 @@ func (c *Controller) WriteBlock(lba int64, buf []byte) (sim.Duration, error) {
 	if err := blockdev.CheckBuffer(buf); err != nil {
 		return 0, err
 	}
-	c.recycleScratch()
+	c.releaseScratch(0)
 	if err := c.periodic(); err != nil {
 		if !c.maybeDegradeSSD(err) {
 			return 0, err
@@ -443,8 +443,13 @@ func (c *Controller) tryFirstLoadPair(v *vblock) {
 	if key < 0 || v.dataRAM == nil || c.ssdSidelined() {
 		return
 	}
+	// Each candidate's content is copied by the time the next one starts
+	// (ssdWrite and hddWrite in installReference, encodeDelta against the
+	// slot), so its scratch goes back per candidate.
 	const maxCandidates = 3
 	tried := 0
+	mark := c.scratchMark()
+	defer c.releaseScratch(mark)
 	for _, cand := range c.sameOffset[key] {
 		if cand == v || cand.dead {
 			continue
@@ -455,6 +460,7 @@ func (c *Controller) tryFirstLoadPair(v *vblock) {
 		if tried++; tried > maxCandidates {
 			return
 		}
+		c.releaseScratch(mark)
 		s := cand.slotRef
 		if s == nil {
 			// Independent sibling: promote it to a reference first.

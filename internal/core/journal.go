@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"icash/internal/blockdev"
 	"icash/internal/sim"
@@ -627,16 +628,9 @@ func (c *Controller) compactStep(evict bool, inFlight map[int64]bool) (bool, err
 	if len(vs) == 0 {
 		return freed, nil
 	}
-	sort.Slice(vs, func(i, j int) bool {
-		bi, bj := int64(len(vs[i].blocks)), int64(len(vs[j].blocks))
-		di, dj := vs[i].bytes*bj, vs[j].bytes*bi
-		if di != dj {
-			return di < dj
-		}
-		if vs[i].bytes != vs[j].bytes {
-			return vs[i].bytes < vs[j].bytes
-		}
-		return vs[i].id < vs[j].id
+	slices.SortFunc(vs, func(a, b victim) int {
+		na, nb := int64(len(a.blocks)), int64(len(b.blocks))
+		return cmp.Or(cmp.Compare(a.bytes*nb, b.bytes*na), cmp.Compare(a.bytes, b.bytes), cmp.Compare(a.id, b.id))
 	})
 	// Accept victims whose rescues, packed exactly the way writeTxn
 	// packs (greedy, in order), fit the rescue budget; a victim too big
@@ -805,7 +799,8 @@ func (c *Controller) liveRecords(t *txn, yield func(b int64, m *entryMeta) bool)
 // evictTxnDeltas displaces the evictable delta records of txn: content
 // goes to its HDD home, the vblock drops, and a tombstone is appended
 // to dst in place of the full rescue. Displaced LBAs are recorded so
-// the rescue pass skips them.
+// the rescue pass skips them. Each eviction returns its scratch once
+// hddWrite has copied the content home (writeBackHome).
 func (c *Controller) evictTxnDeltas(t *txn, dst []logEntry, inFlight map[int64]bool, displaced map[int64]bool) ([]logEntry, error) {
 	var err error
 	c.liveRecords(t, func(b int64, m *entryMeta) bool {
@@ -816,14 +811,8 @@ func (c *Controller) evictTxnDeltas(t *txn, dst []logEntry, inFlight map[int64]b
 		if v == nil {
 			return true
 		}
-		if !v.hddHome || v.dataDirty {
-			var content []byte
-			if content, _, _, err = c.materialize(v, true); err != nil {
-				return false
-			}
-			if err = c.writeHome(v, content); err != nil {
-				return false
-			}
+		if err = c.writeBackHome(v); err != nil {
+			return false
 		}
 		c.Stats.WritebacksHome++
 		c.dropVBlock(v)

@@ -1,11 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"sort"
+	"slices"
 
 	"icash/internal/blockdev"
 	"icash/internal/sim"
@@ -173,7 +174,8 @@ func (c *Controller) logCapacityBytes() int64 {
 // an elevator sweep of short forward seeks instead of one random
 // multi-millisecond seek per eviction. At queue depth the background
 // writeback stream is what saturates the disk, so the sweep order is
-// worth a large slice of the commit budget.
+// worth a large slice of the commit budget. Each eviction returns its
+// scratch once hddWrite has copied the content home (writeBackHome).
 func (c *Controller) shedLogPressure(pendingBytes int64) error {
 	limit := c.logCapacityBytes() * 3 / 4
 	projected := c.liveLogBytes + pendingBytes
@@ -197,7 +199,7 @@ func (c *Controller) shedLogPressure(pendingBytes int64) error {
 		projected += entryHeadSize // the tombstone
 		victims = append(victims, v)
 	}
-	sort.Slice(victims, func(i, j int) bool { return victims[i].lba < victims[j].lba })
+	slices.SortFunc(victims, func(a, b *vblock) int { return cmp.Compare(a.lba, b.lba) })
 	for _, v := range victims {
 		if v.dead {
 			continue // dropped as a side effect of an earlier eviction
@@ -412,7 +414,8 @@ func (c *Controller) loadDeltaBlock(b int64) (sim.Duration, error) {
 // write-through slots gain home backups. After Flush, a crash loses
 // nothing.
 func (c *Controller) Flush() error {
-	c.recycleScratch() // request boundary: prior scratch is dead
+	c.releaseScratch(0)       // request boundary: prior scratch is dead
+	defer c.releaseScratch(0) // Flush hands no bytes back
 	for v := c.lru.head; v != nil; v = v.next {
 		if v.dataDirty && v.dataRAM != nil {
 			if err := c.writeHome(v, v.dataRAM); err != nil {
@@ -435,7 +438,11 @@ func (c *Controller) Flush() error {
 // at every consistency point, at the cost of one background HDD write
 // per new write-through. An unwritable home is skipped — the slot just
 // stays backup-less until a later Flush.
+//
+// writeHome's hddWrite copies each slot's content home, so its scratch
+// goes back before the next slot.
 func (c *Controller) backupWriteThroughs() error {
+	mark := c.scratchMark()
 	for _, s := range c.liveSlots() {
 		if s.homeLBA >= 0 || s.donor < 0 {
 			continue
@@ -455,6 +462,7 @@ func (c *Controller) backupWriteThroughs() error {
 			s.homeLBA = v.lba
 			s.crc = contentCRC(content)
 		}
+		c.releaseScratch(mark)
 	}
 	return nil
 }

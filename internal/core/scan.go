@@ -78,10 +78,12 @@ func (c *Controller) scanBody() error {
 	// reference. Both live in per-controller scratch, emptied on the way
 	// out so a block dropped later is not held by it.
 	cands, sigGroup := c.scanCands[:0], c.scanSigGroup
+	mark := c.scratchMark()
 	defer func() {
 		clear(cands)
 		clear(sigGroup)
 		c.scanCands = cands[:0]
+		c.releaseScratch(mark)
 	}()
 	var popSum uint64
 	for v := c.lru.head; v != nil && len(cands) < c.cfg.ScanWindow; v = v.next {
@@ -101,6 +103,9 @@ func (c *Controller) scanBody() error {
 		return cmp.Compare(a.v.lba, b.v.lba)
 	})
 
+	// Each candidate's content is copied by the time the next one starts
+	// (encodeDelta and cacheData in tryAttach; ssdWrite and hddWrite in
+	// installReference), so its scratch goes back per candidate.
 	installFailed := 0
 	for _, cd := range cands {
 		v := cd.v
@@ -110,6 +115,7 @@ func (c *Controller) scanBody() error {
 		if v.slotRef != nil {
 			continue // already a reference, associate or write-through
 		}
+		c.releaseScratch(mark)
 		// Find the closest existing reference slot by signature.
 		best := c.scanSimilarSlot(v.sigv)
 		if best != nil {
