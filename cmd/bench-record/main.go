@@ -107,13 +107,18 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := run(*base, *baseRev, *seed, *out); err != nil {
+	desc, err := exec.Command("git", "describe", "--always", "--dirty").Output()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "bench-record: git describe:", err)
+		os.Exit(1)
+	}
+	if err := run(*base, *baseRev, string(bytes.TrimSpace(desc)), *seed, *out); err != nil {
 		fmt.Fprintln(os.Stderr, "bench-record:", err)
 		os.Exit(1)
 	}
 }
 
-func run(base, baseRev string, seed uint64, out string) error {
+func run(base, baseRev, commit string, seed uint64, out string) error {
 	var m manifest
 	raw, err := os.ReadFile("BENCHMARK.json")
 	if err != nil {
@@ -162,7 +167,7 @@ func run(base, baseRev string, seed uint64, out string) error {
 		}
 		rec.Workloads = append(rec.Workloads, wr)
 	}
-	return write(out, baseRev, rec)
+	return write(out, commit, baseRev, rec)
 }
 
 // bench runs one benchmark and parses its last line.
@@ -205,10 +210,11 @@ func summarize(runs []float64) side {
 	return side{Median: q(0.5), Q1: q(0.25), Q3: q(0.75), Runs: runs}
 }
 
-// write merges rec into the trajectory file at out, replacing any
-// record of the same seed. Every record of one file is measured against
-// one parent, so a file whose base is not baseRev is an error.
-func write(out, baseRev string, rec record) error {
+// write merges rec, measured on commit, into the trajectory file at out,
+// replacing any record of the same seed. Every record of one file is
+// measured against one parent, so a file whose base is not baseRev is
+// an error.
+func write(out, commit, baseRev string, rec record) error {
 	var t trajectory
 	if raw, err := os.ReadFile(out); err == nil {
 		if err := json.Unmarshal(raw, &t); err != nil {
@@ -218,11 +224,7 @@ func write(out, baseRev string, rec record) error {
 			return fmt.Errorf("%s holds records against base %q, not %q: record into a new file", out, t.Base, baseRev)
 		}
 	}
-	desc, err := exec.Command("git", "describe", "--always", "--dirty").Output()
-	if err != nil {
-		return fmt.Errorf("git describe: %w", err)
-	}
-	t.Commit, t.Base = string(bytes.TrimSpace(desc)), baseRev
+	t.Commit, t.Base = commit, baseRev
 	t.Go, t.NProc = runtime.Version(), runtime.NumCPU()
 	t.Records = slices.DeleteFunc(t.Records, func(r record) bool { return r.Seed == rec.Seed })
 	t.Records = append(t.Records, rec)

@@ -14,7 +14,7 @@ import (
 func TestWriteRefusesOtherBase(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "BENCH.json")
 	for _, seed := range []uint64{9001, 42, 9001} {
-		if err := write(out, "parent-a", record{Seed: seed}); err != nil {
+		if err := write(out, "change", "parent-a", record{Seed: seed}); err != nil {
 			t.Fatalf("seed %d against the file's own base: %v", seed, err)
 		}
 	}
@@ -30,7 +30,7 @@ func TestWriteRefusesOtherBase(t *testing.T) {
 		t.Fatalf("merged file: base %q, records %+v; want base parent-a, seeds 42 and 9001", tr.Base, tr.Records)
 	}
 
-	if err := write(out, "parent-b", record{Seed: 7}); err == nil {
+	if err := write(out, "change", "parent-b", record{Seed: 7}); err == nil {
 		t.Fatal("a record against another base was merged")
 	}
 	after, err := os.ReadFile(out)

@@ -6,59 +6,36 @@ import (
 
 // MemDevice is a trivial in-memory device with constant access latency.
 // It backs unit tests and serves as the DRAM-resident "device" in a few
-// baselines; real models live in the ssd and hdd packages.
+// baselines; real models live in the ssd and hdd packages. Its Store
+// supplies Blocks, SetFill and the Corrupt test hook.
 type MemDevice struct {
-	blocks  int64
+	Store
 	latency sim.Duration
-	data    map[int64][]byte
-	fill    FillFunc
 	Stats   Stats
 }
 
 // NewMemDevice returns a memory device with the given capacity in blocks
 // and fixed per-request latency.
 func NewMemDevice(blocks int64, latency sim.Duration) *MemDevice {
-	return &MemDevice{blocks: blocks, latency: latency, data: make(map[int64][]byte)}
+	return &MemDevice{Store: NewStore(blocks), latency: latency}
 }
-
-// Blocks returns the capacity in blocks.
-func (m *MemDevice) Blocks() int64 { return m.blocks }
 
 // ReadBlock copies the stored block (zeros if never written) into buf.
 func (m *MemDevice) ReadBlock(lba int64, buf []byte) (sim.Duration, error) {
-	if err := CheckRange(lba, m.blocks); err != nil {
+	if err := m.Check(lba, buf); err != nil {
 		return 0, err
 	}
-	if err := CheckBuffer(buf); err != nil {
-		return 0, err
-	}
-	if b, ok := m.data[lba]; ok {
-		copy(buf, b)
-	} else if m.fill != nil {
-		m.fill(lba, buf)
-	} else {
-		for i := range buf {
-			buf[i] = 0
-		}
-	}
+	m.Read(lba, buf)
 	m.Stats.NoteRead(BlockSize, m.latency)
 	return m.latency, nil
 }
 
 // WriteBlock stores a copy of buf at lba.
 func (m *MemDevice) WriteBlock(lba int64, buf []byte) (sim.Duration, error) {
-	if err := CheckRange(lba, m.blocks); err != nil {
+	if err := m.Check(lba, buf); err != nil {
 		return 0, err
 	}
-	if err := CheckBuffer(buf); err != nil {
-		return 0, err
-	}
-	b, ok := m.data[lba]
-	if !ok {
-		b = make([]byte, BlockSize)
-		m.data[lba] = b
-	}
-	copy(b, buf)
+	m.Write(lba, buf)
 	m.Stats.NoteWrite(BlockSize, m.latency)
 	return m.latency, nil
 }
@@ -67,47 +44,11 @@ var _ Device = (*MemDevice)(nil)
 
 // Preload installs content without timing or statistics.
 func (m *MemDevice) Preload(lba int64, content []byte) error {
-	if err := CheckRange(lba, m.blocks); err != nil {
+	if err := m.Check(lba, content); err != nil {
 		return err
 	}
-	if err := CheckBuffer(content); err != nil {
-		return err
-	}
-	b, ok := m.data[lba]
-	if !ok {
-		b = make([]byte, BlockSize)
-		m.data[lba] = b
-	}
-	copy(b, content)
+	m.Write(lba, content)
 	return nil
 }
 
 var _ Preloader = (*MemDevice)(nil)
-
-// Corrupt flips one bit of the stored content at lba, bypassing the
-// write path and all statistics — the silent-corruption test hook,
-// mirroring the ones on the ssd and hdd device models. The device
-// itself will keep serving the rotted content without an error; only
-// an integrity layer above can notice.
-func (m *MemDevice) Corrupt(lba int64, bit int) error {
-	if err := CheckRange(lba, m.blocks); err != nil {
-		return err
-	}
-	b, ok := m.data[lba]
-	if !ok {
-		b = make([]byte, BlockSize)
-		if m.fill != nil {
-			m.fill(lba, b)
-		}
-		m.data[lba] = b
-	}
-	n := len(b) * 8
-	bit = ((bit % n) + n) % n
-	b[bit/8] ^= 1 << uint(bit%8)
-	return nil
-}
-
-// SetFill installs the initial-content oracle for unwritten blocks.
-func (m *MemDevice) SetFill(f FillFunc) { m.fill = f }
-
-var _ Filler = (*MemDevice)(nil)

@@ -1,6 +1,10 @@
 package blockdev
 
-import "sync"
+import (
+	"sync"
+
+	"icash/internal/race"
+)
 
 // blockPool recycles BlockSize-byte buffers across the hot I/O paths
 // (core.iopath, the log encoder, the harness page cache). Storing
@@ -27,10 +31,21 @@ func GetBlock() []byte {
 // PutBlock returns a buffer obtained from GetBlock to the pool. Buffers
 // of any other shape are dropped silently, so callers that sometimes
 // hold device-owned or short slices need not special-case them — but
-// the caller must not retain any reference to b afterwards.
+// the caller must not retain any reference to b afterwards. Race builds
+// poison the released bytes with Poison, so a read after release sees
+// garbage in every `go test -race` run, not only where a GetBlock
+// happens to intervene.
 func PutBlock(b []byte) {
 	if len(b) != BlockSize || cap(b) != BlockSize {
 		return
 	}
+	if race.Enabled {
+		for i := range b {
+			b[i] = Poison
+		}
+	}
 	blockPool.Put((*[BlockSize]byte)(b))
 }
+
+// Poison is the byte a race build fills every released pool buffer with.
+const Poison = 0xA5

@@ -38,7 +38,7 @@ func (c *Controller) releaseScratch(mark int) {
 	for i := mark; i < len(c.scratch); i++ {
 		if c.poisonScratch {
 			for j := range c.scratch[i] {
-				c.scratch[i][j] = 0xA5
+				c.scratch[i][j] = blockdev.Poison
 			}
 		}
 		blockdev.PutBlock(c.scratch[i])

@@ -77,12 +77,13 @@ const streamSlots = 4
 // still count as stream continuation (read-ahead window).
 const nearGap = 32
 
-// Device is the simulated disk. It is not safe for concurrent use.
+// Device is the simulated disk. It is not safe for concurrent use. Its
+// Store holds the content and supplies Blocks, SetFill and the Corrupt
+// test hook (a silent bit flip that bypasses timing, head movement and
+// statistics).
 type Device struct {
+	blockdev.Store
 	cfg Config
-
-	data map[int64][]byte
-	fill blockdev.FillFunc
 
 	// bad holds sectors with injected latent errors: reads fail with
 	// blockdev.ErrMedia until a successful write remaps the sector.
@@ -130,15 +131,12 @@ func New(cfg Config) *Device {
 	if cfg.Cylinders <= 0 {
 		cfg.Cylinders = 1
 	}
-	d := &Device{cfg: cfg, data: make(map[int64][]byte)}
+	d := &Device{Store: blockdev.NewStore(cfg.CapacityBlocks), cfg: cfg}
 	for i := range d.streams {
 		d.streams[i] = -1
 	}
 	return d
 }
-
-// Blocks returns the capacity in blocks.
-func (d *Device) Blocks() int64 { return d.cfg.CapacityBlocks }
 
 // Config returns the drive configuration.
 func (d *Device) Config() Config { return d.cfg }
@@ -252,10 +250,7 @@ func (d *Device) access(lba int64, write bool) sim.Duration {
 
 // ReadBlock services a read at lba.
 func (d *Device) ReadBlock(lba int64, buf []byte) (sim.Duration, error) {
-	if err := blockdev.CheckRange(lba, d.cfg.CapacityBlocks); err != nil {
-		return 0, err
-	}
-	if err := blockdev.CheckBuffer(buf); err != nil {
+	if err := d.Check(lba, buf); err != nil {
 		return 0, err
 	}
 	if d.bad[lba] {
@@ -265,15 +260,7 @@ func (d *Device) ReadBlock(lba int64, buf []byte) (sim.Duration, error) {
 		d.tracer.Note(d.station, lat)
 		return lat, fmt.Errorf("hdd: latent sector error at lba %d: %w", lba, blockdev.ErrMedia)
 	}
-	if b, ok := d.data[lba]; ok {
-		copy(buf, b)
-	} else if d.fill != nil {
-		d.fill(lba, buf)
-	} else {
-		for i := range buf {
-			buf[i] = 0
-		}
-	}
+	d.Read(lba, buf)
 	lat := d.access(lba, false)
 	d.Stats.NoteRead(blockdev.BlockSize, lat)
 	d.tracer.Note(d.station, lat)
@@ -282,18 +269,10 @@ func (d *Device) ReadBlock(lba int64, buf []byte) (sim.Duration, error) {
 
 // WriteBlock services a write at lba.
 func (d *Device) WriteBlock(lba int64, buf []byte) (sim.Duration, error) {
-	if err := blockdev.CheckRange(lba, d.cfg.CapacityBlocks); err != nil {
+	if err := d.Check(lba, buf); err != nil {
 		return 0, err
 	}
-	if err := blockdev.CheckBuffer(buf); err != nil {
-		return 0, err
-	}
-	b, ok := d.data[lba]
-	if !ok {
-		b = make([]byte, blockdev.BlockSize)
-		d.data[lba] = b
-	}
-	copy(b, buf)
+	d.Write(lba, buf)
 	// A successful write remaps a latent-error sector (spare-pool
 	// reallocation), healing it.
 	delete(d.bad, lba)
@@ -318,50 +297,17 @@ var _ blockdev.Device = (*Device)(nil)
 // Preload installs content at lba without timing, head movement or
 // statistics (the disk "already contains" the data set).
 func (d *Device) Preload(lba int64, content []byte) error {
-	if err := blockdev.CheckRange(lba, d.cfg.CapacityBlocks); err != nil {
+	if err := d.Check(lba, content); err != nil {
 		return err
 	}
-	if err := blockdev.CheckBuffer(content); err != nil {
-		return err
-	}
-	b, ok := d.data[lba]
-	if !ok {
-		b = make([]byte, blockdev.BlockSize)
-		d.data[lba] = b
-	}
-	copy(b, content)
+	d.Write(lba, content)
 	return nil
 }
 
-var _ blockdev.Preloader = (*Device)(nil)
-
-// Corrupt flips one bit of the stored content at lba, bypassing timing,
-// head movement and statistics: the disk keeps serving the damaged
-// bytes with no error — a seeded silent bit-rot for integrity tests
-// and demos. Unwritten blocks are materialized from the fill oracle
-// first so the corruption is visible against the expected content.
-func (d *Device) Corrupt(lba int64, bit int) error {
-	if err := blockdev.CheckRange(lba, d.cfg.CapacityBlocks); err != nil {
-		return err
-	}
-	b, ok := d.data[lba]
-	if !ok {
-		b = make([]byte, blockdev.BlockSize)
-		if d.fill != nil {
-			d.fill(lba, b)
-		}
-		d.data[lba] = b
-	}
-	n := len(b) * 8
-	bit = ((bit % n) + n) % n
-	b[bit/8] ^= 1 << uint(bit%8)
-	return nil
-}
-
-// SetFill installs the initial-content oracle for unwritten blocks.
-func (d *Device) SetFill(f blockdev.FillFunc) { d.fill = f }
-
-var _ blockdev.Filler = (*Device)(nil)
+var (
+	_ blockdev.Preloader = (*Device)(nil)
+	_ blockdev.Filler    = (*Device)(nil)
+)
 
 // Instrument connects the drive to the concurrency engine: every
 // serviced request notes its mechanical service time against srv via

@@ -118,12 +118,13 @@ type flashBlock struct {
 // Device is the simulated SSD. It implements blockdev.Device. Device is
 // not safe for concurrent use (the simulation is single-threaded).
 type Device struct {
+	// Logical content, which supplies Blocks, SetFill (the drive ships
+	// pre-imaged with the data set) and the Corrupt test hook (a silent
+	// bit flip that bypasses timing, wear and statistics). Content
+	// correctness is independent of physical placement; the FTL below
+	// models only timing and wear.
+	blockdev.Store
 	cfg Config
-
-	// Logical content. Content correctness is independent of physical
-	// placement; the FTL below models only timing and wear.
-	data map[int64][]byte
-	fill blockdev.FillFunc
 
 	// FTL state.
 	blocks    []flashBlock
@@ -225,8 +226,8 @@ func New(cfg Config) *Device {
 		cfg.GCThresholdBlocks = 1
 	}
 	d := &Device{
+		Store:   blockdev.NewStore(cfg.CapacityBlocks),
 		cfg:     cfg,
-		data:    make(map[int64][]byte),
 		blocks:  make([]flashBlock, nBlocks),
 		mapping: make([]pageLoc, cfg.CapacityBlocks),
 		mapped:  make([]bool, cfg.CapacityBlocks),
@@ -253,9 +254,6 @@ func New(cfg Config) *Device {
 	return d
 }
 
-// Blocks returns the host-visible capacity in blocks.
-func (d *Device) Blocks() int64 { return d.cfg.CapacityBlocks }
-
 // Config returns the device configuration.
 func (d *Device) Config() Config { return d.cfg }
 
@@ -276,21 +274,10 @@ func (d *Device) mapLookupCost(lba int64) sim.Duration {
 
 // ReadBlock services a host read.
 func (d *Device) ReadBlock(lba int64, buf []byte) (sim.Duration, error) {
-	if err := blockdev.CheckRange(lba, d.cfg.CapacityBlocks); err != nil {
+	if err := d.Check(lba, buf); err != nil {
 		return 0, err
 	}
-	if err := blockdev.CheckBuffer(buf); err != nil {
-		return 0, err
-	}
-	if b, ok := d.data[lba]; ok {
-		copy(buf, b)
-	} else if d.fill != nil {
-		d.fill(lba, buf)
-	} else {
-		for i := range buf {
-			buf[i] = 0
-		}
-	}
+	d.Read(lba, buf)
 	var lat sim.Duration
 	if d.readCache != nil && d.readCache.touch(lba) {
 		d.Stats.ReadCacheHits++
@@ -308,10 +295,7 @@ func (d *Device) ReadBlock(lba int64, buf []byte) (sim.Duration, error) {
 // pool is exhausted. GC time is charged to the triggering write, which
 // is exactly the latency spike behaviour real drives exhibit.
 func (d *Device) WriteBlock(lba int64, buf []byte) (sim.Duration, error) {
-	if err := blockdev.CheckRange(lba, d.cfg.CapacityBlocks); err != nil {
-		return 0, err
-	}
-	if err := blockdev.CheckBuffer(buf); err != nil {
+	if err := d.Check(lba, buf); err != nil {
 		return 0, err
 	}
 	d.Stats.HostWrites++
@@ -338,12 +322,7 @@ func (d *Device) WriteBlock(lba int64, buf []byte) (sim.Duration, error) {
 			blk.valid--
 		}
 	}
-	b, ok := d.data[lba]
-	if !ok {
-		b = make([]byte, blockdev.BlockSize)
-		d.data[lba] = b
-	}
-	copy(b, buf)
+	d.Write(lba, buf)
 	d.mapping[lba] = loc
 	d.mapped[lba] = true
 	d.Stats.PagesProgrammed++
@@ -566,18 +545,10 @@ var _ blockdev.Device = (*Device)(nil)
 // (a factory-imaged drive). The page is mapped physically so that later
 // invalidations keep FTL invariants intact.
 func (d *Device) Preload(lba int64, content []byte) error {
-	if err := blockdev.CheckRange(lba, d.cfg.CapacityBlocks); err != nil {
+	if err := d.Check(lba, content); err != nil {
 		return err
 	}
-	if err := blockdev.CheckBuffer(content); err != nil {
-		return err
-	}
-	b, ok := d.data[lba]
-	if !ok {
-		b = make([]byte, blockdev.BlockSize)
-		d.data[lba] = b
-	}
-	copy(b, content)
+	d.Write(lba, content)
 	if !d.mapped[lba] {
 		// Quietly place the page; GC cost rules still apply later.
 		loc, _, err := d.allocPage(lba)
@@ -590,36 +561,10 @@ func (d *Device) Preload(lba int64, content []byte) error {
 	return nil
 }
 
-var _ blockdev.Preloader = (*Device)(nil)
-
-// Corrupt flips one bit of the stored content at lba, bypassing timing,
-// wear and statistics: the drive keeps serving the damaged bytes with
-// no error — a seeded silent bit-rot for integrity tests and demos.
-// Unwritten blocks are materialized from the fill oracle first so the
-// corruption is visible against the expected content.
-func (d *Device) Corrupt(lba int64, bit int) error {
-	if err := blockdev.CheckRange(lba, d.cfg.CapacityBlocks); err != nil {
-		return err
-	}
-	b, ok := d.data[lba]
-	if !ok {
-		b = make([]byte, blockdev.BlockSize)
-		if d.fill != nil {
-			d.fill(lba, b)
-		}
-		d.data[lba] = b
-	}
-	n := len(b) * 8
-	bit = ((bit % n) + n) % n
-	b[bit/8] ^= 1 << uint(bit%8)
-	return nil
-}
-
-// SetFill installs the initial-content oracle for unwritten blocks (the
-// drive ships pre-imaged with the data set).
-func (d *Device) SetFill(f blockdev.FillFunc) { d.fill = f }
-
-var _ blockdev.Filler = (*Device)(nil)
+var (
+	_ blockdev.Preloader = (*Device)(nil)
+	_ blockdev.Filler    = (*Device)(nil)
+)
 
 // ResetStats zeroes the accumulated statistics (wear counters on the
 // blocks themselves are preserved). Harnesses call it after an
