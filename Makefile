@@ -1,6 +1,6 @@
 GO ?= go
 # The non-test source line count (`make loc`) may not pass this.
-LOC_CEILING = 18312
+LOC_CEILING = 18538
 
 .PHONY: help check build vet fmt-check test golden loc loc-check benchmark-smoke race bench bench-smoke bench-profile alloc-gate fuzz-smoke clockcheck chaos chaos-smoke crash-sweep serve-smoke scrub-smoke shard-smoke examples bench-record identical
 

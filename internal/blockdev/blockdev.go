@@ -234,3 +234,18 @@ type FillFunc func(lba int64, buf []byte)
 type Filler interface {
 	SetFill(FillFunc)
 }
+
+// Basis is a data set's shared reference content: Basis(lba) returns a
+// read-only block that lba's content is expected to stay near (the
+// workload's family base), or nil where there is none. A block it
+// returns must never change while the Basis is installed. A Basis must
+// be comparable (a pointer, or a struct of comparable fields): a store
+// that is handed the Basis it already holds does nothing.
+type Basis interface {
+	Basis(lba int64) []byte
+}
+
+// Baser is implemented by devices that accept a Basis.
+type Baser interface {
+	SetBasis(Basis)
+}

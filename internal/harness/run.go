@@ -102,8 +102,13 @@ type Result struct {
 //     path reads it, and the scrubber — the controller's only clock
 //     reader — cannot fire at a frozen instant); the load's simulated
 //     duration (10 µs per block) is applied once after the join;
-//   - every unit loads through gen: Fill is deterministic per lba and
-//     safe to share (its family memo is set by compare-and-swap).
+//   - every unit loads through gen: Fill and Basis are deterministic
+//     per lba and safe to share (their family memo is set by
+//     compare-and-swap).
+//
+// Before the first write it installs gen as the data set's basis, so
+// the stores that hold data-set blocks keep them as differences from
+// their family bases (System.setBasis).
 func Populate(sys *System, gen *workload.Generator) error {
 	n := gen.DataBlocks()
 	if n > sys.Dev.Blocks() {
@@ -114,6 +119,7 @@ func Populate(sys *System, gen *workload.Generator) error {
 		units, per = sc.NumShards(), sc.ShardBlocks()
 	}
 	sys.SetFill(gen.Fill)
+	sys.setBasis(gen)
 	err := ForEachPoint(gen.Options().Workers, units, func(i int) error {
 		lo, hi := int64(i)*per, int64(i+1)*per
 		if hi > n {

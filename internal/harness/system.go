@@ -160,11 +160,14 @@ type System struct {
 	Detector *fault.Detector
 
 	flush func() error
-	// resets zero one component's counters each and fills install the
-	// initial-content oracle on one each; Build registers them as it
-	// assembles the stack.
+	// resets zero one component's counters each, fills install the
+	// initial-content oracle on one each and bases the data set's basis
+	// on one store each; Build registers them as it assembles the stack.
+	// basis is the basis installed last.
 	resets []func()
 	fills  []func(blockdev.FillFunc)
+	bases  []func(blockdev.Basis)
+	basis  blockdev.Basis
 }
 
 // Name returns the paper's label.
@@ -322,6 +325,37 @@ func (s *System) SetFill(f blockdev.FillFunc) {
 	}
 }
 
+// setBasis installs the data set's basis on every store whose addresses
+// are data-set addresses: FusionIO's SSD, the RAID0 members (through the
+// array's translation), the LRU and Dedup HDDs, and each I-CASH shard's
+// HDD home region (shard-translated; its log region gets none). Cache
+// slot numbers are not data-set addresses, so no cache SSD gets one.
+// Installing the basis already installed does nothing.
+func (s *System) setBasis(b blockdev.Basis) {
+	if b == s.basis {
+		return
+	}
+	s.basis = b
+	for _, set := range s.bases {
+		set(b)
+	}
+}
+
+// homeBasis is the data set's basis as an I-CASH shard's HDD sees it:
+// home block lba is data-set block base+lba, and the log region past
+// the home blocks has none.
+type homeBasis struct {
+	b          blockdev.Basis
+	base, home int64
+}
+
+func (h homeBasis) Basis(lba int64) []byte {
+	if lba >= h.home {
+		return nil
+	}
+	return h.b.Basis(h.base + lba)
+}
+
 // newSSD and newHDD create one device of a baseline stack and register
 // it with ResetStats and SetFill.
 func (s *System) newSSD(cfg ssd.Config) *ssd.Device {
@@ -357,6 +391,7 @@ func Build(kind Kind, cfg BuildConfig) (*System, error) {
 		devCfg := ssd.DefaultConfig(cfg.DataBlocks * 4)
 		devCfg.CapacityBlocks = cfg.DataBlocks * 4
 		pure := baseline.NewPureSSD(s.newSSD(devCfg), cpu)
+		s.bases = append(s.bases, s.SSD.SetBasis)
 		s.resets = append(s.resets, pure.ResetStats)
 		s.Dev = pure
 		s.flush = pure.Flush
@@ -377,17 +412,22 @@ func Build(kind Kind, cfg BuildConfig) (*System, error) {
 		// them: it translates each member's local addresses back to
 		// array addresses.
 		s.fills = append(s.fills, arr.SetFill)
+		s.bases = append(s.bases, arr.SetBasis)
 		s.resets = append(s.resets, arr.ResetStats)
 		s.Dev = arr
 
 	case Dedup:
-		c := baseline.NewDedupCache(s.newSSD(cachePartitionConfig(cacheBlocks(cfg))), s.newHDD(cfg.DataBlocks), cpu)
+		slots, h := s.newSSD(cachePartitionConfig(cacheBlocks(cfg))), s.newHDD(cfg.DataBlocks)
+		s.bases = append(s.bases, h.SetBasis)
+		c := baseline.NewDedupCache(slots, h, cpu)
 		s.resets = append(s.resets, c.ResetStats)
 		s.Dev = c
 		s.flush = c.Flush
 
 	case LRU:
-		c := baseline.NewLRUCache(s.newSSD(cachePartitionConfig(cacheBlocks(cfg))), s.newHDD(cfg.DataBlocks), cpu)
+		slots, h := s.newSSD(cachePartitionConfig(cacheBlocks(cfg))), s.newHDD(cfg.DataBlocks)
+		s.bases = append(s.bases, h.SetBasis)
+		c := baseline.NewLRUCache(slots, h, cpu)
 		s.resets = append(s.resets, c.ResetStats)
 		s.Dev = c
 		s.flush = c.Flush
@@ -512,6 +552,7 @@ func buildICASH(s *System, cfg BuildConfig) error {
 			sdev.SetFill(tf)
 			h.SetFill(tf)
 		})
+		s.bases = append(s.bases, func(b blockdev.Basis) { h.SetBasis(homeBasis{b, base, per}) })
 		if cfg.Tune != nil {
 			cfg.Tune(&ccfg)
 		}

@@ -151,16 +151,46 @@ func (a *Array0) SetFill(f blockdev.FillFunc) {
 			continue
 		}
 		member := m
-		fl.SetFill(func(mlba int64, buf []byte) {
-			chunk := mlba / a.chunkBlocks
-			within := mlba % a.chunkBlocks
-			arrayChunk := chunk*int64(len(a.members)) + int64(member)
-			f(arrayChunk*a.chunkBlocks+within, buf)
-		})
+		fl.SetFill(func(mlba int64, buf []byte) { f(a.arrayLBA(member, mlba), buf) })
 	}
 }
 
 var _ blockdev.Filler = (*Array0)(nil)
+
+// arrayLBA is the array address of member block mlba: locate's inverse.
+func (a *Array0) arrayLBA(member int, mlba int64) int64 {
+	chunk := mlba / a.chunkBlocks
+	within := mlba % a.chunkBlocks
+	arrayChunk := chunk*int64(len(a.members)) + int64(member)
+	return arrayChunk*a.chunkBlocks + within
+}
+
+// SetBasis installs the data set's basis on every member, translating
+// each member's local addresses back to array addresses as SetFill does.
+func (a *Array0) SetBasis(b blockdev.Basis) {
+	for m, dev := range a.members {
+		bs, ok := dev.(blockdev.Baser)
+		if !ok {
+			continue
+		}
+		if b == nil {
+			bs.SetBasis(nil)
+		} else {
+			bs.SetBasis(memberBasis{a, m, b})
+		}
+	}
+}
+
+var _ blockdev.Baser = (*Array0)(nil)
+
+// memberBasis is an array's basis as one member sees it.
+type memberBasis struct {
+	a      *Array0
+	member int
+	b      blockdev.Basis
+}
+
+func (m memberBasis) Basis(mlba int64) []byte { return m.b.Basis(m.a.arrayLBA(m.member, mlba)) }
 
 // ResetStats zeroes the array-level statistics.
 func (a *Array0) ResetStats() { a.Stats = Stats{} }

@@ -385,6 +385,20 @@ func (g *Generator) base(family int) []byte {
 	return b[:]
 }
 
+// Basis returns lba's family base (blockdev.Basis), or nil outside the
+// data set: the shared block that lba's content is a small mutation of,
+// unless the block was wholly rewritten. The block is memoized and
+// never changes, so the devices under test may keep their copies of the
+// data set as differences from it.
+func (g *Generator) Basis(lba int64) []byte {
+	if lba < 0 || lba >= g.dataBlocks {
+		return nil
+	}
+	return g.base(g.familyOf(lba))
+}
+
+var _ blockdev.Basis = (*Generator)(nil)
+
 // mutate overwrites frac of buf's bytes. Changes come in contiguous
 // runs of 16-64 bytes, the way real updates modify fields and records
 // rather than isolated bytes. Positions come from posSeed and values
