@@ -1,6 +1,6 @@
 GO ?= go
 # The non-test source line count (`make loc`) may not pass this.
-LOC_CEILING = 18538
+LOC_CEILING = 18871
 
 .PHONY: help check build vet fmt-check test golden loc loc-check benchmark-smoke race bench bench-smoke bench-profile alloc-gate fuzz-smoke clockcheck chaos chaos-smoke crash-sweep serve-smoke scrub-smoke shard-smoke examples bench-record identical
 
@@ -30,10 +30,12 @@ loc: ## non-test .go lines outside benchmark/ (the number simplicity PRs report)
 loc-check: ## fail when `make loc` exceeds LOC_CEILING (a PR that must grow the tree raises it and says why)
 	@n=$$($(MAKE) -s loc); if [ "$$n" -gt $(LOC_CEILING) ]; then echo "make loc reads $$n, ceiling is $(LOC_CEILING)"; exit 1; fi
 
-benchmark-smoke: ## two seconds each of the one-shard, the full-SSD (write-through reclaim) and the 4-shard repo benchmark workloads (exit status only)
+benchmark-smoke: ## two seconds each of the five repo benchmark workloads: one-shard, full-SSD (write-through reclaim), wrapping-log writeback, 4-shard and served over TCP (exit status only)
 	$(GO) run ./benchmark -workload oltp -seed 1 -seconds 2 -trace 0 >/dev/null
 	$(GO) run ./benchmark -workload mail -seed 1 -seconds 2 -trace 0 >/dev/null
+	$(GO) run ./benchmark -workload randwrite-qd8 -seed 1 -seconds 2 -trace 0 >/dev/null
 	$(GO) run ./benchmark -workload randread-shards4 -seed 1 -seconds 2 -trace 0 >/dev/null
+	$(GO) run ./benchmark -workload serve-tcp -seed 1 -seconds 2 -trace 0 >/dev/null
 
 race: ## go test -race ./...
 	$(GO) test -race ./...
@@ -65,6 +67,7 @@ fuzz-smoke: ## 10s per fuzz target, seeded from testdata corpora
 	$(GO) test ./internal/server -fuzz FuzzSessionBytes -fuzztime 10s
 	$(GO) test ./internal/fault/crashtest -fuzz FuzzSpec -fuzztime 10s
 	$(GO) test ./internal/blockdev -fuzz FuzzStore -fuzztime 10s
+	$(GO) test ./internal/blockdev -fuzz FuzzPatch -fuzztime 10s
 
 crash-sweep: ## crash-point recovery sweeps (fail-stop, fail-slow, 2- and 4-shard flush barrier; journal-audited, checked against internal/spec)
 	$(GO) test -count=1 -run 'TestCrash|TestNoCrashBaseline' ./internal/fault/crashtest/

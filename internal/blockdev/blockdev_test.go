@@ -126,3 +126,33 @@ func TestMemDevicePreloadAndFill(t *testing.T) {
 		t.Error("short preload must fail")
 	}
 }
+
+// TestDiffSpanKernels: the word-at-a-time compare, and the vector one
+// where the CPU has it, mark exactly the chunk of every single changed
+// byte of a span, and agree on spans with many changed bytes.
+func TestDiffSpanKernels(t *testing.T) {
+	kernels := map[string]func(b, base *[diffSpanLen]byte) uint64{"go": diffSpanGo, "dispatch": diffSpan}
+	var r sim.Rand
+	r.Seed(1)
+	var base, b [diffSpanLen]byte
+	r.Bytes(base[:])
+	for i := range diffSpanLen {
+		b = base
+		b[i] ^= byte(1 + r.Uint64()%255)
+		for name, k := range kernels {
+			if got := k(&b, &base); got != 1<<(i/PatchChunk) {
+				t.Fatalf("%s: byte %d changed: mask %#x, want %#x", name, i, got, uint64(1)<<(i/PatchChunk))
+			}
+		}
+	}
+	for range 1000 {
+		b = base
+		for range r.Uint64() % 24 {
+			b[r.Uint64()%diffSpanLen] ^= 0x80
+		}
+		if g, d := diffSpanGo(&b, &base), diffSpan(&b, &base); g != d {
+			t.Fatalf("word compare %#x, dispatched %#x", g, d)
+		}
+	}
+	t.Logf("AVX2: %v", useAVX2)
+}

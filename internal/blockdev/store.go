@@ -1,9 +1,7 @@
 package blockdev
 
 import (
-	"bytes"
 	"encoding/binary"
-	"math/bits"
 	"slices"
 )
 
@@ -21,26 +19,16 @@ import (
 //     not 4 KB; Read clears the trimmed tail. A block written as all
 //     zeros keeps an empty entry, so it reads as zeros and never as the
 //     fill or the basis content.
-//   - patched: the block's difference from its basis, when that is
-//     smaller than both a quarter block and the raw form. A patch is an
-//     8-byte little-endian mask of the 64-byte chunks that differ from
-//     the basis, those chunks in order, and one zero byte. A raw entry
-//     never ends in a zero byte, so the last byte tells the forms apart.
+//   - patched: the block's difference from its basis (patch.go), when
+//     that is smaller than both PatchLimit and the raw form. A patch
+//     ends in a zero byte and a raw entry never does, so the last byte
+//     tells the forms apart.
 type Store struct {
 	blocks int64
 	fill   FillFunc
 	basis  Basis
 	data   map[int64][]byte
 }
-
-const (
-	// chunkSize is the patch granularity: one mask bit per chunk.
-	chunkSize = 64
-	// patchOverhead is a patch's mask and closing zero byte.
-	patchOverhead = 8 + 1
-	// patchLimit is the size a patch must stay under to be kept.
-	patchLimit = BlockSize / 4
-)
 
 // NewStore returns an empty store of the given capacity in blocks.
 func NewStore(blocks int64) Store {
@@ -67,7 +55,7 @@ func (s *Store) Read(lba int64, buf []byte) {
 	b, ok := s.data[lba]
 	switch {
 	case isPatch(b):
-		applyPatch(buf, s.basis.Basis(lba), b)
+		ApplyPatch(buf, s.basis.Basis(lba), b)
 	case ok:
 		clear(buf[copy(buf, b):])
 	case s.fill != nil:
@@ -86,8 +74,8 @@ func (s *Store) Write(lba int64, buf []byte) {
 	e := s.data[lba][:0]
 	if s.basis != nil {
 		if base := s.basis.Basis(lba); base != nil {
-			if mask, ok := diffMask(buf, base, min(n, patchLimit)); ok {
-				s.data[lba] = appendPatch(e, buf, mask)
+			if mask, ok := DiffMask(buf, base, min(n, PatchLimit)); ok {
+				s.data[lba] = AppendPatch(e, buf, mask)
 				return
 			}
 		}
@@ -108,51 +96,8 @@ func keptLen(b []byte) int {
 	return n
 }
 
-// diffMask marks the chunks of b that differ from base. It gives up as
-// soon as the patch would reach limit bytes, so content far from its
-// basis costs at most one compare of the block.
-func diffMask(b, base []byte, limit int) (mask uint64, ok bool) {
-	size := patchOverhead
-	if size >= limit {
-		return 0, false
-	}
-	for off := 0; off < BlockSize; off += chunkSize {
-		if bytes.Equal(b[off:off+chunkSize], base[off:off+chunkSize]) {
-			continue
-		}
-		if size += chunkSize; size >= limit {
-			return 0, false
-		}
-		mask |= 1 << (off / chunkSize)
-	}
-	return mask, true
-}
-
-// appendPatch appends the patch of b's chunks named by mask to e,
-// growing e at most once.
-func appendPatch(e, b []byte, mask uint64) []byte {
-	e = slices.Grow(e, patchOverhead+bits.OnesCount64(mask)*chunkSize)
-	e = binary.LittleEndian.AppendUint64(e, mask)
-	for m := mask; m != 0; m &= m - 1 {
-		off := bits.TrailingZeros64(m) * chunkSize
-		e = append(e, b[off:off+chunkSize]...)
-	}
-	return append(e, 0)
-}
-
 // isPatch reports whether entry e is a patch.
 func isPatch(e []byte) bool { return len(e) > 0 && e[len(e)-1] == 0 }
-
-// applyPatch writes base with patch p applied into buf.
-func applyPatch(buf, base, p []byte) {
-	copy(buf, base)
-	mask := binary.LittleEndian.Uint64(p)
-	p = p[8:]
-	for m := mask; m != 0; m &= m - 1 {
-		off := bits.TrailingZeros64(m) * chunkSize
-		p = p[copy(buf[off:off+chunkSize], p):]
-	}
-}
 
 // Corrupt flips one bit of block lba's content, bypassing timing, wear
 // and statistics: the device keeps serving the damaged bytes with no
@@ -199,7 +144,7 @@ func (s *Store) SetBasis(b Basis) {
 	slices.Sort(patched)
 	buf := make([]byte, BlockSize)
 	for _, lba := range patched {
-		applyPatch(buf, old.Basis(lba), s.data[lba])
+		ApplyPatch(buf, old.Basis(lba), s.data[lba])
 		s.Write(lba, buf)
 	}
 }

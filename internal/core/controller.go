@@ -61,6 +61,13 @@ type Controller struct {
 
 	deltaBudget *ram.Budget
 	dataBudget  *ram.Budget
+	// basis is the data set's shared content the RAM data blocks are
+	// patched against (nil: none), patchFree the released patch
+	// buffers, one free list per class, and patchMisses the fills with
+	// a basis block since the last kept patch (ramdata.go).
+	basis       blockdev.Basis
+	patchFree   [patchClasses][][]byte
+	patchMisses int
 
 	// slotTab holds the live slot at each SSD index, nil where there is
 	// none; nLiveSlots counts the non-nil entries.
@@ -318,10 +325,12 @@ func (c *Controller) getOrLoad(lba int64, forWrite bool) (*vblock, sim.Duration,
 	}
 	v := &vblock{lba: lba, hddHome: true}
 	var lat sim.Duration
+	var buf []byte
 	if !forWrite {
-		// Pooled: cacheData copies and sig.Compute only reads, so the
-		// buffer is dead by the time the deferred Put runs.
-		buf := blockdev.GetBlock()
+		// Pooled: cacheData copies, sig.Compute and first-load pairing
+		// only read, so the buffer is dead by the time the deferred Put
+		// runs.
+		buf = blockdev.GetBlock()
 		defer blockdev.PutBlock(buf)
 		d, err := c.readHomeVerified(lba, buf)
 		if err != nil {
@@ -340,7 +349,7 @@ func (c *Controller) getOrLoad(lba int64, forWrite bool) (*vblock, sim.Duration,
 	// VM-image offset and try to share its reference (paper §4.2).
 	if !forWrite && v.dataRAM != nil {
 		c.pinned = v // pairing may trigger reclamation
-		c.tryFirstLoadPair(v)
+		c.tryFirstLoadPair(v, buf)
 	}
 	return v, lat, nil
 }
@@ -406,25 +415,21 @@ func (c *Controller) cacheData(v *vblock, content []byte, dirty bool) error {
 				return nil
 			}
 		}
-		// Pooled: releaseData is the matching Put. The copy below fully
-		// overwrites whatever the recycled buffer held.
-		v.dataRAM = blockdev.GetBlock()
+		c.putData(v, content)
 		c.lru.dataCached(v)
+	} else {
+		c.putData(v, content)
 	}
-	copy(v.dataRAM, content)
 	v.dataDirty = dirty
 	return nil
 }
 
 // releaseData drops v's RAM data block (caller handles dirtiness) and
-// returns the pooled buffer. Callers guarantee no slice aliasing
-// v.dataRAM is used after this point — the only materialize outputs
-// that alias it belong to the current request, and every release site
-// runs after that content has been consumed.
+// recycles its buffer. Nothing outside ramdata.go holds a slice of it.
 func (c *Controller) releaseData(v *vblock) {
 	if v.dataRAM != nil {
 		c.lru.dataReleased(v)
-		blockdev.PutBlock(v.dataRAM)
+		c.freeData(v.dataRAM)
 		v.dataRAM = nil
 		c.dataBudget.Release(blockdev.BlockSize)
 	}
@@ -445,7 +450,7 @@ func (c *Controller) evictOneDataRAM(keep *vblock) bool {
 		}
 		if v.dataDirty {
 			// Only copy: make it durable at the home location first.
-			if err := c.writeHome(v, v.dataRAM); err != nil {
+			if err := c.writeBackHome(v); err != nil {
 				continue
 			}
 		}
@@ -685,7 +690,7 @@ func (c *Controller) writeBackHome(v *vblock) error {
 	}
 	mark := c.scratchMark()
 	defer c.releaseScratch(mark)
-	content, _, _, err := c.materialize(v, true)
+	content, _, _, err := c.materialize(v, nil, true)
 	if err != nil {
 		return err
 	}

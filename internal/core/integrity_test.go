@@ -106,7 +106,7 @@ func TestLyingSSDReadNeverReachesHost(t *testing.T) {
 	}
 	if slot.donor >= 0 && slot.donor != victim.lba {
 		if dv := c.lbas[slot.donor].v; dv != nil && dv.dataRAM != nil && !dv.dataDirty &&
-			contentCRC(dv.dataRAM) == slot.crc {
+			contentCRC(c.readData(dv, make([]byte, blockdev.BlockSize))) == slot.crc {
 			c.releaseData(dv)
 		}
 	}

@@ -17,6 +17,9 @@ import (
 //   - the data-resident sublist is the LRU filtered on dataRAM != nil
 //     (same nodes, same order, no links on non-members) and its length
 //     times the block size is the data budget's occupancy;
+//   - every resident data block decodes: a whole pooled block, or a
+//     well-formed patch under the limit, against a basis block, in a
+//     buffer whose capacity is some patch's length;
 //   - the write-through sublist is the LRU filtered on slotRef != nil
 //     && kind == Independent (same order, each member owning its slot
 //     through refSlot.wt, no links and no owner on any other slot);
@@ -60,6 +63,9 @@ func (c *Controller) CheckInvariants() error {
 			}
 			lastResident, nextResident = v, v.dnext
 			resident++
+			if err := c.checkData(v); err != nil {
+				return err
+			}
 		} else if v.dprev != nil || v.dnext != nil {
 			return fmt.Errorf("core: non-resident block %d linked into the data sublist", v.lba)
 		}
@@ -304,6 +310,23 @@ func (c *Controller) CheckInvariants() error {
 		if v.inDirty && v.dead {
 			return fmt.Errorf("core: dead block %d marked dirty", v.lba)
 		}
+	}
+	return nil
+}
+
+// checkData reports a resident data block that does not decode (see
+// ramdata.go for the two forms).
+func (c *Controller) checkData(v *vblock) error {
+	e := v.dataRAM
+	switch {
+	case len(e) == blockdev.BlockSize:
+		if cap(e) != blockdev.BlockSize {
+			return fmt.Errorf("core: lba %d: raw data block has capacity %d", v.lba, cap(e))
+		}
+	case c.basisOf(v.lba) == nil:
+		return fmt.Errorf("core: lba %d: %d-byte data block with no basis block to patch", v.lba, len(e))
+	case !blockdev.ValidPatch(e) || cap(e) >= blockdev.PatchLimit || cap(e)%blockdev.PatchChunk != len(e)%blockdev.PatchChunk:
+		return fmt.Errorf("core: lba %d: data block is no patch (%d bytes, capacity %d)", v.lba, len(e), cap(e))
 	}
 	return nil
 }

@@ -52,17 +52,22 @@ func (c *Controller) touchLRU(v *vblock) {
 
 // materialize returns v's current content and the synchronous latency
 // of producing it. When background is true, device time is accounted to
-// background stats instead. The returned slice must not be retained or
-// mutated by callers.
-func (c *Controller) materialize(v *vblock, background bool) ([]byte, sim.Duration, readPath, error) {
+// background stats instead. The content is built in dst when it is not
+// nil, and otherwise in a scratch buffer (or a fresh one after a slot
+// repair), valid until the release that covers it; it never aliases
+// cached state.
+func (c *Controller) materialize(v *vblock, dst []byte, background bool) ([]byte, sim.Duration, readPath, error) {
 	if v.dataRAM != nil {
-		return v.dataRAM, ram.AccessLatency, pathRAM, nil
+		return c.readData(v, c.scratchOr(dst)), ram.AccessLatency, pathRAM, nil
 	}
 	if v.slotRef != nil {
 		if v.ssdCurrent {
 			// Write-through block or pristine donor: the slot holds the
 			// current content directly.
 			content, lat, err := c.slotContent(v.slotRef, background)
+			if err == nil && dst != nil {
+				content = dst[:copy(dst, content)]
+			}
 			return content, lat, pathSSD, err
 		}
 		// Reference + delta. Fetch the delta (RAM, else one log read
@@ -121,7 +126,10 @@ func (c *Controller) materialize(v *vblock, background bool) ([]byte, sim.Durati
 			}
 			enc = enc2
 		}
-		content, err := delta.AppendDecode(c.getScratch()[:0], base, enc)
+		content, err := delta.AppendDecode(c.scratchOr(dst)[:0], base, enc)
+		if err == nil && len(content) != blockdev.BlockSize {
+			err = fmt.Errorf("%w: decoded %d bytes", delta.ErrCorrupt, len(content))
+		}
 		if err != nil {
 			return nil, 0, path, fmt.Errorf("core: lba %d: %w", v.lba, err)
 		}
@@ -133,7 +141,7 @@ func (c *Controller) materialize(v *vblock, background bool) ([]byte, sim.Durati
 		return content, lat, path, nil
 	}
 	if v.hddHome {
-		buf := c.getScratch()
+		buf := c.scratchOr(dst)
 		d, err := c.readHomeVerified(v.lba, buf)
 		if err != nil {
 			return nil, 0, pathHome, err
@@ -213,12 +221,12 @@ func (c *Controller) ReadBlock(lba int64, buf []byte) (sim.Duration, error) {
 	}
 	c.pinned = v
 	defer func() { c.pinned = nil }()
-	content, lat2, path, err := c.materialize(v, false)
+	content, lat2, path, err := c.materialize(v, buf, false)
 	if err != nil && c.faultRecovered(v, err) {
 		// The failing dependency is gone (SSD degraded away, or the
 		// block was salvaged to its home location); one retry serves
 		// from what remains.
-		content, lat2, path, err = c.materialize(v, false)
+		content, lat2, path, err = c.materialize(v, buf, false)
 	}
 	if err != nil {
 		return 0, err
@@ -231,12 +239,12 @@ func (c *Controller) ReadBlock(lba int64, buf []byte) (sim.Duration, error) {
 	// exempt: their RAM copy *is* the content the checksum was taken of.
 	if l.sumOK && !v.dataDirty && blockdev.ContentCRC(content) != l.sum {
 		c.noteCorruption("host", lba)
-		// Drop the (possibly aliased) bad cached copy and rebuild from
-		// the durable layers, which verify themselves.
+		// Drop the bad cached copy and rebuild from the durable layers,
+		// which verify themselves.
 		c.releaseData(v)
-		content, lat2, path, err = c.materialize(v, false)
+		content, lat2, path, err = c.materialize(v, buf, false)
 		if err != nil && c.faultRecovered(v, err) {
-			content, lat2, path, err = c.materialize(v, false)
+			content, lat2, path, err = c.materialize(v, buf, false)
 		}
 		if err != nil {
 			return 0, err
@@ -250,7 +258,6 @@ func (c *Controller) ReadBlock(lba int64, buf []byte) (sim.Duration, error) {
 		}
 		c.Stats.CorruptionsRepaired++
 	}
-	copy(buf, content)
 	switch path {
 	case pathRAM:
 		c.Stats.ReadRAMHits++
@@ -438,9 +445,10 @@ func (c *Controller) writeIndependent(v *vblock, buf []byte, newSig sig.Signatur
 // machine's block before any clone touched it — is promoted to a
 // reference on the spot, which is how VM-image clones bootstrap into
 // reference + tiny delta without waiting for popularity to accumulate.
-func (c *Controller) tryFirstLoadPair(v *vblock) {
+// content is v's current content, which it keeps cached.
+func (c *Controller) tryFirstLoadPair(v *vblock, content []byte) {
 	key := c.offsetKey(v.lba)
-	if key < 0 || v.dataRAM == nil || c.ssdSidelined() {
+	if key < 0 || c.ssdSidelined() {
 		return
 	}
 	// Each candidate's content is copied by the time the next one starts
@@ -464,7 +472,7 @@ func (c *Controller) tryFirstLoadPair(v *vblock) {
 		s := cand.slotRef
 		if s == nil {
 			// Independent sibling: promote it to a reference first.
-			content, _, _, err := c.materialize(cand, true)
+			content, _, _, err := c.materialize(cand, nil, true)
 			if err != nil {
 				continue
 			}
@@ -479,7 +487,7 @@ func (c *Controller) tryFirstLoadPair(v *vblock) {
 		if err != nil {
 			continue
 		}
-		enc, ok := c.encodeDelta(v.dataRAM, base)
+		enc, ok := c.encodeDelta(content, base)
 		if !ok {
 			c.Stats.ScanDeltaRejects++
 			continue

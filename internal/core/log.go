@@ -418,7 +418,7 @@ func (c *Controller) Flush() error {
 	defer c.releaseScratch(0) // Flush hands no bytes back
 	for v := c.lru.head; v != nil; v = v.next {
 		if v.dataDirty && v.dataRAM != nil {
-			if err := c.writeHome(v, v.dataRAM); err != nil {
+			if err := c.writeBackHome(v); err != nil {
 				return err
 			}
 		}

@@ -156,7 +156,7 @@ func (c *Controller) scrubSlot(s *refSlot) ([]byte, error) {
 	var content []byte
 	if s.donor >= 0 {
 		if donor := c.lbas[s.donor].v; donor != nil && donor.slotRef == s && donor.ssdCurrent && donor.dataRAM != nil {
-			content = append([]byte(nil), donor.dataRAM...)
+			content = c.readData(donor, make([]byte, blockdev.BlockSize))
 		}
 	}
 	if content == nil && s.homeLBA >= 0 {
@@ -211,8 +211,10 @@ func (c *Controller) salvageHome(v *vblock, content []byte, lost *int64) {
 // retired when retire is set.
 func (c *Controller) salvageSlot(s *refSlot, retire bool) {
 	idx := s.index
+	mark := c.scratchMark()
 	for _, v := range c.slotDependents(s) {
-		c.salvageHome(v, v.dataRAM, &c.Stats.ScrubDataLoss)
+		c.salvageHome(v, c.ramContent(v), &c.Stats.ScrubDataLoss)
+		c.releaseScratch(mark)
 	}
 	if retire {
 		c.retireQuarantined(idx)
@@ -225,8 +227,9 @@ func (c *Controller) salvageSlot(s *refSlot, retire bool) {
 // home, so nothing is lost. The slot is retired.
 func (c *Controller) salvageContent(s *refSlot, base []byte) {
 	idx := s.index
+	mark := c.scratchMark()
 	for _, v := range c.slotDependents(s) {
-		content := v.dataRAM
+		content := c.ramContent(v)
 		if content == nil && v.ssdCurrent {
 			content = base
 		}
@@ -238,6 +241,7 @@ func (c *Controller) salvageContent(s *refSlot, base []byte) {
 			}
 		}
 		c.salvageHome(v, content, &c.Stats.ScrubDataLoss)
+		c.releaseScratch(mark)
 	}
 	c.retireQuarantined(idx)
 }
@@ -333,8 +337,10 @@ func (c *Controller) degradeSSD() {
 			attached = append(attached, v)
 		}
 	}
+	mark := c.scratchMark()
 	for _, v := range attached {
-		c.salvageHome(v, v.dataRAM, &c.Stats.DegradedDataLoss)
+		c.salvageHome(v, c.ramContent(v), &c.Stats.DegradedDataLoss)
+		c.releaseScratch(mark)
 	}
 	// Commit the tombstones: after this flush the HDD alone describes
 	// every surviving block, so a later crash recovers cleanly without

@@ -135,7 +135,7 @@ func (c *Controller) scanBody() error {
 		if !promote {
 			continue
 		}
-		content, _, _, err := c.materialize(v, true)
+		content, _, _, err := c.materialize(v, nil, true)
 		if err != nil {
 			if blockdev.Classify(err) == blockdev.ClassMedia {
 				continue
@@ -201,7 +201,7 @@ func (c *Controller) tryAttach(v *vblock, s *refSlot) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	content, _, _, err := c.materialize(v, true)
+	content, _, _, err := c.materialize(v, nil, true)
 	if err != nil {
 		return false, err
 	}

@@ -405,7 +405,7 @@ func TestIdleScanBodyIsNoOp(t *testing.T) {
 	if v == nil {
 		t.Fatal("rig: no resident associate in the window")
 	}
-	if err := c.writeHome(v, v.dataRAM); err != nil {
+	if err := c.writeHome(v, c.readData(v, make([]byte, blockdev.BlockSize))); err != nil {
 		t.Fatal(err)
 	}
 	c.orphanFromSlot(v)

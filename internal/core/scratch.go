@@ -7,16 +7,17 @@ import "icash/internal/blockdev"
 // draw from here instead of allocating. The arena owns every buffer it
 // hands out: callers never Put, they let the slice go out of scope.
 //
-// This shape exists because materialize/slotContent callers cannot tell
-// a pooled scratch buffer from long-lived cached RAM (both flow through
-// the same "returned slice must not be retained" contract), so per-call
-// Put would be unsound. Instead buffers go back to the blockdev pool in
-// sweeps, each where every slice derived from them is dead: a host
-// request entry and Flush's exit release the whole arena, and each item
-// of a background loop inside a request (an eviction in writeBackHome, a
-// write-through backup, a scan or first-load pairing candidate) releases
-// what it borrowed once its content is copied to a device or to RAM. So
-// a request holds at most its own materialize and one background item
+// This shape exists because materialize and slotContent hand their
+// buffer up through several frames (a slot read becomes a decode's
+// base, a decode becomes a cache fill or a home write), so no one frame
+// knows when it dies and per-call Put would be unsound. Instead buffers
+// go back to the blockdev pool in sweeps, each where every slice derived
+// from them is dead: a host request entry and Flush's exit release the
+// whole arena, and each item of a background loop inside a request (an
+// eviction in writeBackHome, a write-through backup, a scan or
+// first-load pairing candidate, a salvaged dependent) releases what it
+// borrowed once its content is copied to a device or to RAM. So a
+// request holds at most its own materialize and one background item
 // (TestScratchBounded). See DESIGN.md §11.
 
 // getScratch returns a BlockSize buffer with arbitrary contents, valid
@@ -45,4 +46,12 @@ func (c *Controller) releaseScratch(mark int) {
 		c.scratch[i] = nil
 	}
 	c.scratch = c.scratch[:mark]
+}
+
+// scratchOr returns dst, or a scratch buffer when dst is nil.
+func (c *Controller) scratchOr(dst []byte) []byte {
+	if dst == nil {
+		return c.getScratch()
+	}
+	return dst
 }

@@ -201,8 +201,10 @@ func (c *Controller) scrubOneHome(lba int64) {
 		return
 	}
 	c.noteCorruption("hdd", lba)
-	if v != nil && v.dataRAM != nil && blockdev.ContentCRC(v.dataRAM) == want {
-		if wd, werr := c.hddWrite(lba, v.dataRAM); werr == nil {
+	// The damaged read is spent: buf takes the RAM copy, if any, and
+	// then the re-read.
+	if v != nil && v.dataRAM != nil && blockdev.ContentCRC(c.readData(v, buf)) == want {
+		if wd, werr := c.hddWrite(lba, buf); werr == nil {
 			c.Stats.BackgroundHDDTime += wd
 			c.Stats.CorruptionsRepaired++
 			return

@@ -254,12 +254,14 @@ func (c *Controller) promoteDonor(s *refSlot) {
 func (c *Controller) slotContent(s *refSlot, background bool) ([]byte, sim.Duration, error) {
 	if s.donor >= 0 {
 		if donor := c.lbas[s.donor].v; donor != nil && donor.slotRef == s && donor.ssdCurrent && donor.dataRAM != nil {
-			if contentCRC(donor.dataRAM) == s.crc {
-				return donor.dataRAM, ram.AccessLatency, nil
+			mark := c.scratchMark()
+			if content := c.ramContent(donor); contentCRC(content) == s.crc {
+				return content, ram.AccessLatency, nil
 			}
 			// The cached donor copy disagrees with the install-time slot
 			// checksum: the RAM copy rotted. Fall through to the devices,
 			// which hold verified redundant copies.
+			c.releaseScratch(mark)
 			c.noteCorruption("ram", s.index)
 		}
 	}

@@ -56,7 +56,9 @@ type vblock struct {
 	// content directly (ssdCurrent == true).
 	slotRef *refSlot
 
-	// dataRAM caches the full current content (nil when evicted).
+	// dataRAM caches the current content (nil when evicted): a raw
+	// BlockSize block, or a blockdev patch against basisOf(lba). It is
+	// not a block to read as is: readData decodes it (ramdata.go).
 	dataRAM []byte
 	// deltaRAM holds the current delta against the slot content.
 	deltaRAM []byte

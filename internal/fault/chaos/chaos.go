@@ -167,6 +167,29 @@ func fillBlock(buf []byte, lba int64, version uint64) {
 	}
 }
 
+// familyBasis is the family regime's version-1 content, one block per
+// family: the basis the controllers' RAM data caches and the HDD home
+// stores keep family blocks against, so the faults meet content held
+// as patches. Other blocks have no basis block.
+type familyBasis struct{ bases [][]byte }
+
+func newFamilyBasis(lbas int64) *familyBasis {
+	b := &familyBasis{}
+	for lba := int64(0); lba < lbas; lba += 32 {
+		base := make([]byte, blockdev.BlockSize)
+		fillBlock(base, lba, 1)
+		b.bases = append(b.bases, base)
+	}
+	return b
+}
+
+func (b *familyBasis) Basis(lba int64) []byte {
+	if lba < 0 || lba%4 != 0 || lba/32 >= int64(len(b.bases)) {
+		return nil
+	}
+	return b.bases[lba/32]
+}
+
 // genPlan builds a randomized-but-seeded fail-slow schedule covering
 // roughly the first half of the measured phase: one to three windows,
 // each hitting the SSD or an HDD with a 10-100x slowdown, brownout
@@ -238,6 +261,12 @@ func genSilentPlan(seed uint64, shift sim.Time, horizon sim.Duration) (ssdW, hdd
 // failure is returned as an error; a nil error means the stack
 // survived this seed's schedule with all loss accounted for.
 func Run(cfg Config) (*Result, error) {
+	res, _, err := run(cfg)
+	return res, err
+}
+
+// run is Run, also returning the soaked system when it survived.
+func run(cfg Config) (*Result, *harness.System, error) {
 	if cfg.Ops <= 0 {
 		cfg.Ops = 2000
 	}
@@ -279,9 +308,10 @@ func Run(cfg Config) (*Result, error) {
 	}
 	sys, err := harness.Build(harness.ICASH, bc)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	clock := sys.Clock
+	sys.SetBasis(newFamilyBasis(cfg.LBASpace))
 
 	// Populate: every block written once at version 1, fault-free (the
 	// plan has no windows yet and the probabilistic rates are armed
@@ -312,10 +342,10 @@ func Run(cfg Config) (*Result, error) {
 		return 10 * sim.Microsecond, nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := sys.Flush(); err != nil {
-		return nil, fmt.Errorf("chaos: populate flush: %w", err)
+		return nil, nil, fmt.Errorf("chaos: populate flush: %w", err)
 	}
 	sys.ResetStats()
 
@@ -354,7 +384,7 @@ func Run(cfg Config) (*Result, error) {
 			w.Station = harness.ShardStation(0, sys.Sharded.NumShards(), w.Station)
 		}
 		if err := plan.Validate(); err != nil {
-			return nil, fmt.Errorf("chaos: plan: %w", err)
+			return nil, nil, fmt.Errorf("chaos: plan: %w", err)
 		}
 	}
 
@@ -432,7 +462,7 @@ func Run(cfg Config) (*Result, error) {
 		return arrival.Add(d), nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := sys.Flush(); err != nil {
 		// A failed final flush is a loud failure, not silent loss;
@@ -451,7 +481,7 @@ func Run(cfg Config) (*Result, error) {
 		return d, nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	res.Elapsed = clock.Now().Sub(start)
 
@@ -478,19 +508,19 @@ func Run(cfg Config) (*Result, error) {
 	// shard is checked — the unfaulted shards' invariants holding is the
 	// blast-radius half of the claim.
 	if err := sys.Sharded.CheckInvariants(); err != nil {
-		return res, fmt.Errorf("chaos: seed %d: controller invariants: %w", cfg.Seed, err)
+		return res, nil, fmt.Errorf("chaos: seed %d: controller invariants: %w", cfg.Seed, err)
 	}
 	for i, sdev := range sys.SSDs {
 		if err := sdev.CheckInvariants(); err != nil {
-			return res, fmt.Errorf("chaos: seed %d: shard %d ssd invariants: %w", cfg.Seed, i, err)
+			return res, nil, fmt.Errorf("chaos: seed %d: shard %d ssd invariants: %w", cfg.Seed, i, err)
 		}
 	}
 	if res.WrongLBAs > res.AccountedLoss {
-		return res, fmt.Errorf("chaos: seed %d: SILENT DATA LOSS: %d wrong blocks but only %d accounted (scrub %d + degraded %d + dropped %d)",
+		return res, nil, fmt.Errorf("chaos: seed %d: SILENT DATA LOSS: %d wrong blocks but only %d accounted (scrub %d + degraded %d + dropped %d)",
 			cfg.Seed, res.WrongLBAs, res.AccountedLoss,
 			res.Stats.ScrubDataLoss, res.Stats.DegradedDataLoss, res.Stats.DroppedLogRecs)
 	}
-	return res, nil
+	return res, sys, nil
 }
 
 // String summarizes a result in one line for tools. Runs that saw

@@ -192,11 +192,12 @@ func TestChaosExplicitPlanShifts(t *testing.T) {
 // zero-undetected-corruption bound (every wrong read covered by the
 // controller's own loss accounting); on top of that, the seed set as a
 // whole must actually exercise the machinery: injections happen,
-// checksums catch them, and repairs succeed.
+// checksums catch them, and repairs succeed; and the faults meet
+// family content held as patches in controller RAM and on the HDD.
 func TestChaosSilentCorruptionSoak(t *testing.T) {
-	var injected, detected, repaired int64
+	var injected, detected, repaired, patchedRAM, patchedHome int64
 	for seed := uint64(1); seed <= 15; seed++ {
-		res, err := Run(Config{Seed: seed, SilentFaults: true,
+		res, sys, err := run(Config{Seed: seed, SilentFaults: true,
 			ScrubInterval: 5 * sim.Millisecond})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -205,6 +206,15 @@ func TestChaosSilentCorruptionSoak(t *testing.T) {
 			res.HDDFault.BitFlips + res.HDDFault.MisdirectedWrites + res.HDDFault.LostWrites
 		detected += res.Stats.CorruptionsDetected
 		repaired += res.Stats.CorruptionsRepaired
+		for i, c := range sys.Sharded.Shards() {
+			_, patched := c.DataForms()
+			patchedRAM += int64(patched)
+			for lba := range sys.Sharded.ShardBlocks() {
+				if _, p := sys.HDDs[i].Kept(lba); p {
+					patchedHome++
+				}
+			}
+		}
 		t.Logf("%s", res)
 	}
 	if injected == 0 {
@@ -216,7 +226,11 @@ func TestChaosSilentCorruptionSoak(t *testing.T) {
 	if repaired == 0 {
 		t.Fatal("corruptions were detected but none was ever repaired")
 	}
-	t.Logf("totals: injected=%d detected=%d repaired=%d", injected, detected, repaired)
+	if patchedRAM == 0 || patchedHome == 0 {
+		t.Fatalf("no family content held as patches: %d RAM data blocks, %d home blocks", patchedRAM, patchedHome)
+	}
+	t.Logf("totals: injected=%d detected=%d repaired=%d patched: ram=%d home=%d",
+		injected, detected, repaired, patchedRAM, patchedHome)
 }
 
 // TestChaosSilentPureCorruption isolates the silent faults: no

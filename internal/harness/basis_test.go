@@ -34,9 +34,10 @@ func patchShare(d keptStore, lo, hi int64) (written int, share float64) {
 
 // TestBasisWiring runs RandWrite on every system kind and checks where
 // the data set's basis went: a store whose addresses are data-set
-// addresses keeps nearly all its written blocks as patches (so a
-// missing shard or RAID translation, which pairs blocks with the wrong
-// family base, fails here), and a cache-slot store keeps none.
+// addresses, and an I-CASH shard's RAM data cache, keeps nearly all its
+// blocks as patches (so a missing shard or RAID translation, which
+// pairs blocks with the wrong family base, fails here), and a
+// cache-slot store keeps none.
 func TestBasisWiring(t *testing.T) {
 	opts := testOpts
 	opts.Shards = 2
@@ -77,6 +78,11 @@ func TestBasisWiring(t *testing.T) {
 				for i, h := range sys.HDDs {
 					dataSet(ShardStation(i, 2, "hdd home"), h, 0, home)
 					slots(ShardStation(i, 2, "ssd"), sys.SSDs[i], sys.SSDs[i].Blocks())
+					resident, patched := sys.Sharded.Shard(i).DataForms()
+					if share := float64(patched) / float64(resident); resident == 0 || share < 0.9 {
+						t.Errorf("%s: %d of %d resident RAM data blocks kept as patches, want >= 0.9",
+							ShardStation(i, 2, "controller"), patched, resident)
+					}
 				}
 			}
 		})
@@ -94,7 +100,7 @@ func TestBasisInstall(t *testing.T) {
 	if sys.basis != gen {
 		t.Fatalf("Populate installed basis %v, want the generator", sys.basis)
 	}
-	if got := testing.AllocsPerRun(10, func() { sys.setBasis(gen) }); got != 0 && !race.Enabled {
+	if got := testing.AllocsPerRun(10, func() { sys.SetBasis(gen) }); got != 0 && !race.Enabled {
 		t.Fatalf("re-installing the populated basis allocated %v objects, want 0", got)
 	}
 	if _, err := Run(sys, workload.NewGenerator(workload.RandWrite(), testOpts)); err != nil {

@@ -107,8 +107,9 @@ type Result struct {
 //     compare-and-swap).
 //
 // Before the first write it installs gen as the data set's basis, so
-// the stores that hold data-set blocks keep them as differences from
-// their family bases (System.setBasis).
+// the stores that hold data-set blocks, and each I-CASH controller's
+// RAM data cache, keep them as differences from their family bases
+// (System.SetBasis).
 func Populate(sys *System, gen *workload.Generator) error {
 	n := gen.DataBlocks()
 	if n > sys.Dev.Blocks() {
@@ -119,7 +120,7 @@ func Populate(sys *System, gen *workload.Generator) error {
 		units, per = sc.NumShards(), sc.ShardBlocks()
 	}
 	sys.SetFill(gen.Fill)
-	sys.setBasis(gen)
+	sys.SetBasis(gen)
 	err := ForEachPoint(gen.Options().Workers, units, func(i int) error {
 		lo, hi := int64(i)*per, int64(i+1)*per
 		if hi > n {

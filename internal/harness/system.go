@@ -325,13 +325,14 @@ func (s *System) SetFill(f blockdev.FillFunc) {
 	}
 }
 
-// setBasis installs the data set's basis on every store whose addresses
+// SetBasis installs the data set's basis on every store whose addresses
 // are data-set addresses: FusionIO's SSD, the RAID0 members (through the
 // array's translation), the LRU and Dedup HDDs, and each I-CASH shard's
-// HDD home region (shard-translated; its log region gets none). Cache
-// slot numbers are not data-set addresses, so no cache SSD gets one.
-// Installing the basis already installed does nothing.
-func (s *System) setBasis(b blockdev.Basis) {
+// HDD home region (shard-translated; its log region gets none). Each
+// I-CASH shard's controller gets its HDD's translation for its RAM data
+// cache. Cache slot numbers are not data-set addresses, so no cache SSD
+// gets one. Installing the basis already installed does nothing.
+func (s *System) SetBasis(b blockdev.Basis) {
 	if b == s.basis {
 		return
 	}
@@ -341,9 +342,9 @@ func (s *System) setBasis(b blockdev.Basis) {
 	}
 }
 
-// homeBasis is the data set's basis as an I-CASH shard's HDD sees it:
-// home block lba is data-set block base+lba, and the log region past
-// the home blocks has none.
+// homeBasis is the data set's basis as an I-CASH shard's HDD and
+// controller see it: home block (and controller LBA) lba is data-set
+// block base+lba, and the log region past the home blocks has none.
 type homeBasis struct {
 	b          blockdev.Basis
 	base, home int64
@@ -552,7 +553,6 @@ func buildICASH(s *System, cfg BuildConfig) error {
 			sdev.SetFill(tf)
 			h.SetFill(tf)
 		})
-		s.bases = append(s.bases, func(b blockdev.Basis) { h.SetBasis(homeBasis{b, base, per}) })
 		if cfg.Tune != nil {
 			cfg.Tune(&ccfg)
 		}
@@ -574,6 +574,11 @@ func buildICASH(s *System, cfg BuildConfig) error {
 		if err != nil {
 			return fmt.Errorf("harness: shard %d: %w", i, err)
 		}
+		s.bases = append(s.bases, func(b blockdev.Basis) {
+			hb := homeBasis{b, base, per}
+			h.SetBasis(hb)
+			ctrl.SetBasis(hb)
+		})
 		shards[i] = ctrl
 	}
 	sc, err := core.NewSharded(shards)
