@@ -13,6 +13,7 @@
 //	icash-bench -serve                   # served-vs-inproc window scaling table
 //	icash-bench -chaos                   # 20-seed chaos soak at QD=8
 //	icash-bench -chaos -seeds 5 -chaosops 5000
+//	icash-bench -chaos -shards 4         # soak over four shards, faults on shard 0
 //	icash-bench -scrub                   # scrub-overhead table (clean soaks, off vs on)
 //	icash-bench -bitrot                  # seeded silent-corruption soak, scrubber on
 //	icash-bench -run all -cpuprofile cpu.out -memprofile mem.out
@@ -48,7 +49,7 @@ type options struct {
 	run   string           // -run
 	figs  workload.Options // figure runs: -scale -seed -qd -vms -shards -parallel
 	sweep workload.Options // sweeps: -seed -ops -shards -parallel, -scale and -qd only when given
-	soak  chaos.Config     // soaks: -seed -chaosops, -qd only when given
+	soak  chaos.Config     // soaks: -seed -chaosops -shards, -qd only when given
 	seeds int              // soaks: -seeds
 }
 
@@ -153,7 +154,7 @@ func realMain() int {
 		run:   *run,
 		figs:  workload.Options{Scale: *scale, Seed: *seed, QueueDepth: *qd, StreamPerVM: *vms, Shards: *shards, Workers: *parallel},
 		sweep: workload.Options{Seed: *seed, MaxOps: *sweepOps, Shards: *shards, Workers: *parallel},
-		soak:  chaos.Config{Seed: *seed, Ops: *chaosops},
+		soak:  chaos.Config{Seed: *seed, Ops: *chaosops, Shards: *shards},
 		seeds: *seeds,
 	}
 	// The shared -scale and -qd flags default to the figure runs' values;

@@ -63,6 +63,11 @@ func TestGolden(t *testing.T) {
 		{"chaos", func() (string, error) { return chaos.SoakReport(soak, 3, 0) }},
 		{"scrub", func() (string, error) { return chaos.ScrubOverheadReport(soak, 3, 0) }},
 		{"bitrot", func() (string, error) { return chaos.BitrotReport(soak, 3, 0) }},
+		// The chaos soak over four shards: every fault lands on shard 0,
+		// and the populate fans out across the shards.
+		{"chaos-shards", func() (string, error) {
+			return chaos.SoakReport(chaos.Config{Seed: 42, Ops: 2000, Shards: 4}, 3, 0)
+		}},
 	}
 	for _, c := range cases {
 		c := c

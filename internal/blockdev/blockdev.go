@@ -240,7 +240,8 @@ type Filler interface {
 // workload's family base), or nil where there is none. A block it
 // returns must never change while the Basis is installed. A Basis must
 // be comparable (a pointer, or a struct of comparable fields): a store
-// that is handed the Basis it already holds does nothing.
+// that is handed the Basis it already holds does nothing, and one that
+// already holds another panics.
 type Basis interface {
 	Basis(lba int64) []byte
 }

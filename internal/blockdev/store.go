@@ -1,9 +1,6 @@
 package blockdev
 
-import (
-	"encoding/binary"
-	"slices"
-)
+import "encoding/binary"
 
 // Store is the content of one simulated device: the capacity, the fill
 // oracle for never-written blocks, the basis written blocks are kept
@@ -121,32 +118,17 @@ func (s *Store) Corrupt(lba int64, bit int) error {
 // SetFill installs the initial-content oracle for unwritten blocks.
 func (s *Store) SetFill(f FillFunc) { s.fill = f }
 
-// SetBasis installs the basis later writes are patched against (nil
-// for none). Installing the basis the store already holds does
-// nothing. Installing another one keeps every block's content: the
-// blocks held as patches are re-stored against the new basis, in LBA
-// order.
+// SetBasis installs the basis later writes are patched against.
+// Installing the basis the store already holds does nothing; a store
+// takes one basis for its life, so installing a different one panics.
 func (s *Store) SetBasis(b Basis) {
 	if b == s.basis {
 		return
 	}
-	old := s.basis
+	if s.basis != nil {
+		panic("blockdev: SetBasis with a different basis")
+	}
 	s.basis = b
-	var patched []int64
-	for lba, e := range s.data {
-		if isPatch(e) {
-			patched = append(patched, lba)
-		}
-	}
-	if len(patched) == 0 {
-		return
-	}
-	slices.Sort(patched)
-	buf := make([]byte, BlockSize)
-	for _, lba := range patched {
-		ApplyPatch(buf, old.Basis(lba), s.data[lba])
-		s.Write(lba, buf)
-	}
 }
 
 // Kept reports whether block lba has been written and, if so, whether

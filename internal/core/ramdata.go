@@ -50,24 +50,17 @@ const (
 // chunk size is its class.
 const patchClasses = blockdev.PatchLimit / blockdev.PatchChunk
 
-// SetBasis installs the basis RAM data blocks are patched against (nil
-// for none): the data set's shared reference content, addressed by the
-// controller's LBAs. Installing the basis already installed does
-// nothing; installing another one re-keeps every resident block
-// against it, content unchanged. Nothing simulated depends on the
-// basis.
+// SetBasis installs the basis RAM data blocks are patched against: the
+// data set's shared reference content, addressed by the controller's
+// LBAs. Installing the basis already installed does nothing; a
+// controller takes one basis for its life, so installing a different
+// one panics. Nothing simulated depends on the basis.
 func (c *Controller) SetBasis(b blockdev.Basis) {
 	if b == c.basis {
 		return
 	}
-	old := c.basis
-	buf := blockdev.GetBlock()
-	defer blockdev.PutBlock(buf)
-	for v := c.lru.dhead; v != nil; v = v.dnext {
-		c.basis = old
-		c.readData(v, buf)
-		c.basis = b
-		c.putData(v, buf)
+	if c.basis != nil {
+		panic("core: SetBasis with a different basis")
 	}
 	c.basis = b
 }

@@ -57,8 +57,9 @@ func newRAMDataRig(tb testing.TB, tracked int64, basis *blockBasis) *testRig {
 }
 
 // TestRAMDataForms: a RAM data block is kept as a patch exactly when
-// its basis block is close enough, reads back byte for byte in either
-// form, and keeps its content through every basis change.
+// its basis block is close enough and reads back byte for byte in
+// either form. A controller takes one basis for its life: installing it
+// again is free, installing another panics.
 func TestRAMDataForms(t *testing.T) {
 	a, b := newBlockBasis(1), newBlockBasis(2)
 	near := make([]byte, blockdev.BlockSize)
@@ -95,15 +96,16 @@ func TestRAMDataForms(t *testing.T) {
 	if got := testing.AllocsPerRun(10, func() { c.SetBasis(a) }); got != 0 && !race.Enabled {
 		t.Fatalf("re-installing the same basis allocated %v objects, want 0", got)
 	}
-	c.SetBasis(b)
-	check("basis b", false, false, false, false)
-	c.SetBasis(a)
 	check("basis a again", true, true, false, false)
-	c.SetBasis(nil)
-	check("no basis", false, false, false, false)
-	if res, patched := c.DataForms(); res != len(blocks) || patched != 0 {
-		t.Fatalf("DataForms = %d resident, %d patched; want %d, 0", res, patched, len(blocks))
+	if res, patched := c.DataForms(); res != len(blocks) || patched != 2 {
+		t.Fatalf("DataForms = %d resident, %d patched; want %d, 2", res, patched, len(blocks))
 	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("installing a different basis did not panic")
+		}
+	}()
+	c.SetBasis(b)
 }
 
 // TestRAMDataBackoff: after patchStreak fills that keep no patch,

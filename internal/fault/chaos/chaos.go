@@ -25,6 +25,7 @@ import (
 	"icash/internal/metrics"
 	"icash/internal/sim"
 	"icash/internal/spec"
+	"icash/internal/workload"
 )
 
 // Config parameterizes one soak run. The zero value of every field is
@@ -39,9 +40,6 @@ type Config struct {
 	LBASpace int64
 	// QueueDepth is the closed-loop token count (default 8).
 	QueueDepth int
-	// WriteFrac is the write fraction of the measured stream
-	// (default 0.3).
-	WriteFrac float64
 	// DisableHedge turns off both hedged reads and detector-driven
 	// quarantine (the "no fail-slow handling" ablation arm).
 	DisableHedge bool
@@ -78,15 +76,19 @@ type Config struct {
 	Shards int
 }
 
-// Result is one soak's complete accounting. It contains no pointers,
-// so two Results from identical runs compare equal with
-// reflect.DeepEqual — the determinism tests rely on that.
-type Result struct {
-	Seed uint64
+// writeFrac is the write fraction of the measured stream.
+const writeFrac = 0.3
 
-	Ops    int64
-	Reads  int64
-	Writes int64
+// Result is one soak's complete accounting: the harness result of the
+// measured phase and read-back sweep (op counts, latency histograms,
+// elapsed time, station scoreboard, controller and injector stats,
+// filled by harness.Finish) plus what the spec and the injectors saw.
+// Two Results from identical runs compare equal with reflect.DeepEqual
+// — the determinism tests rely on that.
+type Result struct {
+	harness.Result
+
+	Seed uint64
 	// OpErrors counts operations the stack gave up on (deadline
 	// give-ups, unhealed faults). The op failed loudly; a failed write
 	// only widens what the spec accepts for its block.
@@ -99,21 +101,6 @@ type Result struct {
 	// AccountedLoss is the controller's own admitted data loss:
 	// scrub losses + degraded losses + dropped log records.
 	AccountedLoss int64
-
-	ReadHist  metrics.Histogram
-	WriteHist metrics.Histogram
-	Elapsed   sim.Duration
-
-	// SlowOps / SlowTime aggregate the station-level fail-slow
-	// inflation across every SSD channel and HDD actuator; Stations
-	// keeps the per-station scoreboard (service/wait percentiles).
-	SlowOps  int64
-	SlowTime sim.Duration
-	Stations []metrics.StationStats
-
-	Stats    core.Stats
-	SSDFault fault.Stats
-	HDDFault fault.Stats
 	// DetectLat is the corruption detection-latency distribution:
 	// simulated time from a silent injection to the checksum that
 	// caught it. SilentUncaught counts injected damage still
@@ -126,8 +113,17 @@ type Result struct {
 	DetectorFlags  int64
 	DetectorClears int64
 	// Quarantined reports whether the run *ended* with the SSD still
-	// quarantined (Stats.QuarantineEvents counts the flips).
+	// quarantined (ICASHStats.QuarantineEvents counts the flips).
 	Quarantined bool
+}
+
+// SlowOps totals the station-level fail-slow inflation across every
+// SSD channel and HDD actuator.
+func (r *Result) SlowOps() (n int64) {
+	for _, st := range r.Stations {
+		n += st.SlowOps
+	}
+	return n
 }
 
 // fillBlock writes the deterministic content of (lba, version). The
@@ -167,27 +163,35 @@ func fillBlock(buf []byte, lba int64, version uint64) {
 	}
 }
 
-// familyBasis is the family regime's version-1 content, one block per
-// family: the basis the controllers' RAM data caches and the HDD home
-// stores keep family blocks against, so the faults meet content held
-// as patches. Other blocks have no basis block.
-type familyBasis struct{ bases [][]byte }
-
-func newFamilyBasis(lbas int64) *familyBasis {
-	b := &familyBasis{}
-	for lba := int64(0); lba < lbas; lba += 32 {
-		base := make([]byte, blockdev.BlockSize)
-		fillBlock(base, lba, 1)
-		b.bases = append(b.bases, base)
-	}
-	return b
+// dataSet is what the soak populates: every block at version 1, the
+// spec's initial content. Its basis is the family regime's version-1
+// content, one block per family, that the controllers' RAM data caches
+// and the HDD home stores keep family blocks against, so the faults
+// meet content held as patches; other blocks have no basis block.
+type dataSet struct {
+	blocks int64
+	bases  [][]byte
 }
 
-func (b *familyBasis) Basis(lba int64) []byte {
-	if lba < 0 || lba%4 != 0 || lba/32 >= int64(len(b.bases)) {
+func newDataSet(blocks int64) *dataSet {
+	d := &dataSet{blocks: blocks}
+	for lba := int64(0); lba < blocks; lba += 32 {
+		base := make([]byte, blockdev.BlockSize)
+		fillBlock(base, lba, 1)
+		d.bases = append(d.bases, base)
+	}
+	return d
+}
+
+func (d *dataSet) DataBlocks() int64 { return d.blocks }
+
+func (d *dataSet) Fill(lba int64, buf []byte) { fillBlock(buf, lba, 1) }
+
+func (d *dataSet) Basis(lba int64) []byte {
+	if lba < 0 || lba%4 != 0 || lba/32 >= int64(len(d.bases)) {
 		return nil
 	}
-	return b.bases[lba/32]
+	return d.bases[lba/32]
 }
 
 // genPlan builds a randomized-but-seeded fail-slow schedule covering
@@ -276,9 +280,6 @@ func run(cfg Config) (*Result, *harness.System, error) {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 8
 	}
-	if cfg.WriteFrac <= 0 {
-		cfg.WriteFrac = 0.3
-	}
 
 	// The plan is installed (empty) at build time and filled in after
 	// populate: the station shapers and fault devices hold the pointer,
@@ -311,43 +312,18 @@ func run(cfg Config) (*Result, *harness.System, error) {
 		return nil, nil, err
 	}
 	clock := sys.Clock
-	sys.SetBasis(newFamilyBasis(cfg.LBASpace))
 
 	// Populate: every block written once at version 1, fault-free (the
 	// plan has no windows yet and the probabilistic rates are armed
-	// only after the stats reset below — a populate-phase fault would
-	// leave damaged state whose loss accounting ResetStats erases,
-	// turning an accounted loss into an apparent silent one). Version 1
-	// is the spec's initial content.
-	disk := spec.New(func(lba int64, b []byte) { fillBlock(b, lba, 1) })
-	buf := make([]byte, blockdev.BlockSize)
-	// sweep visits every block once on a one-token pump, serially and
-	// untraced: each visit issues when the one before, d long, completes.
-	sweep := func(visit func(lba int64) (d sim.Duration, err error)) error {
-		lba := int64(0)
-		return sys.Pump(1, 1, func(int) (sim.Time, error) {
-			if lba >= cfg.LBASpace {
-				return 0, io.EOF
-			}
-			d, err := visit(lba)
-			lba++
-			return clock.Now().Add(d), err
-		})
-	}
-	err = sweep(func(lba int64) (sim.Duration, error) {
-		fillBlock(buf, lba, 1)
-		if _, err := sys.Dev.WriteBlock(lba, buf); err != nil {
-			return 0, fmt.Errorf("chaos: populate lba %d: %w", lba, err)
-		}
-		return 10 * sim.Microsecond, nil
-	})
-	if err != nil {
+	// only after Populate's stats reset — a populate-phase fault would
+	// leave damaged state whose loss accounting the reset erases,
+	// turning an accounted loss into an apparent silent one).
+	ds := newDataSet(cfg.LBASpace)
+	if err := harness.Populate(sys, ds); err != nil {
 		return nil, nil, err
 	}
-	if err := sys.Flush(); err != nil {
-		return nil, nil, fmt.Errorf("chaos: populate flush: %w", err)
-	}
-	sys.ResetStats()
+	disk := spec.New(ds.Fill)
+	buf := make([]byte, blockdev.BlockSize)
 
 	// Arm the background scrubber for the measured phase (SetScrub
 	// re-anchors the schedule at the next request).
@@ -437,7 +413,7 @@ func run(cfg Config) (*Result, *harness.System, error) {
 		}
 		res.Ops++
 		lba := rng.Int63n(cfg.LBASpace)
-		write := rng.Float64() < cfg.WriteFrac
+		write := rng.Float64() < writeFrac
 		arrival := clock.Now()
 		if write {
 			version++
@@ -470,38 +446,35 @@ func run(cfg Config) (*Result, *harness.System, error) {
 		res.OpErrors++
 	}
 
-	// Full-sweep verify: every block read back once.
-	err = sweep(func(lba int64) (sim.Duration, error) {
+	// Full-sweep verify: every block read back once, serially and
+	// untraced: each read issues when the one before completes.
+	lba := int64(0)
+	err = sys.Pump(1, 1, func(int) (sim.Time, error) {
+		if lba >= cfg.LBASpace {
+			return 0, io.EOF
+		}
 		d, err := sys.Dev.ReadBlock(lba, buf)
 		if err != nil {
 			res.OpErrors++
 		} else if disk.Check(lba, buf) != nil {
 			res.WrongReads++
 		}
-		return d, nil
+		lba++
+		return clock.Now().Add(d), nil
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	res.Elapsed = clock.Now().Sub(start)
 
 	// Collect accounting.
-	res.Stats = sys.Sharded.Stats()
+	harness.Finish(sys, &res.Result, workload.Profile{}, start)
+	st := res.ICASHStats
 	res.Quarantined = sys.Sharded.SSDQuarantined()
-	res.SSDFault = sys.SSDFault.Stats
-	res.HDDFault = sys.HDDFault.Stats
 	if sys.Detector != nil {
 		res.DetectorFlags, res.DetectorClears = sys.Detector.TotalEvents()
 	}
-	for _, s := range sys.Stations {
-		st := s.Snapshot(res.Elapsed)
-		res.SlowOps += st.SlowOps
-		res.SlowTime += st.SlowTime
-		res.Stations = append(res.Stations, st)
-	}
 	res.WrongLBAs = int64(disk.WrongLBAs())
-	res.AccountedLoss = res.Stats.ScrubDataLoss + res.Stats.DegradedDataLoss +
-		res.Stats.DroppedLogRecs
+	res.AccountedLoss = st.ScrubDataLoss + st.DegradedDataLoss + st.DroppedLogRecs
 	res.SilentUncaught = int64(sys.SSDFault.SilentOutstanding() + sys.HDDFault.SilentOutstanding())
 
 	// Verdicts: structural invariants, then the silent-loss bound. Every
@@ -518,7 +491,7 @@ func run(cfg Config) (*Result, *harness.System, error) {
 	if res.WrongLBAs > res.AccountedLoss {
 		return res, nil, fmt.Errorf("chaos: seed %d: SILENT DATA LOSS: %d wrong blocks but only %d accounted (scrub %d + degraded %d + dropped %d)",
 			cfg.Seed, res.WrongLBAs, res.AccountedLoss,
-			res.Stats.ScrubDataLoss, res.Stats.DegradedDataLoss, res.Stats.DroppedLogRecs)
+			st.ScrubDataLoss, st.DegradedDataLoss, st.DroppedLogRecs)
 	}
 	return res, sys, nil
 }
@@ -527,14 +500,15 @@ func run(cfg Config) (*Result, *harness.System, error) {
 // corruption detections append an integrity segment; healthy lines are
 // unchanged.
 func (r *Result) String() string {
+	st := r.ICASHStats
 	s := fmt.Sprintf("seed=%d ops=%d (r=%d w=%d) errs=%d wrong=%d/%d-lba accounted=%d slow=%d quarantine=%d hedges=%d read[%s]",
 		r.Seed, r.Ops, r.Reads, r.Writes, r.OpErrors, r.WrongReads, r.WrongLBAs,
-		r.AccountedLoss, r.SlowOps, r.Stats.QuarantineEvents, r.Stats.HedgedReads,
+		r.AccountedLoss, r.SlowOps(), st.QuarantineEvents, st.HedgedReads,
 		r.ReadHist.String())
-	if r.Stats.CorruptionsDetected > 0 {
+	if st.CorruptionsDetected > 0 {
 		s += fmt.Sprintf(" corrupt[det=%d rep=%d unrep=%d uncaught=%d lat %s]",
-			r.Stats.CorruptionsDetected, r.Stats.CorruptionsRepaired,
-			r.Stats.UnrepairableBlocks, r.SilentUncaught, r.DetectLat.String())
+			st.CorruptionsDetected, st.CorruptionsRepaired,
+			st.UnrepairableBlocks, r.SilentUncaught, r.DetectLat.String())
 	}
 	return s
 }

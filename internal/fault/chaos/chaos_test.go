@@ -104,9 +104,9 @@ func TestChaosHedgingTailWin(t *testing.T) {
 	hp99, bp99 := hedged.ReadHist.P99(), bare.ReadHist.P99()
 	t.Logf("read p99: hedged=%v unhedged=%v (p50 %v vs %v; hedges=%d wins=%d quarantine=%d skips=%d)",
 		hp99, bp99, hedged.ReadHist.P50(), bare.ReadHist.P50(),
-		hedged.Stats.HedgedReads, hedged.Stats.HedgeWins,
-		hedged.Stats.QuarantineEvents, hedged.Stats.QuarantineSkips)
-	if hedged.Stats.HedgedReads == 0 && hedged.Stats.QuarantineSkips == 0 {
+		hedged.ICASHStats.HedgedReads, hedged.ICASHStats.HedgeWins,
+		hedged.ICASHStats.QuarantineEvents, hedged.ICASHStats.QuarantineSkips)
+	if hedged.ICASHStats.HedgedReads == 0 && hedged.ICASHStats.QuarantineSkips == 0 {
 		t.Fatalf("fail-slow machinery never engaged (hedges=0, quarantine skips=0)")
 	}
 	if bp99 < 2*hp99 {
@@ -128,15 +128,15 @@ func TestChaosHedgeEngagement(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("hedges=%d wins=%d cancels=%d deadline=%d saved=%v",
-		res.Stats.HedgedReads, res.Stats.HedgeWins, res.Stats.HedgeCancels,
-		res.Stats.DeadlineExceeded, res.Stats.HedgeSavedTime)
-	if res.Stats.DeadlineExceeded == 0 {
+		res.ICASHStats.HedgedReads, res.ICASHStats.HedgeWins, res.ICASHStats.HedgeCancels,
+		res.ICASHStats.DeadlineExceeded, res.ICASHStats.HedgeSavedTime)
+	if res.ICASHStats.DeadlineExceeded == 0 {
 		t.Fatal("no slot read ever exceeded the hedge deadline under a 100x slowdown")
 	}
-	if res.Stats.HedgedReads == 0 {
+	if res.ICASHStats.HedgedReads == 0 {
 		t.Fatal("hedged reads never fired")
 	}
-	if res.Stats.HedgeWins == 0 {
+	if res.ICASHStats.HedgeWins == 0 {
 		t.Fatal("no hedge ever beat the slow SSD read")
 	}
 }
@@ -155,12 +155,12 @@ func TestChaosQuarantineReadmission(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("quarantines=%d readmits=%d skips=%d detector flags=%d clears=%d",
-		res.Stats.QuarantineEvents, res.Stats.ReadmitEvents,
-		res.Stats.QuarantineSkips, res.DetectorFlags, res.DetectorClears)
-	if res.Stats.QuarantineEvents == 0 {
+		res.ICASHStats.QuarantineEvents, res.ICASHStats.ReadmitEvents,
+		res.ICASHStats.QuarantineSkips, res.DetectorFlags, res.DetectorClears)
+	if res.ICASHStats.QuarantineEvents == 0 {
 		t.Fatal("the 100x window never quarantined the SSD")
 	}
-	if res.Stats.ReadmitEvents == 0 {
+	if res.ICASHStats.ReadmitEvents == 0 {
 		t.Fatal("the SSD was never re-admitted after the window ended")
 	}
 	if res.Quarantined {
@@ -180,7 +180,7 @@ func TestChaosExplicitPlanShifts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.SlowOps == 0 {
+	if res.SlowOps() == 0 {
 		t.Fatal("explicit plan window never fired (SlowOps = 0): window offsets not shifted onto the clock?")
 	}
 }
@@ -202,10 +202,10 @@ func TestChaosSilentCorruptionSoak(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		injected += res.SSDFault.BitFlips + res.SSDFault.MisdirectedWrites + res.SSDFault.LostWrites +
-			res.HDDFault.BitFlips + res.HDDFault.MisdirectedWrites + res.HDDFault.LostWrites
-		detected += res.Stats.CorruptionsDetected
-		repaired += res.Stats.CorruptionsRepaired
+		injected += res.SSDFaultStats.BitFlips + res.SSDFaultStats.MisdirectedWrites + res.SSDFaultStats.LostWrites +
+			res.HDDFaultStats.BitFlips + res.HDDFaultStats.MisdirectedWrites + res.HDDFaultStats.LostWrites
+		detected += res.ICASHStats.CorruptionsDetected
+		repaired += res.ICASHStats.CorruptionsRepaired
 		for i, c := range sys.Sharded.Shards() {
 			_, patched := c.DataForms()
 			patchedRAM += int64(patched)
@@ -246,9 +246,9 @@ func TestChaosSilentPureCorruption(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		slotChecks += res.Stats.ScrubSlotChecks
-		homeChecks += res.Stats.ScrubHomeChecks
-		passes += res.Stats.ScrubPasses
+		slotChecks += res.ICASHStats.ScrubSlotChecks
+		homeChecks += res.ICASHStats.ScrubHomeChecks
+		passes += res.ICASHStats.ScrubPasses
 		t.Logf("%s", res)
 	}
 	if slotChecks == 0 {
@@ -314,7 +314,7 @@ func TestChaosScrubCleanRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if on.Stats.ScrubSlotChecks == 0 && on.Stats.ScrubHomeChecks == 0 {
+	if on.ICASHStats.ScrubSlotChecks == 0 && on.ICASHStats.ScrubHomeChecks == 0 {
 		t.Fatal("scrubber never ran in the scrubbed arm")
 	}
 	if on.Ops != base.Ops {
@@ -323,9 +323,9 @@ func TestChaosScrubCleanRun(t *testing.T) {
 	if on.WrongReads != 0 || on.OpErrors != 0 {
 		t.Fatalf("scrubbed clean run saw wrong=%d errs=%d", on.WrongReads, on.OpErrors)
 	}
-	if on.Stats.CorruptionsDetected != 0 || on.Stats.UnrepairableBlocks != 0 {
+	if on.ICASHStats.CorruptionsDetected != 0 || on.ICASHStats.UnrepairableBlocks != 0 {
 		t.Fatalf("scrubber invented corruption on a clean array: det=%d unrep=%d",
-			on.Stats.CorruptionsDetected, on.Stats.UnrepairableBlocks)
+			on.ICASHStats.CorruptionsDetected, on.ICASHStats.UnrepairableBlocks)
 	}
 }
 

@@ -37,6 +37,31 @@ func soak(cfg Config, seeds, workers int) ([]seedResult, error) {
 	return outs, err
 }
 
+// perSeed soaks base over seeds seeds, renders each seed's result line,
+// or its FAIL line, into b in seed order and hands each clean result to
+// tally. The error, for the caller to return once its aggregate lines
+// are rendered, names the seeds that failed; name prefixes it.
+func perSeed(b *strings.Builder, name string, base Config, seeds, workers int, tally func(*Result)) error {
+	outs, err := soak(base, seeds, workers)
+	if err != nil {
+		return err
+	}
+	var failed []uint64
+	for i, out := range outs {
+		if out.err != nil {
+			failed = append(failed, base.Seed+uint64(i))
+			fmt.Fprintf(b, "  FAIL %v\n", out.err)
+			continue
+		}
+		fmt.Fprintf(b, "  %s\n", out.res)
+		tally(out.res)
+	}
+	if failed != nil {
+		return fmt.Errorf("%s: %d of %d seeds failed: %v", name, len(failed), len(outs), failed)
+	}
+	return nil
+}
+
 // begin applies the QueueDepth default and starts a report with its
 // headline, up to the per-arm suffix.
 func begin(b *strings.Builder, name, kind string, base *Config, seeds int) {
@@ -55,34 +80,22 @@ func SoakReport(base Config, seeds, workers int) (string, error) {
 	var (
 		b                   strings.Builder
 		readAll, writeAll   metrics.Histogram
-		failed              []uint64
 		hedges, wins, flips int64
 	)
 	begin(&b, "chaos soak", "seeds", &base, seeds)
 	b.WriteString("\n")
-	outs, err := soak(base, seeds, workers)
-	if err != nil {
-		return b.String(), err
-	}
-	for i, out := range outs {
-		if out.err != nil {
-			failed = append(failed, base.Seed+uint64(i))
-			fmt.Fprintf(&b, "  FAIL %v\n", out.err)
-			continue
-		}
-		res := out.res
-		fmt.Fprintf(&b, "  %s\n", res)
+	failed := perSeed(&b, "chaos", base, seeds, workers, func(res *Result) {
 		readAll.Merge(&res.ReadHist)
 		writeAll.Merge(&res.WriteHist)
-		hedges += res.Stats.HedgedReads
-		wins += res.Stats.HedgeWins
-		flips += res.Stats.QuarantineEvents
-	}
+		hedges += res.ICASHStats.HedgedReads
+		wins += res.ICASHStats.HedgeWins
+		flips += res.ICASHStats.QuarantineEvents
+	})
 	fmt.Fprintf(&b, "aggregate reads  %s\n", readAll.String())
 	fmt.Fprintf(&b, "aggregate writes %s\n", writeAll.String())
 	fmt.Fprintf(&b, "hedges %d (wins %d), quarantine flips %d\n", hedges, wins, flips)
 	if failed != nil {
-		return b.String(), fmt.Errorf("chaos: %d of %d seeds failed: %v", len(failed), seeds, failed)
+		return b.String(), failed
 	}
 	fmt.Fprintf(&b, "all %d seeds clean: invariants held, zero silent data loss\n", seeds)
 	return b.String(), nil
@@ -125,18 +138,18 @@ func ScrubOverheadReport(base Config, seeds, workers int) (string, error) {
 			if out.err != nil {
 				return b.String(), fmt.Errorf("scrub overhead: seed %d (%s): %w", seed, arm.name, out.err)
 			}
-			res := out.res
-			if res.Stats.CorruptionsDetected != 0 {
+			res, st := out.res, out.res.ICASHStats
+			if st.CorruptionsDetected != 0 {
 				return b.String(), fmt.Errorf("scrub overhead: seed %d (%s): %d corruptions detected on a clean run",
-					seed, arm.name, res.Stats.CorruptionsDetected)
+					seed, arm.name, st.CorruptionsDetected)
 			}
 			readAll.Merge(&res.ReadHist)
 			writeAll.Merge(&res.WriteHist)
 			totalOps += res.Ops
 			elapsed += res.Elapsed
-			slotChecks += res.Stats.ScrubSlotChecks
-			homeChecks += res.Stats.ScrubHomeChecks
-			passes += res.Stats.ScrubPasses
+			slotChecks += st.ScrubSlotChecks
+			homeChecks += st.ScrubHomeChecks
+			passes += st.ScrubPasses
 		}
 		opsPerSec := float64(totalOps) / (float64(elapsed) / float64(sim.Second))
 		fmt.Fprintf(&b, "%-6s %9d %10.0f %9v %9v %9v %8d %8d %7d\n",
@@ -160,7 +173,6 @@ func BitrotReport(base Config, seeds, workers int) (string, error) {
 		detectAll                           metrics.Histogram
 		injected, detected, repaired, unrep int64
 		uncaught, dropped                   int64
-		failed                              []uint64
 	)
 	begin(&b, "bit-rot soak", "seeds", &base, seeds)
 	b.WriteString(", scrubber on\n")
@@ -169,33 +181,23 @@ func BitrotReport(base Config, seeds, workers int) (string, error) {
 	// back to a lying device — the combined-mode soak is SoakReport.
 	base.NoFailStop, base.NoFailSlow = true, true
 	base.SilentFaults, base.ScrubInterval = true, 5*sim.Millisecond
-	outs, err := soak(base, seeds, workers)
-	if err != nil {
-		return b.String(), err
-	}
-	for i, out := range outs {
-		if out.err != nil {
-			failed = append(failed, base.Seed+uint64(i))
-			fmt.Fprintf(&b, "  FAIL %v\n", out.err)
-			continue
-		}
-		res := out.res
-		fmt.Fprintf(&b, "  %s\n", res)
-		injected += res.SSDFault.BitFlips + res.SSDFault.MisdirectedWrites + res.SSDFault.LostWrites +
-			res.HDDFault.BitFlips + res.HDDFault.MisdirectedWrites + res.HDDFault.LostWrites
-		detected += res.Stats.CorruptionsDetected
-		repaired += res.Stats.CorruptionsRepaired
-		unrep += res.Stats.UnrepairableBlocks
+	failed := perSeed(&b, "bitrot", base, seeds, workers, func(res *Result) {
+		ssdF, hddF, st := res.SSDFaultStats, res.HDDFaultStats, res.ICASHStats
+		injected += ssdF.BitFlips + ssdF.MisdirectedWrites + ssdF.LostWrites +
+			hddF.BitFlips + hddF.MisdirectedWrites + hddF.LostWrites
+		detected += st.CorruptionsDetected
+		repaired += st.CorruptionsRepaired
+		unrep += st.UnrepairableBlocks
 		uncaught += res.SilentUncaught
-		dropped += res.Stats.DroppedLogRecs
+		dropped += st.DroppedLogRecs
 		detectAll.Merge(&res.DetectLat)
-	}
+	})
 	fmt.Fprintf(&b, "injected %d (ssd+hdd), detected %d, repaired %d, unrepairable %d, dropped log recs %d\n",
 		injected, detected, repaired, unrep, dropped)
 	fmt.Fprintf(&b, "never host-visible (cold, uncaught at end) %d\n", uncaught)
 	fmt.Fprintf(&b, "detection latency %s\n", detectAll.String())
 	if failed != nil {
-		return b.String(), fmt.Errorf("bitrot: %d of %d seeds failed: %v", len(failed), seeds, failed)
+		return b.String(), failed
 	}
 	fmt.Fprintf(&b, "all %d seeds clean: every host-visible corruption caught and accounted\n", seeds)
 	return b.String(), nil

@@ -84,6 +84,16 @@ type Result struct {
 	HDDFaultStats *fault.Stats
 }
 
+// DataSet is the content Populate loads: DataBlocks blocks, block lba
+// written as Fill leaves it and kept against its Basis block. Fill and
+// Basis must be deterministic per lba and safe to call from several
+// goroutines at once. *workload.Generator is one.
+type DataSet interface {
+	DataBlocks() int64
+	Fill(lba int64, buf []byte)
+	blockdev.Basis
+}
+
 // Populate writes the whole data set through the system, mirroring the
 // benchmarks' own setup phases (database load, VM image creation,
 // §4.4): by the time measurement starts the storage system has seen the
@@ -91,7 +101,7 @@ type Result struct {
 // working sets. Populate time and device activity are not measured.
 //
 // The load is cut into independent units — one per I-CASH shard, one
-// for a baseline system — fanned across the generator's Options.Workers
+// for a baseline system — fanned across the build's BuildConfig.Workers
 // ForEachPoint workers, and the result is byte-identical at every
 // worker count:
 //
@@ -102,16 +112,16 @@ type Result struct {
 //     path reads it, and the scrubber — the controller's only clock
 //     reader — cannot fire at a frozen instant); the load's simulated
 //     duration (10 µs per block) is applied once after the join;
-//   - every unit loads through gen: Fill and Basis are deterministic
-//     per lba and safe to share (their family memo is set by
-//     compare-and-swap).
+//   - every unit loads through ds, whose Fill and Basis are
+//     deterministic per lba and safe to share.
 //
-// Before the first write it installs gen as the data set's basis, so
+// Before the first write it installs ds as the data set's basis, so
 // the stores that hold data-set blocks, and each I-CASH controller's
 // RAM data cache, keep them as differences from their family bases
-// (System.SetBasis).
-func Populate(sys *System, gen *workload.Generator) error {
-	n := gen.DataBlocks()
+// (System.SetBasis). It installs no fill: the initial-content oracle
+// is the caller's (System.SetFill).
+func Populate(sys *System, ds DataSet) error {
+	n := ds.DataBlocks()
 	if n > sys.Dev.Blocks() {
 		n = sys.Dev.Blocks()
 	}
@@ -119,9 +129,8 @@ func Populate(sys *System, gen *workload.Generator) error {
 	if sc := sys.Sharded; sc != nil {
 		units, per = sc.NumShards(), sc.ShardBlocks()
 	}
-	sys.SetFill(gen.Fill)
-	sys.SetBasis(gen)
-	err := ForEachPoint(gen.Options().Workers, units, func(i int) error {
+	sys.SetBasis(ds)
+	err := ForEachPoint(sys.workers, units, func(i int) error {
 		lo, hi := int64(i)*per, int64(i+1)*per
 		if hi > n {
 			hi = n
@@ -129,7 +138,7 @@ func Populate(sys *System, gen *workload.Generator) error {
 		buf := blockdev.GetBlock()
 		defer blockdev.PutBlock(buf)
 		for lba := lo; lba < hi; lba++ {
-			gen.Fill(lba, buf)
+			ds.Fill(lba, buf)
 			if _, err := sys.Dev.WriteBlock(lba, buf); err != nil {
 				return fmt.Errorf("harness: %s populate lba %d: %w", sys.Name(), lba, err)
 			}
@@ -147,18 +156,19 @@ func Populate(sys *System, gen *workload.Generator) error {
 	return nil
 }
 
-// BuildPopulated builds the system of kind k sized for (p, opts) and
-// loads the data set through it, returning the system with the
-// generator that is both its request stream and its content oracle —
-// the setup every run-driver (Run's points, the served simulation, the
-// TCP front-end) shares, so their systems are comparable point for
-// point.
+// BuildPopulated builds the system of kind k sized for (p, opts),
+// installs the generator as its initial-content oracle and loads the
+// data set through it, returning the system with the generator that is
+// both its request stream and its content oracle — the setup every
+// run-driver (Run's points, the served simulation, the TCP front-end)
+// shares, so their systems are comparable point for point.
 func BuildPopulated(k Kind, p workload.Profile, opts workload.Options) (*System, *workload.Generator, error) {
 	sys, err := Build(k, ConfigForProfile(p, opts))
 	if err != nil {
 		return nil, nil, err
 	}
 	gen := workload.NewGenerator(p, opts)
+	sys.SetFill(gen.Fill)
 	if err := Populate(sys, gen); err != nil {
 		return nil, nil, err
 	}

@@ -210,6 +210,7 @@ func TestBuildOneShard(t *testing.T) {
 		if !reflect.DeepEqual(sys.shardSSDNames, []string{"ssd"}) {
 			t.Errorf("detector SSD names %v, want [ssd]", sys.shardSSDNames)
 		}
+		sys.SetFill(gen.Fill)
 		if err := Populate(sys, gen); err != nil {
 			t.Fatalf("populate: %v", err)
 		}

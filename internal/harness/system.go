@@ -76,8 +76,8 @@ type BuildConfig struct {
 	// VM image never straddles shards.
 	Shards int
 	// Workers is the worker count of the ForEachPoint fans inside one
-	// system — the per-shard flush (<= 0 = GOMAXPROCS). Output is
-	// identical at every count.
+	// system — the per-shard flush and Populate (<= 0 = GOMAXPROCS).
+	// Output is identical at every count.
 	Workers int
 	// Tune overrides I-CASH controller parameters after the harness
 	// defaults are applied (ablation studies).
@@ -160,6 +160,9 @@ type System struct {
 	Detector *fault.Detector
 
 	flush func() error
+	// workers is BuildConfig.Workers: the width of the per-shard fans
+	// (Flush, Populate).
+	workers int
 	// resets zero one component's counters each, fills install the
 	// initial-content oracle on one each and bases the data set's basis
 	// on one store each; Build registers them as it assembles the stack.
@@ -331,7 +334,8 @@ func (s *System) SetFill(f blockdev.FillFunc) {
 // HDD home region (shard-translated; its log region gets none). Each
 // I-CASH shard's controller gets its HDD's translation for its RAM data
 // cache. Cache slot numbers are not data-set addresses, so no cache SSD
-// gets one. Installing the basis already installed does nothing.
+// gets one. Installing the basis already installed does nothing; a
+// system takes one basis for its life (the stores panic on another).
 func (s *System) SetBasis(b blockdev.Basis) {
 	if b == s.basis {
 		return
@@ -381,7 +385,7 @@ func Build(kind Kind, cfg BuildConfig) (*System, error) {
 	}
 	clock := sim.NewClock()
 	cpu := cpumodel.NewAccountant()
-	s := &System{Kind: kind, Clock: clock, CPU: cpu}
+	s := &System{Kind: kind, Clock: clock, CPU: cpu, workers: cfg.Workers}
 	s.resets = append(s.resets, cpu.Reset)
 
 	switch kind {
@@ -592,7 +596,7 @@ func buildICASH(s *System, cfg BuildConfig) error {
 	// results are index-gathered, and the first-index error wins — same
 	// determinism argument as every other ForEachPoint use.
 	s.flush = func() error {
-		return ForEachPoint(cfg.Workers, sc.NumShards(), func(i int) error {
+		return ForEachPoint(s.workers, sc.NumShards(), func(i int) error {
 			if err := sc.Shard(i).Flush(); err != nil {
 				return fmt.Errorf("harness: shard %d flush: %w", i, err)
 			}
