@@ -83,6 +83,7 @@ func main() {
 	fmt.Printf("flash now holds %d reference slots\n\n", ctrl.LiveSlotCount())
 
 	wholeFlashRot(ctrl, flash, model)
+	coldHome(ctrl, content, 3900, 3910, 3920)
 	homeRot(ctrl, disk, content)
 	scrubberFindsColdRot(ctrl, disk, clock, content)
 
@@ -137,6 +138,27 @@ func wholeFlashRot(ctrl *core.Controller, flash *ssd.Device, model map[int64][]b
 	fmt.Println("zero unaccounted wrong bytes reached the host")
 }
 
+// coldHome makes lbas cold, home-resident blocks: it writes them
+// through the controller, flushes, then reads 2,000 other blocks so
+// metadata eviction writes them to their HDD homes. The controller
+// keeps their checksums.
+func coldHome(ctrl *core.Controller, content func(int64, int) []byte, lbas ...int64) {
+	for _, lba := range lbas {
+		if _, err := ctrl.WriteBlock(lba, content(lba, 0)); err != nil {
+			log.Fatal(err)
+		}
+	}
+	if err := ctrl.Flush(); err != nil {
+		log.Fatal(err)
+	}
+	buf := make([]byte, blockdev.BlockSize)
+	for lba := int64(1000); lba < 3000; lba++ {
+		if _, err := ctrl.ReadBlock(lba, buf); err != nil {
+			log.Fatal(err)
+		}
+	}
+}
+
 // homeRot corrupts the HDD home of a cold, home-resident block: the
 // next read fails loudly with a corruption error (a block with no
 // second copy cannot be healed — but it can refuse to lie), and a
@@ -144,9 +166,6 @@ func wholeFlashRot(ctrl *core.Controller, flash *ssd.Device, model map[int64][]b
 func homeRot(ctrl *core.Controller, disk *hdd.Device, content func(int64, int) []byte) {
 	fmt.Println("\n--- act 2: a cold home block rots ---")
 	const lba = 3900 // outside the working set: home-resident, cold
-	if err := ctrl.Preload(lba, content(lba, 0)); err != nil {
-		log.Fatal(err)
-	}
 	if err := disk.Corrupt(lba, 12345); err != nil {
 		log.Fatal(err)
 	}
@@ -178,11 +197,6 @@ func scrubberFindsColdRot(ctrl *core.Controller, disk *hdd.Device, clock *sim.Cl
 	// One block with a clean cached copy (repairable) and one cold
 	// (detectable only).
 	const cached, cold = 3910, 3920
-	for _, lba := range []int64{cached, cold} {
-		if err := ctrl.Preload(lba, content(lba, 0)); err != nil {
-			log.Fatal(err)
-		}
-	}
 	buf := make([]byte, blockdev.BlockSize)
 	if _, err := ctrl.ReadBlock(cached, buf); err != nil {
 		log.Fatal(err) // leaves a clean RAM copy behind

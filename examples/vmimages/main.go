@@ -52,7 +52,7 @@ func main() {
 					img[(j*113)%len(img)] ^= byte(vm)
 				}
 			}
-			if err := arr.Preload(vm*imageBlocks+i, img); err != nil {
+			if _, err := arr.Write(vm*imageBlocks+i, img); err != nil {
 				log.Fatal(err)
 			}
 		}

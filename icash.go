@@ -157,12 +157,6 @@ func (a *Array) Write(lba int64, buf []byte) (time.Duration, error) {
 // durable media. After Flush, Recover loses nothing.
 func (a *Array) Flush() error { return a.ctrl.Flush() }
 
-// Preload installs initial content at lba (the data set "already on
-// disk") without affecting timing or statistics.
-func (a *Array) Preload(lba int64, content []byte) error {
-	return a.ctrl.Preload(lba, content)
-}
-
 // Stats returns a snapshot of controller statistics.
 func (a *Array) Stats() core.Stats { return a.ctrl.Stats }
 
@@ -192,12 +186,6 @@ func (a *Array) Degraded() bool { return a.ctrl.Degraded() }
 // accounted as DegradedDataLoss, and the array continues serving
 // requests in HDD-only degraded mode.
 func (a *Array) FailSSD() { a.ctrl.DegradeSSD() }
-
-// InjectHDDLatentError plants a latent sector error at an HDD LBA:
-// reads of that sector fail until a write remaps it. Self-healing
-// experiments use this to exercise the controller's retry, scrub and
-// fallback paths.
-func (a *Array) InjectHDDLatentError(lba int64) { a.hdd.InjectLatentError(lba) }
 
 // Crash simulates a power failure: all RAM state is lost, and a new
 // Array is rebuilt from the surviving SSD and HDD contents by replaying

@@ -76,21 +76,6 @@ func TestReadYourWrites(t *testing.T) {
 	}
 }
 
-func TestPreloadVisible(t *testing.T) {
-	arr := newTestArray(t)
-	want := pattern(3)
-	if err := arr.Preload(100, want); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, BlockSize)
-	if _, err := arr.Read(100, buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf, want) {
-		t.Fatal("preload content mismatch")
-	}
-}
-
 func TestCrashRecovery(t *testing.T) {
 	arr := newTestArray(t)
 	model := map[int64][]byte{}
@@ -203,5 +188,72 @@ func TestArrayShadowProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFailSSD pulls the SSD out from under a content-local working set:
+// the array flips into HDD-only degraded mode and keeps serving, and
+// every read that no longer returns the last write is accounted as
+// degraded data loss.
+func TestFailSSD(t *testing.T) {
+	arr := newTestArray(t)
+	template := pattern(0)
+	near := func(lba int64, version int) []byte {
+		b := bytes.Clone(template)
+		r := sim.NewRand(uint64(lba)*7 + uint64(version) + 1)
+		for i := 0; i < 64; i++ {
+			b[r.Intn(len(b))] = byte(r.Uint64())
+		}
+		return b
+	}
+	model := map[int64][]byte{}
+	buf := make([]byte, BlockSize)
+	for round := 0; round < 4; round++ {
+		for lba := int64(0); lba < 600; lba++ {
+			if round%2 == 0 {
+				model[lba] = near(lba, round)
+				if _, err := arr.Write(lba, model[lba]); err != nil {
+					t.Fatal(err)
+				}
+			} else if _, err := arr.Read(lba, buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if arr.SSDStats().Writes == 0 {
+		t.Fatal("the SSD never saw a write before it failed")
+	}
+	arr.FailSSD()
+	if !arr.Degraded() {
+		t.Fatal("FailSSD did not enter degraded mode")
+	}
+	var wrong int64
+	for lba, want := range model {
+		if _, err := arr.Read(lba, buf); err != nil {
+			t.Fatalf("degraded read %d: %v", lba, err)
+		}
+		if !bytes.Equal(buf, want) {
+			wrong++
+		}
+	}
+	if loss := arr.Stats().DegradedDataLoss; wrong > loss {
+		t.Errorf("%d reads lost the last write but only %d are accounted", wrong, loss)
+	}
+	hddWrites := arr.HDDStats().Writes
+	fresh := near(1000, 9)
+	if _, err := arr.Write(1000, fresh); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := arr.Read(1000, buf); err != nil || !bytes.Equal(buf, fresh) {
+		t.Fatalf("degraded round trip: err %v, content ok %v", err, bytes.Equal(buf, fresh))
+	}
+	if arr.Stats().DegradedOps == 0 {
+		t.Error("no request accounted as degraded")
+	}
+	if err := arr.Flush(); err != nil {
+		t.Fatalf("degraded flush: %v", err)
+	}
+	if arr.HDDStats().Writes <= hddWrites {
+		t.Error("the degraded flush never wrote the HDD")
 	}
 }

@@ -250,9 +250,6 @@ func TestPureSSD(t *testing.T) {
 	if err := p.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Preload(6, buf); err != nil {
-		t.Fatal(err)
-	}
 	if p.Stats.Ops() != 2 {
 		t.Fatalf("ops = %d", p.Stats.Ops())
 	}

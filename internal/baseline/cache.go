@@ -7,8 +7,6 @@
 package baseline
 
 import (
-	"fmt"
-
 	"icash/internal/blockdev"
 	"icash/internal/cpumodel"
 	"icash/internal/sim"
@@ -92,15 +90,6 @@ func (c *ssdCache) background(d sim.Duration, err error) error {
 		c.Stats.BackgroundTime += d
 	}
 	return err
-}
-
-// Preload routes initial data to the backing HDD.
-func (c *ssdCache) Preload(lba int64, content []byte) error {
-	p, ok := c.hdd.(blockdev.Preloader)
-	if !ok {
-		return fmt.Errorf("baseline: backing HDD does not support preloading")
-	}
-	return p.Preload(lba, content)
 }
 
 // ResetStats zeroes the cache statistics.

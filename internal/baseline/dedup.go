@@ -230,10 +230,7 @@ func (c *DedupCache) Flush() error {
 	return nil
 }
 
-var (
-	_ blockdev.Device    = (*DedupCache)(nil)
-	_ blockdev.Preloader = (*DedupCache)(nil)
-)
+var _ blockdev.Device = (*DedupCache)(nil)
 
 // ResetStats zeroes the cache statistics.
 func (c *DedupCache) ResetStats() { c.ssdCache.ResetStats(); c.DedupHits = 0 }

@@ -153,7 +153,4 @@ func (c *LRUCache) Flush() error {
 	return nil
 }
 
-var (
-	_ blockdev.Device    = (*LRUCache)(nil)
-	_ blockdev.Preloader = (*LRUCache)(nil)
-)
+var _ blockdev.Device = (*LRUCache)(nil)

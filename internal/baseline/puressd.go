@@ -1,8 +1,6 @@
 package baseline
 
 import (
-	"fmt"
-
 	"icash/internal/blockdev"
 	"icash/internal/cpumodel"
 	"icash/internal/sim"
@@ -54,19 +52,7 @@ func (p *PureSSD) WriteBlock(lba int64, buf []byte) (sim.Duration, error) {
 // Flush is a no-op: the SSD is the durable store.
 func (p *PureSSD) Flush() error { return nil }
 
-// Preload routes initial data into the SSD.
-func (p *PureSSD) Preload(lba int64, content []byte) error {
-	pl, ok := p.ssd.(blockdev.Preloader)
-	if !ok {
-		return fmt.Errorf("baseline: SSD does not support preloading")
-	}
-	return pl.Preload(lba, content)
-}
-
-var (
-	_ blockdev.Device    = (*PureSSD)(nil)
-	_ blockdev.Preloader = (*PureSSD)(nil)
-)
+var _ blockdev.Device = (*PureSSD)(nil)
 
 // ResetStats zeroes the wrapper statistics.
 func (p *PureSSD) ResetStats() { p.Stats = blockdev.Stats{} }

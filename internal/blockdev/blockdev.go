@@ -215,14 +215,6 @@ func CheckBuffer(buf []byte) error {
 	return nil
 }
 
-// Preloader is implemented by devices that can have content installed
-// directly, bypassing timing, wear and statistics. Experiment harnesses
-// use it to lay down the initial data set, mirroring devices that
-// already hold the benchmark data before the measured run starts.
-type Preloader interface {
-	Preload(lba int64, content []byte) error
-}
-
 // FillFunc generates the initial content of a never-written block. The
 // experiment harness installs the workload's content oracle on every
 // device so the benchmark data set "already exists" on the media without

@@ -110,21 +110,6 @@ func TestMemDevicePreloadAndFill(t *testing.T) {
 	if out[0] != 102 {
 		t.Fatal("fill ignored")
 	}
-	pre := make([]byte, BlockSize)
-	pre[0] = 7
-	if err := m.Preload(2, pre); err != nil {
-		t.Fatal(err)
-	}
-	m.ReadBlock(2, out)
-	if out[0] != 7 {
-		t.Fatal("preload did not override fill")
-	}
-	if err := m.Preload(8, pre); err == nil {
-		t.Error("out-of-range preload must fail")
-	}
-	if err := m.Preload(0, pre[:9]); err == nil {
-		t.Error("short preload must fail")
-	}
 }
 
 // TestDiffSpanKernels: the word-at-a-time compare, and the vector one

@@ -41,14 +41,3 @@ func (m *MemDevice) WriteBlock(lba int64, buf []byte) (sim.Duration, error) {
 }
 
 var _ Device = (*MemDevice)(nil)
-
-// Preload installs content without timing or statistics.
-func (m *MemDevice) Preload(lba int64, content []byte) error {
-	if err := m.Check(lba, content); err != nil {
-		return err
-	}
-	m.Write(lba, content)
-	return nil
-}
-
-var _ Preloader = (*MemDevice)(nil)

@@ -17,7 +17,6 @@ import (
 // plus its own timed paths.
 type storeDevice interface {
 	blockdev.Device
-	blockdev.Preloader
 	blockdev.Filler
 	blockdev.Baser
 	Corrupt(lba int64, bit int) error
@@ -125,11 +124,6 @@ func TestStore(t *testing.T) {
 		{"dense", false, false, func(t *testing.T, d storeDevice) {
 			write(t, d, lba, fillBlock(99))
 		}, fillBlock(99), false},
-		{"preload", true, false, func(t *testing.T, d storeDevice) {
-			if err := d.Preload(lba, prefixBlock(77, 2)); err != nil {
-				t.Fatal(err)
-			}
-		}, prefixBlock(77, 2), false},
 		{"corrupt-trimmed-tail", true, false, func(t *testing.T, d storeDevice) {
 			write(t, d, lba, prefixBlock(100, 7))
 			if err := d.Corrupt(lba, 2000*8+3); err != nil {

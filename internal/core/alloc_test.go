@@ -118,7 +118,7 @@ func TestAllocGateCommitSteadyState(t *testing.T) {
 	// writes the log: the gate counts the commit path, not the medium.
 	dense := genContent(sim.NewRand(7), 5, 0)
 	for b := range cfg.LogBlocks {
-		if err := rig.hdd.Preload(cfg.VirtualBlocks+b, dense); err != nil {
+		if _, err := rig.hdd.WriteBlock(cfg.VirtualBlocks+b, dense); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -35,6 +35,16 @@ func newTestRig(t testing.TB, cfg Config) *testRig {
 	return &testRig{c: c, ssd: ssd, hdd: hdd, clock: clock}
 }
 
+// seedHome lays content down at lba's home and tracks its checksum: a
+// block of the data set that was on the disk before the run started.
+func (r *testRig) seedHome(t testing.TB, lba int64, content []byte) {
+	t.Helper()
+	if _, err := r.hdd.WriteBlock(lba, content); err != nil {
+		t.Fatal(err)
+	}
+	r.c.trackSum(lba, content)
+}
+
 func smallConfig() Config {
 	cfg := NewDefaultConfig(4096, 256, 64<<10, 256<<10)
 	cfg.ScanPeriod = 100
@@ -240,24 +250,6 @@ func TestRecoveryAfterMoreActivity(t *testing.T) {
 	}
 }
 
-// TestPreload verifies preloaded content is readable and counts as a
-// cold read.
-func TestPreload(t *testing.T) {
-	rig := newTestRig(t, smallConfig())
-	c := rig.c
-	want := genContent(sim.NewRand(1), 3, 0)
-	if err := c.Preload(17, want); err != nil {
-		t.Fatalf("Preload: %v", err)
-	}
-	buf := make([]byte, blockdev.BlockSize)
-	if _, err := c.ReadBlock(17, buf); err != nil {
-		t.Fatalf("read: %v", err)
-	}
-	if !bytes.Equal(buf, want) {
-		t.Fatal("preloaded content mismatch")
-	}
-}
-
 // TestBounds exercises range and buffer validation.
 func TestBounds(t *testing.T) {
 	rig := newTestRig(t, smallConfig())
@@ -303,15 +295,13 @@ func TestVMImageSharing(t *testing.T) {
 			}
 		}
 	}
-	// Clone VMs 1..3: preload nearly identical images, then read them.
+	// Clone VMs 1..3: seed nearly identical images, then read them.
 	for vm := int64(1); vm <= 3; vm++ {
 		for i := range base {
 			img := append([]byte(nil), base[i]...)
 			img[100] ^= 0xFF // one-byte difference
 			lba := vm*cfg.VMImageBlocks + int64(i)
-			if err := c.Preload(lba, img); err != nil {
-				t.Fatal(err)
-			}
+			rig.seedHome(t, lba, img)
 		}
 	}
 	for vm := int64(1); vm <= 3; vm++ {

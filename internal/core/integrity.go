@@ -36,7 +36,7 @@ func (c *Controller) noteCorruption(dev string, devLBA int64) {
 }
 
 // trackSum records lba's current content checksum after a successful
-// host write (or preload) and clears any poison: the block holds
+// host write and clears any poison: the block holds
 // known-good content again.
 func (c *Controller) trackSum(lba int64, content []byte) {
 	l := &c.lbas[lba]

@@ -155,9 +155,7 @@ func TestHomeRotPoisonAndOverwrite(t *testing.T) {
 	c := rig.c
 	const lba = 5
 	content := genContent(sim.NewRand(9), 3, 0)
-	if err := c.Preload(lba, content); err != nil {
-		t.Fatalf("preload: %v", err)
-	}
+	rig.seedHome(t, lba, content)
 	if err := rig.hdd.Corrupt(lba, 123); err != nil {
 		t.Fatalf("corrupt hdd: %v", err)
 	}
@@ -260,9 +258,7 @@ func TestScrubFindsColdRot(t *testing.T) {
 	rig := newTestRig(t, smallConfig())
 	c := rig.c
 	const lba = 17
-	if err := c.Preload(lba, genContent(sim.NewRand(3), 1, 0)); err != nil {
-		t.Fatalf("preload: %v", err)
-	}
+	rig.seedHome(t, lba, genContent(sim.NewRand(3), 1, 0))
 	if err := rig.hdd.Corrupt(lba, 31); err != nil {
 		t.Fatalf("corrupt hdd: %v", err)
 	}

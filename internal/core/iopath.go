@@ -506,25 +506,4 @@ func (c *Controller) tryFirstLoadPair(v *vblock, content []byte) {
 	}
 }
 
-// Preload installs content at lba's home location without touching
-// timing, statistics or controller metadata. Harnesses use it to lay
-// down the initial data set, mirroring a machine whose disks already
-// hold the benchmark data.
-func (c *Controller) Preload(lba int64, content []byte) error {
-	if err := blockdev.CheckRange(lba, c.cfg.VirtualBlocks); err != nil {
-		return err
-	}
-	p, ok := c.hdd.(blockdev.Preloader)
-	if !ok {
-		return fmt.Errorf("core: backing HDD does not support preloading")
-	}
-	if err := p.Preload(lba, content); err != nil {
-		return err
-	}
-	// Preloaded content is known good: track it so home reads verify
-	// from the first access.
-	c.trackSum(lba, content)
-	return nil
-}
-
 var _ blockdev.Device = (*Controller)(nil)

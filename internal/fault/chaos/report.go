@@ -69,6 +69,9 @@ func begin(b *strings.Builder, name, kind string, base *Config, seeds int) {
 		base.QueueDepth = 8
 	}
 	fmt.Fprintf(b, "%s: %d %s from %d, %d ops/seed, QD=%d", name, seeds, kind, base.Seed, base.Ops, base.QueueDepth)
+	if base.Shards > 1 {
+		fmt.Fprintf(b, ", %d shards", base.Shards)
+	}
 }
 
 // SoakReport renders the chaos soak — combined fail-slow + fail-stop

@@ -108,9 +108,8 @@ type Stats struct {
 }
 
 // Device wraps an inner device with fault injection. It implements
-// blockdev.Device, Preloader and Filler (delegating the latter two
-// fault-free: preloading models factory imaging). Not safe for
-// concurrent use, like every device in this simulation.
+// blockdev.Device; content and fill oracles live on the inner device.
+// Not safe for concurrent use, like every device in this simulation.
 type Device struct {
 	inner blockdev.Device
 	cfg   Config
@@ -324,11 +323,7 @@ func (d *Device) tearAndDie(lba int64, buf []byte) error {
 			// the dying write, not a new host request. The device is
 			// dying mid-write: the torn tail is best-effort and there is
 			// no caller to surface its failure to.
-			if p, ok := d.inner.(blockdev.Preloader); ok {
-				_ = p.Preload(lba, old)
-			} else {
-				_, _ = d.inner.WriteBlock(lba, old)
-			}
+			_, _ = d.inner.WriteBlock(lba, old)
 		}
 	}
 	return &Error{Op: "write", LBA: lba,
@@ -337,27 +332,6 @@ func (d *Device) tearAndDie(lba int64, buf []byte) error {
 }
 
 var _ blockdev.Device = (*Device)(nil)
-
-// Preload delegates to the inner device, fault-free (factory imaging
-// happens before the fault schedule starts).
-func (d *Device) Preload(lba int64, content []byte) error {
-	p, ok := d.inner.(blockdev.Preloader)
-	if !ok {
-		return fmt.Errorf("fault: inner device does not support preloading")
-	}
-	return p.Preload(lba, content)
-}
-
-var _ blockdev.Preloader = (*Device)(nil)
-
-// SetFill delegates the initial-content oracle to the inner device.
-func (d *Device) SetFill(f blockdev.FillFunc) {
-	if fl, ok := d.inner.(blockdev.Filler); ok {
-		fl.SetFill(f)
-	}
-}
-
-var _ blockdev.Filler = (*Device)(nil)
 
 // ResetStats zeroes the fault accounting (bad blocks and the crash
 // schedule are preserved).

@@ -104,8 +104,8 @@ func TestCrashAfterWritesTornPrefix(t *testing.T) {
 	d, inner := wrapMem(t, 16, Config{Seed: 1})
 	old := make([]byte, blockdev.BlockSize)
 	fillPattern(old, 0x55)
-	if err := inner.Preload(7, old); err != nil {
-		t.Fatalf("preload: %v", err)
+	if _, err := inner.WriteBlock(7, old); err != nil {
+		t.Fatalf("seed: %v", err)
 	}
 
 	const torn = 100
@@ -146,8 +146,8 @@ func TestCrashTornZeroBytesLeavesOldContent(t *testing.T) {
 	d, inner := wrapMem(t, 16, Config{Seed: 1})
 	old := make([]byte, blockdev.BlockSize)
 	fillPattern(old, 0x42)
-	if err := inner.Preload(3, old); err != nil {
-		t.Fatalf("preload: %v", err)
+	if _, err := inner.WriteBlock(3, old); err != nil {
+		t.Fatalf("seed: %v", err)
 	}
 	d.SetCrashAfterWrites(1, 0)
 	neu := make([]byte, blockdev.BlockSize)

@@ -35,7 +35,7 @@ func TestSilentBitFlipOnRead(t *testing.T) {
 	d := Wrap(inner, Config{Seed: 3, Rates: Rates{Silent: SilentRates{BitFlip: 1}}})
 	orig := make([]byte, blockdev.BlockSize)
 	fillPattern(orig, 0x5A)
-	if err := inner.Preload(4, orig); err != nil {
+	if _, err := inner.WriteBlock(4, orig); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, blockdev.BlockSize)
@@ -81,7 +81,7 @@ func TestSilentLostWrite(t *testing.T) {
 
 	orig := make([]byte, blockdev.BlockSize)
 	fillPattern(orig, 0x11)
-	if err := inner.Preload(9, orig); err != nil {
+	if _, err := inner.WriteBlock(9, orig); err != nil {
 		t.Fatal(err)
 	}
 	lost := make([]byte, blockdev.BlockSize)
@@ -125,10 +125,10 @@ func TestSilentMisdirectedWrite(t *testing.T) {
 	b := make([]byte, blockdev.BlockSize)
 	fillPattern(a, 0xAA)
 	fillPattern(b, 0xBB)
-	if err := inner.Preload(6, a); err != nil {
+	if _, err := inner.WriteBlock(6, a); err != nil {
 		t.Fatal(err)
 	}
-	if err := inner.Preload(7, b); err != nil {
+	if _, err := inner.WriteBlock(7, b); err != nil {
 		t.Fatal(err)
 	}
 	w := make([]byte, blockdev.BlockSize)

@@ -1,9 +1,12 @@
 package harness
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
+	"icash/internal/blockdev"
+	"icash/internal/core"
 	"icash/internal/race"
 	"icash/internal/workload"
 )
@@ -261,5 +264,48 @@ func TestBuildValidation(t *testing.T) {
 	}
 	if Kind(99).String() == "" {
 		t.Error("unknown kind string")
+	}
+}
+
+// TestBuildTuneSizesDevices: a Tune that grows the log gets an HDD that
+// holds it, and one that shrinks the log keeps the derived HDD (and so
+// its seek geometry).
+func TestBuildTuneSizesDevices(t *testing.T) {
+	build := func(logBlocks int64) *System {
+		t.Helper()
+		cfg := BuildConfig{DataBlocks: 1024}
+		if logBlocks > 0 {
+			cfg.Tune = func(c *core.Config) { c.LogBlocks = logBlocks }
+		}
+		sys, err := Build(ICASH, cfg)
+		if err != nil {
+			t.Fatalf("build with log %d: %v", logBlocks, err)
+		}
+		return sys
+	}
+	derived := build(0).HDDs[0].Blocks()
+	if got := build(128).HDDs[0].Blocks(); got != derived {
+		t.Errorf("shrunk log: HDD has %d blocks, want the derived %d", got, derived)
+	}
+	sys := build(4096)
+	if got := sys.HDDs[0].Blocks(); got < 1024+4096 {
+		t.Fatalf("grown log: HDD has %d blocks, want at least %d", got, 1024+4096)
+	}
+	buf := make([]byte, blockdev.BlockSize)
+	for lba := int64(0); lba < 64; lba++ {
+		buf[0], buf[1] = byte(lba), 1
+		if _, err := sys.Dev.WriteBlock(lba, buf); err != nil {
+			t.Fatalf("write %d: %v", lba, err)
+		}
+	}
+	if err := sys.Flush(); err != nil {
+		t.Fatalf("flush: %v", err)
+	}
+	got := make([]byte, blockdev.BlockSize)
+	for lba := int64(0); lba < 64; lba++ {
+		buf[0], buf[1] = byte(lba), 1
+		if _, err := sys.Dev.ReadBlock(lba, got); err != nil || !bytes.Equal(got, buf) {
+			t.Fatalf("read %d after flush: err %v, content ok %v", lba, err, bytes.Equal(got, buf))
+		}
 	}
 }

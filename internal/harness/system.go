@@ -80,7 +80,8 @@ type BuildConfig struct {
 	// Output is identical at every count.
 	Workers int
 	// Tune overrides I-CASH controller parameters after the harness
-	// defaults are applied (ablation studies).
+	// defaults are applied (ablation studies). The devices are sized
+	// for a tuned LogBlocks or SSDBlocks above the default.
 	Tune func(*core.Config)
 
 	// FaultSSD and FaultHDD, when non-nil, interpose deterministic
@@ -547,8 +548,14 @@ func buildICASH(s *System, cfg BuildConfig) error {
 	shards := make([]*core.Controller, nsh)
 	for i := 0; i < nsh; i++ {
 		ccfg := icashConfig(per, ssdBlocks, deltaRAM, dataRAM, cfg.VMImageBlocks)
-		sdev := ssd.New(cachePartitionConfig(ssdBlocks))
-		h := hdd.New(hdd.DefaultConfig(per + ccfg.LogBlocks))
+		logBlocks := ccfg.LogBlocks
+		if cfg.Tune != nil {
+			cfg.Tune(&ccfg)
+		}
+		// A tune that shrinks the log keeps the derived HDD, and so its
+		// seek geometry (hdd.DefaultConfig derives it from capacity).
+		sdev := ssd.New(cachePartitionConfig(max(ssdBlocks, ccfg.SSDBlocks)))
+		h := hdd.New(hdd.DefaultConfig(per + max(logBlocks, ccfg.LogBlocks)))
 		s.SSDs = append(s.SSDs, sdev)
 		s.HDDs = append(s.HDDs, h)
 		base := int64(i) * per
@@ -557,9 +564,6 @@ func buildICASH(s *System, cfg BuildConfig) error {
 			sdev.SetFill(tf)
 			h.SetFill(tf)
 		})
-		if cfg.Tune != nil {
-			cfg.Tune(&ccfg)
-		}
 		var ssdDev, hddDev blockdev.Device = sdev, h
 		if i == 0 && cfg.FaultSSD != nil {
 			s.SSDFault = wrapFault(ssdDev, cfg.FaultSSD, s.Clock, ShardStation(0, nsh, "ssd"))

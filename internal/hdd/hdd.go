@@ -8,7 +8,6 @@
 package hdd
 
 import (
-	"fmt"
 	"math"
 
 	"icash/internal/blockdev"
@@ -85,10 +84,6 @@ type Device struct {
 	blockdev.Store
 	cfg Config
 
-	// bad holds sectors with injected latent errors: reads fail with
-	// blockdev.ErrMedia until a successful write remaps the sector.
-	bad map[int64]bool
-
 	headCyl  int // current head cylinder
 	buffered int // writes currently absorbed by the write buffer
 
@@ -119,8 +114,6 @@ type Stats struct {
 	SequentialOps int64
 	// BufferedWrites counts writes absorbed by the write buffer.
 	BufferedWrites int64
-	// MediaErrors counts reads that failed on a latent sector error.
-	MediaErrors int64
 }
 
 // New builds a drive from cfg.
@@ -137,9 +130,6 @@ func New(cfg Config) *Device {
 	}
 	return d
 }
-
-// Config returns the drive configuration.
-func (d *Device) Config() Config { return d.cfg }
 
 // cylinderOf maps an LBA to its cylinder.
 func (d *Device) cylinderOf(lba int64) int {
@@ -253,13 +243,6 @@ func (d *Device) ReadBlock(lba int64, buf []byte) (sim.Duration, error) {
 	if err := d.Check(lba, buf); err != nil {
 		return 0, err
 	}
-	if d.bad[lba] {
-		// The drive still pays the mechanical cost of the failed attempt.
-		lat := d.access(lba, false)
-		d.Stats.MediaErrors++
-		d.tracer.Note(d.station, lat)
-		return lat, fmt.Errorf("hdd: latent sector error at lba %d: %w", lba, blockdev.ErrMedia)
-	}
 	d.Read(lba, buf)
 	lat := d.access(lba, false)
 	d.Stats.NoteRead(blockdev.BlockSize, lat)
@@ -273,40 +256,15 @@ func (d *Device) WriteBlock(lba int64, buf []byte) (sim.Duration, error) {
 		return 0, err
 	}
 	d.Write(lba, buf)
-	// A successful write remaps a latent-error sector (spare-pool
-	// reallocation), healing it.
-	delete(d.bad, lba)
 	lat := d.access(lba, true)
 	d.Stats.NoteWrite(blockdev.BlockSize, lat)
 	d.tracer.Note(d.station, lat)
 	return lat, nil
 }
 
-// InjectLatentError marks lba as a latent sector error: subsequent
-// reads fail with blockdev.ErrMedia until a write heals the sector.
-// Test hook; no effect on timing until the sector is touched.
-func (d *Device) InjectLatentError(lba int64) {
-	if d.bad == nil {
-		d.bad = make(map[int64]bool)
-	}
-	d.bad[lba] = true
-}
-
-var _ blockdev.Device = (*Device)(nil)
-
-// Preload installs content at lba without timing, head movement or
-// statistics (the disk "already contains" the data set).
-func (d *Device) Preload(lba int64, content []byte) error {
-	if err := d.Check(lba, content); err != nil {
-		return err
-	}
-	d.Write(lba, content)
-	return nil
-}
-
 var (
-	_ blockdev.Preloader = (*Device)(nil)
-	_ blockdev.Filler    = (*Device)(nil)
+	_ blockdev.Device = (*Device)(nil)
+	_ blockdev.Filler = (*Device)(nil)
 )
 
 // Instrument connects the drive to the concurrency engine: every

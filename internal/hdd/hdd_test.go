@@ -156,15 +156,6 @@ func TestFillOracleAndPreload(t *testing.T) {
 	if buf[0] != 4 {
 		t.Fatal("fill oracle ignored")
 	}
-	pre := make([]byte, blockdev.BlockSize)
-	pre[0] = 200
-	if err := d.Preload(3, pre); err != nil {
-		t.Fatal(err)
-	}
-	d.ReadBlock(3, buf)
-	if buf[0] != 200 {
-		t.Fatal("preload did not override oracle")
-	}
 }
 
 // Property: latency is always positive and bounded by max seek + full

@@ -126,22 +126,6 @@ func (a *Array0) WriteBlock(lba int64, buf []byte) (sim.Duration, error) {
 
 var _ blockdev.Device = (*Array0)(nil)
 
-// Preload routes content installation to the owning stripe member,
-// which must itself support preloading.
-func (a *Array0) Preload(lba int64, content []byte) error {
-	if err := blockdev.CheckRange(lba, a.blocks); err != nil {
-		return err
-	}
-	m, mlba := a.locate(lba)
-	p, ok := a.members[m].(blockdev.Preloader)
-	if !ok {
-		return fmt.Errorf("raid: member %d does not support preloading", m)
-	}
-	return p.Preload(mlba, content)
-}
-
-var _ blockdev.Preloader = (*Array0)(nil)
-
 // SetFill installs the initial-content oracle, translating each
 // member's local addresses back to array addresses.
 func (a *Array0) SetFill(f blockdev.FillFunc) {

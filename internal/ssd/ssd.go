@@ -539,31 +539,9 @@ func (d *Device) CheckInvariants() error {
 	return nil
 }
 
-var _ blockdev.Device = (*Device)(nil)
-
-// Preload installs content at lba without timing, wear or statistics
-// (a factory-imaged drive). The page is mapped physically so that later
-// invalidations keep FTL invariants intact.
-func (d *Device) Preload(lba int64, content []byte) error {
-	if err := d.Check(lba, content); err != nil {
-		return err
-	}
-	d.Write(lba, content)
-	if !d.mapped[lba] {
-		// Quietly place the page; GC cost rules still apply later.
-		loc, _, err := d.allocPage(lba)
-		if err != nil {
-			return err
-		}
-		d.mapping[lba] = loc
-		d.mapped[lba] = true
-	}
-	return nil
-}
-
 var (
-	_ blockdev.Preloader = (*Device)(nil)
-	_ blockdev.Filler    = (*Device)(nil)
+	_ blockdev.Device = (*Device)(nil)
+	_ blockdev.Filler = (*Device)(nil)
 )
 
 // ResetStats zeroes the accumulated statistics (wear counters on the

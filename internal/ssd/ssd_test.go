@@ -160,20 +160,6 @@ func TestBoundsAndPreload(t *testing.T) {
 	if _, err := d.ReadBlock(0, buf[:10]); err == nil {
 		t.Error("short buffer must fail")
 	}
-	want := make([]byte, blockdev.BlockSize)
-	want[0] = 42
-	if err := d.Preload(5, want); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.ReadBlock(5, buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf, want) {
-		t.Fatal("preload content mismatch")
-	}
-	if err := d.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestFillOracle(t *testing.T) {
