@@ -94,7 +94,8 @@ type Config struct {
 	// request is cancelled, not waited out. A healthy SSD read is tens
 	// of microseconds, so the default (2 ms) only fires under fail-slow
 	// conditions (GC stalls, brownout, freeze). Zero derives the
-	// default; negative disables hedging and quarantine bypass.
+	// default; negative disables hedging. Quarantine is separate: the
+	// slow-device detector drives it through SetSSDQuarantined.
 	HedgeDeadline sim.Duration
 	// OpDeadline bounds the total time (attempts plus backoff) one
 	// device operation may accumulate in the retry loop before the

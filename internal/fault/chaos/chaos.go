@@ -51,7 +51,7 @@ type Config struct {
 	NoFailSlow bool
 	// Plan overrides the generated fail-slow schedule. Its window
 	// times are relative: From/To are offsets from the start of the
-	// measured phase, shifted onto the simulated clock by Run.
+	// measured phase, where the harness arms them (harness.Populate).
 	Plan *fault.Schedule
 
 	// SilentFaults arms a generated silent-corruption plan for the
@@ -197,8 +197,9 @@ func (d *dataSet) Basis(lba int64) []byte {
 // genPlan builds a randomized-but-seeded fail-slow schedule covering
 // roughly the first half of the measured phase: one to three windows,
 // each hitting the SSD or an HDD with a 10-100x slowdown, brownout
-// jitter, or a short freeze. Offsets are relative (shifted by shift).
-func genPlan(seed uint64, shift sim.Time, horizon sim.Duration) []fault.Window {
+// jitter, or a short freeze. Window times are offsets from the start of
+// the measured phase.
+func genPlan(seed uint64, horizon sim.Duration) []fault.Window {
 	rng := sim.NewRand(seed ^ 0xc4a5_0b5e_5eed_f001)
 	n := 1 + rng.Intn(3)
 	ws := make([]fault.Window, 0, n)
@@ -206,8 +207,8 @@ func genPlan(seed uint64, shift sim.Time, horizon sim.Duration) []fault.Window {
 		from := sim.Duration(rng.Int63n(int64(horizon) / 2))
 		dur := horizon/16 + sim.Duration(rng.Int63n(int64(horizon)/4))
 		w := fault.Window{
-			From:   shift.Add(from),
-			To:     shift.Add(from + dur),
+			From:   sim.Time(from),
+			To:     sim.Time(from + dur),
 			Factor: 10 + 90*rng.Float64(),
 		}
 		switch rng.Intn(4) {
@@ -223,7 +224,7 @@ func genPlan(seed uint64, shift sim.Time, horizon sim.Duration) []fault.Window {
 			w.Station = "ssd"
 			w.Factor = 1
 			w.Freeze = true
-			w.To = shift.Add(from + horizon/32)
+			w.To = sim.Time(from + horizon/32)
 		}
 		ws = append(ws, w)
 	}
@@ -234,29 +235,31 @@ func genPlan(seed uint64, shift sim.Time, horizon sim.Duration) []fault.Window {
 // schedule covering roughly the first half of the measured phase: one
 // to three windows, each arming one lie mode (bit-flip-on-read,
 // misdirected write, or lost write) on either the SSD or the HDD.
-// Rates are modest — a soak should survive, loudly.
-func genSilentPlan(seed uint64, shift sim.Time, horizon sim.Duration) (ssdW, hddW []fault.SilentWindow) {
+// Rates are modest — a soak should survive, loudly. Window times are
+// offsets from the start of the measured phase.
+func genSilentPlan(seed uint64, horizon sim.Duration) []fault.Window {
 	rng := sim.NewRand(seed ^ 0x51e7_c0de_b17f_11b5)
 	n := 1 + rng.Intn(3)
+	ws := make([]fault.Window, 0, n)
 	for i := 0; i < n; i++ {
 		from := sim.Duration(rng.Int63n(int64(horizon) / 2))
 		dur := horizon/16 + sim.Duration(rng.Int63n(int64(horizon)/4))
-		w := fault.SilentWindow{From: shift.Add(from), To: shift.Add(from + dur)}
+		w := fault.Window{From: sim.Time(from), To: sim.Time(from + dur)}
 		switch rng.Intn(3) {
 		case 0:
-			w.BitFlip = 0.01 + 0.04*rng.Float64()
+			w.Rates.Silent.BitFlip = 0.01 + 0.04*rng.Float64()
 		case 1:
-			w.Misdirect = 0.005 + 0.015*rng.Float64()
+			w.Rates.Silent.Misdirect = 0.005 + 0.015*rng.Float64()
 		case 2:
-			w.LostWrite = 0.005 + 0.015*rng.Float64()
+			w.Rates.Silent.LostWrite = 0.005 + 0.015*rng.Float64()
 		}
-		if rng.Intn(2) == 0 {
-			ssdW = append(ssdW, w)
-		} else {
-			hddW = append(hddW, w)
+		w.Station = "ssd"
+		if rng.Intn(2) != 0 {
+			w.Station = "hdd0"
 		}
+		ws = append(ws, w)
 	}
-	return ssdW, hddW
+	return ws
 }
 
 // Run executes one chaos soak and verifies it: populate, fault
@@ -269,38 +272,54 @@ func Run(cfg Config) (*Result, error) {
 	return res, err
 }
 
+// withDefaults returns c with every zero-valued size at its default.
+func (c Config) withDefaults() Config {
+	if c.Ops <= 0 {
+		c.Ops = 2000
+	}
+	if c.LBASpace <= 0 {
+		c.LBASpace = 512
+	}
+	if c.QueueDepth <= 0 {
+		c.QueueDepth = 8
+	}
+	return c
+}
+
 // run is Run, also returning the soaked system when it survived.
 func run(cfg Config) (*Result, *harness.System, error) {
-	if cfg.Ops <= 0 {
-		cfg.Ops = 2000
-	}
-	if cfg.LBASpace <= 0 {
-		cfg.LBASpace = 512
-	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 8
-	}
+	cfg = cfg.withDefaults()
 
-	// The plan is installed (empty) at build time and filled in after
-	// populate: the station shapers and fault devices hold the pointer,
-	// so appending windows then is race-free and keeps window offsets
-	// relative to the measured phase, not the build instant.
+	// One fault plan, its times offsets from the start of the measured
+	// phase: the harness arms it when Populate returns, so populate is
+	// fault-free (a populate-phase fault would leave damaged state whose
+	// loss accounting Populate's stats reset erases, turning an
+	// accounted loss into an apparent silent one). Slow windows come
+	// first: jitter is seeded by window index.
+	horizon := sim.Duration(cfg.Ops) * 400 * sim.Microsecond
 	plan := &fault.Schedule{Seed: cfg.Seed}
-	// Silent-corruption plans use the same install-empty-then-populate
-	// trick: the fault devices hold the pointers from build time, and
-	// windows are appended once the measured-phase anchor is known.
-	silentSSD := &fault.SilentPlan{}
-	silentHDD := &fault.SilentPlan{}
-	fssd := &fault.Config{Seed: cfg.Seed*0x9e37_79b9 + 1, Plan: plan, Silent: silentSSD}
-	fhdd := &fault.Config{Seed: cfg.Seed*0x9e37_79b9 + 2, Plan: plan, Silent: silentHDD}
+	switch {
+	case cfg.NoFailSlow:
+	case cfg.Plan != nil:
+		plan.Seed = cfg.Plan.Seed
+		plan.Windows = append(plan.Windows, cfg.Plan.Windows...)
+	default:
+		plan.Windows = genPlan(cfg.Seed, horizon)
+	}
+	if cfg.SilentFaults {
+		plan.Windows = append(plan.Windows, genSilentPlan(cfg.Seed, horizon)...)
+	}
+	if !cfg.NoFailStop {
+		plan.Windows = append(plan.Windows, fault.Window{To: fault.Forever,
+			Rates: fault.Rates{ReadMedia: 0.001, WriteMedia: 0.001, Transient: 0.003}})
+	}
 	bc := harness.BuildConfig{
 		DataBlocks:     cfg.LBASpace,
 		SSDCacheBlocks: cfg.LBASpace / 2,
 		// A deliberately small data cache (1/8 of the set): reads must
 		// reach the devices or the soak would only ever exercise RAM.
 		DataRAMBytes: cfg.LBASpace / 8 * blockdev.BlockSize,
-		FaultSSD:     fssd,
-		FaultHDD:     fhdd,
+		Faults:       plan,
 		SlowDetector: !cfg.DisableHedge,
 		Shards:       cfg.Shards,
 	}
@@ -313,11 +332,7 @@ func run(cfg Config) (*Result, *harness.System, error) {
 	}
 	clock := sys.Clock
 
-	// Populate: every block written once at version 1, fault-free (the
-	// plan has no windows yet and the probabilistic rates are armed
-	// only after Populate's stats reset — a populate-phase fault would
-	// leave damaged state whose loss accounting the reset erases,
-	// turning an accounted loss into an apparent silent one).
+	// Populate: every block written once at version 1.
 	ds := newDataSet(cfg.LBASpace)
 	if err := harness.Populate(sys, ds); err != nil {
 		return nil, nil, err
@@ -330,45 +345,7 @@ func run(cfg Config) (*Result, *harness.System, error) {
 	if cfg.ScrubInterval > 0 {
 		sys.Sharded.SetScrub(core.ScrubConfig{Interval: cfg.ScrubInterval})
 	}
-
-	// Arm the probabilistic fail-stop rates for the measured phase.
-	if !cfg.NoFailStop {
-		rates := fault.Rates{ReadMedia: 0.001, WriteMedia: 0.001, Transient: 0.003}
-		sys.SSDFault.SetRates(rates)
-		sys.HDDFault.SetRates(rates)
-	}
-
-	// Install the fail-slow schedule, anchored at the measured phase.
 	start := clock.Now()
-	if !cfg.NoFailSlow {
-		horizon := sim.Duration(cfg.Ops) * 400 * sim.Microsecond
-		if cfg.Plan != nil {
-			plan.Seed = cfg.Plan.Seed
-			for _, w := range cfg.Plan.Windows {
-				w.From = start.Add(sim.Duration(w.From))
-				w.To = start.Add(sim.Duration(w.To))
-				plan.Windows = append(plan.Windows, w)
-			}
-		} else {
-			plan.Windows = genPlan(cfg.Seed, start, horizon)
-		}
-		// Scope every window to the faulted shard's station namespace, so
-		// the schedule keeps matching — and only that shard slows ("every
-		// station" becomes "every station of shard 0").
-		for i := range plan.Windows {
-			w := &plan.Windows[i]
-			w.Station = harness.ShardStation(0, sys.Sharded.NumShards(), w.Station)
-		}
-		if err := plan.Validate(); err != nil {
-			return nil, nil, fmt.Errorf("chaos: plan: %w", err)
-		}
-	}
-
-	// Install the silent-corruption schedule, anchored the same way.
-	if cfg.SilentFaults {
-		horizon := sim.Duration(cfg.Ops) * 400 * sim.Microsecond
-		silentSSD.Windows, silentHDD.Windows = genSilentPlan(cfg.Seed, start, horizon)
-	}
 
 	// Measured phase: QueueDepth issue tokens on the harness pump, every
 	// block a traced op, with every read checked against the spec at

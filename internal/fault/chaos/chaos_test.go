@@ -185,6 +185,19 @@ func TestChaosExplicitPlanShifts(t *testing.T) {
 	}
 }
 
+// TestSoakHeadlineDefaults: a report's headline names the sizes its
+// seeds ran at, Config's defaults included.
+func TestSoakHeadlineDefaults(t *testing.T) {
+	out, err := SoakReport(Config{Seed: 1}, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := "chaos soak: 1 seeds from 1, 2000 ops/seed, QD=8\n  seed=1 ops=2000 "
+	if !strings.HasPrefix(out, head) {
+		t.Fatalf("report starts %q, want %q", out[:min(len(out), len(head))], head)
+	}
+}
+
 // TestChaosSilentCorruptionSoak is the integrity acceptance soak: the
 // devices lie — bit flips on reads, misdirected writes, writes acked
 // but never applied — under the full fail-slow + fail-stop schedule,

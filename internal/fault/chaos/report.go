@@ -10,9 +10,9 @@ import (
 )
 
 // The soak reports each run seeds consecutive seeds of one fault arm,
-// starting at base.Seed and sized by base (Ops, QueueDepth <= 0 = 8),
-// workers at a time (<= 0 = GOMAXPROCS). Every seed is a fully
-// independent simulation gathered by index, so a report is
+// starting at base.Seed and sized by base (zero sizes take Config's
+// defaults), workers at a time (<= 0 = GOMAXPROCS). Every seed is a
+// fully independent simulation gathered by index, so a report is
 // byte-identical at any worker count.
 
 // seedResult is one seed's outcome.
@@ -62,12 +62,10 @@ func perSeed(b *strings.Builder, name string, base Config, seeds, workers int, t
 	return nil
 }
 
-// begin applies the QueueDepth default and starts a report with its
+// begin applies Config's defaults to base and starts a report with its
 // headline, up to the per-arm suffix.
 func begin(b *strings.Builder, name, kind string, base *Config, seeds int) {
-	if base.QueueDepth <= 0 {
-		base.QueueDepth = 8
-	}
+	*base = base.withDefaults()
 	fmt.Fprintf(b, "%s: %d %s from %d, %d ops/seed, QD=%d", name, seeds, kind, base.Seed, base.Ops, base.QueueDepth)
 	if base.Shards > 1 {
 		fmt.Fprintf(b, ", %d shards", base.Shards)

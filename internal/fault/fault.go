@@ -15,11 +15,10 @@
 //     what a power cut mid-sector-stream leaves behind), after which
 //     the device is lost. Restore models power-on: the media, torn
 //     block included, is intact; only the in-flight write was damaged;
-//   - silent corruption (SilentRates / SilentPlan): bit flips on
-//     successful reads, writes misdirected to the neighboring LBA, and
-//     lost writes acked as durable — lie-and-return-success faults that
-//     never raise an error and are only caught by content checksums
-//     above the device.
+//   - silent corruption (SilentRates): bit flips on successful reads,
+//     writes misdirected to the neighboring LBA, and lost writes acked
+//     as durable — lie-and-return-success faults that never raise an
+//     error and are only caught by content checksums above the device.
 //
 // Everything is driven by one seed, so two runs with the same seed,
 // schedule and request stream observe bit-identical fault sequences —
@@ -74,13 +73,11 @@ type Config struct {
 	Seed uint64
 	// Rates are the probabilistic fault rates.
 	Rates Rates
-	// Plan, when non-nil, is the scheduled fail-slow plan: service
-	// times (successes and error latencies alike) are inflated by
-	// Plan.Inflate(Station, Clock.Now(), d). Requires Clock.
+	// Plan, when non-nil, is the scheduled fault plan: service times
+	// (successes and error latencies alike) are inflated by
+	// Plan.Inflate(Station, Clock.Now(), d), and the Rates of every
+	// window active on Station add to Rates. Requires Clock.
 	Plan *Schedule
-	// Silent, when non-nil, schedules silent-corruption windows whose
-	// rates add to Rates.Silent while active. Requires Clock.
-	Silent *SilentPlan
 	// Clock supplies the simulated time the Plan's windows are keyed on.
 	Clock *sim.Clock
 	// Station names this device in the Plan's windows ("ssd", "hdd0").
@@ -141,6 +138,26 @@ func Wrap(inner blockdev.Device, cfg Config) *Device {
 		bad:        make(map[int64]bool),
 		crashAfter: -1,
 	}
+}
+
+// rates returns the fault rates of an operation issued now: Config.Rates
+// plus the Rates of every Plan window active on this device's station,
+// summed in schedule order.
+func (d *Device) rates() Rates {
+	r := d.cfg.Rates
+	if d.cfg.Plan == nil || d.cfg.Clock == nil {
+		return r
+	}
+	now := d.cfg.Clock.Now()
+	for i := range d.cfg.Plan.Windows {
+		if w := &d.cfg.Plan.Windows[i]; w.active(d.cfg.Station, now) {
+			r.ReadMedia += w.Rates.ReadMedia
+			r.WriteMedia += w.Rates.WriteMedia
+			r.Transient += w.Rates.Transient
+			r.Silent.add(w.Rates.Silent)
+		}
+	}
+	return r
 }
 
 // shape applies the scheduled fail-slow plan to one operation's service
@@ -219,25 +236,24 @@ func (d *Device) ReadBlock(lba int64, buf []byte) (sim.Duration, error) {
 		d.Stats.MediaErrors++
 		return d.shape(errorLatency), injectErr("read", lba, blockdev.ErrMedia)
 	}
-	if d.cfg.Rates.Transient > 0 && d.rng.Float64() < d.cfg.Rates.Transient {
+	r := d.rates()
+	if r.Transient > 0 && d.rng.Float64() < r.Transient {
 		d.Stats.TransientErrors++
 		return d.shape(timeoutLatency), injectErr("read", lba, blockdev.ErrTransient)
 	}
-	if d.cfg.Rates.ReadMedia > 0 && d.rng.Float64() < d.cfg.Rates.ReadMedia {
+	if r.ReadMedia > 0 && d.rng.Float64() < r.ReadMedia {
 		d.bad[lba] = true
 		d.Stats.MediaErrors++
 		return d.shape(errorLatency), injectErr("read", lba, blockdev.ErrMedia)
 	}
 	d.Stats.Reads++
 	dur, err := d.inner.ReadBlock(lba, buf)
-	if err == nil {
-		if r := d.silentNow().BitFlip; r > 0 && d.rng.Float64() < r {
-			// Transfer-path upset: the media is intact, this copy of
-			// the data is not. The device still reports success.
-			d.flipOneBit(buf)
-			d.Stats.BitFlips++
-			d.noteSilent(lba)
-		}
+	if err == nil && r.Silent.BitFlip > 0 && d.rng.Float64() < r.Silent.BitFlip {
+		// Transfer-path upset: the media is intact, this copy of the
+		// data is not. The device still reports success.
+		d.flipOneBit(buf)
+		d.Stats.BitFlips++
+		d.noteSilent(lba)
 	}
 	return d.shape(dur), err
 }
@@ -263,36 +279,35 @@ func (d *Device) WriteBlock(lba int64, buf []byte) (sim.Duration, error) {
 	if d.crashAfter >= 0 && d.writeSeen == d.crashAfter {
 		return 0, d.tearAndDie(lba, buf)
 	}
-	if d.cfg.Rates.Transient > 0 && d.rng.Float64() < d.cfg.Rates.Transient {
+	r := d.rates()
+	if r.Transient > 0 && d.rng.Float64() < r.Transient {
 		d.Stats.TransientErrors++
 		return d.shape(timeoutLatency), injectErr("write", lba, blockdev.ErrTransient)
 	}
-	if d.cfg.Rates.WriteMedia > 0 && d.rng.Float64() < d.cfg.Rates.WriteMedia {
+	if r.WriteMedia > 0 && d.rng.Float64() < r.WriteMedia {
 		d.bad[lba] = true
 		d.Stats.MediaErrors++
 		return d.shape(errorLatency), injectErr("write", lba, blockdev.ErrMedia)
 	}
-	if sr := d.silentNow(); !sr.zero() {
-		if sr.LostWrite > 0 && d.rng.Float64() < sr.LostWrite {
-			// Acked as durable, never applied: the old content
-			// survives on media. No error, normal-looking latency.
-			d.Stats.LostWrites++
-			d.Stats.Writes++
-			d.noteSilent(lba)
-			return d.shape(lostWriteLatency), nil
-		}
-		if sr.Misdirect > 0 && d.rng.Float64() < sr.Misdirect {
-			// The write lands on the neighboring LBA: the target keeps
-			// its stale content and the neighbor is clobbered with
-			// foreign data — both lie silently.
-			target := misdirectTarget(lba, d.inner.Blocks())
-			d.Stats.MisdirectedWrites++
-			d.noteSilent(lba)
-			d.noteSilent(target)
-			dur, err := d.inner.WriteBlock(target, buf)
-			d.Stats.Writes++
-			return d.shape(dur), err
-		}
+	if r.Silent.LostWrite > 0 && d.rng.Float64() < r.Silent.LostWrite {
+		// Acked as durable, never applied: the old content survives on
+		// media. No error, normal-looking latency.
+		d.Stats.LostWrites++
+		d.Stats.Writes++
+		d.noteSilent(lba)
+		return d.shape(lostWriteLatency), nil
+	}
+	if r.Silent.Misdirect > 0 && d.rng.Float64() < r.Silent.Misdirect {
+		// The write lands on the neighboring LBA: the target keeps its
+		// stale content and the neighbor is clobbered with foreign
+		// data — both lie silently.
+		target := misdirectTarget(lba, d.inner.Blocks())
+		d.Stats.MisdirectedWrites++
+		d.noteSilent(lba)
+		d.noteSilent(target)
+		dur, err := d.inner.WriteBlock(target, buf)
+		d.Stats.Writes++
+		return d.shape(dur), err
 	}
 	dur, err := d.inner.WriteBlock(lba, buf)
 	if err == nil {
@@ -336,10 +351,3 @@ var _ blockdev.Device = (*Device)(nil)
 // ResetStats zeroes the fault accounting (bad blocks and the crash
 // schedule are preserved).
 func (d *Device) ResetStats() { d.Stats = Stats{} }
-
-// SetRates replaces the probabilistic fault rates. Harnesses use this
-// to keep a warm-up or populate phase genuinely fault-free and arm the
-// error injection only for the measured stream — faults before the
-// stats reset would leave damaged state whose loss accounting the
-// reset then erases.
-func (d *Device) SetRates(r Rates) { d.cfg.Rates = r }

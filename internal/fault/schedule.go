@@ -7,12 +7,12 @@ import (
 	"icash/internal/sim"
 )
 
-// Fail-slow fault plans. Real SSD/HDD arrays mostly die slowly: a
-// device keeps answering, just 10-1000x late (SSD garbage-collection
-// stalls, HDD vibration and sector remapping). A Schedule expresses
-// that as declarative windows in simulated time that inflate a
-// station's service time, add brownout jitter, or freeze the device
-// outright. The same schedule is applied in two places:
+// Fault plans. Real SSD/HDD arrays mostly die slowly: a device keeps
+// answering, just 10-1000x late (SSD garbage-collection stalls, HDD
+// vibration and sector remapping). A Schedule expresses that as
+// declarative windows in simulated time that inflate a station's
+// service time, add brownout jitter, or freeze the device outright.
+// The same schedule is applied in two places:
 //
 //   - at the fault.Device wrapper, so the controller sees the inflated
 //     service time and its deadline/hedging machinery can react;
@@ -22,8 +22,12 @@ import (
 // Inflate is a pure function of (station, time, service time) and the
 // schedule's seed — both layers agree exactly, runs replay bit-for-bit,
 // and the property tests can enumerate its behavior.
+//
+// A window may also carry fail-stop and silent-corruption Rates, which
+// only the fault.Device wrapper applies: one plan scripts every fault
+// kind against the simulated timeline.
 
-// Window is one scheduled fail-slow episode on a station.
+// Window is one scheduled fault episode on a station.
 type Window struct {
 	// Station selects the shaped station: exact name ("ssd", "hdd0") or
 	// a prefix matching dotted children ("ssd" shapes "ssd.ch0"...).
@@ -45,9 +49,18 @@ type Window struct {
 	// operation arriving at t completes no earlier than To (plus its own
 	// shaped service time). Models a hung controller that recovers.
 	Freeze bool
+	// Rates add to an injector's Config.Rates for its operations
+	// starting inside the window. A window with only Rates leaves every
+	// service time unchanged.
+	Rates Rates
 }
 
-// active reports whether w shapes station at time at.
+// Forever is the To of a window that never closes: beyond any run, yet
+// far enough below the int64 limit that shifting it by a run's start
+// instant cannot overflow.
+const Forever sim.Time = 1 << 62
+
+// active reports whether w applies to station at time at.
 func (w *Window) active(station string, at sim.Time) bool {
 	if at < w.From || at >= w.To {
 		return false
@@ -58,7 +71,7 @@ func (w *Window) active(station string, at sim.Time) bool {
 	return strings.HasPrefix(station, w.Station+".")
 }
 
-// Schedule is a deterministic fail-slow plan: a set of windows plus the
+// Schedule is a deterministic fault plan: a set of windows plus the
 // seed that drives their jitter. The zero value (and nil) is an empty
 // plan that never shapes anything.
 type Schedule struct {
@@ -66,7 +79,8 @@ type Schedule struct {
 	// Jitter.
 	Seed uint64
 	// Windows are the scheduled episodes. Overlapping windows compose
-	// multiplicatively (two independent slowdowns both apply).
+	// multiplicatively (two independent slowdowns both apply); their
+	// Rates sum.
 	Windows []Window
 }
 
@@ -139,20 +153,6 @@ func (s *Schedule) Inflate(station string, at sim.Time, svc sim.Duration) sim.Du
 		return svc
 	}
 	return freeze + sim.Duration(factor*float64(svc))
-}
-
-// End returns the latest window end, or zero time for an empty plan.
-func (s *Schedule) End() sim.Time {
-	var end sim.Time
-	if s == nil {
-		return end
-	}
-	for _, w := range s.Windows {
-		if w.To > end {
-			end = w.To
-		}
-	}
-	return end
 }
 
 // Shaper returns a station shaper closure for event.Server.SetShaper,

@@ -32,52 +32,6 @@ func (r *SilentRates) add(o SilentRates) {
 	r.LostWrite += o.LostWrite
 }
 
-// zero reports whether every rate is disabled.
-func (r SilentRates) zero() bool {
-	return r.BitFlip <= 0 && r.Misdirect <= 0 && r.LostWrite <= 0
-}
-
-// SilentWindow raises the silent-fault rates during [From, To) — the
-// silent-corruption counterpart of the fail-slow Schedule windows, so
-// bit-rot storms can be scripted against the simulated timeline.
-type SilentWindow struct {
-	From, To sim.Time
-	SilentRates
-}
-
-// SilentPlan is a scheduled set of silent-fault windows. Window rates
-// add to the flat Rates.Silent rates while active; overlapping windows
-// sum. Evaluating the plan requires Config.Clock.
-type SilentPlan struct {
-	Windows []SilentWindow
-}
-
-// At returns the summed rates of every window active at now.
-func (p *SilentPlan) At(now sim.Time) SilentRates {
-	var r SilentRates
-	if p == nil {
-		return r
-	}
-	for i := range p.Windows {
-		w := &p.Windows[i]
-		if now >= w.From && now < w.To {
-			r.add(w.SilentRates)
-		}
-	}
-	return r
-}
-
-// silentNow returns the effective silent-fault rates for an operation
-// issued at the current simulated time: the flat configured rates plus
-// any active plan windows.
-func (d *Device) silentNow() SilentRates {
-	r := d.cfg.Rates.Silent
-	if d.cfg.Silent != nil && d.cfg.Clock != nil {
-		r.add(d.cfg.Silent.At(d.cfg.Clock.Now()))
-	}
-	return r
-}
-
 // noteSilent records that lba now holds silently wrong (or silently
 // stale) content, stamping the injection time for detection-latency
 // measurement. The earliest outstanding injection per LBA wins: latency

@@ -74,10 +74,10 @@ func TestSilentBitFlipOnRead(t *testing.T) {
 func TestSilentLostWrite(t *testing.T) {
 	clock := sim.NewClock()
 	inner := blockdev.NewMemDevice(16, sim.Microsecond)
-	plan := &SilentPlan{Windows: []SilentWindow{
-		{From: 0, To: sim.Time(100 * sim.Microsecond), SilentRates: SilentRates{LostWrite: 1}},
+	plan := &Schedule{Windows: []Window{
+		{To: sim.Time(100 * sim.Microsecond), Rates: Rates{Silent: SilentRates{LostWrite: 1}}},
 	}}
-	d := Wrap(inner, Config{Seed: 7, Clock: clock, Silent: plan})
+	d := Wrap(inner, Config{Seed: 7, Clock: clock, Plan: plan})
 
 	orig := make([]byte, blockdev.BlockSize)
 	fillPattern(orig, 0x11)
@@ -165,28 +165,36 @@ func TestMisdirectTarget(t *testing.T) {
 	}
 }
 
-// TestSilentPlanWindows: windowed rates activate only inside [From,To)
-// and overlapping windows sum.
-func TestSilentPlanWindows(t *testing.T) {
-	p := &SilentPlan{Windows: []SilentWindow{
-		{From: 100, To: 200, SilentRates: SilentRates{BitFlip: 0.25}},
-		{From: 150, To: 300, SilentRates: SilentRates{BitFlip: 0.5, LostWrite: 0.1}},
+// TestWindowRates: a window's rates reach an injector only inside
+// [From, To) and only on a matching station, and overlapping windows'
+// fail-stop and silent rates sum onto Config.Rates.
+func TestWindowRates(t *testing.T) {
+	clock := sim.NewClock()
+	plan := &Schedule{Windows: []Window{
+		{From: 100, To: 200, Rates: Rates{Transient: 0.25, Silent: SilentRates{BitFlip: 0.25}}},
+		{Station: "ssd", From: 150, To: 300, Rates: Rates{Transient: 0.5, Silent: SilentRates{BitFlip: 0.5, LostWrite: 0.1}}},
+		{Station: "hdd0", From: 0, To: Forever, Rates: Rates{ReadMedia: 1, Silent: SilentRates{Misdirect: 1}}},
 	}}
-	if r := p.At(50); !r.zero() {
-		t.Fatalf("At(50) = %+v, want zero", r)
+	d := Wrap(blockdev.NewMemDevice(16, sim.Microsecond), Config{
+		Rates: Rates{WriteMedia: 0.125}, Plan: plan, Clock: clock, Station: "ssd"})
+	for _, tc := range []struct {
+		at   sim.Time
+		want Rates
+	}{
+		{99, Rates{WriteMedia: 0.125}},
+		{100, Rates{WriteMedia: 0.125, Transient: 0.25, Silent: SilentRates{BitFlip: 0.25}}},
+		{175, Rates{WriteMedia: 0.125, Transient: 0.75, Silent: SilentRates{BitFlip: 0.75, LostWrite: 0.1}}},
+		{200, Rates{WriteMedia: 0.125, Transient: 0.5, Silent: SilentRates{BitFlip: 0.5, LostWrite: 0.1}}},
+		{300, Rates{WriteMedia: 0.125}},
+	} {
+		clock.AdvanceTo(tc.at)
+		if got := d.rates(); got != tc.want {
+			t.Errorf("rates at %d = %+v, want %+v", tc.at, got, tc.want)
+		}
 	}
-	if r := p.At(100); r.BitFlip != 0.25 || r.LostWrite != 0 {
-		t.Fatalf("At(100) = %+v", r)
-	}
-	if r := p.At(175); r.BitFlip != 0.75 || r.LostWrite != 0.1 {
-		t.Fatalf("At(175) = %+v (overlap should sum)", r)
-	}
-	if r := p.At(300); !r.zero() {
-		t.Fatalf("At(300) = %+v, want zero (To exclusive)", r)
-	}
-	var nilPlan *SilentPlan
-	if r := nilPlan.At(10); !r.zero() {
-		t.Fatal("nil plan must report zero rates")
+	noClock := Wrap(blockdev.NewMemDevice(16, sim.Microsecond), Config{Plan: plan, Station: "hdd0"})
+	if got := noClock.rates(); got != (Rates{}) {
+		t.Errorf("a plan without a clock applied rates %+v", got)
 	}
 }
 
@@ -200,7 +208,7 @@ func TestSilentZeroRatesBitIdentical(t *testing.T) {
 		cfg := Config{Seed: 11, Clock: clock, Rates: Rates{Transient: 0.2, ReadMedia: 0.01}}
 		if withSilent {
 			cfg.Rates.Silent = SilentRates{}
-			cfg.Silent = &SilentPlan{}
+			cfg.Plan = &Schedule{Windows: []Window{{To: Forever}}}
 		}
 		inner := blockdev.NewMemDevice(64, sim.Microsecond)
 		d := Wrap(inner, cfg)

@@ -1,9 +1,11 @@
 package harness
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
+	"icash/internal/blockdev"
 	"icash/internal/fault"
 	"icash/internal/workload"
 )
@@ -27,9 +29,7 @@ func TestEmptyFaultLayerBitIdentical(t *testing.T) {
 			SSDCacheBlocks: gen.DataBlocks() / 2,
 		}
 		if withFaultLayer {
-			plan := &fault.Schedule{Seed: opts.Seed}
-			cfg.FaultSSD = &fault.Config{Seed: 1, Plan: plan}
-			cfg.FaultHDD = &fault.Config{Seed: 2, Plan: plan}
+			cfg.Faults = &fault.Schedule{Seed: opts.Seed}
 			cfg.SlowDetector = true
 		}
 		sys, err := Build(ICASH, cfg)
@@ -62,5 +62,34 @@ func TestEmptyFaultLayerBitIdentical(t *testing.T) {
 
 	if !reflect.DeepEqual(bare, layered) {
 		t.Fatalf("empty fault layer changed the run:\n bare    %+v\n layered %+v", bare, layered)
+	}
+}
+
+// TestFaultsArmAfterPopulate: a Faults plan is inert while Populate
+// loads the data set and armed from the instant it returns. A window
+// from offset 0 that times out every operation lets Populate succeed
+// and fails the first measured operation on either injector, whose
+// stations the harness scoped to shard 0 ("s0").
+func TestFaultsArmAfterPopulate(t *testing.T) {
+	gen := workload.NewGenerator(workload.SysBench(), workload.Options{Scale: 1.0 / 256, Seed: 42})
+	sys, err := Build(ICASH, BuildConfig{
+		DataBlocks: gen.DataBlocks(),
+		Shards:     2,
+		Faults: &fault.Schedule{Windows: []fault.Window{
+			{To: fault.Forever, Rates: fault.Rates{Transient: 1}},
+		}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.SetFill(gen.Fill)
+	if err := Populate(sys, gen); err != nil {
+		t.Fatalf("populate under the plan: %v", err)
+	}
+	buf := make([]byte, blockdev.BlockSize)
+	for _, dev := range []*fault.Device{sys.SSDFault, sys.HDDFault} {
+		if _, err := dev.ReadBlock(0, buf); !errors.Is(err, blockdev.ErrTransient) {
+			t.Errorf("first measured read: %v, want ErrTransient", err)
+		}
 	}
 }

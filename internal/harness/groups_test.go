@@ -136,7 +136,7 @@ func TestRunGroups(t *testing.T) {
 		{"one stream over 4 shards", workload.TPCC5VM(), oneStream, nil, nil, 1},
 		{"scrubber armed", randread, perVM, nil,
 			func(s *System) { s.Sharded.SetScrub(core.ScrubConfig{Interval: sim.Millisecond}) }, 1},
-		{"fault injector", randread, perVM, func(c *BuildConfig) { c.FaultHDD = &fault.Config{} }, nil, 1},
+		{"fault injector", randread, perVM, func(c *BuildConfig) { c.Faults = &fault.Schedule{} }, nil, 1},
 		{"slow-device detector", randread, perVM, func(c *BuildConfig) { c.SlowDetector = true }, nil, 1},
 		{"wrapped device", randread, perVM, nil, func(s *System) { s.Dev = &countingDev{Device: s.Dev} }, 1},
 	} {

@@ -119,7 +119,8 @@ type DataSet interface {
 // the stores that hold data-set blocks, and each I-CASH controller's
 // RAM data cache, keep them as differences from their family bases
 // (System.SetBasis). It installs no fill: the initial-content oracle
-// is the caller's (System.SetFill).
+// is the caller's (System.SetFill). As it returns it arms the build's
+// fault plan (BuildConfig.Faults), whose window offsets count from then.
 func Populate(sys *System, ds DataSet) error {
 	n := ds.DataBlocks()
 	if n > sys.Dev.Blocks() {
@@ -153,6 +154,12 @@ func Populate(sys *System, ds DataSet) error {
 	}
 	sys.Clock.Advance(sim.Duration(n) * 10 * sim.Microsecond)
 	sys.ResetStats()
+	now := sys.Clock.Now()
+	for _, w := range sys.unarmed {
+		w.From, w.To = now.Add(sim.Duration(w.From)), now.Add(sim.Duration(w.To))
+		sys.faults.Windows = append(sys.faults.Windows, w)
+	}
+	sys.unarmed = nil
 	return nil
 }
 

@@ -168,7 +168,7 @@ func TestBuildOneShard(t *testing.T) {
 		gen := workload.NewGenerator(p, opts)
 		var got core.Config
 		// Windows on the unprefixed names: they slow the fault injectors
-		// only if the injectors' default stations are "ssd" and "hdd0".
+		// only if a one-shard build names their stations "ssd" and "hdd0".
 		plan := &fault.Schedule{Windows: []fault.Window{
 			{Station: "ssd", To: sim.Time(3600 * sim.Second), Factor: 2},
 			{Station: "hdd0", To: sim.Time(3600 * sim.Second), Factor: 2},
@@ -179,8 +179,7 @@ func TestBuildOneShard(t *testing.T) {
 			SSDCacheBlocks: 32,
 			DeltaRAMBytes:  64 << 10,
 			DataRAMBytes:   256 << 10,
-			FaultSSD:       &fault.Config{Plan: plan},
-			FaultHDD:       &fault.Config{Plan: plan},
+			Faults:         plan,
 			SlowDetector:   true,
 			Tune:           func(c *core.Config) { got = *c },
 		})
@@ -219,7 +218,7 @@ func TestBuildOneShard(t *testing.T) {
 			t.Fatalf("run: %v", err)
 		}
 		if res.SSDFaultStats.SlowOps == 0 || res.HDDFaultStats.SlowOps == 0 {
-			t.Errorf("windows on \"ssd\"/\"hdd0\" slowed %d SSD and %d HDD ops; the injectors' default stations are not those names",
+			t.Errorf("windows on \"ssd\"/\"hdd0\" slowed %d SSD and %d HDD ops; the injectors' stations are not those names",
 				res.SSDFaultStats.SlowOps, res.HDDFaultStats.SlowOps)
 		}
 	}

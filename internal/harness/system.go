@@ -84,17 +84,18 @@ type BuildConfig struct {
 	// for a tuned LogBlocks or SSDBlocks above the default.
 	Tune func(*core.Config)
 
-	// FaultSSD and FaultHDD, when non-nil, interpose deterministic
-	// fault injectors between shard 0's controller and its devices
-	// (robustness experiments; ignored for the baseline systems). Faults
-	// are a per-device phenomenon, and pinning them to one shard is what
-	// the blast-radius experiments measure: the other shards keep
-	// serving. Their Clock and default Station names are filled in by
-	// Build; a Plan on either config is additionally installed as a
-	// station shaper, so fail-slow windows inflate both the
-	// controller-visible latency and the station occupancy.
-	FaultSSD *fault.Config
-	FaultHDD *fault.Config
+	// Faults, when non-nil, is the fault plan of a robustness
+	// experiment (ignored for the baseline systems): Build interposes
+	// fault injectors seeded from Faults.Seed between shard 0's
+	// controller and its devices, scopes every window to shard 0's
+	// stations and installs the plan as their station shaper, so
+	// fail-slow windows inflate both the controller-visible latency and
+	// the station occupancy. Faults are a per-device phenomenon, and
+	// pinning them to one shard is what the blast-radius experiments
+	// measure: the other shards keep serving. Window times are offsets
+	// from the instant Populate returns, which arms them: the data set
+	// always loads fault-free.
+	Faults *fault.Schedule
 
 	// SlowDetector enables the fail-slow detector: station service
 	// times feed a windowed-p99 watch, and the run loop quarantines /
@@ -172,6 +173,11 @@ type System struct {
 	fills  []func(blockdev.FillFunc)
 	bases  []func(blockdev.Basis)
 	basis  blockdev.Basis
+	// faults is the fault plan the injectors and station shapers hold;
+	// unarmed keeps BuildConfig.Faults' windows, scoped to shard 0, for
+	// Populate to shift onto the clock.
+	faults  *fault.Schedule
+	unarmed []fault.Window
 }
 
 // Name returns the paper's label.
@@ -234,23 +240,15 @@ func (s *System) CPUBusy() sim.Duration {
 
 // instrument builds one service station per independently serving unit
 // — each SSD channel, each HDD actuator — and connects the devices to
-// their shard's tracer. Called once at the end of Build. Fault plans
-// from the build config become station shapers (a fail-slow window
-// inflates station occupancy, not just the controller-visible latency),
-// and the optional slow-device detector observes every station's shaped
-// service times.
+// their shard's tracer. Called once at the end of Build. The fault plan
+// becomes every station's shaper (a fail-slow window inflates station
+// occupancy, not just the controller-visible latency), and the optional
+// slow-device detector observes every station's shaped service times.
 func (s *System) instrument(cfg BuildConfig) {
 	n := len(s.SSDs)
 	s.Tracers = make([]*event.Tracer, max(n, 1))
 	for i := range s.Tracers {
 		s.Tracers[i] = event.NewTracer()
-	}
-	var ssdPlan, hddPlan *fault.Schedule
-	if cfg.FaultSSD != nil {
-		ssdPlan = cfg.FaultSSD.Plan
-	}
-	if cfg.FaultHDD != nil {
-		hddPlan = cfg.FaultHDD.Plan
 	}
 	if cfg.SlowDetector {
 		s.Detector = fault.NewDetector(0)
@@ -267,7 +265,7 @@ func (s *System) instrument(cfg BuildConfig) {
 		chans := make([]*event.Server, dev.Config().Channels)
 		for i := range chans {
 			chans[i] = event.NewServer(fmt.Sprintf("%s.ch%d", name, i), event.DefaultQueueCap)
-			chans[i].SetShaper(ssdPlan.Shaper(chans[i].Name()))
+			chans[i].SetShaper(s.faults.Shaper(chans[i].Name()))
 			watch(chans[i], slowSSDThreshold)
 			s.Stations = append(s.Stations, chans[i])
 			s.resets = append(s.resets, chans[i].ResetStats)
@@ -276,7 +274,7 @@ func (s *System) instrument(cfg BuildConfig) {
 	}
 	addHDD := func(h *hdd.Device, name string, tr *event.Tracer) {
 		srv := event.NewServer(name, event.DefaultQueueCap)
-		srv.SetShaper(hddPlan.Shaper(srv.Name()))
+		srv.SetShaper(s.faults.Shaper(srv.Name()))
 		watch(srv, slowHDDThreshold)
 		s.Stations = append(s.Stations, srv)
 		s.resets = append(s.resets, srv.ResetStats)
@@ -544,6 +542,16 @@ func buildICASH(s *System, cfg BuildConfig) error {
 	ssdBlocks := perShard(cacheBlocks(cfg), nsh, 64)
 	deltaRAM := perShard(orDefault(cfg.DeltaRAMBytes, 32<<20), nsh, per*512)
 	dataRAM := perShard(orDefault(cfg.DataRAMBytes, 32<<20), nsh, 512<<10)
+	if f := cfg.Faults; f != nil {
+		if err := f.Validate(); err != nil {
+			return err
+		}
+		s.faults = &fault.Schedule{Seed: f.Seed}
+		for _, w := range f.Windows {
+			w.Station = ShardStation(0, nsh, w.Station)
+			s.unarmed = append(s.unarmed, w)
+		}
+	}
 
 	shards := make([]*core.Controller, nsh)
 	for i := 0; i < nsh; i++ {
@@ -565,15 +573,15 @@ func buildICASH(s *System, cfg BuildConfig) error {
 			h.SetFill(tf)
 		})
 		var ssdDev, hddDev blockdev.Device = sdev, h
-		if i == 0 && cfg.FaultSSD != nil {
-			s.SSDFault = wrapFault(ssdDev, cfg.FaultSSD, s.Clock, ShardStation(0, nsh, "ssd"))
-			ssdDev = s.SSDFault
-			s.resets = append(s.resets, s.SSDFault.ResetStats)
-		}
-		if i == 0 && cfg.FaultHDD != nil {
-			s.HDDFault = wrapFault(hddDev, cfg.FaultHDD, s.Clock, ShardStation(0, nsh, "hdd0"))
-			hddDev = s.HDDFault
-			s.resets = append(s.resets, s.HDDFault.ResetStats)
+		if i == 0 && s.faults != nil {
+			wrap := func(dev blockdev.Device, salt uint64, station string) *fault.Device {
+				d := fault.Wrap(dev, fault.Config{Seed: s.faults.Seed*0x9e37_79b9 + salt,
+					Plan: s.faults, Clock: s.Clock, Station: ShardStation(0, nsh, station)})
+				s.resets = append(s.resets, d.ResetStats)
+				return d
+			}
+			s.SSDFault, s.HDDFault = wrap(sdev, 1, "ssd"), wrap(h, 2, "hdd0")
+			ssdDev, hddDev = s.SSDFault, s.HDDFault
 		}
 		shardCPU := cpumodel.NewAccountant()
 		s.ShardCPUs = append(s.ShardCPUs, shardCPU)
@@ -608,17 +616,6 @@ func buildICASH(s *System, cfg BuildConfig) error {
 		})
 	}
 	return nil
-}
-
-// wrapFault interposes a fault injector configured by fc on dev, on the
-// system clock, defaulting its station name to station.
-func wrapFault(dev blockdev.Device, fc *fault.Config, clock *sim.Clock, station string) *fault.Device {
-	c := *fc
-	c.Clock = clock
-	if c.Station == "" {
-		c.Station = station
-	}
-	return fault.Wrap(dev, c)
 }
 
 // cachePartitionConfig builds the SSD device for a cache-sized
